@@ -8,7 +8,6 @@ envelope must respect.
 """
 
 from . import bounds, engine, harness, instances, schedules
-from ._kernels import active_backend, available_backends
 from .bounds import (
     BoundReport,
     GuaranteeEnvelope,
@@ -79,8 +78,6 @@ __all__ = [
     "audit_schedule",
     "density_experiment",
     "chain_check",
-    "active_backend",
-    "available_backends",
     "StepAuditError",
     "InvalidParameterError",
     "ConstructionError",

@@ -1,51 +1,31 @@
-"""Hot descent loops: numba-compiled fast path with a pure-numpy fallback.
-
-The backend is chosen by the ``STEPAUDIT_BACKEND`` environment variable:
-``auto`` (default, numba when importable), ``numba``, or ``numpy``.  Both
-implementations perform the identical sequence of float64 operations, so
-their outputs agree bit-for-bit on the error traces.
-"""
+"""Hot descent loop for the max-of-linear family, in plain numpy."""
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
 from .errors import InvalidParameterError
 
-__all__ = ["active_backend", "available_backends", "maxlinear_descent", "BACKEND_ENV_VAR"]
-
-BACKEND_ENV_VAR = "STEPAUDIT_BACKEND"
-
-try:
-    import numba
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    numba = None
-    _HAVE_NUMBA = False
+__all__ = ["maxlinear_descent"]
 
 
-def available_backends() -> tuple[str, ...]:
-    return ("numba", "numpy") if _HAVE_NUMBA else ("numpy",)
+def maxlinear_descent(a: np.ndarray, b: np.ndarray, eta: np.ndarray, snap_times: np.ndarray):
+    """Run ``len(eta)`` projected subgradient steps on a max-of-linear objective.
 
-
-def active_backend() -> str:
-    """Resolve the backend name from the environment."""
-    choice = os.environ.get(BACKEND_ENV_VAR, "auto").strip().lower()
-    if choice in ("", "auto"):
-        return "numba" if _HAVE_NUMBA else "numpy"
-    if choice == "numba":
-        if not _HAVE_NUMBA:
-            raise InvalidParameterError(f"{BACKEND_ENV_VAR}=numba but numba is not importable")
-        return "numba"
-    if choice == "numpy":
-        return "numpy"
-    raise InvalidParameterError(f"unknown {BACKEND_ENV_VAR} value {choice!r}")
-
-
-def _descent_numpy(a, b, eta, snap_times):
+    ``a`` and ``b`` are the construction weights (length ``dim``), ``eta``
+    the stepsizes, and ``snap_times`` a sorted int64 array of iterate
+    indices (in ``1..T``) to copy out.  Returns
+    ``(errors, argmax_trace, max_norm, projection_hits, snapshots, fault_step)``
+    where ``fault_step < 0`` means no numeric fault occurred.
+    """
+    a = np.ascontiguousarray(a, dtype=np.float64)
+    b = np.ascontiguousarray(b, dtype=np.float64)
+    eta = np.ascontiguousarray(eta, dtype=np.float64)
+    snap_times = np.ascontiguousarray(snap_times, dtype=np.int64)
+    if a.shape != b.shape or a.ndim != 1:
+        raise InvalidParameterError("weight arrays must be 1-d and equally sized")
+    if eta.shape[0] >= a.shape[0]:
+        raise InvalidParameterError("need one more weight than steps (dim = T + 1)")
     dim = a.shape[0]
     T = eta.shape[0]
     x = np.zeros(dim)
@@ -59,8 +39,8 @@ def _descent_numpy(a, b, eta, snap_times):
     fault = -1
     spos = 0
     for t in range(T + 1):
-        # score_i = sum_{m<i} a_m x_m - b_i x_i; the cumulative sum is
-        # sequential, matching the numba loop term-for-term
+        # score_i = sum_{m<i} a_m x_m - b_i x_i, with the prefix sum taken
+        # sequentially
         np.multiply(a, x, out=scores)
         cum[0] = 0.0
         np.cumsum(scores[: dim - 1], out=cum[1:])
@@ -90,89 +70,3 @@ def _descent_numpy(a, b, eta, snap_times):
             snaps[spos] = x
             spos += 1
     return errors, trace, max_norm, hits, snaps, fault
-
-
-if _HAVE_NUMBA:
-
-    @numba.njit(cache=True)
-    def _descent_numba(a, b, eta, snap_times):  # pragma: no cover - compiled
-        dim = a.shape[0]
-        T = eta.shape[0]
-        x = np.zeros(dim)
-        errors = np.empty(T)
-        trace = np.empty(T + 1, dtype=np.int64)
-        snaps = np.empty((snap_times.shape[0], dim))
-        max_norm = 0.0
-        hits = 0
-        fault = -1
-        spos = 0
-        for t in range(T + 1):
-            best = -np.inf
-            besti = 0
-            c = 0.0
-            for i in range(dim):
-                s = c - b[i] * x[i]
-                if s > best:
-                    best = s
-                    besti = i
-                c += a[i] * x[i]
-            trace[t] = besti
-            if t >= 1:
-                errors[t - 1] = best
-            if not np.isfinite(best):
-                fault = t
-                break
-            if t == T:
-                break
-            step = eta[t]
-            for j in range(besti):
-                x[j] -= step * a[j]
-            x[besti] += step * b[besti]
-            nsq = 0.0
-            for j in range(dim):
-                nsq += x[j] * x[j]
-            nrm = np.sqrt(nsq)
-            if nrm > max_norm:
-                max_norm = nrm
-            if nsq > 1.0:
-                hits += 1
-                for j in range(dim):
-                    x[j] /= nrm
-            if spos < snap_times.shape[0] and snap_times[spos] == t + 1:
-                for j in range(dim):
-                    snaps[spos, j] = x[j]
-                spos += 1
-        return errors, trace, max_norm, hits, snaps, fault
-
-
-def maxlinear_descent(
-    a: np.ndarray,
-    b: np.ndarray,
-    eta: np.ndarray,
-    snap_times: np.ndarray,
-    backend: str | None = None,
-):
-    """Run ``len(eta)`` projected subgradient steps on a max-of-linear objective.
-
-    ``a`` and ``b`` are the construction weights (length ``dim``), ``eta``
-    the stepsizes, and ``snap_times`` a sorted int64 array of iterate
-    indices (in ``1..T``) to copy out.  Returns
-    ``(errors, argmax_trace, max_norm, projection_hits, snapshots, fault_step)``
-    where ``fault_step < 0`` means no numeric fault occurred.
-    """
-    a = np.ascontiguousarray(a, dtype=np.float64)
-    b = np.ascontiguousarray(b, dtype=np.float64)
-    eta = np.ascontiguousarray(eta, dtype=np.float64)
-    snap_times = np.ascontiguousarray(snap_times, dtype=np.int64)
-    if a.shape != b.shape or a.ndim != 1:
-        raise InvalidParameterError("weight arrays must be 1-d and equally sized")
-    if eta.shape[0] >= a.shape[0]:
-        raise InvalidParameterError("need one more weight than steps (dim = T + 1)")
-    name = backend if backend is not None else active_backend()
-    if name == "numba":
-        if not _HAVE_NUMBA:
-            raise InvalidParameterError("numba backend requested but numba is not importable")
-        return _descent_numba(a, b, eta, snap_times)
-    if name == "numpy":
-        return _descent_numpy(a, b, eta, snap_times)
-    raise InvalidParameterError(f"unknown backend {name!r}")

@@ -40,6 +40,7 @@ __all__ = [
     "validate_envelope",
     "EnvelopeReport",
     "BoundRow",
+    "bound_row",
     "BoundReport",
 ]
 
@@ -390,7 +391,21 @@ class BoundRow:
     floor_harmonic: float | None
     floor_log: float | None
     measured: dict[str, float] = field(default_factory=dict)
-    certified: dict[str, float] = field(default_factory=dict)
+
+
+def bound_row(schedule: StepSchedule, t: int, phi: GuaranteeEnvelope) -> BoundRow:
+    """Every analytic floor at horizon ``t``; measured errors start empty."""
+    floor_h, floor_l = envelope_floor(t) if t >= 2 else (None, None)
+    return BoundRow(
+        t=t,
+        last_step=last_step_bound(schedule, t),
+        step_sum=step_sum_bound(schedule, t),
+        maxlinear=maxlinear_bound(schedule, t, phi),
+        quartic=quartic_floor(schedule, t),
+        quartic_shifted=quartic_floor(schedule, t, shifted=True),
+        floor_harmonic=floor_h,
+        floor_log=floor_l,
+    )
 
 
 @dataclass
@@ -424,24 +439,3 @@ class BoundReport:
                     fmt(row.measured.get("quadratic")),
                 ]
                 fh.write(",".join(cells) + "\n")
-
-    def to_dict(self) -> dict:
-        return {
-            "schedule": self.schedule_label,
-            "envelope": self.envelope_label,
-            "rows": [
-                {
-                    "t": r.t,
-                    "last_step": r.last_step,
-                    "step_sum": r.step_sum,
-                    "maxlinear": r.maxlinear,
-                    "quartic_floor": r.quartic,
-                    "quartic_floor_shifted": r.quartic_shifted,
-                    "floor_harmonic": r.floor_harmonic,
-                    "floor_log": r.floor_log,
-                    "measured": r.measured,
-                    "certified": r.certified,
-                }
-                for r in self.rows
-            ],
-        }

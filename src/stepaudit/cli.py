@@ -18,6 +18,7 @@ from . import bounds as bnd
 from . import schedules as sched
 from .errors import ConstructionError, InvalidParameterError
 from .harness import (
+    FAMILIES,
     ExperimentSpec,
     Tolerances,
     audit_schedule,
@@ -31,7 +32,7 @@ OUT_ENV_VAR = "STEPAUDIT_OUT"
 _DEFAULTS = {
     "schedule": "sqrt_decay:D=2,G=1",
     "phi": "log",
-    "families": "maxlinear,vshape,quadratic",
+    "families": ",".join(FAMILIES),
     "family": "maxlinear",
     "horizons": None,
     "T": None,
@@ -43,6 +44,10 @@ _DEFAULTS = {
     "per_t": False,
     "dump_instances": False,
 }
+
+
+# the type a config-file value converts to; every other field is a string
+_FIELD_TYPES = {"T": int, "workers": int, "seed": int, "shrink": float, "per_t": bool, "dump_instances": bool}
 
 
 class UsageError(Exception):
@@ -141,15 +146,24 @@ def _parse_horizons(text: str) -> list[int]:
 
 
 def _parse_thresholds(text: str) -> list[float]:
-    vals = []
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        vals.append(float("inf") if part.lower() == "inf" else float(part))
+    try:
+        vals = [float(part) for part in text.split(",") if part.strip()]
+    except ValueError as exc:
+        raise UsageError(f"bad thresholds list {text!r}") from exc
     if not vals:
         raise UsageError("thresholds list is empty")
     return vals
+
+
+def _config_value(key: str, val):
+    """Convert one config-file value to its field's type."""
+    kind = _FIELD_TYPES.get(key, str)
+    if isinstance(val, bool) == (kind is bool) and isinstance(val, (int, float, str)):
+        try:
+            return kind(val)
+        except (ValueError, OverflowError):
+            pass
+    raise UsageError(f"config field {key!r} must be {kind.__name__}, got {val!r}")
 
 
 def _resolve_config(args: argparse.Namespace) -> dict:
@@ -165,7 +179,7 @@ def _resolve_config(args: argparse.Namespace) -> dict:
         unknown = set(loaded) - set(_DEFAULTS)
         if unknown:
             raise UsageError(f"unknown config fields: {sorted(unknown)}")
-        merged.update(loaded)
+        merged.update({key: _config_value(key, val) for key, val in loaded.items() if val is not None})
     for key in _DEFAULTS:
         val = getattr(args, key, None)
         if val is not None and val is not False:
@@ -206,22 +220,24 @@ def _spec_from_config(config: dict, horizons: list[int], families: list[str]) ->
         families=tuple(families),
         envelope=envelope,
         tolerances=Tolerances(),
-        shrink=float(config["shrink"]),
-        workers=int(config["workers"]),
+        shrink=config["shrink"],
+        workers=config["workers"],
     )
 
 
 def _horizons_from(config: dict) -> list[int]:
-    if config.get("horizons"):
-        return _parse_horizons(str(config["horizons"]))
-    if config.get("T"):
-        return [int(config["T"])]
+    if config.get("horizons") is not None:
+        return _parse_horizons(config["horizons"])
+    if config.get("T") is not None:
+        if config["T"] < 1:
+            raise UsageError(f"T must be >= 1, got {config['T']}")
+        return [config["T"]]
     raise UsageError("missing horizons: pass --T or --horizons")
 
 
 def _families_from(config: dict, single: bool) -> list[str]:
     key = "family" if single else "families"
-    fams = [f.strip() for f in str(config[key]).split(",") if f.strip()]
+    fams = [f.strip() for f in config[key].split(",") if f.strip()]
     if single and len(fams) != 1:
         raise UsageError(f"--family expects exactly one family, got {fams}")
     return fams
@@ -254,16 +270,17 @@ def cmd_audit(config: dict) -> int:
     if config.get("dump_instances"):
         _write_json(out / "instances.json", {"instances": result.instances}, config)
     n_pass = sum(1 for a in result.assertions if a["passed"])
-    print(
-        f"audit: {n_pass}/{len(result.assertions)} assertions passed, "
-        f"{len(result.skipped)} skipped; outputs in {out}"
-    )
+    line = f"audit: {n_pass}/{len(result.assertions)} assertions passed, {len(result.skipped)} skipped"
+    validation = result.envelope_validation
+    if validation["gating"] and not validation["passed"]:
+        line += f"; envelope validation failed: {validation['failures'][0]}"
+    print(f"{line}; outputs in {out}")
     return 0 if result.passed else 1
 
 
 def cmd_density(config: dict) -> int:
     spec = _spec_from_config(config, _horizons_from(config), _families_from(config, single=True))
-    thresholds = _parse_thresholds(str(config["thresholds"]))
+    thresholds = _parse_thresholds(config["thresholds"])
     out = _out_dir(config)
     table = density_experiment(spec, thresholds, per_t=bool(config.get("per_t")))
     table.write_csv(out / "density.csv", header=_header(config))
@@ -282,30 +299,24 @@ def cmd_bounds(config: dict) -> int:
         raise UsageError("bounds needs a concrete envelope (field 'phi'), not 'empirical'")
     phi = spec.resolved_envelope()
     out = _out_dir(config)
-    report = bnd.BoundReport(schedule_label=spec.schedule.label, envelope_label=phi.label)
-    for t in horizons:
-        floor_h, floor_l = bnd.envelope_floor(t) if t >= 2 else (None, None)
-        report.rows.append(
-            bnd.BoundRow(
-                t=t,
-                last_step=bnd.last_step_bound(spec.schedule, t),
-                step_sum=bnd.step_sum_bound(spec.schedule, t),
-                maxlinear=bnd.maxlinear_bound(spec.schedule, t, phi),
-                quartic=bnd.quartic_floor(spec.schedule, t),
-                quartic_shifted=bnd.quartic_floor(spec.schedule, t, shifted=True),
-                floor_harmonic=floor_h,
-                floor_log=floor_l,
-            )
-        )
+    report = bnd.BoundReport(
+        schedule_label=spec.schedule.label,
+        envelope_label=phi.label,
+        rows=[bnd.bound_row(spec.schedule, t, phi) for t in horizons],
+    )
     report.write_csv(out / "bound_report.csv", header=_header(config))
     chain = chain_check(spec.schedule, phi, T)
     _write_json(out / "chain_report.json", chain.to_dict(), config)
-    n_inc = len(chain.inconclusive)
-    print(
-        f"bounds: chain {'passed' if chain.passed else 'FAILED'}"
-        + (f" ({n_inc} steps inconclusive at this T)" if n_inc else "")
-        + f"; outputs in {out}"
-    )
+    line = f"bounds: chain {'passed' if chain.passed else 'FAILED'}"
+    if chain.inconclusive:
+        line += f" ({len(chain.inconclusive)} steps inconclusive at this T)"
+    failed = [s for s in chain.steps if s["status"] == "fail"]
+    if failed:
+        where = f" at t={failed[0]['t']}" if "t" in failed[0] else ""
+        line += f"; first failing step {failed[0]['step']}{where}"
+    elif not chain.validation["passed"]:
+        line += f"; envelope validation failed: {chain.validation['failures'][0]}"
+    print(f"{line}; outputs in {out}")
     return 0 if chain.passed else 1
 
 
@@ -330,12 +341,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="check simulated trajectories against closed forms")
     common(p)
-    p.add_argument("--families", help="comma list from maxlinear,vshape,quadratic")
+    p.add_argument("--families", help=f"comma list from {','.join(FAMILIES)}")
     p.add_argument("--family", help="shorthand for a single family")
 
     p = sub.add_parser("audit", help="run certified floors against measured errors per horizon")
     common(p)
-    p.add_argument("--families", help="comma list from maxlinear,vshape,quadratic")
+    p.add_argument("--families", help=f"comma list from {','.join(FAMILIES)}")
     p.add_argument("--dump-instances", dest="dump_instances", action="store_true", default=None)
 
     p = sub.add_parser("density", help="measure how often scaled errors clear thresholds")
@@ -375,5 +386,5 @@ def main(argv=None) -> int:
         return 2
 
 
-def main_entry() -> None:  # console-script shim
-    raise SystemExit(main())
+if __name__ == "__main__":
+    sys.exit(main())

@@ -2,14 +2,13 @@
 
 The update is ``x_{t+1} = project(x_t - eta_t * g_t)`` with ``g_t`` taken
 from the instance's deterministic subgradient oracle.  Instances carrying
-kernel data are dispatched to the compiled fast path in ``_kernels``; all
+kernel data are dispatched to the numpy fast path in ``_kernels``; all
 other instances run through the generic loop below.  Both paths are pure
 functions of their inputs, so repeated runs are bit-identical.
 """
 
 from __future__ import annotations
 
-import json
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 
@@ -33,11 +32,11 @@ __all__ = [
 class ConvexInstance:
     """A convex objective bundled with its oracles and domain.
 
-    ``reference_level`` is a value known to upper-bound the domain minimum
-    (the error baseline), ``lipschitz`` a certified gradient-norm bound,
-    and ``diameter`` the domain diameter.  ``sample`` draws in-domain
-    points for spot checks; ``kernel_data`` optionally names a compiled
-    fast path for :func:`run`.
+    Errors are objective values measured from 0, a level at or above the
+    domain minimum of every family here.  ``lipschitz`` is a certified gradient-norm bound, ``sample`` draws
+    in-domain points for spot checks, and ``kernel_data`` optionally holds
+    the max-of-linear weights ``(a, b)`` that select the fast path in
+    :func:`run`.
     """
 
     dim: int
@@ -45,10 +44,7 @@ class ConvexInstance:
     value: Callable[[np.ndarray], float]
     subgradient: Callable[[np.ndarray], np.ndarray]
     project: Callable[[np.ndarray], np.ndarray]
-    reference_level: float
     lipschitz: float
-    diameter: float
-    label: str = ""
     sample: Callable[[np.random.Generator], np.ndarray] | None = None
     kernel_data: tuple | None = None
 
@@ -70,26 +66,6 @@ class RunRecord:
         if not 1 <= t <= self.horizon:
             raise InvalidParameterError(f"t={t} outside 1..{self.horizon}")
         return float(self.errors[t - 1])
-
-    def save_csv(self, path: str, header: str | None = None) -> None:
-        """Write ``t,err`` rows; ``header`` is an optional leading comment."""
-        with open(path, "w") as fh:
-            if header:
-                fh.write(f"# {header}\n")
-            fh.write("t,err\n")
-            for t in range(1, self.horizon + 1):
-                fh.write(f"{t},{float(self.errors[t - 1])!r}\n")
-
-    def save_snapshots(self, path: str, meta: dict | None = None) -> None:
-        """Write stored iterates as JSON keyed by step."""
-        payload = {
-            "meta": meta or {},
-            "snapshots": [
-                {"t": t, "x": self.snapshots[t].tolist()} for t in sorted(self.snapshots)
-            ],
-        }
-        with open(path, "w") as fh:
-            json.dump(payload, fh, sort_keys=True)
 
 
 def project_ball(x: np.ndarray, radius: float) -> np.ndarray:
@@ -146,26 +122,19 @@ def run(
     eta = schedule.rates(T)
 
     if not force_generic and instance.kernel_data is not None:
-        kind = instance.kernel_data[0]
-        if kind == "maxlinear":
-            _, a, b = instance.kernel_data
-            errors, trace, max_norm, hits, snaps, fault = _kernels.maxlinear_descent(
-                a, b, eta, snap_times
-            )
-            if fault >= 0:
-                raise NumericFaultError(f"non-finite objective value at step {fault}")
-            if instance.reference_level != 0.0:
-                errors = errors - instance.reference_level
-            return RunRecord(
-                schedule_label=schedule.label,
-                horizon=T,
-                errors=errors,
-                snapshots={int(t): snaps[k].copy() for k, t in enumerate(snap_times)},
-                max_norm_seen=float(max_norm),
-                projection_activations=int(hits),
-                argmax_trace=trace,
-            )
-        raise InvalidParameterError(f"unknown kernel kind {kind!r}")
+        a, b = instance.kernel_data
+        errors, trace, max_norm, hits, snaps, fault = _kernels.maxlinear_descent(a, b, eta, snap_times)
+        if fault >= 0:
+            raise NumericFaultError(f"non-finite objective value at step {fault}")
+        return RunRecord(
+            schedule_label=schedule.label,
+            horizon=T,
+            errors=errors,
+            snapshots={int(t): snaps[k].copy() for k, t in enumerate(snap_times)},
+            max_norm_seen=float(max_norm),
+            projection_activations=int(hits),
+            argmax_trace=trace,
+        )
 
     x = np.array(instance.initial_point, dtype=np.float64, copy=True)
     if x.shape != (instance.dim,):
@@ -190,7 +159,7 @@ def run(
         fv = float(instance.value(x))
         if not np.isfinite(fv):
             raise NumericFaultError(f"non-finite objective value at step {t + 1}")
-        errors[t] = fv - instance.reference_level
+        errors[t] = fv
         if t + 1 in wanted:
             stored[t + 1] = x.copy()
     return RunRecord(

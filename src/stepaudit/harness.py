@@ -9,6 +9,7 @@ parallelism width.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
@@ -36,7 +37,21 @@ __all__ = [
     "FAMILIES",
 ]
 
-FAMILIES = ("maxlinear", "vshape", "quadratic")
+
+def _build_vshape(schedule: StepSchedule, t: int, phi: bnd.GuaranteeEnvelope, shrink: float):
+    if t < 2:
+        raise ConstructionError("vshape needs a target >= 2")
+    return inst.build_vshape(schedule, t, shrink=shrink)
+
+
+# family -> builder(schedule, t, phi, shrink); a builder raises
+# ConstructionError when the family does not apply at ``t``
+_BUILDERS = {
+    "maxlinear": lambda schedule, t, phi, shrink: inst.build_maxlinear(schedule, t, phi),
+    "vshape": _build_vshape,
+    "quadratic": lambda schedule, t, phi, shrink: inst.build_quadratic(schedule, t),
+}
+FAMILIES = tuple(_BUILDERS)
 
 
 @dataclass
@@ -93,16 +108,6 @@ def _map_tasks(fn, keys, workers: int):
     return {key: results[key] for key in sorted(results)}
 
 
-def _build_instance(family: str, spec: ExperimentSpec, t: int, phi: bnd.GuaranteeEnvelope):
-    if family == "maxlinear":
-        return inst.build_maxlinear(spec.schedule, t, phi)
-    if family == "vshape":
-        return inst.build_vshape(spec.schedule, t, shrink=spec.shrink)
-    if family == "quadratic":
-        return inst.build_quadratic(spec.schedule, t)
-    raise InvalidParameterError(f"unknown family {family!r}")
-
-
 # -- trajectory verification -------------------------------------------------
 
 
@@ -139,10 +144,8 @@ def verify_trajectories(spec: ExperimentSpec) -> TrajectoryReport:
 
     def work(key):
         family, T = key
-        if family == "vshape" and T < 2:
-            return {"family": family, "T": T, "skipped": "vshape needs a target >= 2"}
         try:
-            built = _build_instance(family, spec, T, phi)
+            built = _BUILDERS[family](spec.schedule, T, phi, spec.shrink)
         except ConstructionError as exc:
             return {"family": family, "T": T, "skipped": str(exc)}
         times = _snapshot_grid(T)
@@ -198,40 +201,25 @@ class AuditResult:
 
 
 def _audit_one(spec: ExperimentSpec, phi: bnd.GuaranteeEnvelope, t: int):
-    sched = spec.schedule
     tol = spec.tolerances
-    floor_h, floor_l = (bnd.envelope_floor(t) if t >= 2 else (None, None))
-    row = bnd.BoundRow(
-        t=t,
-        last_step=bnd.last_step_bound(sched, t),
-        step_sum=bnd.step_sum_bound(sched, t),
-        maxlinear=bnd.maxlinear_bound(sched, t, phi),
-        quartic=bnd.quartic_floor(sched, t),
-        quartic_shifted=bnd.quartic_floor(sched, t, shifted=True),
-        floor_harmonic=floor_h,
-        floor_log=floor_l,
-    )
+    row = bnd.bound_row(spec.schedule, t, phi)
     assertions: list[dict] = []
     skipped: list[dict] = []
     records: dict[str, RunRecord] = {}
     dumps: list[dict] = []
     for family in spec.families:
-        if family == "vshape" and t < 2:
-            skipped.append({"t": t, "family": family, "reason": "target below 2"})
-            continue
         try:
-            built = _build_instance(family, spec, t, phi)
+            built = _BUILDERS[family](spec.schedule, t, phi, spec.shrink)
         except ConstructionError as exc:
             skipped.append({"t": t, "family": family, "reason": str(exc)})
             continue
-        record = run(built.convex, sched, t)
+        record = run(built.convex, spec.schedule, t)
         records[family] = record
         dumps.append(built.to_dict())
         measured = record.error_at(t)
         row.measured[family] = measured
         cert = built.certified_bound()
         if built.certified:
-            row.certified[family] = cert
             assertions.append(
                 {
                     "t": t,
@@ -272,30 +260,12 @@ def audit_schedule(spec: ExperimentSpec) -> AuditResult:
     """
     spec.validate()
     if isinstance(spec.envelope, str) and spec.envelope == "empirical":
-        first = ExperimentSpec(
-            schedule=spec.schedule,
-            horizons=spec.horizons,
-            families=spec.families,
-            envelope="log",
-            tolerances=spec.tolerances,
-            shrink=spec.shrink,
-            workers=spec.workers,
-        )
-        pass1 = audit_schedule(first)
+        pass1 = audit_schedule(dataclasses.replace(spec, envelope="log"))
         all_records = [rec for per_t in pass1.records.values() for rec in per_t.values()]
         if not all_records:
             raise ConstructionError("empirical envelope audit collected no runs")
         phi = bnd.empirical_envelope(all_records)
-        second = ExperimentSpec(
-            schedule=spec.schedule,
-            horizons=spec.horizons,
-            families=spec.families,
-            envelope=phi,
-            tolerances=spec.tolerances,
-            shrink=spec.shrink,
-            workers=spec.workers,
-        )
-        result = audit_schedule(second)
+        result = audit_schedule(dataclasses.replace(spec, envelope=phi))
         # the candidate envelope only shapes instances; its own
         # step-condition status is informational
         result.envelope_validation["gating"] = False
@@ -388,14 +358,12 @@ def density_experiment(
 
     def profile(T: int) -> np.ndarray:
         if not per_t:
-            built = _build_instance(family, spec, T, phi)
+            built = _BUILDERS[family](spec.schedule, T, phi, spec.shrink)
             return run(built.convex, spec.schedule, T).errors
         errs = np.full(T, np.nan)
         for t in range(1, T + 1):
-            if family == "vshape" and t < 2:
-                continue
             try:
-                built = _build_instance(family, spec, t, phi)
+                built = _BUILDERS[family](spec.schedule, t, phi, spec.shrink)
             except ConstructionError:
                 continue
             errs[t - 1] = run(built.convex, spec.schedule, t).error_at(t)

@@ -60,13 +60,8 @@ class VShapeInstance:
     target_t: int
     epsilon: float
     c_eps: float
-    shrink: float
     landing: float  # simulated iterate value one step before the target
     convex: ConvexInstance
-
-    @property
-    def horizon(self) -> int:
-        return self.target_t
 
     def certified_bound(self) -> float:
         """Predicted error at the target step (domain-capped exit)."""
@@ -169,10 +164,7 @@ def build_vshape(schedule: StepSchedule, target_t: int, shrink: float = 1e-6) ->
         value=value,
         subgradient=subgradient,
         project=lambda x: project_interval(x, -1.0, 1.0),
-        reference_level=0.0,
         lipschitz=1.0,
-        diameter=2.0,
-        label=f"vshape(t={target_t},{schedule.label})",
         sample=lambda rng: rng.uniform(-1.0, 1.0, size=1),
     )
     return VShapeInstance(
@@ -180,7 +172,6 @@ def build_vshape(schedule: StepSchedule, target_t: int, shrink: float = 1e-6) ->
         target_t=target_t,
         epsilon=eps,
         c_eps=c,
-        shrink=shrink,
         landing=landing,
         convex=convex,
     )
@@ -197,10 +188,6 @@ class QuadraticInstance:
     target_t: int
     S: float
     convex: ConvexInstance
-
-    @property
-    def horizon(self) -> int:
-        return self.target_t
 
     def certified_bound(self) -> float:
         return math.exp(-2.0) / (4.0 * self.S)
@@ -249,10 +236,7 @@ def build_quadratic(schedule: StepSchedule, target_t: int) -> QuadraticInstance:
         value=lambda x: float(x[0]) * float(x[0]) * inv,
         subgradient=lambda x: np.array([float(x[0]) / (2.0 * S)]),
         project=lambda x: project_interval(x, -1.0, 1.0),
-        reference_level=0.0,
         lipschitz=1.0,
-        diameter=2.0,
-        label=f"quadratic(t={target_t},{schedule.label})",
         sample=lambda rng: rng.uniform(-1.0, 1.0, size=1),
     )
     return QuadraticInstance(schedule=schedule, target_t=target_t, S=S, convex=convex)
@@ -373,30 +357,14 @@ class MaxLinearInstance:
 
     schedule: StepSchedule
     T: int
-    phi_label: str
     a: np.ndarray
     b: np.ndarray
     conditions: ConditionReport
     convex: ConvexInstance
 
     @property
-    def horizon(self) -> int:
-        return self.T
-
-    @property
     def dim(self) -> int:
         return self.T + 1
-
-    def _scores(self, x: np.ndarray) -> np.ndarray:
-        ax = self.a * x
-        cum = np.empty(self.dim)
-        cum[0] = 0.0
-        np.cumsum(ax[:-1], out=cum[1:])
-        return cum - self.b * x
-
-    def argmax_index(self, x: np.ndarray) -> int:
-        """Minimal index attaining the maximum score at ``x``."""
-        return int(np.argmax(self._scores(x)))
 
     def certified_bound(self) -> float:
         eta = self.schedule.rates(self.T)
@@ -482,17 +450,13 @@ def build_maxlinear(schedule: StepSchedule, T: int, phi: GuaranteeEnvelope) -> M
         value=value,
         subgradient=subgradient,
         project=lambda x: project_ball(x, 1.0),
-        reference_level=0.0,
         lipschitz=1.0,
-        diameter=2.0,
-        label=f"maxlinear(T={T},{schedule.label})",
         sample=sample,
-        kernel_data=("maxlinear", a, b),
+        kernel_data=(a, b),
     )
     return MaxLinearInstance(
         schedule=schedule,
         T=T,
-        phi_label=phi.label,
         a=a,
         b=b,
         conditions=report,

@@ -1,5 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+
+import stepaudit
 from stepaudit import __version__
 from stepaudit.cli import main
 
@@ -43,17 +50,35 @@ class TestExitCodes:
         assert code == 2
         assert "even T" in capsys.readouterr().err
 
+    def test_module_entry_point(self, tmp_path):
+        env = dict(os.environ, PYTHONPATH=str(Path(stepaudit.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "stepaudit.cli", "bounds", "--T", "3", "--out", str(tmp_path)],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 2
+        assert "even T" in proc.stderr
+
     def test_unknown_schedule(self, tmp_path):
         assert run_cli("verify", "--schedule", "warp:9", "--T", "4", "--out", str(tmp_path)) == 2
 
-    def test_bad_envelope_fails_audit(self, tmp_path):
-        code = run_cli(
-            "audit", "--schedule", "constant:c=2", "--phi", "one",
-            "--horizons", "4,8", "--out", str(tmp_path),
-        )
-        assert code == 1
-        summary = json.loads((tmp_path / "audit_summary.json").read_text())
-        assert summary["envelope_validation"]["passed"] is False
+    def test_bad_envelope_fails_audit(self, tmp_path, capsys):
+        # each case passes every assertion it makes; only the gating
+        # envelope validation fails, and the last line must say so
+        cases = [
+            (("--schedule", "constant:c=2", "--phi", "one", "--horizons", "4,8"), "step condition fails at t=0"),
+            (("--phi", "log:offset=0.5", "--T", "8"), "phi(1) = 0.5 < 1"),
+            (("--schedule", "constant:c=1e308", "--T", "8"), "step condition fails at t=0"),
+        ]
+        for k, (args, reason) in enumerate(cases):
+            out = tmp_path / str(k)
+            code = run_cli("audit", *args, "--out", str(out))
+            assert code == 1
+            summary = json.loads((out / "audit_summary.json").read_text())
+            assert summary["envelope_validation"]["passed"] is False
+            assert all(a["passed"] for a in summary["assertions"])
+            last = capsys.readouterr().out.splitlines()[-1]
+            assert f"envelope validation failed: {reason}" in last
 
     def test_audit_success(self, tmp_path):
         code = run_cli(
@@ -136,6 +161,16 @@ class TestBoundsCommand:
         lines = (tmp_path / "bound_report.csv").read_text().splitlines()
         assert [line.split(",")[0] for line in lines[2:]] == ["8", "16", "32", "64"]
 
+    def test_failed_chain_names_reason(self, tmp_path, capsys):
+        cases = [
+            ("constant:c=2", "envelope validation failed: step condition fails at t=0"),
+            ("constant:c=100", "first failing step quartic_floor at t=2"),
+        ]
+        for schedule, reason in cases:
+            code = run_cli("bounds", "--schedule", schedule, "--phi", "one", "--T", "8", "--out", str(tmp_path))
+            assert code == 1
+            assert reason in capsys.readouterr().out.splitlines()[-1]
+
 
 class TestConfigResolution:
     def test_config_file_supplies_values(self, tmp_path):
@@ -166,6 +201,23 @@ class TestConfigResolution:
         cfg = tmp_path / "cfg.json"
         cfg.write_text("{not json")
         assert run_cli("density", "--config", str(cfg), "--out", str(tmp_path)) == 2
+
+    @pytest.mark.parametrize(
+        "config, flags, message",
+        [
+            ({"workers": "two"}, ("--T", "4"), "'workers' must be int"),
+            ({"T": "abc"}, (), "'T' must be int"),
+            ({}, ("--T", "4", "--thresholds", "a,b"), "bad thresholds list"),
+            ({}, ("--T", "0"), "T must be >= 1"),
+        ],
+        ids=["workers-two", "T-abc", "thresholds-ab", "T-zero"],
+    )
+    def test_bad_values_exit_2(self, tmp_path, capsys, config, flags, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert run_cli("density", "--config", str(cfg), *flags, "--out", str(tmp_path)) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and message in err[0]
 
     def test_out_dir_from_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("STEPAUDIT_OUT", str(tmp_path / "envout"))

@@ -14,9 +14,7 @@ def _toy_instance(value=None, subgradient=None):
         value=value or (lambda x: float(x[0]) ** 2),
         subgradient=subgradient or (lambda x: np.array([2.0 * float(x[0])])),
         project=lambda x: engine.project_interval(x, -1.0, 1.0),
-        reference_level=0.0,
         lipschitz=2.0,
-        diameter=2.0,
         sample=lambda rng: rng.uniform(-1, 1, size=1),
     )
 
@@ -136,24 +134,6 @@ class TestRunRecord:
             rec.error_at(0)
         with pytest.raises(InvalidParameterError):
             rec.error_at(4)
-
-    def test_csv_export(self, tmp_path):
-        rec = engine.RunRecord("s", 2, np.array([0.5, 0.25]))
-        path = tmp_path / "run.csv"
-        rec.save_csv(str(path), header="test")
-        lines = path.read_text().splitlines()
-        assert lines[0].startswith("#")
-        assert lines[1] == "t,err"
-        assert lines[2] == "1,0.5"
-
-    def test_snapshot_export(self, tmp_path):
-        rec = engine.RunRecord("s", 2, np.array([0.5, 0.25]), snapshots={2: np.array([1.0, 0.0])})
-        path = tmp_path / "snaps.json"
-        rec.save_snapshots(str(path))
-        import json
-
-        payload = json.loads(path.read_text())
-        assert payload["snapshots"] == [{"t": 2, "x": [1.0, 0.0]}]
 
 
 class TestInstanceValidation:

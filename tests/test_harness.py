@@ -94,10 +94,16 @@ class TestAudit:
             assert row.measured["maxlinear"] == 0.0
 
     def test_small_t_skips_recorded(self):
+        # audit, verify and density --per-t all meet the one vshape guard
         spec = make_spec(horizons=[1, 8], families=("vshape",))
         result = audit_schedule(spec)
-        assert any(s["t"] == 1 and s["family"] == "vshape" for s in result.skipped)
+        assert result.skipped == [{"t": 1, "family": "vshape", "reason": "vshape needs a target >= 2"}]
         assert result.passed
+        entries = verify_trajectories(spec).entries
+        assert entries[0] == {"family": "vshape", "T": 1, "skipped": "vshape needs a target >= 2"}
+        assert entries[1]["passed"]
+        errs = density_experiment(make_spec(horizons=[4], families=("vshape",)), [0.0], per_t=True).profiles[4]
+        assert np.isnan(errs[0]) and not np.isnan(errs[1:]).any()
 
     def test_envelope_validation_gates_named_envelopes(self):
         spec = make_spec(

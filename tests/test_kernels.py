@@ -12,41 +12,6 @@ def weights():
     return a, b, s.rates(48)
 
 
-def test_backend_env_selection(monkeypatch):
-    monkeypatch.delenv(_kernels.BACKEND_ENV_VAR, raising=False)
-    assert _kernels.active_backend() in ("numba", "numpy")
-    monkeypatch.setenv(_kernels.BACKEND_ENV_VAR, "numpy")
-    assert _kernels.active_backend() == "numpy"
-    monkeypatch.setenv(_kernels.BACKEND_ENV_VAR, "auto")
-    assert _kernels.active_backend() in ("numba", "numpy")
-    monkeypatch.setenv(_kernels.BACKEND_ENV_VAR, "bogus")
-    with pytest.raises(InvalidParameterError):
-        _kernels.active_backend()
-
-
-def test_backends_agree_bitwise(weights):
-    if "numba" not in _kernels.available_backends():
-        pytest.skip("numba not importable")
-    a, b, eta = weights
-    snap = np.array([1, 24, 48], dtype=np.int64)
-    r_np = _kernels.maxlinear_descent(a, b, eta, snap, backend="numpy")
-    r_nb = _kernels.maxlinear_descent(a, b, eta, snap, backend="numba")
-    assert np.array_equal(r_np[0], r_nb[0])  # errors
-    assert np.array_equal(r_np[1], r_nb[1])  # argmax trace
-    assert np.array_equal(r_np[4], r_nb[4])  # snapshots
-    assert r_np[3] == r_nb[3] == 0  # projection hits
-    assert r_np[5] == r_nb[5] == -1  # no fault
-
-
-def test_env_flag_reaches_dispatch(monkeypatch, weights):
-    a, b, eta = weights
-    snap = np.empty(0, dtype=np.int64)
-    monkeypatch.setenv(_kernels.BACKEND_ENV_VAR, "numpy")
-    r1 = _kernels.maxlinear_descent(a, b, eta, snap)
-    r2 = _kernels.maxlinear_descent(a, b, eta, snap, backend="numpy")
-    assert np.array_equal(r1[0], r2[0])
-
-
 def test_shape_validation(weights):
     a, b, eta = weights
     with pytest.raises(InvalidParameterError):
@@ -60,12 +25,6 @@ def test_fault_flag_on_nonfinite_weights(weights):
     bad = b.copy()
     bad[0] = np.nan
     errors, trace, mx, hits, snaps, fault = _kernels.maxlinear_descent(
-        a, bad, eta, np.empty(0, dtype=np.int64), backend="numpy"
+        a, bad, eta, np.empty(0, dtype=np.int64)
     )
     assert fault == 0
-
-
-def test_unknown_backend_rejected(weights):
-    a, b, eta = weights
-    with pytest.raises(InvalidParameterError):
-        _kernels.maxlinear_descent(a, b, eta, np.empty(0, dtype=np.int64), backend="gpu")
