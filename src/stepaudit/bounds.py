@@ -56,7 +56,10 @@ class GuaranteeEnvelope:
         t = int(t)
         if t < 1:
             raise InvalidParameterError("envelopes are defined for t >= 1")
-        return float(self._evaluator(t))
+        value = float(self._evaluator(t))
+        if not math.isfinite(value):
+            raise InvalidParameterError(f"envelope {self.label} is not finite at t={t}")
+        return value
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"GuaranteeEnvelope({self.label!r})"
@@ -70,6 +73,8 @@ def log_envelope(offset: float = 8.0, coef: float = 4.0) -> GuaranteeEnvelope:
     """
     offset = float(offset)
     coef = float(coef)
+    if not (math.isfinite(offset) and math.isfinite(coef)):
+        raise InvalidParameterError("log envelope requires finite offset and coef")
     return GuaranteeEnvelope(
         lambda t: offset + coef * math.log(t),
         label=f"log(offset={offset:g},coef={coef:g})",
@@ -77,10 +82,10 @@ def log_envelope(offset: float = 8.0, coef: float = 4.0) -> GuaranteeEnvelope:
 
 
 def constant_envelope(c: float) -> GuaranteeEnvelope:
-    """Envelope ``phi(t) = c`` (``c >= 1``)."""
+    """Envelope ``phi(t) = c`` (finite ``c >= 1``)."""
     c = float(c)
-    if c < 1.0:
-        raise InvalidParameterError("constant envelope requires c >= 1")
+    if not 1.0 <= c < math.inf:
+        raise InvalidParameterError("constant envelope requires finite c >= 1")
     return GuaranteeEnvelope(lambda t: c, label=f"const({c:g})")
 
 
@@ -92,10 +97,9 @@ def harmonic(n: int) -> float:
     n = int(n)
     if n < 1:
         raise InvalidParameterError("harmonic numbers need n >= 1")
-    total = 0.0
-    for i in range(n, 0, -1):
-        total += 1.0 / i
-    return total
+    # a sequential accumulate adds in loop order, so the bits match
+    # ``total += 1.0 / i`` for i = n, ..., 1
+    return float(np.add.accumulate(1.0 / np.arange(n, 0, -1, dtype=np.float64))[-1])
 
 
 def harmonic_table(n: int) -> np.ndarray:

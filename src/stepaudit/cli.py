@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -92,7 +93,7 @@ def _parse_schedule(text: str) -> sched.StepSchedule:
                 lambda n: [D / (G * n**0.5)] * n,
                 label=f"doubling_sqrt(D={D:g},G={G:g})",
             )
-    except (ValueError, InvalidParameterError) as exc:
+    except (ValueError, InvalidParameterError, OSError) as exc:
         raise UsageError(f"bad schedule spec {text!r}: {exc}") from exc
     raise UsageError(f"unknown schedule {name!r} (try sqrt_decay | constant | table | doubling_sqrt)")
 
@@ -152,6 +153,8 @@ def _parse_thresholds(text: str) -> list[float]:
         raise UsageError(f"bad thresholds list {text!r}") from exc
     if not vals:
         raise UsageError("thresholds list is empty")
+    if any(math.isnan(v) for v in vals):
+        raise UsageError(f"thresholds must be numbers or inf, got {text!r}")
     return vals
 
 

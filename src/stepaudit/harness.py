@@ -87,6 +87,9 @@ class ExperimentSpec:
             raise InvalidParameterError("at least one family must be selected")
         if int(self.workers) < 1:
             raise InvalidParameterError("workers must be >= 1")
+        # materialise every horizon's stepsizes here, so an inadmissible
+        # value stops the run instead of reading as a family skip
+        self.schedule.prefix_sum(int(hs[-1]))
 
     def resolved_envelope(self) -> bnd.GuaranteeEnvelope:
         if isinstance(self.envelope, bnd.GuaranteeEnvelope):
@@ -440,6 +443,14 @@ def _quartic_profile(schedule: StepSchedule, T: int) -> np.ndarray:
     return np.maximum(profile, 0.0) / 128.0
 
 
+def _fourth_power(p: float) -> float:
+    """``p ** 4``, or inf when it overflows (a float ``**`` raises there)."""
+    try:
+        return p**4
+    except OverflowError:
+        return math.inf
+
+
 def chain_check(
     schedule: StepSchedule,
     phi: bnd.GuaranteeEnvelope,
@@ -463,11 +474,11 @@ def chain_check(
     steps: list[dict] = []
     inconclusive: list[str] = []
 
-    worst = math.inf
-    worst_t = None
+    # every slack may be +inf (phi^4 overflows), so row 1 is the fallback
+    worst, worst_t = math.inf, 1
     profile = _quartic_profile(schedule, T)
     for t in range(1, T + 1):
-        lhs = phi(t + 1) ** 4
+        lhs = _fourth_power(phi(t + 1))
         rhs = float(profile[t - 1])
         slack = lhs - rhs
         steps.append({"step": "quartic_floor", "t": t, "lhs": lhs, "rhs": rhs, "status": "pass" if slack >= -1e-9 * max(1.0, rhs) else "fail"})
@@ -479,7 +490,7 @@ def chain_check(
         {
             "step": "quartic_floor_worst",
             "t": worst_t,
-            "slack": phi(worst_t + 1) ** 4 - exact_rhs,
+            "slack": _fourth_power(phi(worst_t + 1)) - exact_rhs,
             "rhs_exact": exact_rhs,
             "status": "info",
         }

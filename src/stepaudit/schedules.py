@@ -1,11 +1,11 @@
 """Stepsize sequences with cached prefix sums.
 
-A :class:`StepSchedule` maps a 0-based step index ``t`` to a nonnegative
-stepsize ``eta_t`` and exposes the running sum ``sum_{j<t} eta_j``.  Values
-come either from a generator function, from a finite table, or from both
-(the table shadows the generator on its indices).  Every evaluation is
-cached, so repeated queries return bit-identical values and schedules can
-be shared by concurrent readers.
+A :class:`StepSchedule` is a vectorised values function ``first(n) ->
+[eta_0, ..., eta_{n-1}]`` plus an optional ``length`` for finite tables.
+The first materialisation of each index validates it and appends it to one
+cached ``(values, prefix)`` pair, whose prefix sums come from a single
+sequential ``np.add.accumulate``, so repeated queries return bit-identical
+values and schedules can be shared by concurrent readers.
 """
 
 from __future__ import annotations
@@ -29,111 +29,83 @@ __all__ = [
     "doubling_block",
 ]
 
+# Admissible stepsizes are 0 <= eta_t <= 2^440 (about 2.8e132).  The
+# floors sum t terms of at most eta_j^2 * t (the quartic floors), times a
+# harmonic factor below 2^6 for the averaged floor; arrays hold fewer
+# than 2^63 entries, so every such sum stays below 2^(126+6) * eta^2 <=
+# 2^1012, short of the float64 maximum (about 2^1024).
+MAX_STEP = 2.0**440
+
 
 class StepSchedule:
     """A deterministic nonnegative stepsize sequence.
 
-    Parameters
-    ----------
-    generator:
-        Callable ``t -> eta_t`` for 0-based integer ``t``.  May be ``None``
-        when a finite ``table`` covers every index that will be queried.
-    table:
-        Optional finite array of stepsizes; overrides the generator on
-        indices ``0 .. len(table)-1``.
-    label:
-        Human-readable name used in reports and file headers.
+    ``first(n)`` returns the ``n`` float64 stepsizes ``eta_0 .. eta_{n-1}``;
+    ``length`` is the number of defined indices of a finite table (``None``
+    for an infinite sequence); ``label`` names the schedule in reports.
     """
 
-    def __init__(
-        self,
-        generator: Callable[[int], float] | None = None,
-        table: Sequence[float] | np.ndarray | None = None,
-        label: str = "schedule",
-    ):
-        if generator is None and table is None:
-            raise InvalidParameterError("schedule needs a generator, a table, or both")
-        if table is not None:
-            table = np.asarray(table, dtype=np.float64)
-            if table.ndim != 1:
-                raise InvalidParameterError("schedule table must be one-dimensional")
-            if not np.all(np.isfinite(table)):
-                raise InvalidParameterError("schedule table contains non-finite values")
-            if np.any(table < 0):
-                raise InvalidParameterError("schedule table contains negative stepsizes")
-        self._generator = generator
-        self._table = table
+    def __init__(self, first: Callable[[int], np.ndarray], length: int | None = None, label: str = "schedule"):
+        self._first = first
+        self.length = length
         self.label = label
-        self._values = np.empty(0, dtype=np.float64)
-        self._prefix = np.zeros(1, dtype=np.float64)
+        self._cache = (np.empty(0, dtype=np.float64), np.zeros(1, dtype=np.float64))
         self._lock = threading.Lock()
 
-    # -- evaluation ------------------------------------------------------
-
-    def _value_at(self, t: int) -> float:
-        if self._table is not None and t < self._table.shape[0]:
-            return float(self._table[t])
-        if self._generator is None:
-            raise InvalidParameterError(
-                f"schedule '{self.label}' has no value at index {t} "
-                f"(table covers 0..{self._table.shape[0] - 1})"
-            )
-        v = float(self._generator(t))
-        if not math.isfinite(v):
-            raise ConstructionError(f"schedule '{self.label}' produced a non-finite stepsize at t={t}")
-        if v < 0:
-            raise ConstructionError(f"schedule '{self.label}' produced a negative stepsize at t={t}")
-        return v
-
-    def _ensure(self, n: int) -> None:
-        if self._values.shape[0] >= n:
-            return
+    def _materialise(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """Return a ``(values, prefix)`` snapshot covering at least ``n`` values."""
+        cache = self._cache
+        if cache[0].shape[0] >= n:
+            return cache
         with self._lock:
-            start = self._values.shape[0]
+            values, prefix = self._cache
+            start = values.shape[0]
             if start >= n:
-                return
+                return self._cache
+            if self.length is not None and n > self.length:
+                raise InvalidParameterError(
+                    f"schedule '{self.label}' has no value at index {self.length} "
+                    f"(table covers 0..{self.length - 1})"
+                )
             # grow geometrically so ascending scans stay linear overall;
-            # table-only schedules extend exactly so range errors point at
-            # the first missing index
-            target = n if self._generator is None else max(n, 2 * start, 16)
-            values = np.empty(target, dtype=np.float64)
-            values[:start] = self._values
-            for t in range(start, target):
-                values[t] = self._value_at(t)
-            prefix = np.empty(target + 1, dtype=np.float64)
-            prefix[: start + 1] = self._prefix
-            for t in range(start, target):
-                prefix[t + 1] = prefix[t] + values[t]
-            self._values = values
-            self._prefix = prefix
+            # tables extend exactly, their values already sit in memory
+            target = n if self.length is not None else max(n, 2 * start, 16)
+            fresh = np.asarray(self._first(target), dtype=np.float64)[start:]
+            bad = ~((fresh >= 0.0) & (fresh <= MAX_STEP))  # NaN fails both sides
+            if bad.any():
+                t = start + int(np.argmax(bad))
+                v = float(fresh[t - start])
+                what = "non-finite" if not math.isfinite(v) else "negative" if v < 0 else f"huge ({v:g} > 2^440)"
+                raise ConstructionError(f"schedule '{self.label}' produced a {what} stepsize at t={t}")
+            # one sequential pass seeded with the last cached sum adds in the
+            # same order as prefix[t + 1] = prefix[t] + eta_t, so bits match
+            tail = np.add.accumulate(np.concatenate((prefix[-1:], fresh)))
+            self._cache = (np.concatenate((values, fresh)), np.concatenate((prefix[:-1], tail)))
+            return self._cache
 
     def rate(self, t: int) -> float:
         """Return ``eta_t``."""
         t = int(t)
         if t < 0:
             raise InvalidParameterError("step index must be nonnegative")
-        self._ensure(t + 1)
-        return float(self._values[t])
+        values, _ = self._materialise(t + 1)
+        return float(values[t])
 
     def rates(self, n: int) -> np.ndarray:
         """Return ``[eta_0, ..., eta_{n-1}]`` as a fresh array."""
         n = int(n)
         if n < 0:
             raise InvalidParameterError("length must be nonnegative")
-        if n == 0:
-            return np.empty(0, dtype=np.float64)
-        self._ensure(n)
-        return self._values[:n].copy()
+        values, _ = self._materialise(n)
+        return values[:n].copy()
 
     def prefix_sum(self, t: int) -> float:
         """Return ``sum_{j=0}^{t-1} eta_j`` (empty sum is 0)."""
         t = int(t)
         if t < 0:
             raise InvalidParameterError("prefix length must be nonnegative")
-        if t == 0:
-            return 0.0
-        self._ensure(t)
-        return float(self._prefix[t])
+        _, prefix = self._materialise(t)
+        return float(prefix[t])
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"StepSchedule({self.label!r})"
@@ -148,15 +120,13 @@ def sqrt_decay(D: float, G: float) -> StepSchedule:
     ``D`` is the domain diameter scale and ``G`` the gradient scale; both
     must be positive.
     """
-    D = float(D)
-    G = float(G)
+    D, G = float(D), float(G)
     if D <= 0 or G <= 0:
         raise InvalidParameterError("sqrt_decay requires D > 0 and G > 0")
     ratio = D / G
-    return StepSchedule(
-        generator=lambda t: ratio / math.sqrt(t + 1.0),
-        label=f"sqrt_decay(D={D:g},G={G:g})",
-    )
+    # IEEE sqrt and division are correctly rounded, so each value equals
+    # ratio / math.sqrt(t + 1.0) bit for bit
+    return StepSchedule(lambda n: ratio / np.sqrt(np.arange(n) + 1.0), label=f"sqrt_decay(D={D:g},G={G:g})")
 
 
 def constant(c: float) -> StepSchedule:
@@ -164,12 +134,20 @@ def constant(c: float) -> StepSchedule:
     c = float(c)
     if c < 0:
         raise InvalidParameterError("constant schedule requires c >= 0")
-    return StepSchedule(generator=lambda t: c, label=f"constant(c={c:g})")
+    return StepSchedule(lambda n: np.full(n, c), label=f"constant(c={c:g})")
 
 
 def from_table(values: Sequence[float] | np.ndarray, label: str = "table") -> StepSchedule:
-    """Schedule backed by a finite table only; queries past the end raise."""
-    return StepSchedule(table=values, label=label)
+    """Finite table schedule, validated whole at construction; queries past the end raise."""
+    table = np.array(values, dtype=np.float64)
+    if table.ndim != 1:
+        raise InvalidParameterError("schedule table must be one-dimensional")
+    schedule = StepSchedule(lambda n: table[:n], length=table.shape[0], label=label)
+    try:
+        schedule.prefix_sum(table.shape[0])
+    except ConstructionError as exc:
+        raise InvalidParameterError(str(exc)) from exc
+    return schedule
 
 
 def from_csv(path: str) -> StepSchedule:
@@ -187,12 +165,13 @@ def from_csv(path: str) -> StepSchedule:
         for row in reader:
             if not row:
                 continue
+            if len(row) < 2:
+                raise InvalidParameterError(f"schedule file {path!r} has a row without an eta value: {row}")
             rows.append((int(row[0]), float(row[1])))
     if not rows:
         raise InvalidParameterError(f"schedule file {path!r} contains no rows")
     rows.sort()
-    indices = [t for t, _ in rows]
-    if indices != list(range(len(rows))):
+    if [t for t, _ in rows] != list(range(len(rows))):
         raise InvalidParameterError(f"schedule file {path!r} must have contiguous 0-based indices")
     return from_table([v for _, v in rows], label=f"table({path})")
 
@@ -213,37 +192,26 @@ def doubling_block(t: int) -> tuple[int, int]:
     return k, t - ((1 << k) - 1)
 
 
-def doubling_concat(
-    block_builder: Callable[[int], Sequence[float] | np.ndarray],
-    label: str = "doubling",
-) -> StepSchedule:
+def doubling_concat(block_builder: Callable[[int], Sequence[float] | np.ndarray], label: str = "doubling") -> StepSchedule:
     """Concatenate per-horizon blocks of lengths 1, 2, 4, ...
 
     ``block_builder(n)`` must return exactly ``n`` nonnegative stepsizes;
-    block ``k`` is ``block_builder(2^k)``.  Blocks are built lazily and
-    cached, so each horizon is materialized once.
+    block ``k`` is ``block_builder(2^k)``.  ``first(n)`` rebuilds the
+    blocks it spans; the schedule's geometric growth and cache keep the
+    total work linear in the largest query.
     """
-    cache: dict[int, np.ndarray] = {}
 
     def block(k: int) -> np.ndarray:
-        got = cache.get(k)
-        if got is not None:
-            return got
         n = 1 << k
         vals = np.asarray(list(block_builder(n)), dtype=np.float64)
         if vals.shape != (n,):
-            raise ConstructionError(
-                f"doubling block builder returned {vals.shape[0]} values for horizon {n}"
-            )
-        if np.any(vals < 0) or not np.all(np.isfinite(vals)):
-            raise ConstructionError(f"doubling block for horizon {n} has invalid stepsizes")
-        cache[k] = vals
+            raise ConstructionError(f"doubling block builder returned {vals.shape[0]} values for horizon {n}")
         return vals
 
     block(0)  # validate the builder eagerly on the cheapest block
 
-    def gen(t: int) -> float:
-        k, offset = doubling_block(t)
-        return float(block(k)[offset])
+    def first(n: int) -> np.ndarray:
+        last, _ = doubling_block(n - 1)
+        return np.concatenate([block(k) for k in range(last + 1)])[:n]
 
-    return StepSchedule(generator=gen, label=label)
+    return StepSchedule(first, label=label)

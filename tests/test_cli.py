@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -68,7 +69,7 @@ class TestExitCodes:
         cases = [
             (("--schedule", "constant:c=2", "--phi", "one", "--horizons", "4,8"), "step condition fails at t=0"),
             (("--phi", "log:offset=0.5", "--T", "8"), "phi(1) = 0.5 < 1"),
-            (("--schedule", "constant:c=1e308", "--T", "8"), "step condition fails at t=0"),
+            (("--schedule", "constant:c=1e3", "--T", "8"), "step condition fails at t=0"),
         ]
         for k, (args, reason) in enumerate(cases):
             out = tmp_path / str(k)
@@ -79,6 +80,47 @@ class TestExitCodes:
             assert all(a["passed"] for a in summary["assertions"])
             last = capsys.readouterr().out.splitlines()[-1]
             assert f"envelope validation failed: {reason}" in last
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (("audit", "--schedule", "constant:c=1e308"), "produced a huge (1e+308 > 2^440) stepsize at t=0"),
+            (("audit", "--schedule", "constant:c=1e200"), "'constant(c=1e+200)' produced a huge"),
+            (("bounds", "--schedule", "constant:c=1e200"), "'constant(c=1e+200)' produced a huge"),
+            (("density", "--per-t", "--schedule", "constant:c=1e200"), "produced a huge"),
+            (("bounds", "--phi", "const:c=inf"), "constant envelope requires finite c >= 1"),
+            (("bounds", "--phi", "log:offset=inf"), "log envelope requires finite offset and coef"),
+            (("audit", "--phi", "const:c=inf"), "constant envelope requires finite c >= 1"),
+            (("audit", "--phi", "log:coef=inf"), "log envelope requires finite offset and coef"),
+            (("audit", "--phi", "log:offset=1e308,coef=1e308"), "is not finite at t=3"),
+            (("density", "--thresholds", "nan"), "thresholds must be numbers or inf"),
+            (("audit", "--schedule", "table:{one_column}"), "row without an eta value"),
+            (("audit", "--schedule", "table:{directory}"), "bad schedule spec"),
+            (("audit", "--schedule", "table:{huge_row}"), "produced a huge (1e+200 > 2^440) stepsize at t=1"),
+        ],
+        ids=[
+            "c-1e308", "audit-c-1e200", "bounds-c-1e200", "density-c-1e200", "bounds-phi-const-inf",
+            "bounds-phi-offset-inf", "audit-phi-const-inf", "audit-phi-coef-inf", "phi-overflows",
+            "thresholds-nan", "table-one-column", "table-directory", "table-huge-row",
+        ],
+    )
+    def test_bad_input_exit_2(self, tmp_path, capsys, args, message):
+        files = {"one_column": tmp_path / "one.csv", "directory": tmp_path, "huge_row": tmp_path / "huge.csv"}
+        files["one_column"].write_text("t,eta\n0\n")
+        files["huge_row"].write_text("t,eta\n0,0.5\n1,1e200\n2,0.1\n")
+        args = [a.format(**files) for a in args]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(*args, "--T", "8", "--out", str(tmp_path / "out")) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and message in err[0], err
+
+    def test_huge_finite_envelope_passes(self, tmp_path):
+        # phi^4 overflows to inf, which clears every quartic floor
+        assert run_cli("bounds", "--T", "8", "--phi", "const:c=1e100", "--out", str(tmp_path)) == 0
+        chain = json.loads((tmp_path / "chain_report.json").read_text())
+        worst = [s for s in chain["steps"] if s["step"] == "quartic_floor_worst"]
+        assert worst[0]["t"] == 1 and worst[0]["slack"] == float("inf")
 
     def test_audit_success(self, tmp_path):
         code = run_cli(

@@ -1,7 +1,11 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from stepaudit import bounds as bnd
 from stepaudit import schedules as sched
@@ -66,13 +70,6 @@ def test_repeated_queries_bit_identical():
     assert first == second
 
 
-def test_table_shadows_generator():
-    s = sched.StepSchedule(generator=lambda t: 1.0, table=[0.5, 0.25], label="mixed")
-    assert s.rate(0) == 0.5
-    assert s.rate(1) == 0.25
-    assert s.rate(2) == 1.0
-
-
 def test_table_only_out_of_range():
     s = sched.from_table([0.1, 0.2])
     assert s.rate(1) == 0.2
@@ -81,9 +78,26 @@ def test_table_only_out_of_range():
 
 
 def test_negative_generator_rejected():
-    s = sched.StepSchedule(generator=lambda t: -1.0 if t == 3 else 1.0)
-    with pytest.raises(ConstructionError):
+    s = sched.StepSchedule(lambda n: np.where(np.arange(n) == 3, -1.0, 1.0), label="dip")
+    with pytest.raises(ConstructionError, match=r"'dip' produced a negative stepsize at t=3"):
         s.rate(3)
+
+
+def test_admissible_range():
+    # the largest admissible stepsize runs every floor without overflow
+    with np.errstate(all="raise"):
+        s = sched.constant(sched.MAX_STEP)
+        assert s.prefix_sum(64) == 64 * sched.MAX_STEP
+        assert math.isfinite(bnd.quartic_floor(s, 64))
+        assert math.isfinite(bnd.averaged_quartic_floor(s, 64))
+    with pytest.raises(ConstructionError, match=r"'constant\(c=1e\+200\)' produced a huge .* at t=0"):
+        sched.constant(1e200).rate(0)
+    with pytest.raises(ConstructionError, match="non-finite stepsize at t=0"):
+        sched.constant(math.inf).rates(1)
+    huge_late = sched.StepSchedule(lambda n: np.where(np.arange(n) == 20, 1e300, 0.5))
+    assert huge_late.rate(15) == 0.5
+    with pytest.raises(ConstructionError, match="at t=20"):
+        huge_late.prefix_sum(21)
 
 
 def test_table_validation():
@@ -91,6 +105,8 @@ def test_table_validation():
         sched.from_table([0.1, -0.2])
     with pytest.raises(InvalidParameterError):
         sched.from_table([0.1, float("nan")])
+    with pytest.raises(InvalidParameterError, match="huge .* at t=2"):
+        sched.from_table([0.1, 0.2, 1e200])
 
 
 def test_csv_roundtrip(tmp_path):
@@ -159,3 +175,109 @@ def test_step_sum_upper_invariant_sampled():
     # adjacent pairs are the tight direction
     for t1 in (1, 2, 10, 100, 5000, 9999):
         assert bnd.step_sum_upper(s, t1, t1 + 1, phi).passed
+
+
+# -- properties of the one materialisation path ----------------------------
+
+_magnitudes = st.floats(-8.0, 3.0).map(lambda e: 10.0**e)  # log-uniform in [1e-8, 1e3]
+_tables = st.lists(
+    st.one_of(
+        st.lists(st.just(0.0), min_size=1, max_size=12),  # a run of zeros
+        st.lists(_magnitudes, min_size=1, max_size=40),
+    ),
+    min_size=1,
+    max_size=40,
+).map(lambda blocks: [v for block in blocks for v in block][:512])
+
+
+def _loop_prefix(values):
+    total, out = 0.0, [0.0]
+    for v in values:
+        total += v
+        out.append(total)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(_tables)
+def test_table_prefix_matches_sequential_loop(table):
+    s = sched.from_table(table)
+    expected = _loop_prefix(table)
+    assert [s.prefix_sum(t) for t in range(len(table) + 1)] == expected
+    for n in {0, 1, len(table) // 2, len(table)}:
+        assert s.rates(n).tobytes() == np.array(table[:n], dtype=np.float64).tobytes()
+    with pytest.raises(InvalidParameterError, match=f"no value at index {len(table)} "):
+        s.rate(len(table))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_tables, st.randoms(use_true_random=False))
+def test_query_order_does_not_change_bits(table, rng):
+    # a cyclic extension of the table is an infinite schedule, so queries
+    # in random order grow the cache from many different starting points
+    n = 3 * len(table) + 5
+
+    def fresh():
+        return sched.StepSchedule(lambda m: np.resize(np.array(table, dtype=np.float64), m))
+
+    ascending = fresh()
+    want = [(ascending.rate(t), ascending.prefix_sum(t)) for t in range(n)]
+    shuffled = fresh()
+    order = list(range(n))
+    rng.shuffle(order)
+    got = {t: (shuffled.rate(t), shuffled.prefix_sum(t)) for t in order}
+    assert [got[t] for t in range(n)] == want
+    assert [p for _, p in want] == _loop_prefix(ascending.rates(n))[:n]
+
+
+@pytest.mark.parametrize("D, G", [(2.0, 1.0), (1.0, 1.0), (3.0, 7.0), (0.1, 3.3)])
+def test_sqrt_decay_bitwise_against_math_sqrt(D, G):
+    ratio = D / G
+    n = 1 << 14
+    expected = np.array([ratio / math.sqrt(t + 1.0) for t in range(n)])
+    assert sched.sqrt_decay(D, G).rates(n).tobytes() == expected.tobytes()
+
+
+def _loop_harmonic(n):
+    total = 0.0
+    for i in range(n, 0, -1):
+        total += 1.0 / i
+    return total
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 5000))
+@example(32)
+@example(32768)
+def test_harmonic_matches_loop_oracle(n):
+    assert bnd.harmonic(n) == _loop_harmonic(n)
+
+
+def test_concurrent_readers_agree():
+    # many threads grow one shared cache from different starting points;
+    # a torn (values, prefix) pair or a lost extension changes some answer
+    n = 5000
+    reference = sched.sqrt_decay(2, 1)
+    want = [(reference.rate(t), reference.prefix_sum(t + 1)) for t in range(n)]
+    shared = sched.sqrt_decay(2, 1)
+    got: dict[int, list] = {}
+
+    def reader(k):
+        # odd threads scan up in small steps, even ones jump in from the top
+        order = range(k, n, 8) if k % 2 else range(n - 1 - k, -1, -8)
+        got[k] = [(t, shared.rate(t), shared.prefix_sum(t + 1)) for t in order]
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=reader, args=(k,)) for k in range(8)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=30)
+            assert not th.is_alive()
+    finally:
+        sys.setswitchinterval(old)
+    assert len(got) == 8
+    for rows in got.values():
+        assert all((r, p) == want[t] for t, r, p in rows)
