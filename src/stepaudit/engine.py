@@ -2,9 +2,13 @@
 
 The update is ``x_{t+1} = project(x_t - eta_t * g_t)`` with ``g_t`` taken
 from the instance's deterministic subgradient oracle.  Instances carrying
-kernel data are dispatched to the numpy fast path in ``_kernels``; all
-other instances run through the generic loop below.  Both paths are pure
-functions of their inputs, so repeated runs are bit-identical.
+kernel data are dispatched to the incremental numpy kernel in
+``_kernels``; all other instances run through the generic loop below.
+Both paths are pure functions of their inputs, so repeated runs are
+bit-identical.  The kernel's iterates, snapshots, projection count and its
+errors at snapshot times and at ``t = T`` equal those of a full score
+recompute each step bit for bit; its other per-step errors agree to
+rounding.
 """
 
 from __future__ import annotations

@@ -45,7 +45,8 @@ def _build_vshape(schedule: StepSchedule, t: int, phi: bnd.GuaranteeEnvelope, sh
 
 
 # family -> builder(schedule, t, phi, shrink); a builder raises
-# ConstructionError when the family does not apply at ``t``
+# ConstructionError when the family does not apply at ``t``, while a bad
+# stepsize raises InvalidParameterError and stops the run
 _BUILDERS = {
     "maxlinear": lambda schedule, t, phi, shrink: inst.build_maxlinear(schedule, t, phi),
     "vshape": _build_vshape,
@@ -88,7 +89,7 @@ class ExperimentSpec:
         if int(self.workers) < 1:
             raise InvalidParameterError("workers must be >= 1")
         # materialise every horizon's stepsizes here, so an inadmissible
-        # value stops the run instead of reading as a family skip
+        # value stops the run before any work
         self.schedule.prefix_sum(int(hs[-1]))
 
     def resolved_envelope(self) -> bnd.GuaranteeEnvelope:

@@ -17,7 +17,7 @@ from collections.abc import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConstructionError, InvalidParameterError
+from .errors import InvalidParameterError
 
 __all__ = [
     "StepSchedule",
@@ -76,7 +76,7 @@ class StepSchedule:
                 t = start + int(np.argmax(bad))
                 v = float(fresh[t - start])
                 what = "non-finite" if not math.isfinite(v) else "negative" if v < 0 else f"huge ({v:g} > 2^440)"
-                raise ConstructionError(f"schedule '{self.label}' produced a {what} stepsize at t={t}")
+                raise InvalidParameterError(f"schedule '{self.label}' produced a {what} stepsize at t={t}")
             # one sequential pass seeded with the last cached sum adds in the
             # same order as prefix[t + 1] = prefix[t] + eta_t, so bits match
             tail = np.add.accumulate(np.concatenate((prefix[-1:], fresh)))
@@ -143,10 +143,7 @@ def from_table(values: Sequence[float] | np.ndarray, label: str = "table") -> St
     if table.ndim != 1:
         raise InvalidParameterError("schedule table must be one-dimensional")
     schedule = StepSchedule(lambda n: table[:n], length=table.shape[0], label=label)
-    try:
-        schedule.prefix_sum(table.shape[0])
-    except ConstructionError as exc:
-        raise InvalidParameterError(str(exc)) from exc
+    schedule.prefix_sum(table.shape[0])
     return schedule
 
 
@@ -205,7 +202,7 @@ def doubling_concat(block_builder: Callable[[int], Sequence[float] | np.ndarray]
         n = 1 << k
         vals = np.asarray(list(block_builder(n)), dtype=np.float64)
         if vals.shape != (n,):
-            raise ConstructionError(f"doubling block builder returned {vals.shape[0]} values for horizon {n}")
+            raise InvalidParameterError(f"doubling block builder returned {vals.shape[0]} values for horizon {n}")
         return vals
 
     block(0)  # validate the builder eagerly on the cheapest block

@@ -128,6 +128,29 @@ class TestAudit:
         assert s1 == s4
 
 
+class TestBadStepsizeAtTheHorizon:
+    """The maxlinear builder reads eta_T, one index past every horizon's
+    steps; a bad value there stops the run instead of reading as a skip."""
+
+    @staticmethod
+    def spec():
+        dip = sched.StepSchedule(lambda n: np.where(np.arange(n) == 16, -1.0, 1.0), label="dip")
+        return make_spec(schedule=dip, horizons=[16])
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            audit_schedule,
+            verify_trajectories,
+            lambda spec: density_experiment(spec, [0.0], per_t=True),
+        ],
+        ids=["audit", "verify", "density-per-t"],
+    )
+    def test_raises(self, entry):
+        with pytest.raises(InvalidParameterError, match=r"'dip' produced a negative stepsize at t=16"):
+            entry(self.spec())
+
+
 class TestDensity:
     def test_threshold_edges(self):
         spec = make_spec(horizons=[32])

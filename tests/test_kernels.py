@@ -1,8 +1,88 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from stepaudit import _kernels, coupling_weights, log_envelope, sqrt_decay
+from stepaudit import _kernels, coupling_weights, engine, log_envelope, sqrt_decay
+from stepaudit import schedules as sched
 from stepaudit.errors import InvalidParameterError
+from stepaudit.harness import ExperimentSpec, Tolerances, density_experiment
+from stepaudit.instances import build_maxlinear
+
+NO_SNAPS = np.empty(0, dtype=np.int64)
+REL = Tolerances().scalar_rel
+
+
+def _reference_descent(a, b, eta, snap_times):
+    """The plain kernel: every score recomputed over the full vector each step."""
+    dim = a.shape[0]
+    T = eta.shape[0]
+    x = np.zeros(dim)
+    errors = np.empty(T)
+    trace = np.empty(T + 1, dtype=np.int64)
+    snaps = np.empty((snap_times.shape[0], dim))
+    scores = np.empty(dim)
+    cum = np.empty(dim)
+    max_norm = 0.0
+    hits = 0
+    fault = -1
+    spos = 0
+    for t in range(T + 1):
+        np.multiply(a, x, out=scores)
+        cum[0] = 0.0
+        np.cumsum(scores[: dim - 1], out=cum[1:])
+        np.multiply(b, x, out=scores)
+        np.subtract(cum, scores, out=scores)
+        i = int(np.argmax(scores))
+        fv = float(scores[i])
+        trace[t] = i
+        if t >= 1:
+            errors[t - 1] = fv
+        if not np.isfinite(fv):
+            fault = t
+            break
+        if t == T:
+            break
+        step = eta[t]
+        x[:i] -= step * a[:i]
+        x[i] += step * b[i]
+        nsq = float(np.dot(x, x))
+        nrm = np.sqrt(nsq)
+        if nrm > max_norm:
+            max_norm = nrm
+        if nsq > 1.0:
+            hits += 1
+            x /= nrm
+        if spos < snap_times.shape[0] and snap_times[spos] == t + 1:
+            snaps[spos] = x
+            spos += 1
+    return errors, trace, max_norm, hits, snaps, fault
+
+
+def _bits(v):
+    return np.asarray(v, dtype=np.float64).tobytes()
+
+
+def _assert_matches_reference(a, b, eta, snap_times, pointwise=True):
+    """Bitwise where the kernel promises it, within scalar_rel elsewhere.
+
+    With ``pointwise=False`` the other errors are compared relative to the
+    run's largest error: an error near a zero crossing keeps the absolute
+    rounding of its much larger terms, in either kernel.
+    """
+    errors, trace, max_norm, hits, snaps, fault = _kernels.maxlinear_descent(a, b, eta, snap_times)
+    r_errors, r_trace, r_max_norm, r_hits, r_snaps, r_fault = _reference_descent(a, b, eta, snap_times)
+    assert fault == r_fault == -1
+    assert trace.tobytes() == r_trace.tobytes()
+    assert hits == r_hits
+    assert snaps.tobytes() == r_snaps.tobytes()
+    assert _bits(errors[-1]) == _bits(r_errors[-1])
+    for t in snap_times:
+        assert _bits(errors[t - 1]) == _bits(r_errors[t - 1])
+    scale = np.abs(r_errors) if pointwise else np.abs(r_errors).max()
+    assert np.all(np.abs(errors - r_errors) <= REL * scale)
+    assert max_norm == pytest.approx(r_max_norm, rel=REL)
+    return hits
 
 
 @pytest.fixture
@@ -28,3 +108,86 @@ def test_fault_flag_on_nonfinite_weights(weights):
         a, bad, eta, np.empty(0, dtype=np.int64)
     )
     assert fault == 0
+
+
+@pytest.mark.parametrize("which, index, value", [("a", 24, np.nan), ("b", -1, np.inf)])
+def test_fault_at_step_zero(weights, which, index, value):
+    a, b, eta = (w.copy() for w in weights)
+    {"a": a, "b": b}[which][index] = value
+    for kernel in (_kernels.maxlinear_descent, _reference_descent):
+        with np.errstate(invalid="ignore"):
+            assert kernel(a, b, eta, NO_SNAPS)[5] == 0
+
+
+# positive stepsize tables with runs of zeros, magnitudes 1e-8 .. 1e3
+_magnitudes = st.floats(-8.0, 3.0).map(lambda e: 10.0**e)
+_tables = st.lists(
+    st.one_of(
+        st.lists(st.just(0.0), min_size=1, max_size=12),
+        st.lists(_magnitudes, min_size=1, max_size=40),
+    ),
+    min_size=1,
+    max_size=12,
+).map(lambda blocks: [v for block in blocks for v in block][:300])
+
+
+@settings(max_examples=40, deadline=None)
+@given(_tables, st.integers(0, 2**32 - 1))
+def test_construction_matches_reference(table, seed):
+    s = sched.from_table(table + [1.0])
+    T = len(table)
+    a, b = coupling_weights(s, T, log_envelope())
+    snaps = np.unique(np.random.default_rng(seed).integers(1, T + 1, 3))
+    _assert_matches_reference(a, b, s.rates(T), snaps)
+
+
+def test_construction_crossing_the_ball_boundary():
+    # wild magnitudes push the construction out of the ball; on this table
+    # ||x||^2 lands within rounding of 1, where only the exact dot decides
+    rng = np.random.default_rng(182)
+    table = 10.0 ** rng.uniform(-8, 3, 40) * (rng.uniform(size=40) > 0.2)
+    s = sched.from_table(np.append(table, 1.0))
+    a, b = coupling_weights(s, 40, log_envelope())
+    assert _assert_matches_reference(a, b, s.rates(40), NO_SNAPS) >= 1
+
+
+@pytest.mark.parametrize("scale", [1e100, sched.MAX_STEP])
+def test_huge_stepsizes_match_reference(scale):
+    # sum(eta) this large could overflow tracked scores, so every step recomputes
+    s = sched.constant(scale)
+    a, b = coupling_weights(s, 40, log_envelope())
+    assert _assert_matches_reference(a, b, s.rates(40), np.array([20], dtype=np.int64)) >= 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 200), st.integers(0, 2**32 - 1))
+def test_projecting_runs_match_reference(T, seed):
+    rng = np.random.default_rng(seed)
+    a = 10.0 ** rng.uniform(-2, 1, T + 1)
+    b = 10.0 ** rng.uniform(-2, 1, T + 1)
+    eta = rng.uniform(0.0, 2.0, T) * (rng.uniform(size=T) > 0.1)  # about 10% zero steps
+    eta[0] = 2.0 / b[0]  # the first step leaves the unit ball
+    snaps = np.unique(rng.integers(1, T + 1, 3))
+    assert _assert_matches_reference(a, b, eta, snaps, pointwise=False) >= 1
+
+
+def test_long_horizon_matches_generic_loop():
+    # many recompute intervals; the generic loop is an independent oracle
+    T = 1000
+    s = sqrt_decay(2, 1)
+    built = build_maxlinear(s, T, log_envelope())
+    times = [1, 2, T // 2, T]
+    fast = engine.run(built.convex, s, T, snapshots=times)
+    slow = engine.run(built.convex, s, T, snapshots=times, force_generic=True)
+    for t in times:
+        assert fast.snapshots[t].tobytes() == slow.snapshots[t].tobytes()
+        assert _bits(fast.error_at(t)) == _bits(slow.error_at(t))
+    assert np.all(np.abs(fast.errors - slow.errors) <= REL * np.abs(slow.errors))
+    # per-t density at t = T is the run built for T; single-run reads its last error
+    single = density_experiment(ExperimentSpec(s, [T], families=("maxlinear",)), [0.0])
+    assert _bits(single.profiles[T][T - 1]) == _bits(fast.errors[T - 1])
+    # both modes in full past two recompute intervals
+    spec = ExperimentSpec(s, [130], families=("maxlinear",))
+    per_t = density_experiment(spec, [0.0], per_t=True)
+    single = density_experiment(spec, [0.0])
+    assert _bits(per_t.profiles[130][129]) == _bits(single.profiles[130][129])

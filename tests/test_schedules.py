@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from stepaudit import bounds as bnd
 from stepaudit import schedules as sched
-from stepaudit.errors import ConstructionError, InvalidParameterError
+from stepaudit.errors import InvalidParameterError
 
 
 def test_sqrt_decay_values():
@@ -79,7 +79,7 @@ def test_table_only_out_of_range():
 
 def test_negative_generator_rejected():
     s = sched.StepSchedule(lambda n: np.where(np.arange(n) == 3, -1.0, 1.0), label="dip")
-    with pytest.raises(ConstructionError, match=r"'dip' produced a negative stepsize at t=3"):
+    with pytest.raises(InvalidParameterError, match=r"'dip' produced a negative stepsize at t=3"):
         s.rate(3)
 
 
@@ -90,13 +90,13 @@ def test_admissible_range():
         assert s.prefix_sum(64) == 64 * sched.MAX_STEP
         assert math.isfinite(bnd.quartic_floor(s, 64))
         assert math.isfinite(bnd.averaged_quartic_floor(s, 64))
-    with pytest.raises(ConstructionError, match=r"'constant\(c=1e\+200\)' produced a huge .* at t=0"):
+    with pytest.raises(InvalidParameterError, match=r"'constant\(c=1e\+200\)' produced a huge .* at t=0"):
         sched.constant(1e200).rate(0)
-    with pytest.raises(ConstructionError, match="non-finite stepsize at t=0"):
+    with pytest.raises(InvalidParameterError, match="non-finite stepsize at t=0"):
         sched.constant(math.inf).rates(1)
     huge_late = sched.StepSchedule(lambda n: np.where(np.arange(n) == 20, 1e300, 0.5))
     assert huge_late.rate(15) == 0.5
-    with pytest.raises(ConstructionError, match="at t=20"):
+    with pytest.raises(InvalidParameterError, match="at t=20"):
         huge_late.prefix_sum(21)
 
 
@@ -150,7 +150,7 @@ class TestDoubling:
         assert s.rate(7) == pytest.approx(1 / math.sqrt(8), rel=1e-15)
 
     def test_wrong_length_builder_rejected(self):
-        with pytest.raises(ConstructionError):
+        with pytest.raises(InvalidParameterError):
             sched.doubling_concat(lambda n: [1.0] * (n + 1))
 
     def test_wrong_length_surfaces_lazily(self):
@@ -158,7 +158,7 @@ class TestDoubling:
         # surfaces once a query reaches its neighborhood
         s = sched.doubling_concat(lambda n: [1.0] * (n if n < 64 else n - 1))
         assert s.rate(40) == 1.0
-        with pytest.raises(ConstructionError):
+        with pytest.raises(InvalidParameterError):
             s.rate(63)
 
 
