@@ -2,11 +2,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from stepaudit import bounds as bnd
 from stepaudit import engine
 from stepaudit import schedules as sched
 from stepaudit.errors import InvalidParameterError
+from stepaudit.harness import _quartic_profile
+
+U = 2.0**-53  # unit roundoff of float64
+
+
+def gamma(k):
+    """Relative error bound of ``k`` roundings (Higham's ``gamma_k``)."""
+    return k * U / (1.0 - k * U)
 
 
 def brute_force_average(schedule, T):
@@ -86,6 +96,63 @@ class TestAveragedFloor:
             closed = bnd.averaged_quartic_floor(table, 64)
             brute = brute_force_average(table, 64)
             assert closed == pytest.approx(brute, rel=1e-12)
+
+
+# -- the FFT quartic profile and its derived error bound ------------------------
+
+_magnitudes = st.floats(-8.0, 3.0).map(lambda e: 10.0**e)  # log-uniform in [1e-8, 1e3]
+_blocks = st.one_of(
+    st.lists(st.just(0.0), min_size=1, max_size=64),  # a run of zeros
+    st.lists(_magnitudes, min_size=1, max_size=64),
+)
+
+
+@st.composite
+def _even_tables(draw):
+    """Table schedules of even length 4..512 built from the blocks above."""
+    T = 2 * draw(st.integers(2, 256))
+    values = []
+    while len(values) < T:
+        values += draw(_blocks)
+    return values[:T]
+
+
+def _exact_terms(eta, T):
+    """Every ``(t, j)`` term ``j eta_j^2 / (t+1-j)``, ``j < t <= T``, rounded
+    as the floors round it (three roundings each); row ``t - 1`` holds the
+    terms of horizon ``t``, zero-padded."""
+    j = np.arange(T, dtype=np.float64)
+    t = np.arange(1, T + 1, dtype=np.float64)[:, None]
+    w = j * eta * eta
+    return np.where(j < t, w / np.maximum(t + 1.0 - j, 1.0), 0.0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_even_tables())
+@example([0.0] * 510 + [1e3, 1e3])
+@example([10.0 ** (-8.0 + 11.0 * i / 511) for i in range(512)])
+def test_fft_profile_within_derived_bound(table):
+    T = len(table)
+    s = sched.from_table(table)
+    profile, conv_err = _quartic_profile(s, T)
+    row_err = conv_err / 128.0 + 4.0 * U * profile
+    terms = _exact_terms(s.rates(T), T)
+    for t in range(1, T + 1):
+        # fsum of the rounded terms is within gamma_4 of the exact row
+        exact = math.fsum(terms[t - 1]) / 128.0
+        assert abs(profile[t - 1] - exact) <= row_err[t - 1] + gamma(4) * exact
+        # quartic_floor sums t such terms in any order: gamma_{t+2}
+        floor = bnd.quartic_floor(s, t)
+        assert abs(profile[t - 1] - floor) <= row_err[t - 1] + gamma(t + 2) * floor
+
+    oracle = 128.0 * math.fsum(profile) / T
+    oracle_err = conv_err / math.sqrt(T) + 6.0 * U * oracle
+    # one fsum over all (t, j) terms, then / T: within gamma_5 of exact
+    exact_avg = math.fsum(terms.ravel()) / T
+    assert abs(oracle - exact_avg) <= oracle_err + gamma(5) * exact_avg
+    # the brute force adds its T (T+1) / 2 terms one by one
+    brute = brute_force_average(s, T)
+    assert abs(oracle - brute) <= oracle_err + gamma(T * (T + 1) // 2 + 4) * brute
 
 
 class TestCutoffAndFloor:

@@ -231,12 +231,56 @@ class TestChain:
         assert report.passed
 
     def test_fft_profile_matches_exact_floor(self):
-        from stepaudit.harness import _quartic_profile
+        from stepaudit.harness import _U, _quartic_profile
 
-        profile = _quartic_profile(SQRT21, 512)
+        profile, conv_err = _quartic_profile(SQRT21, 512)
         for t in (1, 2, 17, 256, 511, 512):
             exact = bnd.quartic_floor(SQRT21, t)
-            assert profile[t - 1] == pytest.approx(exact, rel=1e-9, abs=1e-15)
+            # the row's derived bound, plus quartic_floor's own t + 2 roundings
+            # ((t + 3) u covers gamma_{t+2})
+            allowed = conv_err / 128.0 + 4.0 * _U * profile[t - 1] + (t + 3) * _U * exact
+            assert abs(profile[t - 1] - exact) <= allowed
+
+    def test_average_identity_reports_its_oracle_bound(self):
+        report = chain_check(SQRT21, bnd.log_envelope(), 4096)
+        step = next(s for s in report.steps if s["step"] == "average_identity")
+        assert step["status"] == "pass"
+        assert 0.0 < step["oracle_error_bound"] < 1e-12 * step["rhs"]
+        assert step["rel_diff"] < 1e-14
+
+    def test_average_identity_undecidable_is_inconclusive(self):
+        # steps only at the very end: the oracle's error bound exceeds the
+        # 1e-12 relative tolerance, so neither pass nor fail can be certified
+        T = 1024
+        tail = sched.from_table([0.0] * (T - 2) + [1.0, 1.0])
+        report = chain_check(tail, bnd.constant_envelope(1), T)
+        step = next(s for s in report.steps if s["step"] == "average_identity")
+        assert step["oracle_error_bound"] > 1e-12 * step["rhs"]
+        assert step["status"] == "inconclusive"
+        assert "average_identity" in report.inconclusive
+
+    def test_huge_stepsizes_keep_a_finite_bound(self, recwarn):
+        # w_j^2 overflows here, so the bound must scale ||w||_2, silently
+        report = chain_check(sched.constant(1e100), bnd.constant_envelope(1), 8)
+        step = next(s for s in report.steps if s["step"] == "average_identity")
+        assert step["status"] == "pass"
+        assert 0.0 < step["oracle_error_bound"] < 1e-12 * step["rhs"]
+        assert len(recwarn) == 0
+
+    def test_rows_within_the_bound_are_decided_exactly(self):
+        from stepaudit.harness import _quartic_profile
+
+        profile, _ = _quartic_profile(SQRT21, 64)
+        # phi(t+1)^4 reproduces row t's FFT value to a few ulps, far inside its bound
+        tight = bnd.GuaranteeEnvelope(lambda t: float(profile[t - 2]) ** 0.25 if t >= 2 else 1.0)
+        report = chain_check(SQRT21, tight, 64)
+        rows = [s for s in report.steps if s["step"] == "quartic_floor"]
+        assert all("rhs_exact" in r for r in rows)
+        for r in rows:
+            assert r["rhs_exact"] == bnd.quartic_floor(SQRT21, r["t"])
+            assert r["status"] == ("pass" if r["lhs"] >= r["rhs_exact"] else "fail")
+        loose = chain_check(SQRT21, bnd.log_envelope(), 64)
+        assert not any("rhs_exact" in s for s in loose.steps if s["step"] == "quartic_floor")
 
     def test_step_payloads_have_sides(self):
         report = chain_check(SQRT21, bnd.log_envelope(), 16)
