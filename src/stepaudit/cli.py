@@ -260,7 +260,13 @@ def cmd_verify(config: dict) -> int:
         # verify is strict: a family that cannot be built is a config error
         raise UsageError(f"cannot verify: {hard_skips[0]['family']} at T={hard_skips[0]['T']}: {hard_skips[0]['skipped']}")
     _write_json(out / "verify_report.json", report.to_dict(), config)
-    print(f"verify: max deviation {report.max_deviation:.3e}; report at {out / 'verify_report.json'}")
+    line = f"verify: max deviation {report.max_deviation:.3e}"
+    failed = [e for e in report.entries if not e["passed"]]
+    if failed:
+        e = failed[0]
+        dev = max(e["max_coord_deviation"], e["max_error_deviation"])
+        line += f"; first failing entry {e['family']} at T={e['T']}: deviation {dev:.3e} > tolerance {e['tolerance']:.3e}"
+    print(f"{line}; report at {out / 'verify_report.json'}")
     return 0 if report.passed else 1
 
 

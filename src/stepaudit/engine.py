@@ -1,18 +1,29 @@
 """Generic projected subgradient descent over a convex instance.
 
 The update is ``x_{t+1} = project(x_t - eta_t * g_t)`` with ``g_t`` taken
-from the instance's deterministic subgradient oracle.  Instances carrying
-kernel data are dispatched to the incremental numpy kernel in
-``_kernels``; all other instances run through the generic loop below.
-Both paths are pure functions of their inputs, so repeated runs are
-bit-identical.  The kernel's iterates, snapshots, projection count and its
-errors at snapshot times and at ``t = T`` equal those of a full score
-recompute each step bit for bit; its other per-step errors agree to
-rounding.
+from the instance's deterministic subgradient oracle.  :func:`run` has
+three paths:
+
+* the kernel path: instances carrying ``kernel_data`` run through the
+  incremental numpy kernel in ``_kernels``;
+* the scalar path: 1-d instances carrying a ``scalar`` hook run through
+  :func:`scalar_descent` on Python floats;
+* the generic path: a numpy loop over the instance's array oracles, taken
+  by every other instance and by every instance under
+  ``force_generic=True``, which keeps it as the oracle for the other two.
+
+All paths are pure functions of their inputs, so repeated runs are
+bit-identical.  The scalar path performs the generic loop's float64
+operations in the same order, so its errors, snapshots, projection count
+and ``max_norm_seen`` equal the generic path's bit for bit.  The kernel's
+iterates, snapshots, projection count and its errors at snapshot times and
+at ``t = T`` equal those of a full score recompute each step bit for bit;
+its other per-step errors agree to rounding.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 
@@ -26,6 +37,7 @@ __all__ = [
     "ConvexInstance",
     "RunRecord",
     "run",
+    "scalar_descent",
     "project_ball",
     "project_interval",
     "validate_instance",
@@ -38,9 +50,13 @@ class ConvexInstance:
 
     Errors are objective values measured from 0, a level at or above the
     domain minimum of every family here.  ``lipschitz`` is a certified gradient-norm bound, ``sample`` draws
-    in-domain points for spot checks, and ``kernel_data`` optionally holds
-    the max-of-linear weights ``(a, b)`` that select the fast path in
-    :func:`run`.
+    in-domain points for spot checks.  Two optional fields select a fast
+    path in :func:`run`: ``kernel_data`` holds the max-of-linear weights
+    ``(a, b)`` of the kernel path, and ``scalar`` holds the float-to-float
+    oracles ``(value, subgradient, lo, hi)`` of a 1-d instance on the
+    interval ``[lo, hi]``, for the scalar path.  ``value``, ``subgradient``
+    and ``project`` must be those oracles on 1-element arrays, so that the
+    generic path stays a bitwise oracle for the scalar one.
     """
 
     dim: int
@@ -51,6 +67,7 @@ class ConvexInstance:
     lipschitz: float
     sample: Callable[[np.random.Generator], np.ndarray] | None = None
     kernel_data: tuple | None = None
+    scalar: tuple | None = None
 
 
 @dataclass
@@ -143,12 +160,30 @@ def run(
     x = np.array(instance.initial_point, dtype=np.float64, copy=True)
     if x.shape != (instance.dim,):
         raise InvalidParameterError("initial point does not match instance dimension")
-    errors = np.empty(T)
+    if not force_generic and instance.scalar is not None:
+        if instance.dim != 1:
+            raise InvalidParameterError("scalar oracles need a 1-d instance")
+        _, errors, stored, max_norm, hits = scalar_descent(instance.scalar, float(x[0]), eta, snap_times)
+    else:
+        errors, stored, max_norm, hits = _array_descent(instance, x, eta, snap_times)
+    return RunRecord(
+        schedule_label=schedule.label,
+        horizon=T,
+        errors=errors,
+        snapshots=stored,
+        max_norm_seen=max_norm,
+        projection_activations=hits,
+    )
+
+
+def _array_descent(instance: ConvexInstance, x: np.ndarray, eta: np.ndarray, snap_times: np.ndarray):
+    # the generic path: the instance's array oracles, one numpy step at a time
+    errors = np.empty(len(eta))
     stored: dict[int, np.ndarray] = {}
     wanted = set(int(t) for t in snap_times)
     max_norm = 0.0
     hits = 0
-    for t in range(T):
+    for t in range(len(eta)):
         g = instance.subgradient(x)
         if not np.all(np.isfinite(g)):
             raise NumericFaultError(f"non-finite subgradient at step {t}")
@@ -166,14 +201,53 @@ def run(
         errors[t] = fv
         if t + 1 in wanted:
             stored[t + 1] = x.copy()
-    return RunRecord(
-        schedule_label=schedule.label,
-        horizon=T,
-        errors=errors,
-        snapshots=stored,
-        max_norm_seen=max_norm,
-        projection_activations=hits,
-    )
+    return errors, stored, max_norm, hits
+
+
+def scalar_descent(scalar: tuple, x: float, eta: np.ndarray, snap_times: Iterable[int] = ()):
+    """Run projected subgradient steps of a 1-d instance on Python floats.
+
+    ``scalar = (value, subgradient, lo, hi)`` as in :class:`ConvexInstance`,
+    ``x`` is the start point and ``eta`` the float64 stepsizes, streamed
+    through a memoryview rather than a Python list.  Returns ``(x, errors,
+    snapshots, max_norm, hits)``: the last iterate, the per-step errors, the
+    iterates at the sorted step indices ``snap_times``, the largest
+    pre-projection norm and the projection count.
+
+    Each step performs the generic loop's float64 operations in the same
+    order, fault checks included: ``math.sqrt(y * y)`` is what
+    ``np.linalg.norm`` computes for one element, and a NaN ``y`` counts as a
+    projection hit because ``np.array_equal`` finds NaN unequal to itself.
+    """
+    value, subgradient, lo, hi = scalar
+    errors = np.empty(len(eta))
+    out = memoryview(errors)
+    snapshots: dict[int, np.ndarray] = {}
+    pending = map(int, snap_times)
+    nxt = next(pending, 0)
+    max_norm = 0.0
+    hits = 0
+    for t, s in enumerate(memoryview(eta)):
+        g = subgradient(x)
+        if not math.isfinite(g):
+            raise NumericFaultError(f"non-finite subgradient at step {t}")
+        y = x - s * g
+        nrm = math.sqrt(y * y)
+        if nrm > max_norm:
+            max_norm = nrm
+        if lo <= y <= hi:
+            x = y
+        else:
+            hits += 1
+            x = hi if y > hi else lo if y < lo else y  # np.clip keeps NaN
+        fv = value(x)
+        if not math.isfinite(fv):
+            raise NumericFaultError(f"non-finite objective value at step {t + 1}")
+        out[t] = fv
+        if t + 1 == nxt:
+            snapshots[nxt] = np.array([x])
+            nxt = next(pending, 0)
+    return x, errors, snapshots, max_norm, hits
 
 
 def validate_instance(

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import GuaranteeEnvelope
-from .engine import ConvexInstance, project_ball, project_interval
+from .engine import ConvexInstance, project_ball, project_interval, scalar_descent
 from .errors import ConstructionError, InvalidParameterError
 from .schedules import StepSchedule
 
@@ -93,17 +93,41 @@ class VShapeInstance:
         }
 
 
+def _interval_instance(value, subgradient, x0: float) -> ConvexInstance:
+    """1-d instance on ``[-1, 1]`` whose array oracles wrap the float ones."""
+    return ConvexInstance(
+        dim=1,
+        initial_point=np.array([x0]),
+        value=lambda x: value(float(x[0])),
+        subgradient=lambda x: np.array([subgradient(float(x[0]))]),
+        project=lambda x: project_interval(x, -1.0, 1.0),
+        lipschitz=1.0,
+        sample=lambda rng: rng.uniform(-1.0, 1.0, size=1),
+        scalar=(value, subgradient, -1.0, 1.0),
+    )
+
+
+def _vshape_oracles(eps: float, c: float):
+    def value(v: float) -> float:
+        if v < 0:
+            return -v
+        if v <= eps:
+            return c * v
+        return v - eps + c * eps
+
+    def subgradient(v: float) -> float:
+        if v <= 0:
+            return -1.0
+        if v <= eps:
+            return c
+        return 1.0
+
+    return value, subgradient
+
+
 def _vshape_landing(eps: float, c: float, steps: np.ndarray) -> float:
-    # mirror of the engine loop on this family, kept in scalar float64
-    x = eps
-    for s in steps:
-        g = -1.0 if x <= 0 else (c if x <= eps else 1.0)
-        x = x - s * g
-        if x > 1.0:
-            x = 1.0
-        elif x < -1.0:
-            x = -1.0
-    return x
+    # the iterate after ``steps``, from the scalar loop that engine.run uses
+    return scalar_descent((*_vshape_oracles(eps, c), -1.0, 1.0), eps, steps)[0]
 
 
 def build_vshape(schedule: StepSchedule, target_t: int, shrink: float = 1e-6) -> VShapeInstance:
@@ -142,31 +166,7 @@ def build_vshape(schedule: StepSchedule, target_t: int, shrink: float = 1e-6) ->
     if not 0 < c < 1:
         raise ConstructionError(f"vshape ramp slope c={c} outside (0, 1)")
 
-    def value(x: np.ndarray) -> float:
-        v = float(x[0])
-        if v < 0:
-            return -v
-        if v <= eps:
-            return c * v
-        return v - eps + c * eps
-
-    def subgradient(x: np.ndarray) -> np.ndarray:
-        v = float(x[0])
-        if v <= 0:
-            return np.array([-1.0])
-        if v <= eps:
-            return np.array([c])
-        return np.array([1.0])
-
-    convex = ConvexInstance(
-        dim=1,
-        initial_point=np.array([eps]),
-        value=value,
-        subgradient=subgradient,
-        project=lambda x: project_interval(x, -1.0, 1.0),
-        lipschitz=1.0,
-        sample=lambda rng: rng.uniform(-1.0, 1.0, size=1),
-    )
+    convex = _interval_instance(*_vshape_oracles(eps, c), eps)
     return VShapeInstance(
         schedule=schedule,
         target_t=target_t,
@@ -229,16 +229,7 @@ def build_quadratic(schedule: StepSchedule, target_t: int) -> QuadraticInstance:
             f"quadratic instance needs step sum S >= 1/2 at t={target_t}, got S={S}"
         )
     inv = 1.0 / (4.0 * S)
-
-    convex = ConvexInstance(
-        dim=1,
-        initial_point=np.array([1.0]),
-        value=lambda x: float(x[0]) * float(x[0]) * inv,
-        subgradient=lambda x: np.array([float(x[0]) / (2.0 * S)]),
-        project=lambda x: project_interval(x, -1.0, 1.0),
-        lipschitz=1.0,
-        sample=lambda rng: rng.uniform(-1.0, 1.0, size=1),
-    )
+    convex = _interval_instance(lambda v: v * v * inv, lambda v: v / (2.0 * S), 1.0)
     return QuadraticInstance(schedule=schedule, target_t=target_t, S=S, convex=convex)
 
 

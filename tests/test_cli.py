@@ -25,6 +25,22 @@ class TestExitCodes:
         assert code == 0
         assert (tmp_path / "verify_report.json").exists()
 
+    def test_verify_failure_names_first_failing_entry(self, tmp_path, capsys, monkeypatch):
+        entries = [
+            {"family": "maxlinear", "T": 8, "max_coord_deviation": 0.0, "max_error_deviation": 0.0,
+             "tolerance": 1e-9, "passed": True},
+            {"family": "vshape", "T": 16, "max_coord_deviation": 2e-6, "max_error_deviation": 3e-6,
+             "tolerance": 1e-6, "passed": False},
+            {"family": "quadratic", "T": 16, "max_coord_deviation": 1.0, "max_error_deviation": 0.0,
+             "tolerance": 1e-9, "passed": False},
+        ]
+        report = stepaudit.harness.TrajectoryReport(entries=entries, max_deviation=1.0, passed=False)
+        monkeypatch.setattr("stepaudit.cli.verify_trajectories", lambda spec: report)
+        code = run_cli("verify", "--schedule", "constant:c=1", "--T", "16", "--out", str(tmp_path))
+        assert code == 1
+        last = capsys.readouterr().out.splitlines()[-1]
+        assert "; first failing entry vshape at T=16: deviation 3.000e-06 > tolerance 1.000e-06; report at" in last
+
     def test_missing_table_file(self, tmp_path):
         code = run_cli("verify", "--schedule", "table:missing.csv", "--T", "8", "--out", str(tmp_path))
         assert code == 2

@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -123,6 +126,77 @@ class TestRun:
     def test_numeric_fault_in_subgradient(self):
         inst = _toy_instance(subgradient=lambda x: np.array([float("inf")]))
         with pytest.raises(NumericFaultError, match="step 0"):
+            engine.run(inst, sched.constant(0.1), 3)
+
+
+def _scalar_toy(value, subgradient, lo=-1.0, hi=1.0, x0=1.0):
+    """A 1-d toy whose array oracles wrap its float ones, as the 1-d families do."""
+    return engine.ConvexInstance(
+        dim=1,
+        initial_point=np.array([x0]),
+        value=lambda x: value(float(x[0])),
+        subgradient=lambda x: np.array([subgradient(float(x[0]))]),
+        project=lambda x: engine.project_interval(x, lo, hi),
+        lipschitz=1.0,
+        scalar=(value, subgradient, lo, hi),
+    )
+
+
+class TestScalarPath:
+    # from x_0 = 1 with eta = 0.1 and g = 2x the iterates are 0.8^t, below 0.3 at t = 6
+    @pytest.mark.parametrize(
+        "value, subgradient, message",
+        [
+            (lambda v: v * v, lambda v: 2.0 * v if v > 0.3 else math.nan, "non-finite subgradient at step 6"),
+            (lambda v: v * v if v > 0.3 else math.inf, lambda v: 2.0 * v, "non-finite objective value at step 6"),
+        ],
+    )
+    def test_fault_messages_match_array_path(self, value, subgradient, message):
+        inst = _scalar_toy(value, subgradient)
+        for force_generic in (False, True):
+            with pytest.raises(NumericFaultError) as exc:
+                engine.run(inst, sched.constant(0.1), 20, force_generic=force_generic)
+            assert str(exc.value) == message
+
+    def test_nan_iterate_counts_as_projection(self):
+        # the first step overflows x to inf, the second gives y = inf - inf = NaN;
+        # np.clip keeps a NaN that np.array_equal finds unequal to itself
+        inst = _scalar_toy(lambda v: 0.0, lambda v: -1e300 if v < 2.0 else 1e300, -math.inf, math.inf)
+        s = sched.constant(1e100)
+        with np.errstate(over="ignore", invalid="ignore"):
+            fast, slow = (engine.run(inst, s, 4, snapshots="all", force_generic=f) for f in (False, True))
+        assert fast.projection_activations == slow.projection_activations == 3
+        assert fast.max_norm_seen == slow.max_norm_seen == math.inf
+        assert fast.errors.tobytes() == slow.errors.tobytes()
+        for t in range(1, 5):
+            assert fast.snapshots[t].tobytes() == slow.snapshots[t].tobytes()
+        assert math.isnan(fast.snapshots[4][0])
+
+    # np.linalg.norm of one element is sqrt(y * y), not abs(y): y * y underflows
+    # to 0 at 1e-200 and overflows to inf at 1e200
+    @pytest.mark.parametrize("x0, g, expected", [(1e-200, 0.0, 0.0), (1.0, -1e200, math.inf)])
+    def test_max_norm_is_the_array_norm(self, x0, g, expected):
+        inst = _scalar_toy(lambda v: 0.0, lambda v: g, -math.inf, math.inf, x0=x0)
+        with np.errstate(over="ignore"):
+            fast, slow = (engine.run(inst, sched.constant(1.0), 2, force_generic=f) for f in (False, True))
+        assert fast.max_norm_seen == slow.max_norm_seen == expected
+
+    @pytest.mark.parametrize("build", [build_vshape, build_quadratic])
+    def test_families_take_the_scalar_path(self, build):
+        s = sched.sqrt_decay(2, 1)
+        built = build(s, 64)
+
+        def stub(x):
+            raise RuntimeError("array oracle called")
+
+        built.convex.value = built.convex.subgradient = stub
+        assert engine.run(built.convex, s, 64).errors.shape == (64,)
+        with pytest.raises(RuntimeError, match="array oracle called"):
+            engine.run(built.convex, s, 64, force_generic=True)
+
+    def test_scalar_hook_needs_one_dimension(self):
+        inst = dataclasses.replace(_toy_instance(), dim=2, initial_point=np.zeros(2), scalar=(abs, abs, -1.0, 1.0))
+        with pytest.raises(InvalidParameterError, match="1-d"):
             engine.run(inst, sched.constant(0.1), 3)
 
 

@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 
 from stepaudit import _kernels, coupling_weights, engine, log_envelope, sqrt_decay
 from stepaudit import schedules as sched
-from stepaudit.errors import InvalidParameterError
-from stepaudit.harness import ExperimentSpec, Tolerances, density_experiment
-from stepaudit.instances import build_maxlinear
+from stepaudit.errors import ConstructionError, InvalidParameterError
+from stepaudit.harness import ExperimentSpec, Tolerances, _snapshot_grid, density_experiment
+from stepaudit.instances import build_maxlinear, build_quadratic, build_vshape
 
 NO_SNAPS = np.empty(0, dtype=np.int64)
 REL = Tolerances().scalar_rel
@@ -121,14 +121,21 @@ def test_fault_at_step_zero(weights, which, index, value):
 
 # positive stepsize tables with runs of zeros, magnitudes 1e-8 .. 1e3
 _magnitudes = st.floats(-8.0, 3.0).map(lambda e: 10.0**e)
-_tables = st.lists(
-    st.one_of(
-        st.lists(st.just(0.0), min_size=1, max_size=12),
-        st.lists(_magnitudes, min_size=1, max_size=40),
-    ),
-    min_size=1,
-    max_size=12,
-).map(lambda blocks: [v for block in blocks for v in block][:300])
+
+
+def _table_strategy(max_blocks, max_len):
+    return st.lists(
+        st.one_of(
+            st.lists(st.just(0.0), min_size=1, max_size=12),
+            st.lists(_magnitudes, min_size=1, max_size=40),
+        ),
+        min_size=1,
+        max_size=max_blocks,
+    ).map(lambda blocks: [v for block in blocks for v in block][:max_len])
+
+
+_tables = _table_strategy(12, 300)
+_long_tables = _table_strategy(40, 512)
 
 
 @settings(max_examples=40, deadline=None)
@@ -191,3 +198,47 @@ def test_long_horizon_matches_generic_loop():
     per_t = density_experiment(spec, [0.0], per_t=True)
     single = density_experiment(spec, [0.0])
     assert _bits(per_t.profiles[130][129]) == _bits(single.profiles[130][129])
+
+
+# -- the scalar path of the 1-d families against the array oracle ----------
+
+
+def _assert_scalar_matches_array(built, s, T, coord_tol):
+    """Bitwise against ``force_generic``; within ``coord_tol`` of the closed form."""
+    fast = engine.run(built.convex, s, T, snapshots="all")
+    slow = engine.run(built.convex, s, T, snapshots="all", force_generic=True)
+    assert fast.errors.tobytes() == slow.errors.tobytes()
+    assert fast.snapshots.keys() == slow.snapshots.keys()
+    for t in fast.snapshots:
+        assert fast.snapshots[t].tobytes() == slow.snapshots[t].tobytes()
+    assert fast.projection_activations == slow.projection_activations
+    assert _bits(fast.max_norm_seen) == _bits(slow.max_norm_seen)
+    for t in _snapshot_grid(T):
+        assert np.max(np.abs(fast.snapshots[t] - built.closed_form_iterate(t))) <= coord_tol
+        assert abs(fast.error_at(t) - built.closed_form_error(t)) <= coord_tol
+    return fast
+
+
+@settings(max_examples=60, deadline=None)
+@given(_long_tables)
+def test_scalar_path_matches_array_oracle(table):
+    s = sched.from_table(table + [1.0])
+    tol = Tolerances()
+    for build, coord_tol in ((build_vshape, tol.kink_abs), (build_quadratic, tol.coord_abs)):
+        # at T = len(table) + 1 the exit step is the appended 1.0
+        for T in (len(table), len(table) + 1):
+            try:
+                built = build(s, T)
+            except (ConstructionError, InvalidParameterError):
+                continue  # vshape needs T >= 2 and positive steps, quadratic a step sum >= 1/2
+            _assert_scalar_matches_array(built, s, T, coord_tol)
+
+
+def test_scalar_path_clamped_exit_step():
+    # the exit step 3 overshoots the domain [-1, 1], so the run clamps at 1
+    s = sched.from_table([0.5, 0.5, 3.0, 1.0])
+    built = build_vshape(s, 3)
+    rec = _assert_scalar_matches_array(built, s, 3, Tolerances().kink_abs)
+    assert rec.projection_activations > 0
+    assert rec.snapshots[3][0] == 1.0
+    assert rec.max_norm_seen > 1.0
