@@ -294,7 +294,11 @@ def cmd_density(config: dict) -> int:
     table = density_experiment(spec, thresholds, per_t=bool(config.get("per_t")))
     table.write_csv(out / "density.csv", header=_header(config))
     table.write_profile_csv(out / "density_profile.csv", header=_header(config))
-    print(f"density ({table.mode}): {len(table.rows)} rows; outputs in {out}")
+    line = f"density ({table.mode}): {len(table.rows)} rows"
+    if table.skipped:
+        t, reason = min(table.skipped)
+        line += f"; {len(table.skipped)} of {table.builds} per-t builds skipped, first at t={t}: {reason}"
+    print(f"{line}; outputs in {out}")
     return 0
 
 
@@ -342,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--schedule", help="schedule spec, e.g. sqrt_decay:D=2,G=1 | constant:c=0.5 | table:PATH")
         p.add_argument("--phi", help="envelope spec: log[:offset=..,coef=..] | one | const:c=.. | empirical")
         p.add_argument("--out", help=f"output directory (default ${OUT_ENV_VAR} or ./out)")
-        p.add_argument("--workers", type=int, help="parallel work items (results are order-independent)")
+        p.add_argument("--workers", type=int, help="accepted (an int >= 1) but ignored: work runs on one thread")
         p.add_argument("--seed", type=int, help="accepted for interface compatibility; pipeline is deterministic")
         p.add_argument("--shrink", type=float, help="vshape kink shrink factor (default 1e-6)")
         p.add_argument("--T", type=int, help="single horizon")

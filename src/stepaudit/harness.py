@@ -12,7 +12,6 @@ from __future__ import annotations
 import dataclasses
 import math
 from collections.abc import Sequence
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -103,12 +102,12 @@ class ExperimentSpec:
 
 
 def _map_tasks(fn, keys, workers: int):
-    """Apply ``fn`` to keys, possibly on threads; return key-sorted dict."""
-    if workers > 1 and len(keys) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = dict(zip(keys, pool.map(fn, keys)))
-    else:
-        results = {key: fn(key) for key in keys}
+    """Apply ``fn`` to each key in order on this thread; return key-sorted dict.
+
+    ``workers`` has no effect: the work items are Python-bound, so threads
+    only took turns on the GIL (two ran slower than one).
+    """
+    results = {key: fn(key) for key in keys}
     return {key: results[key] for key in sorted(results)}
 
 
@@ -318,6 +317,8 @@ class DensityTable:
     mode: str  # "single-run" or "per-t"
     rows: list[dict]
     profiles: dict[int, np.ndarray]
+    builds: int = 0  # per-t builds attempted
+    skipped: list[tuple[int, str]] = field(default_factory=list)  # (t, reason) per skipped build
 
     def write_csv(self, path: str, header: str | None = None) -> None:
         with open(path, "w") as fh:
@@ -360,6 +361,8 @@ def density_experiment(
     if not thresholds:
         raise InvalidParameterError("density experiments need at least one threshold")
 
+    skipped: list[tuple[int, str]] = []
+
     def profile(T: int) -> np.ndarray:
         if not per_t:
             built = _BUILDERS[family](spec.schedule, T, phi, spec.shrink)
@@ -368,7 +371,8 @@ def density_experiment(
         for t in range(1, T + 1):
             try:
                 built = _BUILDERS[family](spec.schedule, t, phi, spec.shrink)
-            except ConstructionError:
+            except ConstructionError as exc:
+                skipped.append((t, str(exc)))
                 continue
             errs[t - 1] = run(built.convex, spec.schedule, t).error_at(t)
         return errs
@@ -387,6 +391,8 @@ def density_experiment(
         mode="per-t" if per_t else "single-run",
         rows=rows,
         profiles=profiles,
+        builds=sum(profiles) if per_t else 0,
+        skipped=skipped,
     )
 
 

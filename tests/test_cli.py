@@ -195,6 +195,18 @@ class TestDensityCommand:
         ]
         assert densities == sorted(densities, reverse=True)
 
+    def test_per_t_names_skipped_builds(self, tmp_path, capsys):
+        # zero steps admit no vshape at any t: every per-t build is skipped
+        args = ("density", "--schedule", "constant:c=0", "--family", "vshape", "--T", "8", "--per-t")
+        assert run_cli(*args, "--out", str(tmp_path)) == 0
+        line = capsys.readouterr().out.strip()
+        assert "; 8 of 8 per-t builds skipped, first at t=1: vshape needs a target >= 2;" in line
+        profile = (tmp_path / "density_profile.csv").read_text().splitlines()
+        assert all(row.endswith(",nan,nan") for row in profile[2:])
+        # a run without skips keeps the old line
+        assert run_cli("density", "--T", "8", "--per-t", "--out", str(tmp_path)) == 0
+        assert capsys.readouterr().out == f"density (per-t): 3 rows; outputs in {tmp_path}\n"
+
 
 class TestBoundsCommand:
     def test_small_even_horizon(self, tmp_path):

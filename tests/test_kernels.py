@@ -1,3 +1,6 @@
+import contextlib
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -156,6 +159,7 @@ def test_construction_crossing_the_ball_boundary():
     s = sched.from_table(np.append(table, 1.0))
     a, b = coupling_weights(s, 40, log_envelope())
     assert _assert_matches_reference(a, b, s.rates(40), NO_SNAPS) >= 1
+    _assert_block_path_bitwise(a, b, s.rates(40), NO_SNAPS)  # blocks give up where the dot decides
 
 
 @pytest.mark.parametrize("scale", [1e100, sched.MAX_STEP])
@@ -176,6 +180,7 @@ def test_projecting_runs_match_reference(T, seed):
     eta[0] = 2.0 / b[0]  # the first step leaves the unit ball
     snaps = np.unique(rng.integers(1, T + 1, 3))
     assert _assert_matches_reference(a, b, eta, snaps, pointwise=False) >= 1
+    _assert_block_path_bitwise(a, b, eta, snaps)
 
 
 def test_long_horizon_matches_generic_loop():
@@ -198,6 +203,138 @@ def test_long_horizon_matches_generic_loop():
     per_t = density_experiment(spec, [0.0], per_t=True)
     single = density_experiment(spec, [0.0])
     assert _bits(per_t.profiles[130][129]) == _bits(single.profiles[130][129])
+
+
+# -- the block path against the per-step loop ---------------------------------
+
+
+@contextlib.contextmanager
+def _certificates():
+    """Record the result of every block certificate the kernel computes."""
+    results = []
+    certified = _kernels._certified
+
+    def counted(*args):
+        results.append(certified(*args))
+        return results[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernels, "_certified", counted)
+        yield results
+
+
+def _per_step(a, b, eta, snap_times):
+    """The kernel with the block path turned off."""
+    with pytest.MonkeyPatch.context() as mp, _certificates() as results:
+        mp.setattr(_kernels, "_BLOCK_STEPS", 0)
+        out = _kernels.maxlinear_descent(a, b, eta, snap_times)
+    assert not results
+    return out
+
+
+def _assert_block_path_bitwise(a, b, eta, snap_times):
+    errors, trace, max_norm, hits, snaps, fault = _kernels.maxlinear_descent(a, b, eta, snap_times)
+    p_errors, p_trace, p_max_norm, p_hits, p_snaps, p_fault = _per_step(a, b, eta, snap_times)
+    assert errors.tobytes() == p_errors.tobytes()  # every step's error
+    assert trace.tobytes() == p_trace.tobytes()
+    assert _bits(max_norm) == _bits(p_max_norm)
+    assert hits == p_hits
+    assert snaps.tobytes() == p_snaps.tobytes()
+    assert fault == p_fault
+    return trace
+
+
+@settings(max_examples=40, deadline=None)
+@given(_long_tables, st.integers(0, 2**32 - 1))
+def test_block_path_matches_per_step_on_construction(table, seed):
+    s = sched.from_table(table + [1.0])
+    T = len(table)
+    a, b = coupling_weights(s, T, log_envelope())
+    rng = np.random.default_rng(seed)
+    # up to three times, most of them inside a recompute interval
+    snaps = np.unique(rng.integers(1, T + 1, int(rng.integers(0, 4))))
+    _assert_block_path_bitwise(a, b, s.rates(T), snaps)
+
+
+def test_every_block_certified_on_the_staircase():
+    # the construction's fresh coordinate wins every step: no block falls back
+    s = sqrt_decay(2, 1)
+    T = 1000
+    a, b = coupling_weights(s, T, log_envelope())
+    snaps = np.array([1, 70, 500, 999], dtype=np.int64)
+    with _certificates() as results:
+        trace = _assert_block_path_bitwise(a, b, s.rates(T), snaps)
+    assert len(results) > 10 and all(results)
+    assert trace.tobytes() == np.arange(T + 1).tobytes()
+
+
+def _old_rival():
+    # coordinate 0 rises by eta a[0] b[0] per step while the fresh score
+    # barely moves (a b - A2 is 0.01 for k >= 1) and stays above coordinate
+    # 0's score at the block's start: only the chord sees 0 win at t = 4
+    T = 40
+    a = np.full(T + 1, 0.1)
+    b = 10.0 + 0.1 * np.arange(T + 1)
+    a[0], b[0] = 1.0, 1.0
+    return a, b, np.full(T, 1e-3), [0, 1, 2, 3, 0]
+
+
+def _opened_rival():
+    # a[1] = 3 pushes every later fresh score down by 9 eta per step, while
+    # coordinate 1, opened at t = 1 inside the first block, rises; b[0] =
+    # 100 keeps coordinate 0 far below for the whole block
+    T = 40
+    a = np.full(T + 1, 0.1)
+    b = np.full(T + 1, 0.1)
+    a[0], b[0] = 0.01, 100.0
+    a[1], b[1] = 3.0, 1.0
+    return a, b, np.full(T, 1e-3), [0, 1, 2, 1]
+
+
+@pytest.mark.parametrize("case", [_old_rival, _opened_rival])
+def test_block_falls_back_when_a_rival_wins(case):
+    # the certificate of the first block fails and the per-step loop runs it
+    a, b, eta, head = case()
+    with _certificates() as results:
+        trace = _assert_block_path_bitwise(a, b, eta, NO_SNAPS)
+    assert results[0] is False
+    assert trace[: len(head)].tolist() == head  # every step is positive: a fresh trace counts up
+
+
+def test_block_refuses_negative_steps(weights):
+    # the chord needs the cumulative step to grow: negative steps run per step
+    a, b, eta = weights
+    with _certificates() as results:
+        _assert_block_path_bitwise(a, b, -eta, NO_SNAPS)
+    assert results and not any(results)
+    # the same rows pass with both steps positive
+    s, u, buf = np.array([-1.0]), np.zeros(3), np.empty(3)
+    rows = ([0.0, 0.0], [0.0, 0.0], [-5.0, -5.0])  # errors, score bounds, opened scores
+    assert _kernels._certified(s, u, buf, 1, 1.0, np.array([1e-3, 1e-3]), *rows)
+    assert not _kernels._certified(s, u, buf, 1, 1.0, np.array([1e-3, -1e-3]), *rows)
+
+
+@pytest.mark.parametrize("nsq, gives_up", [(0.5, False), (1.0 - 1e-10, True), (1.0 + 1e-10, True)])
+def test_block_gives_up_where_the_norm_needs_the_dot(nsq, gives_up):
+    # zero steps keep ||x||^2; within 1e-9 of 1 the per-step loop takes the exact dot
+    zeros, ones = memoryview(np.zeros(4)), memoryview(np.ones(4))
+    rows = _kernels._block(0, 2, 1, 0.0, nsq, 0.0, 0.0, 0.0, 0.0, 1e-16, 1.0, zeros, ones, ones)
+    assert (rows is None) == gives_up
+
+
+def test_block_scratch_is_fixed_size():
+    # blocks flush through a fixed buffer, not one row of dim per step: the
+    # peak stays near the kernel's own O(dim) arrays at dim = 16385
+    s = sqrt_decay(2, 1)
+    a, b = build_maxlinear(s, 16384, log_envelope(8, 4)).convex.kernel_data
+    eta = s.rates(16384)
+    tracemalloc.start()
+    try:
+        _kernels.maxlinear_descent(a, b, eta, NO_SNAPS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5e6
 
 
 # -- the scalar path of the 1-d families against the array oracle ----------
