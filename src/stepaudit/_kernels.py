@@ -1,39 +1,46 @@
 """Hot descent loop for the max-of-linear family, in plain numpy.
 
 The objective is ``max_k score_k(x)`` with ``score_k(x) = sum_{m<k} a_m x_m
-- b_k x_k``.  Scores are linear in ``x``, so a step with argmax ``i`` and
-stepsize ``eta`` moves them by known vectors: score ``k < i`` by ``eta *
-u_k`` with ``u = a*b - A2`` (``A2`` the exclusive prefix sum of ``a**2``),
-score ``i`` by ``-eta * d_i`` with ``d = A2 + b**2``, and every score ``k >
-i`` by the one scalar ``eta * u_i``.  The kernel keeps scores only for the
-touched prefix ``[0, p)`` of coordinates; every coordinate ``k >= p`` is
-still zero, so its score is exactly the shared suffix value and the
-minimal-index argmax among them is ``p``.  ``||x||^2`` moves by ``-2 eta
-score_i + eta**2 d_i``.  A step therefore costs O(p) instead of O(dim).
-
-The iterate itself is updated with the plain expressions, so iterates,
-snapshots and the argmax trace are bit for bit those of a kernel that
-recomputes every score each step.  Scores are recomputed exactly (the
-product, a sequential ``cumsum`` and the subtraction, over ``[0, p]`` only:
-a sequential prefix sum of a prefix has the same bits) every
-``RECOMPUTE_EVERY`` steps, at each snapshot time, at ``t = T``, after each
-projection, and whenever the tracked scores or ``||x||^2`` lie too close to
-a decision (the argmax or ``||x||^2 > 1``) for a rounding-error bound to
-settle it.  Errors reported at those steps are exact; the others agree to
-rounding (about 1e-14 relative on the lower-bound construction).
+- b_k x_k``.  Every coordinate ``k >= p`` (``p`` the length of the touched
+prefix) is still zero, so its score is exactly that of ``p`` and the
+minimal-index argmax among them is ``p``.  An exact step recomputes the
+scores over ``[0, p]`` only (the product, a sequential ``cumsum`` and the
+subtraction: a sequential prefix sum of a prefix has the same bits), takes
+their argmax, updates the iterate with the plain expressions and decides
+the projection from ``np.dot(x, x)``: bit for bit the step of a kernel that
+recomputes every score over the whole vector, at O(p) cost plus the dot.
 
 Block path.  On the lower-bound construction the fresh coordinate ``p``
-wins every step, so between two recomputes the kernel first tries the
-steps ``t0..due-1`` as one block (unless every step recomputes, and only
-with ``p > 0`` and no snapshot before ``due``).  A Python-float loop
-assumes ``p`` wins each row and updates only the scalars (suffix score,
-``||x||^2`` and the two error bounds) with the per-step expressions in
-their order; it gives up where ``||x||^2`` would need the exact dot or a projection.  The
-block is then certified: at every row ``r``, with ``sfx_r``, ``tol_r`` and
-the tracked scores ``s(r)`` as the per-step loop would hold them, its test
-``sfx_r - max s(r) > 2 tol_r`` must pass.  With all steps ``>= 0`` and
+wins every step.  After each exact recompute with ``p > 0``, the kernel
+tries the next rows as one block: up to ``_BLOCK_STEPS`` of them, and never
+past ``T`` or the next snapshot time.  Scores are linear in ``x``, so a
+step with argmax ``i`` and stepsize ``eta`` moves them by known vectors:
+score ``k < i`` by ``eta u_k`` with ``u = a*b - A2`` (``A2`` the exclusive
+prefix sum of ``a**2``), score ``i`` by ``-eta d_i`` with ``d = A2 +
+b**2``, and every score ``k > i`` by the one scalar ``eta u_i``;
+``||x||^2`` moves by ``-2 eta score_i + eta**2 d_i``.  A Python-float loop
+(``_block``) assumes ``p`` wins each row and tracks only the scalars: the
+suffix score ``sfx``, ``||x||^2`` and two error bounds.  It gives up at the
+first row whose ``||x||^2`` lies within ``1e-9`` plus its error bound of 1
+or past it, where the exact dot or a projection must decide.
+
+Error bounds.  With ``R = sqrt(D)``, ``D`` the largest ``|u_k|`` or
+``d_k``, and ``coef = 8 (dim + 2 _BLOCK_STEPS) _EPS``, a tracked score
+differs from the one an exact step would compute by at most ``tol = coef (2
+R ||x|| + 3 D sum(eta))``, with ``||x||`` taken at the block's recompute and
+the sum over the block's steps so far: both carry a sequential-sum error of
+``dim`` roundings of terms below ``R ||x||``, and each tracked step adds a
+few roundings of terms below ``eta D``.  ``nerr`` bounds the tracked
+``||x||^2`` the same way, starting from ``coef ||x||^2``.  The constants
+are generous: they only make a block give up or fail sooner.
+
+Certificate.  The block is certified when, at every row ``r``, the tracked
+scores pass ``sfx_r - max s(r) > 2 tol_r``.  Each tracked score lies within
+``tol_r`` of the exact one, so a passing certificate makes the fresh
+coordinate the exact minimal-index argmax at every block row.  The tracked
+scores of the old coordinates are never formed; with all steps ``>= 0`` and
 ``E_r`` the exact sum of the block's steps before row ``r`` (``c_r`` their
-float prefix sums):
+float prefix sums), ``_certified`` bounds them:
 
 - a coordinate ``k < p0`` (the old ones) has tracked score ``s_k(0) + E_r
   u_k`` plus rounding, and ``max_k (s_k(0) + E u_k)`` is convex in ``E``, so
@@ -54,19 +61,19 @@ off by ``(2m + 1) u``, its computed endpoint ``max(s + fl(c_B u))`` by ``(m
 Z``; the opened coordinates' bound is off by less, ``(2m + 3) u Z``.  The
 final float test ``sfx_r - bound_r > (2 + 16 _EPS) tol_r + slack`` rounds by
 ``2 u Z`` on the left, and passing it with ``(2 + 16 _EPS)`` instead of
-``2`` leaves the exact difference above ``2 tol_r (1 + _EPS)``, where the
-per-step loop's own ``fl(sfx_r - top) > 2 tol_r`` cannot round the other
-way.  The sum of the terms is ``(6m + 13) u Z (1 + 3%) <= (4m + 8) _EPS Z``;
-the slack is twice that, ``8 (m + 2) _EPS Z``, plus ``1e-300`` for underflow.
+``2`` leaves the real difference ``sfx_r - max s(r)`` above ``2 tol_r``.
+The sum of the terms is ``(6m + 13) u Z (1 + 3%) <= (4m + 8) _EPS Z``; the
+slack is twice that, ``8 (m + 2) _EPS Z``, plus ``1e-300`` for underflow.
 
-A certified block writes its trace and errors as slices (bitwise the
-per-step values: the same floats from the same expressions) and applies the
-deferred iterate updates in one batch, each coordinate's operations in
-their original order (see ``_flush``), so the recompute at ``due`` sees the
-same ``x``.  If the loop gives up, a score or ``Z`` is not finite, a step is
-negative, or the certificate fails, nothing is written and the per-step
-loop runs the interval unchanged.  Every output, each per-step error
-included, is bitwise that of the per-step loop alone.
+A certified block writes its trace as a slice and applies the deferred
+iterate updates in one batch, each coordinate's operations in their
+original order (see ``_flush``), so its trace, iterates and snapshots are
+bitwise those of exact steps.  Its errors are the tracked ``sfx_r``, within
+``tol_r`` of the exact ones; the first is the exact recomputed score.  If
+the loop gives up, a score or ``Z`` is not finite, a step is negative, or
+the certificate fails, nothing is written and one exact step runs.  With
+``_BLOCK_STEPS = 0``, or when a weight or step sum is so large that a
+tracked value could overflow, every step is exact.
 """
 
 from __future__ import annotations
@@ -77,10 +84,9 @@ import numpy as np
 
 from .errors import InvalidParameterError
 
-__all__ = ["maxlinear_descent", "RECOMPUTE_EVERY"]
+__all__ = ["maxlinear_descent"]
 
-RECOMPUTE_EVERY = 64
-_BLOCK_STEPS = RECOMPUTE_EVERY  # the longest block; 0 turns the block path off
+_BLOCK_STEPS = 64  # the longest block; 0 turns the block path off
 _FLUSH_COLS = 256  # columns per chunk of a block's batched iterate update
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -97,9 +103,8 @@ def _exact_scores(a, b, x, q, scores, cum):
 def _block(t0, t1, p, sfx, nsq, nerr, eta_acc, tol, base, coef, D, eta_v, u_v, d_v):
     """Steps ``t0..t1-1`` on Python floats, assuming the fresh coordinate wins.
 
-    Updates only the scalars, with the per-step loop's expressions in its
-    order (``abs(step)`` is ``step`` for the non-negative steps a certified
-    block has).  Returns ``(fvs, tols, opened, nsq_max)``: per row the
+    Updates only the scalars (``abs(step)`` is ``step`` for the
+    non-negative steps a certified block has).  Returns ``(fvs, tols, opened, nsq_max)``: per row the
     tracked error and score bound, the score each opened coordinate starts
     with, and the largest ``||x||^2``; or ``None`` at the first row whose
     ``||x||^2`` needs the exact dot or a projection.
@@ -113,7 +118,7 @@ def _block(t0, t1, p, sfx, nsq, nerr, eta_acc, tol, base, coef, D, eta_v, u_v, d
         tols.append(tol)
         di = d_v[p]
         if step != 0.0:
-            opened.append(sfx - step * di)  # s[p] of the per-step loop
+            opened.append(sfx - step * di)  # the tracked score of p after its step
             sfx += step * u_v[p]
             p += 1
         ss = step * step
@@ -129,9 +134,9 @@ def _block(t0, t1, p, sfx, nsq, nerr, eta_acc, tol, base, coef, D, eta_v, u_v, d
 
 
 def _certified(s, u, buf, p, D, st, fvs, tols, opened):
-    """Whether the per-step test ``sfx - top > 2 tol`` holds at every block row.
+    """Whether the test ``sfx - max s > 2 tol`` holds at every block row.
 
-    ``s[:p]`` holds the tracked scores at the block's first row and ``st``
+    ``s[:p]`` holds the exact scores at the block's first row and ``st``
     the block's steps; see the module docstring for the bound and its slack.
     """
     m = st.shape[0]
@@ -170,7 +175,7 @@ def _flush(x, a, b, scratch, p, st):
     Row ``r`` of the block did ``x[:p_r] -= eta_r a[:p_r]; x[p_r] += eta_r
     b[p_r]``.  ``np.subtract.reduce`` along axis 0 folds one column's terms
     in row order (subtract does not reorder), so every coordinate sees the
-    same float operations as in the per-step loop.  Columns go through the
+    same float operations as in exact steps.  Columns go through the
     fixed ``scratch`` buffer in chunks.  Returns ``p`` at each row (the
     argmax trace) and after the block.
     """
@@ -208,8 +213,9 @@ def maxlinear_descent(a: np.ndarray, b: np.ndarray, eta: np.ndarray, snap_times:
     indices (in ``1..T``) to copy out.  Returns
     ``(errors, argmax_trace, max_norm, projection_hits, snapshots, fault_step)``
     where ``fault_step < 0`` means no numeric fault occurred.  Non-finite
-    weights fault at step 0.  ``max_norm`` comes from the tracked
-    ``||x||^2``, exact wherever it decides a projection.
+    weights fault at step 0.  ``max_norm`` is the largest ``sqrt(np.dot(x,
+    x))`` after an exact step's update, or the largest tracked norm in a
+    block, within rounding of the exact one.
     """
     a = np.ascontiguousarray(a, dtype=np.float64)
     b = np.ascontiguousarray(b, dtype=np.float64)
@@ -229,9 +235,9 @@ def maxlinear_descent(a: np.ndarray, b: np.ndarray, eta: np.ndarray, snap_times:
         return errors, trace, 0.0, 0, snaps, 0
 
     x = np.zeros(dim)
-    s = np.empty(dim)  # tracked scores of the touched prefix
+    s = np.empty(dim)  # exact scores of the touched prefix
     buf = np.empty(dim)  # products and prefix sums
-    with np.errstate(all="ignore"):  # huge weights overflow here, but then every == 1
+    with np.errstate(all="ignore"):  # huge weights overflow here, but then blocks are off
         np.multiply(a, a, out=buf)
         s[0] = 0.0
         np.cumsum(buf[: dim - 1], out=s[1:])  # A2
@@ -242,131 +248,67 @@ def maxlinear_descent(a: np.ndarray, b: np.ndarray, eta: np.ndarray, snap_times:
         D = max(float(d.max()), float(np.abs(u).max()))
     w = max(float(np.abs(a[: dim - 1]).max(initial=0.0)), float(np.abs(b).max()))
     # With G below 2^200 no score, iterate entry, ||x||^2 or tracked
-    # increment can overflow (each is at most G^4), so only a recompute can
-    # see a fault.  Otherwise every step recomputes, like a plain kernel.
+    # increment can overflow (each is at most G^4); otherwise no block runs.
     G = (dim + 1.0) * (1.0 + w) * (1.0 + float(np.abs(eta).sum()))
-    every = RECOMPUTE_EVERY if G <= 2.0**200 else 1
-    # Between recomputes a tracked score differs from the recomputed one by
-    # at most tol = coef * (2 R ||x|| + 3 D sum|eta|), with ||x|| and the sum
-    # taken since the last recompute: both sides carry a sequential-sum error
-    # of dim roundings of terms below R ||x||, and each tracked step adds a
-    # few roundings of terms below eta D.  nerr bounds ||x||^2 the same way.
-    # The constants are generous: the bounds only decide when to recompute.
-    coef = 8.0 * (dim + 2 * RECOMPUTE_EVERY) * _EPS
+    longest = _BLOCK_STEPS if G <= 2.0**200 else 0
+    coef = 8.0 * (dim + 2 * _BLOCK_STEPS) * _EPS  # see the module docstring
     R = math.sqrt(D)
 
     # p <= T < dim: a step touches at most one fresh coordinate
     p = 0  # x[k] == 0 for every k >= p
-    sfx = 0.0  # the tied score of every k >= p
-    nsq = 0.0  # ||x||^2
     max_norm = 0.0
     hits = 0
     fault = -1
     spos = 0
     next_snap = int(snap_times[0]) if snap_times.shape[0] else -1
-    due = 0  # the next exact recompute: a schedule, t = T, a snapshot or a projection
-    base = tol = nerr = 0.0
-    eta_acc = 0.0
-    multiply, subtract, add = np.multiply, np.subtract, np.add
     eta_v, u_v, d_v = memoryview(eta), memoryview(u), memoryview(d)
     scratch = np.empty((_BLOCK_STEPS + 1, min(_FLUSH_COLS, dim)))  # the flush's fixed buffer
-    block_from = 0  # no block is tried before this step
     t = 0
     while True:
-        if (
-            block_from <= t < due
-            and p > 0
-            and every > 1
-            and due - t <= _BLOCK_STEPS
-            and not 0 < next_snap < due
-        ):
-            rows = _block(t, due, p, sfx, nsq, nerr, eta_acc, tol, base, coef, D, eta_v, u_v, d_v)
-            st = eta[t:due]
-            if rows is not None and _certified(s, u, buf, p, D, st, *rows[:3]):
-                trace[t:due], p = _flush(x, a, b, scratch, p, st)
-                errors[t - 1 : due - 1] = rows[0]
-                nrm = math.sqrt(max(rows[3], 0.0))  # sqrt is monotone: the per-step maximum
-                if nrm > max_norm:
-                    max_norm = nrm
-                t = due  # which recomputes every score from x
-                if t == next_snap:
-                    snaps[spos] = x
-                    spos += 1
-                    next_snap = int(snap_times[spos]) if spos < snap_times.shape[0] else -1
-                continue
-            block_from = due  # the per-step loop runs this interval
-        i = -1
-        if t < due:
-            # the tracked argmax, unless a rival lies within the error bound
-            gap = 2.0 * tol
-            if p == 0:
-                i, fv = 0, sfx
-            else:
-                j = int(s[:p].argmax())
-                top = float(s[j])
-                if sfx - top > gap:
-                    i, fv = p, sfx
-                elif top - sfx > gap and np.count_nonzero(s[:p] >= top - gap) == 1:
-                    i, fv = j, top
-        if i < 0:
-            _exact_scores(a, b, x, p + 1, s, buf)
-            i = int(s[: p + 1].argmax())
-            fv = float(s[i])
+        _exact_scores(a, b, x, p + 1, s, buf)
+        end = min(t + longest, T)
+        if 0 < next_snap < end:
+            end = next_snap
+        certified = False
+        if p > 0 and end > t:
             sfx = float(s[p])
             nsq = float(np.dot(x, x))
             base = 2.0 * R * math.sqrt(nsq)
-            eta_acc = 0.0
-            nerr = coef * nsq
-            tol = coef * base
-            due = min(t + every, T)
-        trace[t] = i
-        if t >= 1:
-            errors[t - 1] = fv
-        if not math.isfinite(fv):
-            fault = t
-            break
-        if t == T:
-            break
-        step = float(eta[t])
-        # x[:i] -= step * a[:i], without a temporary
-        xi, bi = x[:i], buf[:i]
-        multiply(a[:i], step, bi)
-        subtract(xi, bi, xi)
-        x[i] += step * b[i]
-        di = float(d[i])
-        if step != 0.0:
-            if every > 1:
-                si = s[:i]
-                multiply(u[:i], step, bi)
-                add(si, bi, si)
-                if i == p:
-                    s[p] = sfx - step * di
-                else:
-                    s[i] -= step * di
-                    s[i + 1 : p] += step * u[i]
-                sfx += step * float(u[i])
-            if i == p:
+            rows = _block(t, end, p, sfx, nsq, coef * nsq, 0.0, coef * base, base, coef, D, eta_v, u_v, d_v)
+            st = eta[t:end]
+            certified = rows is not None and _certified(s, u, buf, p, D, st, *rows[:3])
+        if certified:
+            trace[t:end], p = _flush(x, a, b, scratch, p, st)
+            errors[t - 1 : end - 1] = rows[0]
+            max_norm = max(max_norm, math.sqrt(max(rows[3], 0.0)))  # sqrt is monotone
+            t = end
+        else:  # an exact step
+            i = int(s[: p + 1].argmax())
+            fv = float(s[i])
+            trace[t] = i
+            if t >= 1:
+                errors[t - 1] = fv
+            if not math.isfinite(fv):
+                fault = t
+                break
+            if t == T:
+                break
+            step = float(eta[t])
+            # x[:i] -= step * a[:i], without a temporary
+            np.multiply(a[:i], step, out=buf[:i])
+            np.subtract(x[:i], buf[:i], out=x[:i])
+            x[i] += step * b[i]
+            if i == p and step != 0.0:
                 p += 1
-        # ||x||^2 and its error bound, then the bound on tracked scores
-        nerr += 4.0 * abs(step) * tol + coef * (abs(nsq) + 2.0 * abs(step * fv) + step * step * D)
-        nsq = nsq - 2.0 * step * fv + step * step * di
-        eta_acc += abs(step)
-        tol = coef * (base + 3.0 * D * eta_acc)
-        if every == 1 or abs(nsq - 1.0) <= 1e-9 + nerr + coef * abs(nsq):
             nsq = float(np.dot(x, x))
-            nerr = coef * nsq
-        nrm = math.sqrt(max(nsq, 0.0))
-        if nrm > max_norm:
-            max_norm = nrm
-        if nsq > 1.0:
-            hits += 1
-            nsq = float(np.dot(x, x))
-            x /= math.sqrt(nsq)
-            due = t + 1
-        if t + 1 == next_snap:
+            nrm = math.sqrt(nsq)
+            max_norm = max(max_norm, nrm)  # a NaN norm leaves max_norm unchanged
+            if nsq > 1.0:
+                hits += 1
+                x /= nrm
+            t += 1
+        if t == next_snap:
             snaps[spos] = x
             spos += 1
-            due = t + 1
             next_snap = int(snap_times[spos]) if spos < snap_times.shape[0] else -1
-        t += 1
     return errors, trace, max_norm, hits, snaps, fault

@@ -5,7 +5,7 @@ from the instance's deterministic subgradient oracle.  :func:`run` has
 three paths:
 
 * the kernel path: instances carrying ``kernel_data`` run through the
-  incremental numpy kernel in ``_kernels``;
+  prefix-only numpy kernel with certified blocks in ``_kernels``;
 * the scalar path: 1-d instances carrying a ``scalar`` hook run through
   :func:`scalar_descent` on Python floats;
 * the generic path: a numpy loop over the instance's array oracles, taken
@@ -18,7 +18,8 @@ operations in the same order, so its errors, snapshots, projection count
 and ``max_norm_seen`` equal the generic path's bit for bit.  The kernel's
 iterates, snapshots, projection count and its errors at snapshot times and
 at ``t = T`` equal those of a full score recompute each step bit for bit;
-its other per-step errors agree to rounding.
+inside its certified blocks the other errors and ``max_norm_seen`` are
+tracked, and agree to rounding.
 """
 
 from __future__ import annotations

@@ -2,9 +2,9 @@
 stopping-time density measurement, and the end-to-end bound chain replay.
 
 Work items (one per family/horizon pair) are pure functions of the
-experiment spec, so they may run on a thread pool; results are merged in
-sorted order, making every report deterministic and independent of the
-parallelism width.
+experiment spec; they run in order on the calling thread and results are
+merged in sorted order, so every report is deterministic and does not
+depend on ``workers``.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 
 from . import bounds as bnd
 from . import instances as inst
-from .engine import RunRecord, run
+from .engine import ConvexInstance, RunRecord, run
 from .errors import ConstructionError, InvalidParameterError
 from .schedules import StepSchedule
 
@@ -317,7 +317,7 @@ class DensityTable:
     mode: str  # "single-run" or "per-t"
     rows: list[dict]
     profiles: dict[int, np.ndarray]
-    builds: int = 0  # per-t builds attempted
+    builds: int = 0  # per-t builds attempted, one per distinct t
     skipped: list[tuple[int, str]] = field(default_factory=list)  # (t, reason) per skipped build
 
     def write_csv(self, path: str, header: str | None = None) -> None:
@@ -347,10 +347,11 @@ def density_experiment(
 
     In single-run mode one instance per horizon ``T`` is simulated and all
     intermediate errors are read off: this profiles one fixed objective.
-    With ``per_t=True`` a fresh instance targeted at each ``t <= T`` is
-    built and only its final error used, matching the worst-case
-    quantifier order at cubic cost.  Both modes share the ``t = T`` value
-    exactly.
+    With ``per_t=True`` a fresh instance targeted at each ``t`` is built
+    and only its final error used, matching the worst-case quantifier order
+    at cubic cost; each ``t`` up to the largest horizon runs once, and every
+    horizon reads its prefix of these errors.  Both modes share the ``t =
+    T`` value exactly.
     """
     spec.validate()
     if len(spec.families) != 1:
@@ -361,23 +362,22 @@ def density_experiment(
     if not thresholds:
         raise InvalidParameterError("density experiments need at least one threshold")
 
-    skipped: list[tuple[int, str]] = []
+    def build(t: int) -> ConvexInstance:
+        return _BUILDERS[family](spec.schedule, t, phi, spec.shrink).convex
 
-    def profile(T: int) -> np.ndarray:
-        if not per_t:
-            built = _BUILDERS[family](spec.schedule, T, phi, spec.shrink)
-            return run(built.convex, spec.schedule, T).errors
-        errs = np.full(T, np.nan)
-        for t in range(1, T + 1):
+    horizons = [int(T) for T in spec.horizons]
+    skipped: list[tuple[int, str]] = []
+    if per_t:
+        # the build for t does not depend on T: run each t once, share the prefixes
+        errs = np.full(max(horizons), np.nan)
+        for t in range(1, errs.shape[0] + 1):
             try:
-                built = _BUILDERS[family](spec.schedule, t, phi, spec.shrink)
+                errs[t - 1] = run(build(t), spec.schedule, t).error_at(t)
             except ConstructionError as exc:
                 skipped.append((t, str(exc)))
-                continue
-            errs[t - 1] = run(built.convex, spec.schedule, t).error_at(t)
-        return errs
-
-    profiles = _map_tasks(profile, [int(T) for T in spec.horizons], int(spec.workers))
+        profiles = {T: errs[:T] for T in horizons}
+    else:
+        profiles = _map_tasks(lambda T: run(build(T), spec.schedule, T).errors, horizons, int(spec.workers))
     rows = []
     for T in sorted(profiles):
         errs = profiles[T]
@@ -391,7 +391,7 @@ def density_experiment(
         mode="per-t" if per_t else "single-run",
         rows=rows,
         profiles=profiles,
-        builds=sum(profiles) if per_t else 0,
+        builds=max(horizons) if per_t else 0,
         skipped=skipped,
     )
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from stepaudit import bounds as bnd
+from stepaudit import harness
 from stepaudit import schedules as sched
 from stepaudit.errors import InvalidParameterError
 from stepaudit.harness import (
@@ -170,6 +171,21 @@ class TestDensity:
         single = density_experiment(spec, [0.0])
         per_t = density_experiment(spec, [0.0], per_t=True)
         assert single.profiles[48][47] == per_t.profiles[48][47]
+
+    def test_per_t_runs_each_t_once(self, monkeypatch):
+        # the build for t does not depend on T: all horizons share one run per t
+        targets = []
+        build = harness._BUILDERS["maxlinear"]
+        monkeypatch.setitem(harness._BUILDERS, "maxlinear", lambda s, t, *rest: targets.append(t) or build(s, t, *rest))
+        table = density_experiment(make_spec(horizons=[8, 16]), [0.0], per_t=True)
+        assert targets == list(range(1, 17))
+        assert table.builds == 16
+        assert table.profiles[8].tobytes() == table.profiles[16][:8].tobytes()
+        # zero steps admit no vshape: each distinct t is skipped once
+        spec = make_spec(schedule=sched.constant(0), horizons=[4, 8], families=("vshape",))
+        table = density_experiment(spec, [0.0], per_t=True)
+        assert table.builds == 8
+        assert [t for t, _ in table.skipped] == list(range(1, 9))
 
     def test_requires_single_family(self):
         spec = make_spec(families=("maxlinear", "vshape"))
