@@ -71,7 +71,10 @@ original order (see ``_flush``), so its trace, iterates and snapshots are
 bitwise those of exact steps.  Its errors are the tracked ``sfx_r``, within
 ``tol_r`` of the exact ones; the first is the exact recomputed score.  If
 the loop gives up, a score or ``Z`` is not finite, a step is negative, or
-the certificate fails, nothing is written and one exact step runs.  With
+the certificate fails, nothing is written and one exact step runs.  After
+a failed certificate (a rival coordinate may keep winning), no block is
+tried again before the next row that is a multiple of ``_BLOCK_STEPS``, so
+a run tries at most one failing block per ``_BLOCK_STEPS`` rows.  With
 ``_BLOCK_STEPS = 0``, or when a weight or step sum is so large that a
 tracked value could overflow, every step is exact.
 """
@@ -264,19 +267,23 @@ def maxlinear_descent(a: np.ndarray, b: np.ndarray, eta: np.ndarray, snap_times:
     eta_v, u_v, d_v = memoryview(eta), memoryview(u), memoryview(d)
     scratch = np.empty((_BLOCK_STEPS + 1, min(_FLUSH_COLS, dim)))  # the flush's fixed buffer
     t = 0
+    retry = 0  # the first row at which a block may be tried
     while True:
         _exact_scores(a, b, x, p + 1, s, buf)
         end = min(t + longest, T)
         if 0 < next_snap < end:
             end = next_snap
         certified = False
-        if p > 0 and end > t:
+        if p > 0 and end > t and t >= retry:
             sfx = float(s[p])
             nsq = float(np.dot(x, x))
             base = 2.0 * R * math.sqrt(nsq)
             rows = _block(t, end, p, sfx, nsq, coef * nsq, 0.0, coef * base, base, coef, D, eta_v, u_v, d_v)
             st = eta[t:end]
-            certified = rows is not None and _certified(s, u, buf, p, D, st, *rows[:3])
+            if rows is not None:
+                certified = _certified(s, u, buf, p, D, st, *rows[:3])
+                if not certified:  # a rival wins: exact steps up to the next multiple of longest
+                    retry = t - t % longest + longest
         if certified:
             trace[t:end], p = _flush(x, a, b, scratch, p, st)
             errors[t - 1 : end - 1] = rows[0]

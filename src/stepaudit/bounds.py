@@ -34,7 +34,6 @@ __all__ = [
     "averaged_quartic_floor",
     "tail_cutoff",
     "envelope_floor",
-    "step_sum_upper",
     "l1_l2_gap",
     "empirical_envelope",
     "validate_envelope",
@@ -60,6 +59,21 @@ class GuaranteeEnvelope:
         if not math.isfinite(value):
             raise InvalidParameterError(f"envelope {self.label} is not finite at t={t}")
         return value
+
+    def values(self, ts: range) -> np.ndarray:
+        """``[phi(t) for t in ts]`` as a float64 array, bit for bit.
+
+        ``ts`` is a range of steps ``t >= 1``.  Every value comes from the
+        same scalar evaluator as ``__call__``, and the same finiteness check
+        names the first ``t`` whose value is not finite.
+        """
+        if len(ts) and min(ts[0], ts[-1]) < 1:
+            raise InvalidParameterError("envelopes are defined for t >= 1")
+        vals = np.fromiter(map(self._evaluator, ts), np.float64, len(ts))
+        bad = ~np.isfinite(vals)
+        if bad.any():
+            raise InvalidParameterError(f"envelope {self.label} is not finite at t={ts[int(bad.argmax())]}")
+        return vals
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"GuaranteeEnvelope({self.label!r})"
@@ -133,12 +147,13 @@ def step_sum_bound(schedule: StepSchedule, t: int) -> float | None:
     return 1.0 / (4.0 * math.exp(2.0) * S)
 
 
-def maxlinear_bound(schedule: StepSchedule, t: int, phi: GuaranteeEnvelope) -> float:
+def maxlinear_bound(schedule: StepSchedule, t: int, phi: GuaranteeEnvelope) -> float | None:
     """High-dimensional error floor from the max-of-linear construction.
 
     Evaluates ``sum_{j<t} min(1, eta_j sqrt(t+1))^2 / (t+1-j)`` scaled by
     ``1 / (64 phi(t+1) sqrt(t+1))``; algebraically equal to half the
-    weighted step sum certified by the built instance.
+    weighted step sum certified by the built instance.  Returns ``None``
+    where ``phi(t+1)`` is not positive and the scale is undefined.
     """
     t = int(t)
     if t < 1:
@@ -147,7 +162,10 @@ def maxlinear_bound(schedule: StepSchedule, t: int, phi: GuaranteeEnvelope) -> f
     root = math.sqrt(t + 1.0)
     j = np.arange(t, dtype=np.float64)
     terms = np.minimum(1.0, eta * root) ** 2 / (t + 1.0 - j)
-    return float(np.sum(terms)) / (64.0 * phi(t + 1) * root)
+    p = phi(t + 1)
+    if not p > 0.0:
+        return None
+    return float(np.sum(terms)) / (64.0 * p * root)
 
 
 def quartic_floor(schedule: StepSchedule, t: int, shifted: bool = False) -> float:
@@ -187,14 +205,18 @@ def tail_cutoff(T: int, phi: GuaranteeEnvelope) -> int | None:
     """Warmup cutoff ``floor((T/2+1) / (256 e^4 phi(T/2+1)^2)) - 1``.
 
     Returns ``None`` when the cutoff falls below 1 (horizon too small for
-    the tail argument to engage).
+    the tail argument to engage), or past ``T/2``, where the tail segment
+    ``[t1, T/2]`` is empty: only an envelope below 1 puts it there.
     """
     T = int(T)
     if T < 2:
         raise InvalidParameterError("cutoff selection needs T >= 2")
     half = T // 2
     p = phi(half + 1)
-    t1 = math.floor((half + 1.0) / (256.0 * math.exp(4.0) * p * p)) - 1
+    denom = 256.0 * math.exp(4.0) * p * p
+    if not denom > 0.0 or not (half + 1.0) / denom < half + 2.0:
+        return None
+    t1 = math.floor((half + 1.0) / denom) - 1
     return t1 if t1 >= 1 else None
 
 
@@ -221,23 +243,6 @@ class StepSumCheck:
     lhs: float
     rhs: float
     passed: bool
-
-
-def step_sum_upper(
-    schedule: StepSchedule, t1: int, t2: int, phi: GuaranteeEnvelope
-) -> StepSumCheck:
-    """Check ``sum_{j=t1}^{t2} eta_j <= 2 phi(t2+1) (sqrt(t2) - sqrt(t1))``.
-
-    A failure signals that ``phi`` is not a valid envelope for the
-    schedule on that range.
-    """
-    t1 = int(t1)
-    t2 = int(t2)
-    if not 1 <= t1 < t2:
-        raise InvalidParameterError("need 1 <= t1 < t2")
-    lhs = schedule.prefix_sum(t2 + 1) - schedule.prefix_sum(t1)
-    rhs = 2.0 * phi(t2 + 1) * (math.sqrt(t2) - math.sqrt(t1))
-    return StepSumCheck(lhs=lhs, rhs=rhs, passed=lhs <= rhs + 1e-12)
 
 
 def l1_l2_gap(values: Sequence[float] | np.ndarray) -> StepSumCheck:
@@ -312,6 +317,7 @@ def validate_envelope(
     phi: GuaranteeEnvelope,
     records: Iterable = (),
     t_max: int = 1024,
+    phi_values: np.ndarray | None = None,
 ) -> EnvelopeReport:
     """Check the conditions any true envelope must satisfy.
 
@@ -319,12 +325,18 @@ def validate_envelope(
     step condition ``phi(t+1) >= eta_t sqrt(t+1)`` forced by the
     single-step floor; and ``phi(t) >= sqrt(t) err(t)`` against every
     recorded error.  Failures are report entries, never exceptions.
+    ``phi_values``, when given, holds ``phi.values(range(1, n + 1))`` for
+    some ``n``; ``phi`` is evaluated again only if the checks need more.
     """
     t_max = int(t_max)
     if t_max < 1:
         raise InvalidParameterError("t_max must be >= 1")
+    records = list(records)
+    n = max([t_max + 1] + [r.horizon for r in records])
+    if phi_values is None or phi_values.shape[0] < n:
+        phi_values = phi.values(range(1, n + 1))
     failures: list[str] = []
-    vals = np.array([phi(t) for t in range(1, t_max + 2)])
+    vals = phi_values[: t_max + 1]
     ge_one = bool(np.all(vals >= 1.0))
     if not ge_one:
         t_bad = int(np.argmax(vals < 1.0)) + 1
@@ -346,7 +358,7 @@ def validate_envelope(
     for r in records:
         ts = np.arange(1, r.horizon + 1, dtype=np.float64)
         measured = np.sqrt(ts) * r.errors
-        phivals = np.array([phi(t) for t in range(1, r.horizon + 1)])
+        phivals = phi_values[: r.horizon]
         bad = measured > phivals
         if np.any(bad):
             records_ok = False

@@ -44,11 +44,14 @@ _DEFAULTS = {
     "shrink": 1e-6,
     "per_t": False,
     "dump_instances": False,
+    "rows": False,
 }
 
 
 # the type a config-file value converts to; every other field is a string
-_FIELD_TYPES = {"T": int, "workers": int, "seed": int, "shrink": float, "per_t": bool, "dump_instances": bool}
+_FIELD_TYPES = {
+    "T": int, "workers": int, "seed": int, "shrink": float, "per_t": bool, "dump_instances": bool, "rows": bool,
+}
 
 
 class UsageError(Exception):
@@ -318,7 +321,7 @@ def cmd_bounds(config: dict) -> int:
         rows=[bnd.bound_row(spec.schedule, t, phi) for t in horizons],
     )
     report.write_csv(out / "bound_report.csv", header=_header(config))
-    chain = chain_check(spec.schedule, phi, T)
+    chain = chain_check(spec.schedule, phi, T, rows=bool(config.get("rows")))
     _write_json(out / "chain_report.json", chain.to_dict(), config)
     line = f"bounds: chain {'passed' if chain.passed else 'FAILED'}"
     if chain.inconclusive:
@@ -371,6 +374,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bounds", help="analytic bound table and proof-chain replay (no simulation)")
     common(p)
+    p.add_argument("--rows", action="store_true", default=None,
+                   help="write every quartic_floor row to chain_report.json, not one summary step")
     return parser
 
 

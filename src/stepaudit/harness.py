@@ -508,62 +508,95 @@ def _fourth_power(p: float) -> float:
         return math.inf
 
 
-def chain_check(
-    schedule: StepSchedule,
-    phi: bnd.GuaranteeEnvelope,
-    T: int,
-    tolerances: Tolerances | None = None,
-) -> ChainReport:
-    """Numerically replay the lower-bound argument for an even horizon.
+def _quartic_steps(
+    schedule: StepSchedule, phis: np.ndarray, profile: np.ndarray, conv_err: float, rows: bool
+) -> list[dict]:
+    """Decide ``phi(t+1)^4 >= quartic_floor(t)`` at every ``t <= T``, as arrays.
 
-    Checks, step by step: the quartic floor at every ``t <= T`` (from the
-    FFT profile; a row within the profile's error bound of its threshold
-    is decided by the exact per-horizon sum and carries ``rhs_exact``);
-    the averaging identity, whose closed form is compared with the
-    profile's time average under the derived ``oracle_error_bound`` (pass
-    or fail only where that bound settles it, otherwise inconclusive); the
-    l1/l2 step on the tail segment; the tail step-sum floor and the cutoff
-    margin (reported as inconclusive when the cutoff does not engage at
-    this horizon); and the final envelope floor.  Each entry reports lhs,
-    rhs, and a status.
+    ``phis[t-1]`` holds ``phi(t)`` for ``t <= T + 1`` and ``profile`` the FFT
+    rows with their error bound ``conv_err`` (see ``_quartic_profile``).  A
+    row whose slack lies within its error bound of zero, or is NaN, is
+    decided by the exact per-horizon sum instead.  Every value is the
+    elementwise IEEE result of the scalar loop, bit for bit.  Returns one
+    ``quartic_floor`` summary step, or with ``rows`` one step per row, then
+    ``quartic_floor_worst``: the tightest row re-evaluated exactly.
     """
-    T = int(T)
-    if T < 4 or T % 2 != 0:
-        raise InvalidParameterError("chain check requires even T >= 4")
-    tol = tolerances or Tolerances()
-    validation = bnd.validate_envelope(schedule, phi, t_max=T).to_dict()
-    steps: list[dict] = []
-    inconclusive: list[str] = []
-
-    # every slack may be +inf (phi^4 overflows), so row 1 is the fallback
-    worst, worst_t = math.inf, 1
-    profile, conv_err = _quartic_profile(schedule, T)
-    for t in range(1, T + 1):
-        lhs = _fourth_power(phi(t + 1))
-        rhs = float(profile[t - 1])
-        slack = lhs - rhs
-        row = {"step": "quartic_floor", "t": t, "lhs": lhs, "rhs": rhs}
-        if abs(slack) > conv_err / 128.0 + 4.0 * _U * rhs:  # the row's error bound
-            passed = slack > 0
-        else:
-            # too close for the FFT value: decide by the exact per-horizon sum
-            row["rhs_exact"] = bnd.quartic_floor(schedule, t)
-            passed = lhs >= row["rhs_exact"]
-        row["status"] = "pass" if passed else "fail"
-        steps.append(row)
-        if slack < worst:
-            worst, worst_t = slack, t
-    # re-evaluate the tightest row with the exact per-horizon sum
+    T = profile.shape[0]
+    # a float ``**`` (not numpy's pow, whose last bit can differ) raises on overflow
+    try:
+        lhs = [v**4 for v in phis[1:].tolist()]
+    except OverflowError:
+        lhs = [_fourth_power(v) for v in phis[1:].tolist()]
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, as for Python floats
+        slack = np.array(lhs) - profile
+        decided = np.abs(slack) > conv_err / 128.0 + 4.0 * _U * profile
+    passed = decided & (slack > 0)
+    exact = {}  # row t -> its exact sum, where the FFT value is too close to call
+    for t in (np.flatnonzero(~decided) + 1).tolist():
+        exact[t] = bnd.quartic_floor(schedule, t)
+        passed[t - 1] = lhs[t - 1] >= exact[t]
+    if rows:
+        steps = []
+        for t, (l, r, ok) in enumerate(zip(lhs, profile.tolist(), passed.tolist()), start=1):
+            row = {"step": "quartic_floor", "t": t, "lhs": l, "rhs": r}
+            if t in exact:
+                row["rhs_exact"] = exact[t]
+            row["status"] = "pass" if ok else "fail"
+            steps.append(row)
+    else:
+        failed = T - int(np.count_nonzero(passed))
+        summary = {"step": "quartic_floor", "rows": T, "failed": failed, "decided_exactly": len(exact)}
+        summary["status"] = "fail" if failed else "pass"
+        if failed:
+            summary["t"] = int(np.argmin(passed)) + 1
+        steps = [summary]
+    # the first smallest slack, NaN never; when every slack is +inf (phi^4
+    # overflows), row 1
+    worst_t = int(np.argmin(np.where(np.isnan(slack), np.inf, slack))) + 1
     exact_rhs = bnd.quartic_floor(schedule, worst_t)
     steps.append(
         {
             "step": "quartic_floor_worst",
             "t": worst_t,
-            "slack": _fourth_power(phi(worst_t + 1)) - exact_rhs,
+            "slack": lhs[worst_t - 1] - exact_rhs,
             "rhs_exact": exact_rhs,
             "status": "info",
         }
     )
+    return steps
+
+
+def chain_check(
+    schedule: StepSchedule,
+    phi: bnd.GuaranteeEnvelope,
+    T: int,
+    tolerances: Tolerances | None = None,
+    rows: bool = False,
+) -> ChainReport:
+    """Numerically replay the lower-bound argument for an even horizon.
+
+    Checks, step by step: the quartic floor at every ``t <= T`` (from the
+    FFT profile; a row within the profile's error bound of its threshold
+    is decided by the exact per-horizon sum), reported as one summary step
+    with the count of failed rows, the count decided exactly and the first
+    failing ``t``, or with ``rows`` as one step per row (``rhs_exact`` on
+    the rows decided exactly); the averaging identity, whose closed form
+    is compared with the profile's time average under the derived
+    ``oracle_error_bound`` (pass or fail only where that bound settles it,
+    otherwise inconclusive); the l1/l2 step on the tail segment; the tail
+    step-sum floor and the cutoff margin (reported as inconclusive when
+    the cutoff does not engage at this horizon); and the final envelope
+    floor.  Each entry reports its sides and a status.
+    """
+    T = int(T)
+    if T < 4 or T % 2 != 0:
+        raise InvalidParameterError("chain check requires even T >= 4")
+    tol = tolerances or Tolerances()
+    phis = phi.values(range(1, T + 2))
+    validation = bnd.validate_envelope(schedule, phi, t_max=T, phi_values=phis).to_dict()
+    inconclusive: list[str] = []
+    profile, conv_err = _quartic_profile(schedule, T)
+    steps = _quartic_steps(schedule, phis, profile, conv_err, rows)
 
     # the oracle is the profile's time average (a correctly rounded fsum);
     # it errs by at most oracle_err, and a verdict that bound cannot settle
@@ -618,13 +651,13 @@ def chain_check(
         }
     )
 
-    p_half = phi(half + 1)
-    lower = math.sqrt(half + 1.0) / (4.0 * math.exp(2.0) * p_half)
     if t1 is None:
         inconclusive.extend(["tail_sum_floor", "cutoff_margin"])
         steps.append({"step": "tail_sum_floor", "status": "inconclusive at this T"})
         steps.append({"step": "cutoff_margin", "status": "inconclusive at this T"})
     else:
+        p_half = phi(half + 1)
+        lower = math.sqrt(half + 1.0) / (4.0 * math.exp(2.0) * p_half)
         tail = schedule.prefix_sum(half + 1) - schedule.prefix_sum(t1)
         target = lower - 2.0 * phi(t1) * math.sqrt(t1 + 1.0)
         steps.append(

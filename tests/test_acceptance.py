@@ -145,7 +145,9 @@ def test_criterion_6_envelope_consistency():
     for _ in range(50):
         t1 = int(rng.integers(1, 9_999))
         t2 = int(rng.integers(t1 + 1, 10_001))
-        sums_ok &= bnd.step_sum_upper(SQRT21, t1, t2, PHI).passed
+        # sum_{j=t1}^{t2} eta_j <= 2 phi(t2+1) (sqrt(t2) - sqrt(t1))
+        total = SQRT21.prefix_sum(t2 + 1) - SQRT21.prefix_sum(t1)
+        sums_ok &= total <= 2.0 * PHI(t2 + 1) * (math.sqrt(t2) - math.sqrt(t1)) + 1e-12
     ok = quartic_ok and measured_ok and sums_ok
     report(
         6,

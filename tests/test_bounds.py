@@ -178,26 +178,6 @@ class TestCutoffAndFloor:
         assert values == sorted(values)
 
 
-class TestStepSumUpper:
-    def test_zero_schedule_passes(self):
-        check = bnd.step_sum_upper(sched.constant(0), 3, 9, bnd.constant_envelope(1))
-        assert check.lhs == 0.0 and check.passed
-
-    def test_known_envelope_passes(self):
-        check = bnd.step_sum_upper(sched.sqrt_decay(2, 1), 4, 16, bnd.log_envelope())
-        assert check.passed
-
-    def test_invalid_envelope_fails(self):
-        check = bnd.step_sum_upper(sched.constant(10), 1, 2, bnd.constant_envelope(1))
-        assert not check.passed
-        assert check.lhs == 20.0
-        assert check.rhs == pytest.approx(2 * (math.sqrt(2) - 1), rel=1e-15)
-
-    def test_bad_range(self):
-        with pytest.raises(InvalidParameterError):
-            bnd.step_sum_upper(sched.constant(1), 3, 3, bnd.constant_envelope(1))
-
-
 def test_l1_l2_equality_case():
     check = bnd.l1_l2_gap([1.0, 1.0, 1.0, 1.0])
     assert check.lhs == 4.0 and check.rhs == 4.0 and check.passed
@@ -244,6 +224,30 @@ class TestEmpiricalEnvelope:
             assert phi_hat(t) <= phi_known(t)
 
 
+_errors = st.lists(
+    st.one_of(st.just(0.0), st.floats(-1.0, 1.0), st.floats(-8.0, 3.0).map(lambda e: 10.0**e)),
+    min_size=1,
+    max_size=80,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_errors, min_size=1, max_size=4))
+def test_empirical_envelope_is_at_least_one_and_non_decreasing(runs):
+    records = [_record(errors) for errors in runs]
+    phi = bnd.empirical_envelope(records)
+    horizon = max(len(errors) for errors in runs)
+    ts = range(1, horizon + 6)  # past the recorded range it extends flat
+    vals = phi.values(ts)
+    assert np.all(vals >= 1.0)
+    assert np.all(np.diff(vals) >= 0.0)
+    assert vals[-1] == vals[horizon - 1]
+    # it dominates every scaled measurement up to t
+    for errors in runs:
+        scaled = np.sqrt(np.arange(1, len(errors) + 1)) * np.asarray(errors)
+        assert np.all(vals[: len(errors)] >= scaled)
+
+
 class TestValidateEnvelope:
     def test_known_pair_passes(self):
         rep = bnd.validate_envelope(sched.sqrt_decay(2, 1), bnd.log_envelope(), t_max=512)
@@ -258,6 +262,17 @@ class TestValidateEnvelope:
         phi = bnd.GuaranteeEnvelope(lambda t: 2.0 if t < 5 else 1.5, label="dip")
         rep = bnd.validate_envelope(sched.constant(0), phi, t_max=16)
         assert not rep.monotone_ok
+
+    def test_checks_reach_t_max_plus_one(self):
+        # phi(t_max + 1) enters the monotone check; precomputed values are not evaluated again
+        calls = []
+        phi = bnd.GuaranteeEnvelope(lambda t: calls.append(t) or (2.0 if t <= 16 else 1.5), label="late dip")
+        values = phi.values(range(1, 18))
+        calls.clear()
+        assert not bnd.validate_envelope(sched.constant(0), phi, t_max=16, phi_values=values).monotone_ok
+        assert calls == []
+        assert not bnd.validate_envelope(sched.constant(0), phi, t_max=16).monotone_ok
+        assert calls == list(range(1, 18))
 
     def test_below_one_failure(self):
         phi = bnd.GuaranteeEnvelope(lambda t: 0.9, label="low")

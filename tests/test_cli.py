@@ -6,6 +6,8 @@ import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import stepaudit
 from stepaudit import __version__
@@ -241,6 +243,16 @@ class TestBoundsCommand:
             assert code == 1
             assert reason in capsys.readouterr().out.splitlines()[-1]
 
+    @pytest.mark.parametrize("phi", ["log:offset=0,coef=0", "log:offset=1e-200,coef=0", "log:offset=1e-100,coef=0"])
+    def test_envelope_near_zero_fails_the_chain(self, tmp_path, capsys, phi):
+        # floors divide by phi: zero once raised, and a tiny phi put the
+        # tail cutoff far past T/2
+        assert run_cli("bounds", "--phi", phi, "--T", "8", "--out", str(tmp_path)) == 1
+        chain = json.loads((tmp_path / "chain_report.json").read_text())
+        assert chain["validation"]["ge_one_ok"] is False
+        assert set(chain["inconclusive"]) == {"tail_sum_floor", "cutoff_margin"}
+        assert "first failing step quartic_floor at t=2" in capsys.readouterr().out
+
 
 class TestConfigResolution:
     def test_config_file_supplies_values(self, tmp_path):
@@ -334,3 +346,97 @@ class TestOutputHeaders:
         payload = json.loads((tmp_path / "instances.json").read_text())
         families = {d["family"] for d in payload["instances"]}
         assert families == {"maxlinear", "vshape", "quadratic"}
+
+
+# -- generated argv: every run returns 0, 1 or 2 and never raises ----------------
+
+_TABLES = {
+    "steps": "t,eta\n" + "".join(f"{t},{0.5 / (t + 1) ** 0.5}\n" for t in range(70)),
+    "zeros": "t,eta\n" + "".join(f"{t},0\n" for t in range(70)),
+    "huge": "t,eta\n" + "".join(f"{t},{1e120 if t % 3 else 1e-300}\n" for t in range(70)),
+    "short": "t,eta\n0,0.5\n1,0.25\n",
+    "negative": "t,eta\n0,0.5\n1,-0.25\n2,0.1\n",
+    "nan": "t,eta\n0,nan\n1,0.5\n",
+    "header": "step,eta\n0,0.5\n",
+    "empty": "",
+}
+# (good values, bad or edge values) per flag; None marks a switch
+_GOOD_SCHEDULES = ["sqrt_decay:D=2,G=1", "constant:c=0", "constant:c=1e-300", "doubling_sqrt:D=1,G=1"]
+_FLAGS = {
+    "--schedule": (
+        _GOOD_SCHEDULES + [f"table:{{{name}}}" for name in ("steps", "zeros", "huge")],
+        ["sqrt_decay:D=-1", "sqrt_decay:D=2,G=0", "sqrt_decay:D", "constant:c=1e130", "constant:c=nan",
+         "constant:c=inf", "constant:c=-1", "doubling_sqrt:D=0", "warp:1", "", ":", "table:", "table:{missing}"]
+        + [f"table:{{{name}}}" for name in ("short", "negative", "nan", "header", "empty")],
+    ),
+    "--phi": (
+        ["log", "log:offset=1,coef=0.5", "one", "const:c=3", "const:c=1e100", "empirical"],
+        ["log:offset=0.5", "log:offset=1e308,coef=1e308", "log:coef=-1", "log:offset", "const:c=0.5",
+         "const:c=nan", "bogus", "log:offset=0,coef=0", "log:offset=1e-200,coef=0", "log:offset=1e-3,coef=0",
+         "log:offset=-1,coef=0", "log:coef=1e300"],
+    ),
+    "--T": (["4", "8", "16", "64"], ["-3", "0", "1", "2", "3", "7", "33", "x", "1e3", ""]),
+    "--horizons": (["4,8", "8", "pow2:1-64", "2,6,64"], ["pow2:8-4", "pow2:x", "0", "3,2,2", "", "a", "pow2:3-3"]),
+    "--families": (["maxlinear", "vshape,quadratic", "maxlinear,vshape,quadratic"], ["maxlinear,bogus", "", ","]),
+    "--family": (["maxlinear", "vshape", "quadratic"], ["bogus", "vshape,quadratic", ""]),
+    "--thresholds": (["0,0.5,1", "inf", "-inf,0", "1e308"], ["nan", "", "a,b"]),
+    "--workers": (["1", "2"], ["0", "-1", "x"]),
+    "--seed": (["0", "7"], ["-1", "x"]),
+    "--shrink": (["1e-6", "1e-3"], ["0", "-1", "nan", "inf", "0.5", "2"]),
+    "--config": (["{config}"], ["{missing}", "{bad_json}"]),
+    "--per-t": None,
+    "--rows": None,
+    "--dump-instances": None,
+}
+_COMMON = ["--config", "--schedule", "--phi", "--workers", "--seed", "--shrink", "--T", "--horizons"]
+_COMMANDS = {
+    "verify": _COMMON + ["--families", "--family"],
+    "audit": _COMMON + ["--families", "--dump-instances"],
+    "density": _COMMON + ["--family", "--thresholds", "--per-t"],
+    "bounds": _COMMON + ["--rows"],
+}
+_CONFIGS = st.dictionaries(
+    st.sampled_from(["schedule", "phi", "T", "horizons", "workers", "shrink", "per_t", "rows", "thresholds", "bogus"]),
+    st.one_of(
+        st.none(), st.booleans(), st.integers(-2, 64), st.floats(allow_nan=True), st.sampled_from(_GOOD_SCHEDULES)
+    ),
+    max_size=4,
+)
+
+
+@st.composite
+def _argvs(draw):
+    """A subcommand with flags it mostly accepts, mostly good values, and a config file."""
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    argv = [command]
+    for flag in draw(st.lists(st.sampled_from(_COMMANDS[command]), max_size=6, unique=True)):
+        if _FLAGS[flag] is None:
+            argv.append(flag)
+            continue
+        good, bad = _FLAGS[flag]
+        argv += [flag, draw(st.sampled_from(bad if draw(st.integers(0, 4)) == 0 else good))]
+    if draw(st.integers(0, 9)) == 0:  # a flag or a subcommand that does not exist here
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(["--rows", "--per-t", "plot", "--bogus"])))
+    if "--T" not in argv and "--horizons" not in argv and draw(st.integers(0, 5)):
+        argv += ["--T", draw(st.sampled_from(_FLAGS["--T"][0]))]
+    return argv, draw(_CONFIGS)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_argvs())
+def test_generated_argv_never_raises(tmp_path, capsys, generated):
+    argv, config = generated
+    files = {name: tmp_path / f"{name}.csv" for name in _TABLES}
+    for name, text in _TABLES.items():
+        files[name].write_text(text)
+    files["missing"] = tmp_path / "missing.csv"
+    files["config"] = tmp_path / "config.json"
+    files["config"].write_text(json.dumps(config))
+    files["bad_json"] = tmp_path / "bad.json"
+    files["bad_json"].write_text("{")
+    argv = [a.format(**files) for a in argv] + ["--out", str(tmp_path / "out")]
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code in (0, 1, 2), argv
+    if code == 2:  # a usage error is one line on stderr (argparse adds its usage first)
+        assert err.strip() and "Traceback" not in err, argv

@@ -19,6 +19,7 @@ GOLDEN = Path(__file__).parent / "golden"
 COMMANDS = {
     "audit": ["audit", "--horizons", "pow2:8-256"],
     "bounds": ["bounds", "--T", "256"],
+    "bounds-rows": ["bounds", "--T", "256", "--rows"],
     "density": ["density", "--T", "64", "--per-t"],
     "verify": ["verify", "--horizons", "16,64"],
 }

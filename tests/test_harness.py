@@ -1,10 +1,13 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from stepaudit import bounds as bnd
-from stepaudit import harness
+from stepaudit import engine, harness
 from stepaudit import schedules as sched
 from stepaudit.errors import InvalidParameterError
 from stepaudit.harness import (
@@ -289,17 +292,172 @@ class TestChain:
         profile, _ = _quartic_profile(SQRT21, 64)
         # phi(t+1)^4 reproduces row t's FFT value to a few ulps, far inside its bound
         tight = bnd.GuaranteeEnvelope(lambda t: float(profile[t - 2]) ** 0.25 if t >= 2 else 1.0)
-        report = chain_check(SQRT21, tight, 64)
+        report = chain_check(SQRT21, tight, 64, rows=True)
         rows = [s for s in report.steps if s["step"] == "quartic_floor"]
         assert all("rhs_exact" in r for r in rows)
         for r in rows:
             assert r["rhs_exact"] == bnd.quartic_floor(SQRT21, r["t"])
             assert r["status"] == ("pass" if r["lhs"] >= r["rhs_exact"] else "fail")
-        loose = chain_check(SQRT21, bnd.log_envelope(), 64)
+        loose = chain_check(SQRT21, bnd.log_envelope(), 64, rows=True)
         assert not any("rhs_exact" in s for s in loose.steps if s["step"] == "quartic_floor")
 
     def test_step_payloads_have_sides(self):
-        report = chain_check(SQRT21, bnd.log_envelope(), 16)
+        report = chain_check(SQRT21, bnd.log_envelope(), 16, rows=True)
         quartics = [s for s in report.steps if s["step"] == "quartic_floor"]
         assert len(quartics) == 16
         assert all({"lhs", "rhs", "t"} <= set(q) for q in quartics)
+
+
+# -- the array row decisions against the per-row loop ------------------------------
+
+
+def _reference_rows(schedule, phi, T):
+    """The per-row loop the array decisions replaced: rows, then ``quartic_floor_worst``."""
+    from stepaudit.harness import _U, _fourth_power, _quartic_profile
+
+    steps = []
+    worst, worst_t = math.inf, 1
+    profile, conv_err = _quartic_profile(schedule, T)
+    for t in range(1, T + 1):
+        lhs = _fourth_power(phi(t + 1))
+        rhs = float(profile[t - 1])
+        slack = lhs - rhs
+        row = {"step": "quartic_floor", "t": t, "lhs": lhs, "rhs": rhs}
+        if abs(slack) > conv_err / 128.0 + 4.0 * _U * rhs:
+            passed = slack > 0
+        else:
+            row["rhs_exact"] = bnd.quartic_floor(schedule, t)
+            passed = lhs >= row["rhs_exact"]
+        row["status"] = "pass" if passed else "fail"
+        steps.append(row)
+        if slack < worst:
+            worst, worst_t = slack, t
+    exact_rhs = bnd.quartic_floor(schedule, worst_t)
+    worst_step = {
+        "step": "quartic_floor_worst",
+        "t": worst_t,
+        "slack": _fourth_power(phi(worst_t + 1)) - exact_rhs,
+        "rhs_exact": exact_rhs,
+        "status": "info",
+    }
+    return steps, worst_step
+
+
+def _bitwise(step):
+    """A step with every float replaced by its exact hex form."""
+    return {k: v.hex() if isinstance(v, float) else v for k, v in step.items()}
+
+
+# positive stepsize tables with runs of zeros, magnitudes 1e-8 .. 1e3
+_magnitudes = st.floats(-8.0, 3.0).map(lambda e: 10.0**e)
+_tables = st.lists(
+    st.one_of(
+        st.lists(st.just(0.0), min_size=1, max_size=12),
+        st.lists(_magnitudes, min_size=1, max_size=40),
+    ),
+    min_size=1,
+    max_size=12,
+).map(lambda blocks: [v for block in blocks for v in block][:300])
+
+
+def _tight_envelope(schedule, T):
+    # phi(t+1)^4 reproduces row t's FFT value to a few ulps, inside its bound
+    from stepaudit.harness import _quartic_profile
+
+    profile, _ = _quartic_profile(schedule, T)
+    return bnd.GuaranteeEnvelope(lambda t: float(profile[t - 2]) ** 0.25 if t >= 2 else 1.0)
+
+
+_envelopes = st.one_of(
+    st.tuples(st.just("log"), st.floats(1.0, 20.0), st.floats(0.0, 8.0)),
+    st.tuples(st.just("const"), st.floats(1.0, 30.0), st.just(0.0)),
+    st.tuples(st.just("tight"), st.just(0.0), st.just(0.0)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_tables, _envelopes)
+@example(table=[1.0, 1e-4], env=("tight", 0.0, 0.0))  # phi < 1 once put the cutoff past T/2
+@example(table=[0.0, 0.0], env=("tight", 0.0, 0.0))  # phi = 0 once divided by zero
+def test_array_rows_match_the_per_row_loop(table, env):
+    T = max(4, len(table) - len(table) % 2)
+    schedule = sched.from_table(table + [1.0] * (T + 2 - len(table)))
+    kind, x, y = env
+    if kind == "log":
+        phi = bnd.log_envelope(x, y)
+    elif kind == "const":
+        phi = bnd.constant_envelope(x)
+    else:
+        phi = _tight_envelope(schedule, T)
+    ref_rows, ref_worst = _reference_rows(schedule, phi, T)
+    full = chain_check(schedule, phi, T, rows=True)
+    rows = [s for s in full.steps if s["step"] == "quartic_floor"]
+    assert [_bitwise(r) for r in rows] == [_bitwise(r) for r in ref_rows]
+    summary_report = chain_check(schedule, phi, T)
+    summary, worst = summary_report.steps[:2]
+    assert _bitwise(worst) == _bitwise(ref_worst)
+    assert _bitwise(full.steps[T]) == _bitwise(ref_worst)
+    failing = [r["t"] for r in ref_rows if r["status"] == "fail"]
+    exact = [r["t"] for r in ref_rows if "rhs_exact" in r]
+    expected = {"step": "quartic_floor", "rows": T, "failed": len(failing), "decided_exactly": len(exact)}
+    expected["status"] = "fail" if failing else "pass"
+    if failing:
+        expected["t"] = failing[0]
+    assert summary == expected
+    # every other step, the verdict and the validation are the same in both layouts
+    assert [_bitwise(s) for s in summary_report.steps[1:]] == [_bitwise(s) for s in full.steps[T:]]
+    assert summary_report.passed == full.passed
+    assert summary_report.validation == full.validation
+
+
+def test_rows_decided_exactly_are_counted():
+    # the tight envelope sends every row to the exact sum
+    tight = _tight_envelope(SQRT21, 64)
+    summary = chain_check(SQRT21, tight, 64).steps[0]
+    assert summary["decided_exactly"] == 64
+    loose = chain_check(SQRT21, bnd.log_envelope(), 64).steps[0]
+    assert loose == {"step": "quartic_floor", "rows": 64, "failed": 0, "decided_exactly": 0, "status": "pass"}
+    failing = chain_check(sched.constant(100), bnd.constant_envelope(1), 8)
+    assert failing.steps[0]["status"] == "fail" and failing.steps[0]["t"] == 2
+    assert not failing.passed
+
+
+def _envelope_cases():
+    rng = np.random.default_rng(3)
+    record = engine.RunRecord("s", 40, rng.uniform(0.0, 0.5, 40))
+    return [
+        bnd.log_envelope(),
+        bnd.log_envelope(1.5, 0.25),
+        bnd.constant_envelope(3.0),
+        bnd.empirical_envelope([record]),
+        bnd.GuaranteeEnvelope(lambda t: t**0.5 + 1, label="root"),
+    ]
+
+
+@pytest.mark.parametrize("phi", _envelope_cases(), ids=["log", "log-small", "const", "empirical", "root"])
+def test_envelope_values_match_calls(phi):
+    for ts in (range(1, 300), range(5, 6), range(7, 7), range(40, 100, 3)):
+        vals = phi.values(ts)
+        assert vals.dtype == np.float64
+        assert vals.tobytes() == np.array([phi(t) for t in ts], dtype=np.float64).tobytes()
+
+
+@pytest.mark.parametrize(
+    "phi",
+    [
+        bnd.log_envelope(1e308, 1e308),
+        bnd.GuaranteeEnvelope(lambda t: math.nan if t >= 9 else 1.0, label="gap"),
+        bnd.GuaranteeEnvelope(lambda t: math.inf if t % 4 == 0 else 1.0, label="spikes"),
+    ],
+    ids=["log-overflow", "nan", "inf"],
+)
+def test_envelope_values_raise_as_calls_do(phi):
+    ts = range(1, 50)
+    bad = next(t for t in ts if not math.isfinite(phi._evaluator(t)))
+    with pytest.raises(InvalidParameterError) as scalar:
+        phi(bad)
+    with pytest.raises(InvalidParameterError) as array:
+        phi.values(ts)
+    assert str(array.value) == str(scalar.value)
+    with pytest.raises(InvalidParameterError, match="t >= 1"):
+        bnd.constant_envelope(1).values(range(0, 3))

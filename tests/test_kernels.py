@@ -279,11 +279,10 @@ def test_every_block_certified_on_the_staircase():
     assert trace.tobytes() == np.arange(T + 1).tobytes()
 
 
-def _old_rival():
+def _old_rival(T=40):
     # coordinate 0 rises by eta a[0] b[0] per step while the fresh score
     # barely moves (a b - A2 is 0.01 for k >= 1) and stays above coordinate
     # 0's score at the block's start: only the chord sees 0 win at t = 4
-    T = 40
     a = np.full(T + 1, 0.1)
     b = 10.0 + 0.1 * np.arange(T + 1)
     a[0], b[0] = 1.0, 1.0
@@ -310,6 +309,19 @@ def test_block_falls_back_when_a_rival_wins(case):
         trace = _assert_block_path_bitwise(a, b, eta, NO_SNAPS)
     assert results[0] is False
     assert trace[: len(head)].tolist() == head  # every step is positive: a fresh trace counts up
+
+
+def test_failed_certificate_backs_off_to_the_next_boundary():
+    # stretched, the old rival wins hundreds of rows; after each failed
+    # certificate the kernel steps exactly to the next multiple of
+    # _BLOCK_STEPS, so it tries at most one block per interval (839 without)
+    T = 2000
+    a, b, eta, _ = _old_rival(T)
+    with _certificates() as results:
+        trace = _assert_block_path_bitwise(a, b, eta, NO_SNAPS)
+    assert np.count_nonzero(trace == 0) > 600
+    assert results and not any(results)
+    assert len(results) <= T // _kernels._BLOCK_STEPS + 1
 
 
 def test_block_refuses_negative_steps(weights):

@@ -163,18 +163,23 @@ class TestDoubling:
 
 
 def test_step_sum_upper_invariant_sampled():
-    # the known log envelope dominates step sums of its schedule
+    # the known log envelope dominates step sums of its schedule:
+    # sum_{j=t1}^{t2} eta_j <= 2 phi(t2+1) (sqrt(t2) - sqrt(t1))
     s = sched.sqrt_decay(2, 1)
     phi = bnd.log_envelope()
+
+    def capped(t1, t2):
+        total = s.prefix_sum(t2 + 1) - s.prefix_sum(t1)
+        return total <= 2.0 * phi(t2 + 1) * (math.sqrt(t2) - math.sqrt(t1)) + 1e-12
+
     rng = np.random.default_rng(7)
     for _ in range(200):
         t1 = int(rng.integers(1, 9_999))
         t2 = int(rng.integers(t1 + 1, 10_001))
-        check = bnd.step_sum_upper(s, t1, t2, phi)
-        assert check.passed, (t1, t2, check)
+        assert capped(t1, t2), (t1, t2)
     # adjacent pairs are the tight direction
     for t1 in (1, 2, 10, 100, 5000, 9999):
-        assert bnd.step_sum_upper(s, t1, t1 + 1, phi).passed
+        assert capped(t1, t1 + 1)
 
 
 # -- properties of the one materialisation path ----------------------------
