@@ -65,13 +65,26 @@ final float test ``sfx_r - bound_r > (2 + 16 _EPS) tol_r + slack`` rounds by
 The sum of the terms is ``(6m + 13) u Z (1 + 3%) <= (4m + 8) _EPS Z``; the
 slack is twice that, ``8 (m + 2) _EPS Z``, plus ``1e-300`` for underflow.
 
-A certified block writes its trace as a slice and applies the deferred
-iterate updates in one batch, each coordinate's operations in their
-original order (see ``_flush``), so its trace, iterates and snapshots are
-bitwise those of exact steps.  Its errors are the tracked ``sfx_r``, within
-``tol_r`` of the exact ones; the first is the exact recomputed score.  If
-the loop gives up, a score or ``Z`` is not finite, a step is negative, or
-the certificate fails, nothing is written and one exact step runs.  After
+A certified block writes its trace as a slice and then applies the
+deferred iterate updates (``_flush``), each coordinate's operations in
+their original order, so its trace, iterates and snapshots are bitwise
+those of exact steps.  Up to ``_FLUSH_COLS`` touched coordinates the rows
+go as one 2-d batch in a fixed buffer, folded column by column, which
+saves the per-row call overhead; wider, each row runs the exact step's own
+update (``_step_update``) in the kernel's O(dim) buffer, which keeps the
+scratch fixed and, past a few thousand coordinates, costs less per cell
+than the batch's 2-d products and fold.  The batch forms its products
+with ``np.einsum``, which writes ``+0.0`` where a product is ``-0.0``.
+That cannot change an iterate, because no entry of ``x`` is ever
+``-0.0``: ``x`` starts at ``+0.0``, ``fl(x - y)`` is ``-0.0`` only if
+``x`` is, ``fl(+0.0 + y)`` is ``+0.0`` for ``y = +-0.0``, and dividing by
+the norm (above 1, and finite whenever blocks run) keeps the sign; so
+``x - (+0.0)`` and ``x - (-0.0)`` agree.
+
+A block's errors are the tracked ``sfx_r``, within ``tol_r`` of the exact
+ones; the first is the exact recomputed score.  If the loop gives up, a
+score or ``Z`` is not finite, a step is negative, or the certificate
+fails, nothing is written and one exact step runs.  After
 a failed certificate (a rival coordinate may keep winning), no block is
 tried again before the next row that is a multiple of ``_BLOCK_STEPS``, so
 a run tries at most one failing block per ``_BLOCK_STEPS`` rows.  With
@@ -90,7 +103,7 @@ from .errors import InvalidParameterError
 __all__ = ["maxlinear_descent"]
 
 _BLOCK_STEPS = 64  # the longest block; 0 turns the block path off
-_FLUSH_COLS = 256  # columns per chunk of a block's batched iterate update
+_FLUSH_COLS = 768  # the widest touched prefix a block updates in one batch; sizes its scratch
 _EPS = float(np.finfo(np.float64).eps)
 
 
@@ -172,39 +185,46 @@ def _certified(s, u, buf, p, D, st, fvs, tols, opened):
     return bool(np.all(sf - bound > (2.0 + 16.0 * _EPS) * np.array(tols) + slack))
 
 
-def _flush(x, a, b, scratch, p, st):
+def _step_update(x, a, b, buf, i, step):
+    """The iterate update of a step with argmax ``i``, without a temporary."""
+    np.multiply(a[:i], step, out=buf[:i])
+    np.subtract(x[:i], buf[:i], out=x[:i])  # x[:i] -= step * a[:i]
+    x[i] += step * b[i]
+
+
+def _flush(x, a, b, buf, scratch, p, st):
     """Apply a block's deferred iterate updates, each coordinate's in step order.
 
     Row ``r`` of the block did ``x[:p_r] -= eta_r a[:p_r]; x[p_r] += eta_r
-    b[p_r]``.  ``np.subtract.reduce`` along axis 0 folds one column's terms
-    in row order (subtract does not reorder), so every coordinate sees the
-    same float operations as in exact steps.  Columns go through the
-    fixed ``scratch`` buffer in chunks.  Returns ``p`` at each row (the
-    argmax trace) and after the block.
+    b[p_r]``.  Past ``scratch``'s width the rows run as those updates, one
+    after another (``_step_update``).  Narrower, one batch does them all:
+    row 0 of a packed ``(m + 1, p_end)`` view of ``scratch`` holds
+    ``x[:p_end]``, row ``r + 1`` the terms row ``r`` subtracts, and
+    ``np.subtract.reduce`` along axis 0 folds each column in row order
+    (subtract does not reorder), so every coordinate sees the float
+    operations of exact steps, up to the sign of zero terms (see the
+    module docstring).  Returns ``p`` at each row (the argmax trace) and
+    after the block.
     """
     m = st.shape[0]
-    width = scratch.shape[1]
-    for lo in range(0, p, width):  # every row moves the old coordinates
-        hi = min(lo + width, p)
-        blk = scratch[: m + 1, : hi - lo]
-        blk[0] = x[lo:hi]
-        np.multiply.outer(st, a[lo:hi], out=blk[1:])
-        np.subtract.reduce(blk, axis=0, out=x[lo:hi])
     nz = st != 0.0
     ps = np.cumsum(nz)
     p_end = p + int(ps[-1])
     ps += p - nz  # p at each row
+    if p_end > scratch.shape[1]:
+        for i, step in zip(ps.tolist(), st.tolist()):
+            _step_update(x, a, b, buf, i, step)
+        return ps, p_end
+    flat = scratch.reshape(-1)[: (m + 1) * p_end]
+    blk = flat.reshape(m + 1, p_end)
+    blk[0] = x[:p_end]
+    np.einsum("i,j->ij", st, a[:p_end], out=blk[1:])
     if p_end > p:  # coordinates opened inside the block
-        row_p = ps[:, None]
         col = np.arange(p, p_end)
-        blk = scratch[: m + 1, : p_end - p]
-        blk[0] = x[p:p_end]
-        terms = blk[1:]
-        np.multiply.outer(st, a[p:p_end], out=terms)
-        terms[row_p < col] = 0.0  # rows before coordinate k opens leave it alone
-        fresh = row_p == col  # x[k] += eta b[k], as x[k] - (-(eta b[k]))
-        terms[fresh] = -np.multiply.outer(st, b[p:p_end])[fresh]
-        np.subtract.reduce(blk, axis=0, out=x[p:p_end])
+        np.copyto(blk[1:, p:], 0.0, where=np.less.outer(ps, col))  # rows before k opens leave it alone
+        rows = np.flatnonzero(nz)  # row rows[j] opens p + j: x[k] += eta b[k], as x[k] - (-(eta b[k]))
+        flat[(rows + 1) * p_end + col] = -(st[rows] * b[p:p_end])
+    np.subtract.reduce(blk, axis=0, out=x[:p_end])
     return ps, p_end
 
 
@@ -285,7 +305,7 @@ def maxlinear_descent(a: np.ndarray, b: np.ndarray, eta: np.ndarray, snap_times:
                 if not certified:  # a rival wins: exact steps up to the next multiple of longest
                     retry = t - t % longest + longest
         if certified:
-            trace[t:end], p = _flush(x, a, b, scratch, p, st)
+            trace[t:end], p = _flush(x, a, b, buf, scratch, p, st)
             errors[t - 1 : end - 1] = rows[0]
             max_norm = max(max_norm, math.sqrt(max(rows[3], 0.0)))  # sqrt is monotone
             t = end
@@ -301,10 +321,7 @@ def maxlinear_descent(a: np.ndarray, b: np.ndarray, eta: np.ndarray, snap_times:
             if t == T:
                 break
             step = float(eta[t])
-            # x[:i] -= step * a[:i], without a temporary
-            np.multiply(a[:i], step, out=buf[:i])
-            np.subtract(x[:i], buf[:i], out=x[:i])
-            x[i] += step * b[i]
+            _step_update(x, a, b, buf, i, step)
             if i == p and step != 0.0:
                 p += 1
             nsq = float(np.dot(x, x))

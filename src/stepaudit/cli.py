@@ -330,7 +330,7 @@ def cmd_bounds(config: dict) -> int:
     if failed:
         where = f" at t={failed[0]['t']}" if "t" in failed[0] else ""
         line += f"; first failing step {failed[0]['step']}{where}"
-    elif not chain.validation["passed"]:
+    if not chain.validation["passed"]:
         line += f"; envelope validation failed: {chain.validation['failures'][0]}"
     print(f"{line}; outputs in {out}")
     return 0 if chain.passed else 1

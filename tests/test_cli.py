@@ -243,6 +243,14 @@ class TestBoundsCommand:
             assert code == 1
             assert reason in capsys.readouterr().out.splitlines()[-1]
 
+    def test_failed_validation_named_beside_the_failing_step(self, tmp_path, capsys):
+        # phi**4 hides the sign, so the quartic rows pass; the negative
+        # envelope fails envelope_floor and its validation, and both are named
+        assert run_cli("bounds", "--phi", "log:offset=-1,coef=0", "--T", "8", "--out", str(tmp_path)) == 1
+        last = capsys.readouterr().out.splitlines()[-1]
+        assert "first failing step envelope_floor" in last
+        assert "envelope validation failed: phi(1) = -1.0 < 1" in last
+
     @pytest.mark.parametrize("phi", ["log:offset=0,coef=0", "log:offset=1e-200,coef=0", "log:offset=1e-100,coef=0"])
     def test_envelope_near_zero_fails_the_chain(self, tmp_path, capsys, phi):
         # floors divide by phi: zero once raised, and a tiny phi put the

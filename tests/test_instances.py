@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from stepaudit import bounds as bnd
 from stepaudit import engine
 from stepaudit import instances as inst
 from stepaudit import schedules as sched
 from stepaudit.errors import ConstructionError, InvalidParameterError
+from stepaudit.harness import Tolerances
 
 PHI = bnd.log_envelope()
 SQRT21 = sched.sqrt_decay(2, 1)
@@ -258,3 +261,46 @@ class TestMaxLinear:
             m.closed_form_iterate(0)
         with pytest.raises(InvalidParameterError):
             m.closed_form_iterate(5)
+
+
+# tables as in tests/test_schedules.py: positive steps with runs of zeros,
+# magnitudes 1e-8 .. 1e3; few of them pass the weight conditions
+_magnitudes = st.floats(-8.0, 3.0).map(lambda e: 10.0**e)
+_wild_tables = st.lists(
+    st.one_of(
+        st.lists(st.just(0.0), min_size=1, max_size=12),
+        st.lists(_magnitudes, min_size=1, max_size=40),
+    ),
+    min_size=1,
+    max_size=12,
+).map(lambda blocks: [v for block in blocks for v in block][:512])
+
+
+def _decaying_table(c, n, seed):
+    # admissible tables: eta_t = c / sqrt(t + 1) * U[0.5, 1]
+    return (c / np.sqrt(np.arange(n) + 1.0) * np.random.default_rng(seed).uniform(0.5, 1.0, n)).tolist()
+
+
+_decaying_tables = st.builds(
+    _decaying_table,
+    st.floats(0.01, 4.0),
+    st.floats(0.0, 9.0).map(lambda e: int(2.0**e)),  # lengths log-uniform in 1 .. 512
+    st.integers(0, 2**32 - 1),
+)
+_envelopes = st.one_of(
+    st.builds(bnd.log_envelope, st.floats(1.0, 16.0), st.floats(0.0, 8.0)),
+    st.builds(bnd.constant_envelope, st.floats(1.0, 64.0)),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(_wild_tables, _decaying_tables), _envelopes)
+def test_measured_error_dominates_certificate_on_generated_tables(table, phi):
+    s = sched.from_table(table + [1.0])
+    T = len(table)
+    try:
+        m = inst.build_maxlinear(s, T, phi)
+    except ConstructionError:
+        assume(False)
+    if m.certified:
+        assert engine.run(m.convex, s, T).error_at(T) >= m.certified_bound() - Tolerances().bound_slack

@@ -223,6 +223,43 @@ def _certificates():
         yield results
 
 
+@contextlib.contextmanager
+def _flushes(cols=None):
+    """Record ``(p_end, rows, rows run by _step_update)`` for every block flush.
+
+    With ``cols`` set, a block batches at most ``cols`` touched coordinates
+    (``_FLUSH_COLS`` is read when the kernel allocates its scratch buffer).
+    """
+    log = []
+    calls = [0]
+    flush, update = _kernels._flush, _kernels._step_update
+
+    def counted_update(*args):
+        calls[0] += 1
+        return update(*args)
+
+    def counted_flush(*args):
+        before = calls[0]
+        ps, p_end = flush(*args)
+        log.append((p_end, len(ps), calls[0] - before))
+        return ps, p_end
+
+    with pytest.MonkeyPatch.context() as mp:
+        if cols is not None:
+            mp.setattr(_kernels, "_FLUSH_COLS", cols)
+        mp.setattr(_kernels, "_step_update", counted_update)
+        mp.setattr(_kernels, "_flush", counted_flush)
+        yield log
+
+
+def _wide_rows(log, cols):
+    """Check each flush took the regime its width selects; count the per-row ones."""
+    width = _kernels._FLUSH_COLS if cols is None else cols
+    for p_end, rows, by_row in log:
+        assert by_row == (rows if p_end > width else 0)
+    return sum(by_row for _, _, by_row in log)
+
+
 def _per_step(a, b, eta, snap_times):
     """The kernel with the block path turned off."""
     with pytest.MonkeyPatch.context() as mp, _certificates() as results:
@@ -255,6 +292,11 @@ def _assert_block_path_bitwise(a, b, eta, snap_times):
     return trace
 
 
+# both flush regimes: at the default width only prefixes past 768 run row by
+# row, at width 3 nearly every flushed row runs the exact step's update
+_WIDTHS = (None, 3)
+
+
 @settings(max_examples=40, deadline=None)
 @given(_long_tables, st.integers(0, 2**32 - 1))
 def test_block_path_matches_per_step_on_construction(table, seed):
@@ -264,7 +306,10 @@ def test_block_path_matches_per_step_on_construction(table, seed):
     rng = np.random.default_rng(seed)
     # up to three times, most of them inside a recompute interval
     snaps = np.unique(rng.integers(1, T + 1, int(rng.integers(0, 4))))
-    _assert_block_path_bitwise(a, b, s.rates(T), snaps)
+    for cols in _WIDTHS:
+        with _flushes(cols) as log:
+            _assert_block_path_bitwise(a, b, s.rates(T), snaps)
+        _wide_rows(log, cols)
 
 
 def test_every_block_certified_on_the_staircase():
@@ -273,20 +318,31 @@ def test_every_block_certified_on_the_staircase():
     T = 1000
     a, b = coupling_weights(s, T, log_envelope())
     snaps = np.array([1, 70, 500, 999], dtype=np.int64)
-    with _certificates() as results:
-        trace = _assert_block_path_bitwise(a, b, s.rates(T), snaps)
-    assert len(results) > 10 and all(results)
-    assert trace.tobytes() == np.arange(T + 1).tobytes()
+    for cols in _WIDTHS:
+        with _certificates() as results, _flushes(cols) as log:
+            trace = _assert_block_path_bitwise(a, b, s.rates(T), snaps)
+        assert len(results) > 10 and all(results)
+        assert trace.tobytes() == np.arange(T + 1).tobytes()
+        wide, flushed = _wide_rows(log, cols), sum(rows for _, rows, _ in log)
+        # p passes the default width of 768 at t = 768, and width 3 at once
+        assert (0 < wide < flushed) if cols is None else (wide == flushed)
 
 
-def _old_rival(T=40):
+def _old_rival(T=40, slope=0.1):
     # coordinate 0 rises by eta a[0] b[0] per step while the fresh score
     # barely moves (a b - A2 is 0.01 for k >= 1) and stays above coordinate
     # 0's score at the block's start: only the chord sees 0 win at t = 4
     a = np.full(T + 1, 0.1)
-    b = 10.0 + 0.1 * np.arange(T + 1)
+    b = 10.0 + slope * np.arange(T + 1)
     a[0], b[0] = 1.0, 1.0
     return a, b, np.full(T, 1e-3), [0, 1, 2, 3, 0]
+
+
+def _fading_rival():
+    # as the old rival, but b rises by 0.3 per coordinate, so a b - A2 =
+    # 0.01 + 0.02 k passes a[0] b[0] = 1 at k = 50: the fresh scores pull
+    # away, coordinate 0 stops winning, and the later blocks are certified
+    return _old_rival(300, slope=0.3)
 
 
 def _opened_rival():
@@ -301,14 +357,20 @@ def _opened_rival():
     return a, b, np.full(T, 1e-3), [0, 1, 2, 1]
 
 
-@pytest.mark.parametrize("case", [_old_rival, _opened_rival])
+@pytest.mark.parametrize("case", [_old_rival, _opened_rival, _fading_rival])
 def test_block_falls_back_when_a_rival_wins(case):
     # the certificate of the first block fails and the per-step loop runs it
     a, b, eta, head = case()
-    with _certificates() as results:
-        trace = _assert_block_path_bitwise(a, b, eta, NO_SNAPS)
-    assert results[0] is False
-    assert trace[: len(head)].tolist() == head  # every step is positive: a fresh trace counts up
+    for cols in _WIDTHS:
+        with _certificates() as results, _flushes(cols) as log:
+            trace = _assert_block_path_bitwise(a, b, eta, NO_SNAPS)
+        assert results[0] is False
+        assert trace[: len(head)].tolist() == head  # every step is positive: a fresh trace counts up
+        # only the fading rival leaves rows for a later block (the others
+        # back off past T); its blocks start at p = 52, past width 3
+        wide = _wide_rows(log, cols)
+        assert bool(log) == (case is _fading_rival)
+        assert (wide > 0) == (bool(log) and cols == 3)
 
 
 def test_failed_certificate_backs_off_to_the_next_boundary():
@@ -346,8 +408,9 @@ def test_block_gives_up_where_the_norm_needs_the_dot(nsq, gives_up):
 
 
 def test_block_scratch_is_fixed_size():
-    # blocks flush through a fixed buffer, not one row of dim per step: the
-    # peak stays near the kernel's own O(dim) arrays at dim = 16385
+    # a block batches at most _FLUSH_COLS columns in a fixed buffer and runs
+    # wider prefixes row by row in the kernel's own O(dim) buffer, never
+    # one row of dim per step: the peak stays near those arrays at dim = 16385
     s = sqrt_decay(2, 1)
     a, b = build_maxlinear(s, 16384, log_envelope(8, 4)).convex.kernel_data
     eta = s.rates(16384)
