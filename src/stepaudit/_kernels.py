@@ -12,20 +12,32 @@ recomputes every score over the whole vector, at O(p) cost plus the dot.
 
 Block path.  On the lower-bound construction the fresh coordinate ``p``
 wins every step.  After each exact recompute with ``p > 0``, the kernel
-tries the next rows as one block: up to ``_BLOCK_STEPS`` of them, and never
-past ``T`` or the next snapshot time.  Scores are linear in ``x``, so a
+tries the next rows as one block: up to ``_BLOCK_ROWS`` (512) of them, and
+never past ``T`` or the next snapshot time.  Scores are linear in ``x``, so a
 step with argmax ``i`` and stepsize ``eta`` moves them by known vectors:
 score ``k < i`` by ``eta u_k`` with ``u = a*b - A2`` (``A2`` the exclusive
 prefix sum of ``a**2``), score ``i`` by ``-eta d_i`` with ``d = A2 +
 b**2``, and every score ``k > i`` by the one scalar ``eta u_i``;
-``||x||^2`` moves by ``-2 eta score_i + eta**2 d_i``.  A Python-float loop
-(``_block``) assumes ``p`` wins each row and tracks only the scalars: the
-suffix score ``sfx``, ``||x||^2`` and two error bounds.  It gives up at the
-first row whose ``||x||^2`` lies within ``1e-9`` plus its error bound of 1
-or past it, where the exact dot or a projection must decide.
+``||x||^2`` moves by ``-2 eta score_i + eta**2 d_i``.  ``_block`` assumes
+``p`` wins each row and tracks only the scalars: the suffix score ``sfx``,
+``||x||^2`` and two error bounds.  It keeps the rows before the first one
+whose ``||x||^2`` lies within ``1e-9`` plus its error bound of 1 or past
+it, where the exact dot or a projection must decide; the block is cut
+there.
+
+The tracked scalars have the bits of a loop over Python floats (kept in
+the tests as the oracle), from a fixed number of numpy calls.  Each is a
+recurrence ``v_{r+1} = v_r + term_r`` whose terms depend only on earlier
+values, so the terms are formed elementwise with the loop's expressions
+and grouping (float ``+`` and ``*`` commute, so only the grouping
+matters), and one ``np.cumsum``, a sequential sum, adds them.  ``sfx``
+sums ``eta u_p`` over the rows that open ``p``; ``||x||^2`` sums the
+interleaved ``-(2 eta_r) sfx_r`` and ``(eta_r eta_r) d_{p_r}``, since ``x +
+(-y)`` is exactly ``x - y`` and negation commutes with rounding; ``tol`` is
+formed elementwise from the step sum.
 
 Error bounds.  With ``R = sqrt(D)``, ``D`` the largest ``|u_k|`` or
-``d_k``, and ``coef = 8 (dim + 2 _BLOCK_STEPS) _EPS``, a tracked score
+``d_k``, and ``coef = 8 (dim + 2 _BLOCK_ROWS) _EPS``, a tracked score
 differs from the one an exact step would compute by at most ``tol = coef (2
 R ||x|| + 3 D sum(eta))``, with ``||x||`` taken at the block's recompute and
 the sum over the block's steps so far: both carry a sequential-sum error of
@@ -69,11 +81,13 @@ A certified block writes its trace as a slice and then applies the
 deferred iterate updates (``_flush``), each coordinate's operations in
 their original order, so its trace, iterates and snapshots are bitwise
 those of exact steps.  Up to ``_FLUSH_COLS`` touched coordinates the rows
-go as one 2-d batch in a fixed buffer, folded column by column, which
-saves the per-row call overhead; wider, each row runs the exact step's own
-update (``_step_update``) in the kernel's O(dim) buffer, which keeps the
-scratch fixed and, past a few thousand coordinates, costs less per cell
-than the batch's 2-d products and fold.  The batch forms its products
+go through one fixed flat buffer of ``(_BLOCK_STEPS + 1) min(_FLUSH_COLS,
+dim)`` cells in chunks of as many rows as fit (at least ``_BLOCK_STEPS``),
+each chunk a 2-d batch folded column by column, which saves the per-row
+call overhead; wider, each row runs the exact step's own update
+(``_step_update``) in the kernel's O(dim) buffer, which keeps the scratch
+fixed and, past a few thousand coordinates, costs less per cell than the
+batch's 2-d products and fold.  The batch forms its products
 with ``np.einsum``, which writes ``+0.0`` where a product is ``-0.0``.
 That cannot change an iterate, because no entry of ``x`` is ever
 ``-0.0``: ``x`` starts at ``+0.0``, ``fl(x - y)`` is ``-0.0`` only if
@@ -82,14 +96,17 @@ the norm (above 1, and finite whenever blocks run) keeps the sign; so
 ``x - (+0.0)`` and ``x - (-0.0)`` agree.
 
 A block's errors are the tracked ``sfx_r``, within ``tol_r`` of the exact
-ones; the first is the exact recomputed score.  If the loop gives up, a
+ones; the first is the exact recomputed score.  If row 0 gives up, a
 score or ``Z`` is not finite, a step is negative, or the certificate
-fails, nothing is written and one exact step runs.  After
-a failed certificate (a rival coordinate may keep winning), no block is
-tried again before the next row that is a multiple of ``_BLOCK_STEPS``, so
-a run tries at most one failing block per ``_BLOCK_STEPS`` rows.  With
-``_BLOCK_STEPS = 0``, or when a weight or step sum is so large that a
-tracked value could overflow, every step is exact.
+fails, nothing is written and one exact step runs; a block cut at a later
+row is certified and written up to the cut, and the exact step runs
+there.  A block costs about the same for any length, so after a failed
+certificate (a rival coordinate may keep winning) or a cut (``||x||^2``
+stays near 1 while the run projects), no block is tried again before the
+next row that is a multiple of ``_BLOCK_STEPS`` (64): a run tries at most
+one such block per ``_BLOCK_STEPS`` rows.  With ``_BLOCK_STEPS = 0``, or
+when a weight or step sum is so large that a tracked value could overflow,
+every step is exact.
 """
 
 from __future__ import annotations
@@ -102,8 +119,9 @@ from .errors import InvalidParameterError
 
 __all__ = ["maxlinear_descent"]
 
-_BLOCK_STEPS = 64  # the longest block; 0 turns the block path off
-_FLUSH_COLS = 768  # the widest touched prefix a block updates in one batch; sizes its scratch
+_BLOCK_ROWS = 512  # the longest block
+_BLOCK_STEPS = 64  # the back-off interval after a block fails or gives up; 0 turns the block path off
+_FLUSH_COLS = 768  # the widest touched prefix a block updates in batches; sizes its scratch
 _EPS = float(np.finfo(np.float64).eps)
 
 
@@ -117,36 +135,46 @@ def _exact_scores(a, b, x, q, scores, cum):
 
 
 def _block(t0, t1, p, sfx, nsq, nerr, eta_acc, tol, base, coef, D, eta_v, u_v, d_v):
-    """Steps ``t0..t1-1`` on Python floats, assuming the fresh coordinate wins.
+    """Steps ``t0..t1-1`` as array recurrences, assuming the fresh coordinate wins.
 
-    Updates only the scalars (``abs(step)`` is ``step`` for the
-    non-negative steps a certified block has).  Returns ``(fvs, tols, opened, nsq_max)``: per row the
+    ``eta_v``, ``u_v`` and ``d_v`` are arrays or memoryviews.  Updates only
+    the scalars (``abs(step)`` is ``step`` for the non-negative steps a
+    certified block has), each as one sequential ``np.cumsum`` over the
+    terms a per-row loop adds (see the module docstring).  Returns
+    ``(fvs, tols, opened, nsq_max)`` for the rows before the first one
+    whose ``||x||^2`` needs the exact dot or a projection: per row the
     tracked error and score bound, the score each opened coordinate starts
-    with, and the largest ``||x||^2``; or ``None`` at the first row whose
-    ``||x||^2`` needs the exact dot or a projection.
+    with, and the largest ``||x||^2``; or ``None`` when that is row 0.
     """
-    fvs, tols, opened = [], [], []
-    nsq_max = -math.inf
-    D3 = 3.0 * D
-    for step in eta_v[t0:t1]:
-        fv = sfx
-        fvs.append(fv)
-        tols.append(tol)
-        di = d_v[p]
-        if step != 0.0:
-            opened.append(sfx - step * di)  # the tracked score of p after its step
-            sfx += step * u_v[p]
-            p += 1
-        ss = step * step
-        nerr += 4.0 * step * tol + coef * (abs(nsq) + 2.0 * abs(step * fv) + ss * D)
-        nsq = nsq - 2.0 * step * fv + ss * di
-        eta_acc += step
-        tol = coef * (base + D3 * eta_acc)
-        if 1.0 - nsq <= 1e-9 + nerr + coef * abs(nsq):  # near 1 or past it
-            return None
-        if nsq > nsq_max:
-            nsq_max = nsq
-    return fvs, tols, opened, nsq_max
+    st = np.asarray(eta_v)[t0:t1]
+    u, d = np.asarray(u_v), np.asarray(d_v)
+    m = st.shape[0]
+    nz = st != 0.0
+    idx = np.cumsum(nz)
+    k = int(idx[-1])  # the coordinates the block opens
+    idx -= nz  # the coordinates opened before each row: p_r = p + idx_r
+    rows = np.flatnonzero(nz)
+    so = st[rows]  # the steps that open a coordinate
+    fvs = np.cumsum(np.concatenate(([sfx], so * u[p : p + k])))[idx]  # sfx at the start of each row
+    opened = fvs[rows] - so * d[p : p + k]  # the tracked score of p after its step
+    tols = coef * (base + (3.0 * D) * np.cumsum(np.concatenate(([eta_acc], st[:-1]))))
+    tols[0] = tol
+    ss = st * st
+    w = np.empty(2 * m + 1)  # ||x||^2 = nsq - (2 step) fv + ss d_p at each row, as nsq + (-(2 step) fv)
+    w[0] = nsq
+    np.multiply(-2.0 * st, fvs, out=w[1::2])
+    np.multiply(ss, d[p : p + k + 1][idx], out=w[2::2])
+    nsqs = np.cumsum(w)[::2]  # before each row, then after the last
+    e = np.empty(m + 1)  # nerr, then its increment at each row
+    e[0] = nerr
+    e[1:] = (4.0 * st) * tols + coef * ((np.abs(nsqs[:m]) + 2.0 * np.abs(st * fvs)) + ss * D)
+    after = nsqs[1:]
+    gave_up = 1.0 - after <= (1e-9 + np.cumsum(e)[1:]) + coef * np.abs(after)  # near 1 or past it
+    g = int(gave_up.argmax()) if gave_up.any() else m
+    if g == 0:
+        return None
+    nsq_max = float(np.fmax.reduce(after[:g], initial=-math.inf))  # NaN rows never raise the loop's max
+    return fvs[:g], tols[:g], opened[: np.count_nonzero(st[:g])], nsq_max
 
 
 def _certified(s, u, buf, p, D, st, fvs, tols, opened):
@@ -169,11 +197,11 @@ def _certified(s, u, buf, p, D, st, fvs, tols, opened):
         bound = M0 + (c[:m] / cB) * (float(buf[:p].max()) - M0)  # the chord of a convex max
     else:
         bound = np.full(m, M0)
-    sf = np.array(fvs)
+    sf = np.asarray(fvs)
     Z = max(M0, -float(old.min())) + float(np.abs(sf).max()) + cB * D
-    if opened:
+    if len(opened):
         rows = np.flatnonzero(st)  # the rows that opened a coordinate
-        v = np.array(opened)
+        v = np.asarray(opened)
         w = np.full(m, -math.inf)
         w[rows] = v + np.maximum(u[p : p + len(opened)], 0.0) * (cB - c[rows + 1])
         np.maximum.accumulate(w, out=w)
@@ -182,7 +210,8 @@ def _certified(s, u, buf, p, D, st, fvs, tols, opened):
     if not math.isfinite(Z):
         return False
     slack = 8.0 * (m + 2) * _EPS * Z + 1e-300
-    return bool(np.all(sf - bound > (2.0 + 16.0 * _EPS) * np.array(tols) + slack))
+    np.subtract(sf, bound, out=bound)
+    return bool(np.all(bound > (2.0 + 16.0 * _EPS) * np.asarray(tols) + slack))
 
 
 def _step_update(x, a, b, buf, i, step):
@@ -196,10 +225,12 @@ def _flush(x, a, b, buf, scratch, p, st):
     """Apply a block's deferred iterate updates, each coordinate's in step order.
 
     Row ``r`` of the block did ``x[:p_r] -= eta_r a[:p_r]; x[p_r] += eta_r
-    b[p_r]``.  Past ``scratch``'s width the rows run as those updates, one
-    after another (``_step_update``).  Narrower, one batch does them all:
-    row 0 of a packed ``(m + 1, p_end)`` view of ``scratch`` holds
-    ``x[:p_end]``, row ``r + 1`` the terms row ``r`` subtracts, and
+    b[p_r]``.  When fewer than ``_BLOCK_STEPS`` rows of the touched prefix
+    fit in the flat ``scratch``, the rows run as those updates, one after
+    another (``_step_update``).  Otherwise they go in chunks of as many
+    rows as fit, one batch each: row 0 of a packed ``(n + 1, w)`` view of
+    ``scratch`` holds ``x[:w]`` (``w`` the prefix touched by the chunk's
+    end), row ``r + 1`` the terms chunk row ``r`` subtracts, and
     ``np.subtract.reduce`` along axis 0 folds each column in row order
     (subtract does not reorder), so every coordinate sees the float
     operations of exact steps, up to the sign of zero terms (see the
@@ -211,20 +242,28 @@ def _flush(x, a, b, buf, scratch, p, st):
     ps = np.cumsum(nz)
     p_end = p + int(ps[-1])
     ps += p - nz  # p at each row
-    if p_end > scratch.shape[1]:
-        for i, step in zip(ps.tolist(), st.tolist()):
+    n = scratch.shape[0] // p_end - 1  # p_end bounds every chunk's width
+    if n < _BLOCK_STEPS:
+        for i, step in zip(memoryview(ps), memoryview(st)):
             _step_update(x, a, b, buf, i, step)
         return ps, p_end
-    flat = scratch.reshape(-1)[: (m + 1) * p_end]
-    blk = flat.reshape(m + 1, p_end)
-    blk[0] = x[:p_end]
-    np.einsum("i,j->ij", st, a[:p_end], out=blk[1:])
-    if p_end > p:  # coordinates opened inside the block
-        col = np.arange(p, p_end)
-        np.copyto(blk[1:, p:], 0.0, where=np.less.outer(ps, col))  # rows before k opens leave it alone
-        rows = np.flatnonzero(nz)  # row rows[j] opens p + j: x[k] += eta b[k], as x[k] - (-(eta b[k]))
-        flat[(rows + 1) * p_end + col] = -(st[rows] * b[p:p_end])
-    np.subtract.reduce(blk, axis=0, out=x[:p_end])
+    for r0 in range(0, m, n):
+        r1 = min(r0 + n, m)
+        q, w = int(ps[r0]), int(ps[r1 - 1] + nz[r1 - 1])  # p before and after the chunk
+        blk = scratch[: (r1 - r0 + 1) * w].reshape(r1 - r0 + 1, w)
+        blk[0] = x[:w]
+        sc = st[r0:r1]
+        np.einsum("i,j->ij", sc, a[:w], out=blk[1:])
+        if w > q:  # coordinates opened inside the chunk
+            # rows before q + j opens leave it alone; outer() copies both
+            # operands at full size, so they go as int16 (entries below _BLOCK_ROWS)
+            j = np.arange(w - q, dtype=np.int16)
+            before = np.less.outer((ps[r0:r1] - q).astype(np.int16), j)
+            np.copyto(blk[1:, q:], 0.0, where=before)
+            # chunk row rows[j] opens q + j: x[k] += eta b[k], as x[k] - (-(eta b[k]))
+            rows = np.flatnonzero(nz[r0:r1])
+            scratch[(rows + 1) * w + q + j] = -(sc[rows] * b[q:w])
+        np.subtract.reduce(blk, axis=0, out=x[:w])
     return ps, p_end
 
 
@@ -273,8 +312,8 @@ def maxlinear_descent(a: np.ndarray, b: np.ndarray, eta: np.ndarray, snap_times:
     # With G below 2^200 no score, iterate entry, ||x||^2 or tracked
     # increment can overflow (each is at most G^4); otherwise no block runs.
     G = (dim + 1.0) * (1.0 + w) * (1.0 + float(np.abs(eta).sum()))
-    longest = _BLOCK_STEPS if G <= 2.0**200 else 0
-    coef = 8.0 * (dim + 2 * _BLOCK_STEPS) * _EPS  # see the module docstring
+    longest = _BLOCK_ROWS if _BLOCK_STEPS and G <= 2.0**200 else 0
+    coef = 8.0 * (dim + 2 * _BLOCK_ROWS) * _EPS  # see the module docstring
     R = math.sqrt(D)
 
     # p <= T < dim: a step touches at most one fresh coordinate
@@ -284,8 +323,7 @@ def maxlinear_descent(a: np.ndarray, b: np.ndarray, eta: np.ndarray, snap_times:
     fault = -1
     spos = 0
     next_snap = int(snap_times[0]) if snap_times.shape[0] else -1
-    eta_v, u_v, d_v = memoryview(eta), memoryview(u), memoryview(d)
-    scratch = np.empty((_BLOCK_STEPS + 1, min(_FLUSH_COLS, dim)))  # the flush's fixed buffer
+    scratch = np.empty((_BLOCK_STEPS + 1) * min(_FLUSH_COLS, dim))  # the flush's fixed buffer
     t = 0
     retry = 0  # the first row at which a block may be tried
     while True:
@@ -298,12 +336,15 @@ def maxlinear_descent(a: np.ndarray, b: np.ndarray, eta: np.ndarray, snap_times:
             sfx = float(s[p])
             nsq = float(np.dot(x, x))
             base = 2.0 * R * math.sqrt(nsq)
-            rows = _block(t, end, p, sfx, nsq, coef * nsq, 0.0, coef * base, base, coef, D, eta_v, u_v, d_v)
-            st = eta[t:end]
+            rows = _block(t, end, p, sfx, nsq, coef * nsq, 0.0, coef * base, base, coef, D, eta, u, d)
+            short = rows is None or len(rows[0]) < end - t  # ||x||^2 nears 1 at the first row left out
             if rows is not None:
+                end = t + len(rows[0])
+                st = eta[t:end]
                 certified = _certified(s, u, buf, p, D, st, *rows[:3])
-                if not certified:  # a rival wins: exact steps up to the next multiple of longest
-                    retry = t - t % longest + longest
+            if short or not certified:  # exact steps up to the next multiple of _BLOCK_STEPS
+                stop = end if certified else t
+                retry = stop - stop % _BLOCK_STEPS + _BLOCK_STEPS
         if certified:
             trace[t:end], p = _flush(x, a, b, buf, scratch, p, st)
             errors[t - 1 : end - 1] = rows[0]

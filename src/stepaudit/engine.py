@@ -41,7 +41,6 @@ __all__ = [
     "scalar_descent",
     "project_ball",
     "project_interval",
-    "validate_instance",
 ]
 
 
@@ -50,8 +49,8 @@ class ConvexInstance:
     """A convex objective bundled with its oracles and domain.
 
     Errors are objective values measured from 0, a level at or above the
-    domain minimum of every family here.  ``lipschitz`` is a certified gradient-norm bound, ``sample`` draws
-    in-domain points for spot checks.  Two optional fields select a fast
+    domain minimum of every family here.  ``lipschitz`` is a certified
+    gradient-norm bound.  Two optional fields select a fast
     path in :func:`run`: ``kernel_data`` holds the max-of-linear weights
     ``(a, b)`` of the kernel path, and ``scalar`` holds the float-to-float
     oracles ``(value, subgradient, lo, hi)`` of a 1-d instance on the
@@ -66,7 +65,6 @@ class ConvexInstance:
     subgradient: Callable[[np.ndarray], np.ndarray]
     project: Callable[[np.ndarray], np.ndarray]
     lipschitz: float
-    sample: Callable[[np.random.Generator], np.ndarray] | None = None
     kernel_data: tuple | None = None
     scalar: tuple | None = None
 
@@ -249,58 +247,3 @@ def scalar_descent(scalar: tuple, x: float, eta: np.ndarray, snap_times: Iterabl
             snapshots[nxt] = np.array([x])
             nxt = next(pending, 0)
     return x, errors, snapshots, max_norm, hits
-
-
-def validate_instance(
-    instance: ConvexInstance,
-    rng: np.random.Generator,
-    trials: int = 1000,
-    rel_tol: float = 1e-12,
-) -> dict:
-    """Spot-check convexity, subgradient validity, and projection idempotence.
-
-    Samples point pairs/triples from the instance's domain and counts
-    violations of ``f(y) >= f(x) + g(x).(y-x)``, of convexity along
-    segments, of the Lipschitz bound on subgradient norms, and of
-    ``project(project(x)) == project(x)``.
-    """
-    if instance.sample is None:
-        raise InvalidParameterError("instance has no domain sampler")
-    report = {
-        "trials": trials,
-        "subgradient_violations": 0,
-        "convexity_violations": 0,
-        "lipschitz_violations": 0,
-        "projection_violations": 0,
-        "worst_subgradient_gap": 0.0,
-    }
-    for _ in range(trials):
-        x = instance.sample(rng)
-        y = instance.sample(rng)
-        fx = instance.value(x)
-        fy = instance.value(y)
-        g = instance.subgradient(x)
-        scale = max(1.0, abs(fx), abs(fy))
-        gap = (fx + float(np.dot(g, y - x))) - fy
-        if gap > rel_tol * scale:
-            report["subgradient_violations"] += 1
-            report["worst_subgradient_gap"] = max(report["worst_subgradient_gap"], gap / scale)
-        if float(np.linalg.norm(g)) > instance.lipschitz * (1 + rel_tol):
-            report["lipschitz_violations"] += 1
-        lam = float(rng.uniform())
-        z = lam * x + (1 - lam) * y
-        if instance.value(z) > lam * fx + (1 - lam) * fy + rel_tol * scale:
-            report["convexity_violations"] += 1
-        p = np.asarray(instance.project(x))
-        if not np.allclose(instance.project(p), p, rtol=0, atol=1e-15):
-            report["projection_violations"] += 1
-    report["passed"] = not any(
-        report[k]
-        for k in (
-            "subgradient_violations",
-            "convexity_violations",
-            "lipschitz_violations",
-            "projection_violations",
-        )
-    )
-    return report

@@ -102,7 +102,6 @@ def _interval_instance(value, subgradient, x0: float) -> ConvexInstance:
         subgradient=lambda x: np.array([subgradient(float(x[0]))]),
         project=lambda x: project_interval(x, -1.0, 1.0),
         lipschitz=1.0,
-        sample=lambda rng: rng.uniform(-1.0, 1.0, size=1),
         scalar=(value, subgradient, -1.0, 1.0),
     )
 
@@ -430,11 +429,6 @@ def build_maxlinear(schedule: StepSchedule, T: int, phi: GuaranteeEnvelope) -> M
         g[i] = -b[i]
         return g
 
-    def sample(rng: np.random.Generator) -> np.ndarray:
-        z = rng.normal(size=dim)
-        r = rng.uniform() ** (1.0 / dim)
-        return z * (r / float(np.linalg.norm(z)))
-
     convex = ConvexInstance(
         dim=dim,
         initial_point=np.zeros(dim),
@@ -442,7 +436,6 @@ def build_maxlinear(schedule: StepSchedule, T: int, phi: GuaranteeEnvelope) -> M
         subgradient=subgradient,
         project=lambda x: project_ball(x, 1.0),
         lipschitz=1.0,
-        sample=sample,
         kernel_data=(a, b),
     )
     return MaxLinearInstance(

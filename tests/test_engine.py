@@ -18,7 +18,6 @@ def _toy_instance(value=None, subgradient=None):
         subgradient=subgradient or (lambda x: np.array([2.0 * float(x[0])])),
         project=lambda x: engine.project_interval(x, -1.0, 1.0),
         lipschitz=2.0,
-        sample=lambda rng: rng.uniform(-1, 1, size=1),
     )
 
 
@@ -210,15 +209,75 @@ class TestRunRecord:
             rec.error_at(4)
 
 
+def _sample_interval(rng, dim):
+    """A uniform point of ``[-1, 1]``, the domain of the 1-d families."""
+    return rng.uniform(-1.0, 1.0, size=1)
+
+
+def _sample_ball(rng, dim):
+    """A uniform point of the unit ball, the max-of-linear domain."""
+    z = rng.normal(size=dim)
+    r = rng.uniform() ** (1.0 / dim)
+    return z * (r / float(np.linalg.norm(z)))
+
+
+def _validate_instance(instance, sample, rng, trials=1000, rel_tol=1e-12):
+    """Spot-check convexity, subgradient validity, and projection idempotence.
+
+    Samples point pairs from the instance's domain with ``sample(rng,
+    dim)`` and counts violations of ``f(y) >= f(x) + g(x).(y-x)``, of
+    convexity along segments, of the Lipschitz bound on subgradient norms,
+    and of ``project(project(x)) == project(x)``.
+    """
+    report = {
+        "trials": trials,
+        "subgradient_violations": 0,
+        "convexity_violations": 0,
+        "lipschitz_violations": 0,
+        "projection_violations": 0,
+        "worst_subgradient_gap": 0.0,
+    }
+    for _ in range(trials):
+        x = sample(rng, instance.dim)
+        y = sample(rng, instance.dim)
+        fx = instance.value(x)
+        fy = instance.value(y)
+        g = instance.subgradient(x)
+        scale = max(1.0, abs(fx), abs(fy))
+        gap = (fx + float(np.dot(g, y - x))) - fy
+        if gap > rel_tol * scale:
+            report["subgradient_violations"] += 1
+            report["worst_subgradient_gap"] = max(report["worst_subgradient_gap"], gap / scale)
+        if float(np.linalg.norm(g)) > instance.lipschitz * (1 + rel_tol):
+            report["lipschitz_violations"] += 1
+        lam = float(rng.uniform())
+        z = lam * x + (1 - lam) * y
+        if instance.value(z) > lam * fx + (1 - lam) * fy + rel_tol * scale:
+            report["convexity_violations"] += 1
+        p = np.asarray(instance.project(x))
+        if not np.allclose(instance.project(p), p, rtol=0, atol=1e-15):
+            report["projection_violations"] += 1
+    report["passed"] = not any(
+        report[k]
+        for k in (
+            "subgradient_violations",
+            "convexity_violations",
+            "lipschitz_violations",
+            "projection_violations",
+        )
+    )
+    return report
+
+
 class TestInstanceValidation:
     @pytest.mark.parametrize("family", ["maxlinear", "vshape", "quadratic"])
     def test_oracles_are_valid(self, family):
         s = sched.sqrt_decay(2, 1)
-        built = {
-            "maxlinear": lambda: build_maxlinear(s, 12, log_envelope()),
-            "vshape": lambda: build_vshape(s, 12),
-            "quadratic": lambda: build_quadratic(s, 12),
+        built, sample = {
+            "maxlinear": lambda: (build_maxlinear(s, 12, log_envelope()), _sample_ball),
+            "vshape": lambda: (build_vshape(s, 12), _sample_interval),
+            "quadratic": lambda: (build_quadratic(s, 12), _sample_interval),
         }[family]()
         rng = np.random.default_rng(123)
-        report = engine.validate_instance(built.convex, rng, trials=1000)
+        report = _validate_instance(built.convex, sample, rng, trials=1000)
         assert report["passed"], report

@@ -1,4 +1,5 @@
 import contextlib
+import math
 import tracemalloc
 
 import numpy as np
@@ -312,8 +313,9 @@ def test_block_path_matches_per_step_on_construction(table, seed):
         _wide_rows(log, cols)
 
 
-def test_every_block_certified_on_the_staircase():
+def test_every_block_certified_on_the_staircase(monkeypatch):
     # the construction's fresh coordinate wins every step: no block falls back
+    monkeypatch.setattr(_kernels, "_BLOCK_ROWS", 64)
     s = sqrt_decay(2, 1)
     T = 1000
     a, b = coupling_weights(s, T, log_envelope())
@@ -326,6 +328,22 @@ def test_every_block_certified_on_the_staircase():
         wide, flushed = _wide_rows(log, cols), sum(rows for _, rows, _ in log)
         # p passes the default width of 768 at t = 768, and width 3 at once
         assert (0 < wide < flushed) if cols is None else (wide == flushed)
+
+
+def test_every_long_block_certified_on_the_staircase():
+    # at the default length a block runs to the next snapshot time or T:
+    # [1, 70), [70, 500), [500, 999) and [999, 1000)
+    s = sqrt_decay(2, 1)
+    T = 1000
+    a, b = coupling_weights(s, T, log_envelope())
+    snaps = np.array([1, 70, 500, 999], dtype=np.int64)
+    with _certificates() as results, _flushes() as log:
+        trace = _assert_block_path_bitwise(a, b, s.rates(T), snaps)
+    assert results == [True] * 4
+    assert trace.tobytes() == np.arange(T + 1).tobytes()
+    assert [rows for _, rows, _ in log] == [69, 430, 499, 1]
+    # the first two stay within 768 touched coordinates, the last two run row by row
+    assert _wide_rows(log, None) == 500
 
 
 def _old_rival(T=40, slope=0.1):
@@ -399,12 +417,121 @@ def test_block_refuses_negative_steps(weights):
     assert not _kernels._certified(s, u, buf, 1, 1.0, np.array([1e-3, -1e-3]), *rows)
 
 
+def _block_reference(t0, t1, p, sfx, nsq, nerr, eta_acc, tol, base, coef, D, eta_v, u_v, d_v):
+    """``_kernels._block`` as a loop over Python floats, giving up on the whole block."""
+    fvs, tols, opened = [], [], []
+    nsq_max = -math.inf
+    D3 = 3.0 * D
+    for step in eta_v[t0:t1]:
+        fv = sfx
+        fvs.append(fv)
+        tols.append(tol)
+        di = d_v[p]
+        if step != 0.0:
+            opened.append(sfx - step * di)  # the tracked score of p after its step
+            sfx += step * u_v[p]
+            p += 1
+        ss = step * step
+        nerr += 4.0 * step * tol + coef * (abs(nsq) + 2.0 * abs(step * fv) + ss * D)
+        nsq = nsq - 2.0 * step * fv + ss * di
+        eta_acc += step
+        tol = coef * (base + D3 * eta_acc)
+        if 1.0 - nsq <= 1e-9 + nerr + coef * abs(nsq):  # near 1 or past it
+            return None
+        if nsq > nsq_max:
+            nsq_max = nsq
+    return fvs, tols, opened, nsq_max
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(1, _kernels._BLOCK_ROWS),
+    st.integers(0, 3),
+    st.floats(0.0, 0.9),
+    st.floats(-4.0, 0.0),
+    st.integers(0, 2**32 - 1),
+)
+def test_block_matches_the_reference_loop(m, p, zeros, log_step, seed):
+    # steps up to 10^log_step with a share of zeros; the larger ones carry
+    # ||x||^2 to 1 within the block, where it gives up part of the way
+    rng = np.random.default_rng(seed)
+    t0 = int(rng.integers(0, 4))
+    eta = 10.0 ** rng.uniform(log_step - 2.0, log_step, t0 + m) * (rng.uniform(size=t0 + m) >= zeros)
+    u = rng.uniform(-1.0, 1.0, p + m + 1)
+    d = rng.uniform(0.0, 2.0, p + m + 1)
+    sfx, nsq = rng.uniform(-1.0, 1.0), rng.uniform(0.0, 1.0)
+    base, eta_acc = rng.uniform(0.0, 4.0), rng.uniform(0.0, 1.0)
+    coef, D = 10.0 ** rng.uniform(-16, -12), max(float(np.abs(u).max()), float(d.max()))
+    # the kernel starts at eta_acc = 0 with nerr and tol from nsq and base; any start must match
+    nerr, tol = coef * nsq * rng.uniform(1.0, 2.0), coef * base * rng.uniform(1.0, 2.0)
+    args = (p, sfx, nsq, nerr, eta_acc, tol, base, coef, D)
+    views = tuple(memoryview(v) for v in (eta, u, d))
+    got = _kernels._block(t0, t0 + m, *args, eta, u, d)
+    rows = 0 if got is None else len(got[0])
+    if got is not None:
+        for have, want in zip(got, _block_reference(t0, t0 + rows, *args, *views)):
+            assert _bits(have) == _bits(want)
+    if rows < m:  # the loop gives up at the first row dropped
+        assert _block_reference(t0, t0 + rows + 1, *args, *views) is None
+
+
 @pytest.mark.parametrize("nsq, gives_up", [(0.5, False), (1.0 - 1e-10, True), (1.0 + 1e-10, True)])
 def test_block_gives_up_where_the_norm_needs_the_dot(nsq, gives_up):
     # zero steps keep ||x||^2; within 1e-9 of 1 the per-step loop takes the exact dot
     zeros, ones = memoryview(np.zeros(4)), memoryview(np.ones(4))
     rows = _kernels._block(0, 2, 1, 0.0, nsq, 0.0, 0.0, 0.0, 0.0, 1e-16, 1.0, zeros, ones, ones)
     assert (rows is None) == gives_up
+
+
+def test_block_gives_up_midway_and_backs_off():
+    # at three times the headline steps ||x||^2 reaches 1 inside the first
+    # block: it keeps the rows before that, exact steps project from there,
+    # and each later block waits for the next multiple of _BLOCK_STEPS
+    s = sqrt_decay(2, 1)
+    T = 300
+    a, b = coupling_weights(s, T, log_envelope())
+    starts = []
+    block = _kernels._block
+
+    def recorded(t0, *args):
+        starts.append(t0)
+        return block(t0, *args)
+
+    with pytest.MonkeyPatch.context() as mp, _certificates() as results, _flushes() as log:
+        mp.setattr(_kernels, "_block", recorded)
+        _assert_block_path_bitwise(a, b, 3.0 * s.rates(T), NO_SNAPS)
+    assert results == [True] and len(log) == 1
+    rows = log[0][1]
+    assert 0 < rows < T - 1  # the first block would run [1, T)
+    stop = 1 + rows  # the exact step that projects
+    steps = _kernels._BLOCK_STEPS
+    assert starts == [1] + list(range(stop - stop % steps + steps, T, steps))
+
+
+def test_block_gives_up_with_the_loops_rounding():
+    # a zero step keeps ||x||^2 = 0.5 and adds coef * 0.5 = 3e-17 to nerr;
+    # across these nerr the test 0.5 <= (1e-9 + nerr) + 3e-17 flips, and
+    # at one of them the grouping nerr + (3e-17 + 1e-9) would decide otherwise
+    zeros, ones = np.zeros(2), np.ones(2)
+    views = (memoryview(zeros), memoryview(ones), memoryview(ones))
+    decided = set()
+    for k in range(-40, 40):
+        nerr = 0.5 - 1e-9 - 6e-17 + k * 2.0**-54
+        args = (0, 1, 0, 0.0, 0.5, nerr, 0.0, 0.0, 0.0, 6e-17, 1.0)
+        gave_up = _block_reference(*args, *views) is None
+        assert (_kernels._block(*args, zeros, ones, ones) is None) == gave_up
+        decided.add(gave_up)
+    assert decided == {False, True}
+
+
+def test_block_skips_a_nan_norm_as_the_loop_does():
+    # a NaN ||x||^2 never gives up and never raises the largest norm
+    zeros, ones = np.zeros(3), np.ones(3)
+    args = (0, 2, 1, 0.0, math.nan, 0.0, 0.0, 0.0, 0.0, 1e-16, 1.0)
+    want = _block_reference(*args, memoryview(zeros), memoryview(ones), memoryview(ones))
+    assert want[3] == -math.inf
+    for have, expected in zip(_kernels._block(*args, zeros, ones, ones), want):
+        assert _bits(have) == _bits(expected)
 
 
 def test_block_scratch_is_fixed_size():
