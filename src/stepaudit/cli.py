@@ -21,7 +21,6 @@ from .errors import ConstructionError, InvalidParameterError
 from .harness import (
     FAMILIES,
     ExperimentSpec,
-    Tolerances,
     audit_schedule,
     chain_check,
     density_experiment,
@@ -30,94 +29,71 @@ from .harness import (
 
 OUT_ENV_VAR = "STEPAUDIT_OUT"
 
-_DEFAULTS = {
-    "schedule": "sqrt_decay:D=2,G=1",
-    "phi": "log",
-    "families": ",".join(FAMILIES),
-    "family": "maxlinear",
-    "horizons": None,
-    "T": None,
-    "thresholds": "0,0.5,1",
-    "out": None,
-    "workers": 1,
-    "seed": 0,
-    "shrink": 1e-6,
-    "per_t": False,
-    "dump_instances": False,
-    "rows": False,
-}
-
-
-# the type a config-file value converts to; every other field is a string
-_FIELD_TYPES = {
-    "T": int, "workers": int, "seed": int, "shrink": float, "per_t": bool, "dump_instances": bool, "rows": bool,
-}
+# numpy arrays span at most sys.maxsize bytes and the pipeline holds up to
+# T + 2 float64 values per horizon, so a larger horizon is refused up front
+_MAX_HORIZON = sys.maxsize // 8 - 2
 
 
 class UsageError(Exception):
     """Configuration problem; maps to exit code 2."""
 
 
-def _parse_kv(body: str) -> dict[str, str]:
-    out = {}
-    if not body:
-        return out
-    for part in body.split(","):
-        if "=" not in part:
-            raise UsageError(f"expected key=value in {body!r}")
-        k, v = part.split("=", 1)
-        out[k.strip()] = v.strip()
-    return out
+def _table_schedule(path: str) -> sched.StepSchedule:
+    if not path:
+        raise UsageError("schedule 'table' needs a file path: table:PATH")
+    if not os.path.exists(path):
+        raise UsageError(f"schedule table file not found: {path}")
+    return sched.from_csv(path)
 
 
-def _parse_schedule(text: str) -> sched.StepSchedule:
+# name -> (builder, default of each key); ``None`` in place of the keys
+# passes the text after the colon as one argument.  Builders look their
+# targets up when called, so a wrapper installed on the module is seen.
+_SCHEDULES = {
+    "sqrt_decay": (lambda **kw: sched.sqrt_decay(**kw), {"D": 1.0, "G": 1.0}),
+    "constant": (lambda **kw: sched.constant(**kw), {"c": 0.0}),
+    "table": (_table_schedule, None),
+    "doubling_sqrt": (lambda **kw: sched.doubling_sqrt(**kw), {"D": 1.0, "G": 1.0}),
+}
+_ENVELOPES = {
+    "log": (lambda **kw: bnd.log_envelope(**kw), {"offset": 8.0, "coef": 4.0}),
+    "one": (lambda: bnd.constant_envelope(1.0), {}),
+    "const": (lambda **kw: bnd.constant_envelope(**kw), {"c": 1.0}),
+    "empirical": (lambda: "empirical", {}),
+}
+
+
+def _grammar(table: dict) -> str:
+    """The spec forms of ``table``, each with its keys and their defaults."""
+    forms = []
+    for name, (_, defaults) in table.items():
+        keys = ",".join(f"{key}={val:g}" for key, val in (defaults or {}).items())
+        forms.append(f"{name}:PATH" if defaults is None else f"{name}[:{keys}]" if keys else name)
+    return " | ".join(forms)
+
+
+def _parse_spec(text: str, table: dict, what: str):
+    """Build the ``name:key=value,...`` spec ``text`` from the rows of ``table``."""
     name, _, body = text.partition(":")
     name = name.strip().lower()
+    if name not in table:
+        raise UsageError(f"unknown {what} {name!r} (try {_grammar(table)})")
+    build, defaults = table[name]
     try:
-        if name == "sqrt_decay":
-            kv = _parse_kv(body)
-            return sched.sqrt_decay(float(kv.get("D", 1.0)), float(kv.get("G", 1.0)))
-        if name == "constant":
-            kv = _parse_kv(body)
-            return sched.constant(float(kv.get("c", 0.0)))
-        if name == "table":
-            if not body:
-                raise UsageError("schedule 'table' needs a file path: table:PATH")
-            if not os.path.exists(body):
-                raise UsageError(f"schedule table file not found: {body}")
-            return sched.from_csv(body)
-        if name == "doubling_sqrt":
-            kv = _parse_kv(body)
-            D = float(kv.get("D", 1.0))
-            G = float(kv.get("G", 1.0))
-            if D <= 0 or G <= 0:
-                raise UsageError("doubling_sqrt requires D > 0 and G > 0")
-            return sched.doubling_concat(
-                lambda n: [D / (G * n**0.5)] * n,
-                label=f"doubling_sqrt(D={D:g},G={G:g})",
-            )
+        if defaults is None:
+            return build(body)
+        kwargs, given = dict(defaults), set()
+        for part in body.split(",") if body else ():
+            key, eq, val = (s.strip() for s in part.partition("="))
+            if not eq or key not in defaults or key in given:
+                problem = "expected key=value, got" if not eq else "repeated key" if key in given else "unknown key"
+                allowed = ", ".join(defaults) or "no keys"
+                raise UsageError(f"bad {what} spec {text!r}: {problem} {key!r} ({name} takes {allowed})")
+            given.add(key)
+            kwargs[key] = float(val)
+        return build(**kwargs)
     except (ValueError, InvalidParameterError, OSError) as exc:
-        raise UsageError(f"bad schedule spec {text!r}: {exc}") from exc
-    raise UsageError(f"unknown schedule {name!r} (try sqrt_decay | constant | table | doubling_sqrt)")
-
-
-def _parse_envelope(text: str):
-    name, _, body = text.partition(":")
-    name = name.strip().lower()
-    try:
-        if name == "log":
-            kv = _parse_kv(body)
-            return bnd.log_envelope(float(kv.get("offset", 8.0)), float(kv.get("coef", 4.0)))
-        if name == "one":
-            return bnd.constant_envelope(1.0)
-        if name == "const":
-            kv = _parse_kv(body)
-            return bnd.constant_envelope(float(kv.get("c", 1.0)))
-        if name == "empirical":
-            return "empirical"
-    except (ValueError, InvalidParameterError) as exc:
-        raise UsageError(f"bad envelope spec {text!r}: {exc}") from exc
-    raise UsageError(f"unknown envelope {name!r} (try log | one | const:c=... | empirical)")
+        raise UsageError(f"bad {what} spec {text!r}: {exc}") from exc
 
 
 def _parse_horizons(text: str) -> list[int]:
@@ -162,18 +138,18 @@ def _parse_thresholds(text: str) -> list[float]:
 
 
 def _config_value(key: str, val):
-    """Convert one config-file value to its field's type."""
-    kind = _FIELD_TYPES.get(key, str)
+    """Convert one config-file value as its text would convert as a flag."""
+    kind = _OPTIONS[key][0]
     if isinstance(val, bool) == (kind is bool) and isinstance(val, (int, float, str)):
         try:
-            return kind(val)
-        except (ValueError, OverflowError):
+            return val if kind is bool else kind(str(val))
+        except ValueError:
             pass
     raise UsageError(f"config field {key!r} must be {kind.__name__}, got {val!r}")
 
 
 def _resolve_config(args: argparse.Namespace) -> dict:
-    merged = dict(_DEFAULTS)
+    merged = {key: default for key, (_, default, _, _) in _OPTIONS.items()}
     if args.config:
         try:
             with open(args.config) as fh:
@@ -182,11 +158,13 @@ def _resolve_config(args: argparse.Namespace) -> dict:
             raise UsageError(f"config file not found: {args.config}") from exc
         except json.JSONDecodeError as exc:
             raise UsageError(f"config file {args.config} is not valid JSON: {exc}") from exc
-        unknown = set(loaded) - set(_DEFAULTS)
+        if not isinstance(loaded, dict):
+            raise UsageError(f"config file {args.config} must hold a JSON object, not {type(loaded).__name__}")
+        unknown = set(loaded) - set(_OPTIONS)
         if unknown:
             raise UsageError(f"unknown config fields: {sorted(unknown)}")
         merged.update({key: _config_value(key, val) for key, val in loaded.items() if val is not None})
-    for key in _DEFAULTS:
+    for key in _OPTIONS:
         val = getattr(args, key, None)
         if val is not None and val is not False:
             merged[key] = val
@@ -218,14 +196,13 @@ def _write_json(path: Path, payload: dict, config: dict) -> None:
 
 
 def _spec_from_config(config: dict, horizons: list[int], families: list[str]) -> ExperimentSpec:
-    schedule = _parse_schedule(config["schedule"])
-    envelope = _parse_envelope(config["phi"])
+    schedule = _parse_spec(config["schedule"], _SCHEDULES, "schedule")
+    envelope = _parse_spec(config["phi"], _ENVELOPES, "envelope")
     return ExperimentSpec(
         schedule=schedule,
         horizons=horizons,
         families=tuple(families),
         envelope=envelope,
-        tolerances=Tolerances(),
         shrink=config["shrink"],
         workers=config["workers"],
     )
@@ -233,12 +210,16 @@ def _spec_from_config(config: dict, horizons: list[int], families: list[str]) ->
 
 def _horizons_from(config: dict) -> list[int]:
     if config.get("horizons") is not None:
-        return _parse_horizons(config["horizons"])
-    if config.get("T") is not None:
+        horizons = _parse_horizons(config["horizons"])
+    elif config.get("T") is not None:
         if config["T"] < 1:
             raise UsageError(f"T must be >= 1, got {config['T']}")
-        return [config["T"]]
-    raise UsageError("missing horizons: pass --T or --horizons")
+        horizons = [config["T"]]
+    else:
+        raise UsageError("missing horizons: pass --T or --horizons")
+    if horizons[-1] > _MAX_HORIZON:
+        raise UsageError(f"horizon {horizons[-1]} is too large: numpy cannot index a float64 array of T + 2 values")
+    return horizons
 
 
 def _families_from(config: dict, single: bool) -> list[str]:
@@ -250,6 +231,7 @@ def _families_from(config: dict, single: bool) -> list[str]:
 
 
 def cmd_verify(config: dict) -> int:
+    """Check simulated trajectories against closed forms."""
     spec = _spec_from_config(config, _horizons_from(config), _families_from(config, single=False))
     if spec.envelope == "empirical":
         raise UsageError("verify needs a concrete envelope (field 'phi'), not 'empirical'")
@@ -274,6 +256,7 @@ def cmd_verify(config: dict) -> int:
 
 
 def cmd_audit(config: dict) -> int:
+    """Run certified floors against measured errors per horizon."""
     spec = _spec_from_config(config, _horizons_from(config), _families_from(config, single=False))
     out = _out_dir(config)
     result = audit_schedule(spec)
@@ -291,6 +274,7 @@ def cmd_audit(config: dict) -> int:
 
 
 def cmd_density(config: dict) -> int:
+    """Measure how often scaled errors clear thresholds."""
     spec = _spec_from_config(config, _horizons_from(config), _families_from(config, single=True))
     thresholds = _parse_thresholds(config["thresholds"])
     out = _out_dir(config)
@@ -306,6 +290,7 @@ def cmd_density(config: dict) -> int:
 
 
 def cmd_bounds(config: dict) -> int:
+    """Analytic bound table and proof-chain replay (no simulation)."""
     horizons = _horizons_from(config)
     T = max(horizons)
     if T % 2 != 0 or T < 4:
@@ -336,6 +321,29 @@ def cmd_bounds(config: dict) -> int:
     return 0 if chain.passed else 1
 
 
+_COMMANDS = {"verify": cmd_verify, "audit": cmd_audit, "density": cmd_density, "bounds": cmd_bounds}
+_ALL = tuple(_COMMANDS)
+
+# field -> (type, default, subcommands that take it as a flag, help);
+# a bool field is a switch.  The config file may set any field.
+_OPTIONS = {
+    "schedule": (str, "sqrt_decay:D=2,G=1", _ALL, f"schedule spec: {_grammar(_SCHEDULES)}"),
+    "phi": (str, "log", _ALL, f"envelope spec: {_grammar(_ENVELOPES)}"),
+    "families": (str, ",".join(FAMILIES), ("verify", "audit"), f"comma list from {','.join(FAMILIES)}"),
+    "family": (str, "maxlinear", ("verify", "density"), "a single family; verify reads it as --families"),
+    "horizons": (str, None, _ALL, "comma list (8,64,512) or pow2:LO-HI"),
+    "T": (int, None, _ALL, "single horizon"),
+    "thresholds": (str, "0,0.5,1", ("density",), "comma list of thresholds; 'inf' allowed"),
+    "out": (str, None, _ALL, f"output directory (default ${OUT_ENV_VAR} or ./out)"),
+    "workers": (int, 1, _ALL, "accepted (an int >= 1) but ignored: work runs on one thread"),
+    "seed": (int, 0, _ALL, "accepted for interface compatibility; pipeline is deterministic"),
+    "shrink": (float, 1e-6, _ALL, "vshape kink shrink factor"),
+    "per_t": (bool, False, ("density",), "build a fresh instance per stopping time (cubic cost)"),
+    "dump_instances": (bool, False, ("audit",), "also write every built instance to instances.json"),
+    "rows": (bool, False, ("bounds",), "write every quartic_floor row to chain_report.json, not one summary step"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="stepaudit",
@@ -343,39 +351,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"stepaudit {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for command, handler in _COMMANDS.items():
+        p = sub.add_parser(command, help=handler.__doc__)
         p.add_argument("--config", help="JSON config file; flags override its fields")
-        p.add_argument("--schedule", help="schedule spec, e.g. sqrt_decay:D=2,G=1 | constant:c=0.5 | table:PATH")
-        p.add_argument("--phi", help="envelope spec: log[:offset=..,coef=..] | one | const:c=.. | empirical")
-        p.add_argument("--out", help=f"output directory (default ${OUT_ENV_VAR} or ./out)")
-        p.add_argument("--workers", type=int, help="accepted (an int >= 1) but ignored: work runs on one thread")
-        p.add_argument("--seed", type=int, help="accepted for interface compatibility; pipeline is deterministic")
-        p.add_argument("--shrink", type=float, help="vshape kink shrink factor (default 1e-6)")
-        p.add_argument("--T", type=int, help="single horizon")
-        p.add_argument("--horizons", help="comma list (8,64,512) or pow2:LO-HI")
-
-    p = sub.add_parser("verify", help="check simulated trajectories against closed forms")
-    common(p)
-    p.add_argument("--families", help=f"comma list from {','.join(FAMILIES)}")
-    p.add_argument("--family", help="shorthand for a single family")
-
-    p = sub.add_parser("audit", help="run certified floors against measured errors per horizon")
-    common(p)
-    p.add_argument("--families", help=f"comma list from {','.join(FAMILIES)}")
-    p.add_argument("--dump-instances", dest="dump_instances", action="store_true", default=None)
-
-    p = sub.add_parser("density", help="measure how often scaled errors clear thresholds")
-    common(p)
-    p.add_argument("--family", help="single family (default maxlinear)")
-    p.add_argument("--thresholds", help="comma list of thresholds; 'inf' allowed")
-    p.add_argument("--per-t", dest="per_t", action="store_true", default=None,
-                   help="build a fresh instance per stopping time (cubic cost)")
-
-    p = sub.add_parser("bounds", help="analytic bound table and proof-chain replay (no simulation)")
-    common(p)
-    p.add_argument("--rows", action="store_true", default=None,
-                   help="write every quartic_floor row to chain_report.json, not one summary step")
+        for key, (kind, default, commands, text) in _OPTIONS.items():
+            if command not in commands:
+                continue
+            flag = "--" + key.replace("_", "-")
+            if kind is bool:
+                p.add_argument(flag, action="store_true", default=None, help=text)
+            else:
+                p.add_argument(flag, type=kind, help=text if default is None else f"{text} (default {default})")
     return parser
 
 
@@ -389,18 +375,9 @@ def main(argv=None) -> int:
         args.families = args.family
     try:
         config = _resolve_config(args)
-        handler = {
-            "verify": cmd_verify,
-            "audit": cmd_audit,
-            "density": cmd_density,
-            "bounds": cmd_bounds,
-        }[args.command]
-        return handler(config)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (InvalidParameterError, ConstructionError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        return _COMMANDS[args.command](config)
+    except (UsageError, InvalidParameterError, ConstructionError, FileNotFoundError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

@@ -10,15 +10,7 @@ class InvalidParameterError(StepAuditError, ValueError):
 
 
 class ConstructionError(StepAuditError, ValueError):
-    """An instance or schedule could not be built.
-
-    Carries an optional ``report`` attribute with diagnostic detail
-    (e.g. a failed condition report).
-    """
-
-    def __init__(self, message, report=None):
-        super().__init__(message)
-        self.report = report
+    """An instance or schedule could not be built."""
 
 
 class NumericFaultError(StepAuditError, ArithmeticError):

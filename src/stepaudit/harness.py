@@ -570,7 +570,6 @@ def chain_check(
     schedule: StepSchedule,
     phi: bnd.GuaranteeEnvelope,
     T: int,
-    tolerances: Tolerances | None = None,
     rows: bool = False,
 ) -> ChainReport:
     """Numerically replay the lower-bound argument for an even horizon.
@@ -591,7 +590,6 @@ def chain_check(
     T = int(T)
     if T < 4 or T % 2 != 0:
         raise InvalidParameterError("chain check requires even T >= 4")
-    tol = tolerances or Tolerances()
     phis = phi.values(range(1, T + 2))
     validation = bnd.validate_envelope(schedule, phi, t_max=T, phi_values=phis).to_dict()
     inconclusive: list[str] = []
@@ -605,9 +603,9 @@ def chain_check(
     oracle = 128.0 * math.fsum(profile) / T
     oracle_err = conv_err / math.sqrt(T) + 6.0 * _U * oracle
     diff = abs(closed - oracle)
-    if (closed == 0.0 and oracle == 0.0) or diff + oracle_err <= tol.scalar_rel * (oracle - oracle_err):
+    if (closed == 0.0 and oracle == 0.0) or diff + oracle_err <= Tolerances.scalar_rel * (oracle - oracle_err):
         status = "pass"
-    elif diff - oracle_err > tol.scalar_rel * (oracle + oracle_err):
+    elif diff - oracle_err > Tolerances.scalar_rel * (oracle + oracle_err):
         status = "fail"
     else:
         status = "inconclusive"

@@ -407,9 +407,7 @@ def build_maxlinear(schedule: StepSchedule, T: int, phi: GuaranteeEnvelope) -> M
     a, b = coupling_weights(schedule, T, phi)
     report = check_weight_conditions(a, b, schedule, T)
     if not report.ok:
-        raise ConstructionError(
-            f"maxlinear weight conditions failed for {schedule.label} at T={T}", report=report
-        )
+        raise ConstructionError(f"maxlinear weight conditions failed for {schedule.label} at T={T}")
     dim = T + 1
 
     def scores(x: np.ndarray) -> np.ndarray:

@@ -22,6 +22,7 @@ from .errors import InvalidParameterError
 __all__ = [
     "StepSchedule",
     "sqrt_decay",
+    "doubling_sqrt",
     "constant",
     "from_table",
     "from_csv",
@@ -127,6 +128,14 @@ def sqrt_decay(D: float, G: float) -> StepSchedule:
     # IEEE sqrt and division are correctly rounded, so each value equals
     # ratio / math.sqrt(t + 1.0) bit for bit
     return StepSchedule(lambda n: ratio / np.sqrt(np.arange(n) + 1.0), label=f"sqrt_decay(D={D:g},G={G:g})")
+
+
+def doubling_sqrt(D: float, G: float) -> StepSchedule:
+    """Doubling trick: the block of length ``n = 1, 2, 4, ...`` repeats ``D / (G * sqrt(n))`` (``D, G > 0``)."""
+    D, G = float(D), float(G)
+    if D <= 0 or G <= 0:
+        raise InvalidParameterError("doubling_sqrt requires D > 0 and G > 0")
+    return doubling_concat(lambda n: [D / (G * n**0.5)] * n, label=f"doubling_sqrt(D={D:g},G={G:g})")
 
 
 def constant(c: float) -> StepSchedule:

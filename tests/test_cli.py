@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import stepaudit
-from stepaudit import __version__
+from stepaudit import __version__, cli
 from stepaudit.cli import main
 
 
@@ -299,8 +299,12 @@ class TestConfigResolution:
             ({"T": "abc"}, (), "'T' must be int"),
             ({}, ("--T", "4", "--thresholds", "a,b"), "bad thresholds list"),
             ({}, ("--T", "0"), "T must be >= 1"),
+            ({"T": 8.9}, (), "'T' must be int, got 8.9"),
+            ({"T": 1e3}, (), "'T' must be int, got 1000.0"),
+            ({"per_t": "true"}, ("--T", "4"), "'per_t' must be bool"),
+            ([], ("--T", "4"), "must hold a JSON object, not list"),
         ],
-        ids=["workers-two", "T-abc", "thresholds-ab", "T-zero"],
+        ids=["workers-two", "T-abc", "thresholds-ab", "T-zero", "T-float", "T-exponent", "switch-text", "not-object"],
     )
     def test_bad_values_exit_2(self, tmp_path, capsys, config, flags, message):
         cfg = tmp_path / "cfg.json"
@@ -356,6 +360,128 @@ class TestOutputHeaders:
         assert families == {"maxlinear", "vshape", "quadratic"}
 
 
+def _keyed_rows():
+    """(flag, table, name) for every spec-table row that takes key=value pairs."""
+    return [
+        pytest.param(flag, table, name, id=f"{flag[2:]}-{name}")
+        for flag, table in (("--schedule", cli._SCHEDULES), ("--phi", cli._ENVELOPES))
+        for name, (_, defaults) in table.items()
+        if defaults is not None
+    ]
+
+
+def _label(built):
+    return getattr(built, "label", built)
+
+
+def _bad_specs():
+    """(flag, spec, message) for specs with an undeclared, repeated or bare key."""
+    cases = [
+        ("--schedule", "sqrt_decay:d=2", "unknown key 'd'"),
+        ("--schedule", "constant:C=0.5", "unknown key 'C'"),
+        ("--schedule", "sqrt_decay:D=2,D=3", "repeated key 'D'"),
+        ("--phi", "log:Offset=3", "unknown key 'Offset'"),
+        ("--phi", "one:c=5", "unknown key 'c'"),
+        ("--phi", "empirical:x=1", "unknown key 'x'"),
+    ]
+    for row in _keyed_rows():
+        flag, table, name = row.values
+        keys = list(table[name][1])
+        cases.append((flag, f"{name}:bogus=1", "unknown key 'bogus'"))
+        cases.append((flag, f"{name}:{(keys or ['x'])[0]}", "expected key=value"))
+        if keys:
+            cases.append((flag, f"{name}:{keys[0]}=1,{keys[-1]}=1,{keys[0]}=2", f"repeated key '{keys[0]}'"))
+    return cases
+
+
+class TestSpecVocabulary:
+    @pytest.mark.parametrize("flag, table, name", _keyed_rows())
+    def test_declared_keys_are_read(self, flag, table, name):
+        build, defaults = table[name]
+        what = "schedule" if flag == "--schedule" else "envelope"
+        bumped = {key: 2 * val + 1 for key, val in defaults.items()}
+        assert _label(cli._parse_spec(name, table, what)) == _label(build(**defaults))
+        assert _label(cli._parse_spec(f"{name}:", table, what)) == _label(build(**defaults))
+        for key, val in bumped.items():
+            built = cli._parse_spec(f"{name}:{key}={val:g}", table, what)
+            assert _label(built) == _label(build(**{**defaults, key: val}))
+        every = ",".join(f"{key}={val:g}" for key, val in bumped.items())
+        assert _label(cli._parse_spec(f"{name}:{every}", table, what)) == _label(build(**bumped))
+
+    @pytest.mark.parametrize("flag, spec, message", [pytest.param(*c, id=c[1]) for c in _bad_specs()])
+    def test_undeclared_repeated_or_bare_key_exits_2(self, tmp_path, capsys, flag, spec, message):
+        out = tmp_path / "out"
+        assert run_cli("audit", flag, spec, "--T", "8", "--out", str(out)) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and message in err[0], err
+        name = spec.partition(":")[0]
+        table = cli._SCHEDULES if flag == "--schedule" else cli._ENVELOPES
+        allowed = ", ".join(table[name][1]) or "no keys"
+        assert f"({name} takes {allowed})" in err[0]
+        assert not out.exists()
+
+    def test_help_and_unknown_name_list_every_row(self, tmp_path, capsys):
+        assert run_cli("audit", "--help") == 0
+        usage = capsys.readouterr().out
+        assert all(name in usage for name in [*cli._SCHEDULES, *cli._ENVELOPES]), usage
+        assert run_cli("audit", "--schedule", "warp:1", "--T", "8", "--out", str(tmp_path / "out")) == 2
+        err = capsys.readouterr().err
+        assert all(name in err for name in cli._SCHEDULES), err
+
+
+class TestHugeHorizons:
+    @pytest.mark.parametrize(
+        "args",
+        [("bounds", "--T", str(10**20)), ("audit", "--horizons", str(10**20)), ("density", "--T", str(10**20))],
+        ids=["bounds", "audit", "density"],
+    )
+    def test_rejected_before_any_allocation(self, tmp_path, capsys, args):
+        out = tmp_path / "out"
+        assert run_cli(*args, "--out", str(out)) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and f"horizon {10**20} is too large" in err[0], err
+        assert not out.exists()
+
+    def test_memory_error_exits_2(self, tmp_path, capsys, monkeypatch):
+        def exhausted(spec):
+            raise MemoryError()
+
+        monkeypatch.setattr("stepaudit.cli.audit_schedule", exhausted)
+        assert run_cli("audit", "--T", "8", "--out", str(tmp_path)) == 2
+        assert capsys.readouterr().err == "error: MemoryError\n"
+
+
+def _typed(config):
+    return {key: (type(val).__name__, val) for key, val in config.items()}
+
+
+@pytest.mark.parametrize(
+    "command, csvs, jsons",
+    [
+        ("verify", (), ("verify_report.json",)),
+        ("audit", ("bound_report.csv",), ("audit_summary.json",)),
+        ("density", ("density.csv", "density_profile.csv"), ()),
+        ("bounds", ("bound_report.csv",), ("chain_report.json",)),
+    ],
+)
+def test_resolved_config_is_pinned(tmp_path, command, csvs, jsons):
+    assert run_cli(command, "--T", "8", "--out", str(tmp_path)) == 0
+    # the resolved configuration every output carries, for a run given only --T 8
+    expected = _typed({
+        "schedule": "sqrt_decay:D=2,G=1", "phi": "log", "families": "maxlinear,vshape,quadratic",
+        "family": "maxlinear", "horizons": None, "T": 8, "thresholds": "0,0.5,1", "out": str(tmp_path),
+        "workers": 1, "seed": 0, "shrink": 1e-6, "per_t": False, "dump_instances": False, "rows": False,
+        "command": command,
+    })
+    for name in csvs:
+        first = (tmp_path / name).read_text().splitlines()[0]
+        prefix = f"# stepaudit {__version__} config="
+        assert first.startswith(prefix)
+        assert _typed(json.loads(first[len(prefix):])) == expected
+    for name in jsons:
+        assert _typed(json.loads((tmp_path / name).read_text())["meta"]["config"]) == expected
+
+
 # -- generated argv: every run returns 0, 1 or 2 and never raises ----------------
 
 _TABLES = {
@@ -374,17 +500,21 @@ _FLAGS = {
     "--schedule": (
         _GOOD_SCHEDULES + [f"table:{{{name}}}" for name in ("steps", "zeros", "huge")],
         ["sqrt_decay:D=-1", "sqrt_decay:D=2,G=0", "sqrt_decay:D", "constant:c=1e130", "constant:c=nan",
-         "constant:c=inf", "constant:c=-1", "doubling_sqrt:D=0", "warp:1", "", ":", "table:", "table:{missing}"]
+         "constant:c=inf", "constant:c=-1", "doubling_sqrt:D=0", "warp:1", "", ":", "table:", "table:{missing}",
+         "sqrt_decay:d=2", "constant:C=0.5", "sqrt_decay:D=2,D=3"]
         + [f"table:{{{name}}}" for name in ("short", "negative", "nan", "header", "empty")],
     ),
     "--phi": (
         ["log", "log:offset=1,coef=0.5", "one", "const:c=3", "const:c=1e100", "empirical"],
         ["log:offset=0.5", "log:offset=1e308,coef=1e308", "log:coef=-1", "log:offset", "const:c=0.5",
          "const:c=nan", "bogus", "log:offset=0,coef=0", "log:offset=1e-200,coef=0", "log:offset=1e-3,coef=0",
-         "log:offset=-1,coef=0", "log:coef=1e300"],
+         "log:offset=-1,coef=0", "log:coef=1e300", "log:Offset=3", "one:c=5", "empirical:x=1"],
     ),
-    "--T": (["4", "8", "16", "64"], ["-3", "0", "1", "2", "3", "7", "33", "x", "1e3", ""]),
-    "--horizons": (["4,8", "8", "pow2:1-64", "2,6,64"], ["pow2:8-4", "pow2:x", "0", "3,2,2", "", "a", "pow2:3-3"]),
+    "--T": (["4", "8", "16", "64"], ["-3", "0", "1", "2", "3", "7", "33", "x", "1e3", "", str(10**20)]),
+    "--horizons": (
+        ["4,8", "8", "pow2:1-64", "2,6,64"],
+        ["pow2:8-4", "pow2:x", "0", "3,2,2", "", "a", "pow2:3-3", f"8,{10**20}", "pow2:8-1e20"],
+    ),
     "--families": (["maxlinear", "vshape,quadratic", "maxlinear,vshape,quadratic"], ["maxlinear,bogus", "", ","]),
     "--family": (["maxlinear", "vshape", "quadratic"], ["bogus", "vshape,quadratic", ""]),
     "--thresholds": (["0,0.5,1", "inf", "-inf,0", "1e308"], ["nan", "", "a,b"]),

@@ -229,9 +229,10 @@ class TestMaxLinear:
 
     def test_condition_failure_aborts_construction(self):
         # a constant envelope of 1 cannot absorb large constant steps
-        with pytest.raises(ConstructionError) as excinfo:
-            inst.build_maxlinear(sched.constant(2), 512, bnd.constant_envelope(1.0))
-        assert excinfo.value.report is not None
+        schedule, phi = sched.constant(2), bnd.constant_envelope(1.0)
+        with pytest.raises(ConstructionError, match="maxlinear weight conditions failed"):
+            inst.build_maxlinear(schedule, 512, phi)
+        assert not inst.check_weight_conditions(*inst.coupling_weights(schedule, 512, phi), schedule, 512).ok
 
     def test_zero_step_gates_certificate(self):
         # with a zero step the argmax can tie away from the active piece,
