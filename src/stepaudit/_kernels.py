@@ -30,8 +30,8 @@ the tests as the oracle), from a fixed number of numpy calls.  Each is a
 recurrence ``v_{r+1} = v_r + term_r`` whose terms depend only on earlier
 values, so the terms are formed elementwise with the loop's expressions
 and grouping (float ``+`` and ``*`` commute, so only the grouping
-matters), and one ``np.cumsum``, a sequential sum, adds them.  ``sfx``
-sums ``eta u_p`` over the rows that open ``p``; ``||x||^2`` sums the
+matters), and one ``np.add.accumulate``, a sequential sum, adds them.
+``sfx`` sums ``eta u_p`` over the rows that open ``p``; ``||x||^2`` sums the
 interleaved ``-(2 eta_r) sfx_r`` and ``(eta_r eta_r) d_{p_r}``, since ``x +
 (-y)`` is exactly ``x - y`` and negation commutes with rounding; ``tol`` is
 formed elementwise from the step sum.
@@ -84,10 +84,15 @@ those of exact steps.  Up to ``_FLUSH_COLS`` touched coordinates the rows
 go through one fixed flat buffer of ``(_BLOCK_STEPS + 1) min(_FLUSH_COLS,
 dim)`` cells in chunks of as many rows as fit (at least ``_BLOCK_STEPS``),
 each chunk a 2-d batch folded column by column, which saves the per-row
-call overhead; wider, each row runs the exact step's own update
-(``_step_update``) in the kernel's O(dim) buffer, which keeps the scratch
-fixed and, past a few thousand coordinates, costs less per cell than the
-batch's 2-d products and fold.  The batch forms its products
+call overhead.  A chunk zeroes the entries of coordinates its rows have
+not opened yet through a slice of one cached strict upper triangle
+(``_TRIANGLE``) when every row opens one, as on the construction, and
+writes the fresh entries on the batch's strided diagonal; with zero steps
+it gathers the triangle's rows and scatters the fresh entries.  Wider,
+each row runs the exact step's own update (``_step_update``) in the
+kernel's O(dim) buffer, which keeps the scratch fixed and, past a few
+thousand coordinates, costs less per cell than the batch's 2-d products
+and fold.  The batch forms its products
 with ``np.einsum``, which writes ``+0.0`` where a product is ``-0.0``.
 That cannot change an iterate, because no entry of ``x`` is ever
 ``-0.0``: ``x`` starts at ``+0.0``, ``fl(x - y)`` is ``-0.0`` only if
@@ -123,13 +128,14 @@ _BLOCK_ROWS = 512  # the longest block
 _BLOCK_STEPS = 64  # the back-off interval after a block fails or gives up; 0 turns the block path off
 _FLUSH_COLS = 768  # the widest touched prefix a block updates in batches; sizes its scratch
 _EPS = float(np.finfo(np.float64).eps)
+_TRIANGLE = np.less.outer(*2 * (np.arange(_BLOCK_ROWS, dtype=np.int16),))  # [r, j]: r < j, the flush's zeros
 
 
 def _exact_scores(a, b, x, q, scores, cum):
     """Write ``score_k`` for ``k < q`` into ``scores[:q]``, summed sequentially."""
     np.multiply(a[:q], x[:q], out=scores[:q])
     cum[0] = 0.0
-    np.cumsum(scores[: q - 1], out=cum[1:q])
+    np.add.accumulate(scores[: q - 1], out=cum[1:q])
     np.multiply(b[:q], x[:q], out=scores[:q])
     np.subtract(cum[:q], scores[:q], out=scores[:q])
 
@@ -139,7 +145,7 @@ def _block(t0, t1, p, sfx, nsq, nerr, eta_acc, tol, base, coef, D, eta_v, u_v, d
 
     ``eta_v``, ``u_v`` and ``d_v`` are arrays or memoryviews.  Updates only
     the scalars (``abs(step)`` is ``step`` for the non-negative steps a
-    certified block has), each as one sequential ``np.cumsum`` over the
+    certified block has), each as one sequential ``np.add.accumulate`` over the
     terms a per-row loop adds (see the module docstring).  Returns
     ``(fvs, tols, opened, nsq_max)`` for the rows before the first one
     whose ``||x||^2`` needs the exact dot or a projection: per row the
@@ -150,27 +156,32 @@ def _block(t0, t1, p, sfx, nsq, nerr, eta_acc, tol, base, coef, D, eta_v, u_v, d
     u, d = np.asarray(u_v), np.asarray(d_v)
     m = st.shape[0]
     nz = st != 0.0
-    idx = np.cumsum(nz)
+    idx = np.add.accumulate(nz)
     k = int(idx[-1])  # the coordinates the block opens
-    idx -= nz  # the coordinates opened before each row: p_r = p + idx_r
-    rows = np.flatnonzero(nz)
+    if k == m:  # every row opens one: p_r = p + r, and slices replace the gathers
+        idx = rows = slice(0, m)
+    else:
+        idx -= nz  # the coordinates opened before each row: p_r = p + idx_r
+        rows = nz.nonzero()[0]
     so = st[rows]  # the steps that open a coordinate
-    fvs = np.cumsum(np.concatenate(([sfx], so * u[p : p + k])))[idx]  # sfx at the start of each row
+    fvs = np.add.accumulate(np.concatenate(([sfx], so * u[p : p + k])))[idx]  # sfx at the start of each row
     opened = fvs[rows] - so * d[p : p + k]  # the tracked score of p after its step
-    tols = coef * (base + (3.0 * D) * np.cumsum(np.concatenate(([eta_acc], st[:-1]))))
+    tols = coef * (base + (3.0 * D) * np.add.accumulate(np.concatenate(([eta_acc], st[:-1]))))
     tols[0] = tol
     ss = st * st
     w = np.empty(2 * m + 1)  # ||x||^2 = nsq - (2 step) fv + ss d_p at each row, as nsq + (-(2 step) fv)
     w[0] = nsq
     np.multiply(-2.0 * st, fvs, out=w[1::2])
     np.multiply(ss, d[p : p + k + 1][idx], out=w[2::2])
-    nsqs = np.cumsum(w)[::2]  # before each row, then after the last
+    nsqs = np.add.accumulate(w)[::2]  # before each row, then after the last
     e = np.empty(m + 1)  # nerr, then its increment at each row
     e[0] = nerr
     e[1:] = (4.0 * st) * tols + coef * ((np.abs(nsqs[:m]) + 2.0 * np.abs(st * fvs)) + ss * D)
     after = nsqs[1:]
-    gave_up = 1.0 - after <= (1e-9 + np.cumsum(e)[1:]) + coef * np.abs(after)  # near 1 or past it
-    g = int(gave_up.argmax()) if gave_up.any() else m
+    gave_up = 1.0 - after <= (1e-9 + np.add.accumulate(e)[1:]) + coef * np.abs(after)  # near 1 or past it
+    g = int(gave_up.argmax())  # the first row that gives up, or 0 when none does
+    if not gave_up[g]:
+        g = m
     if g == 0:
         return None
     nsq_max = float(np.fmax.reduce(after[:g], initial=-math.inf))  # NaN rows never raise the loop's max
@@ -184,34 +195,35 @@ def _certified(s, u, buf, p, D, st, fvs, tols, opened):
     the block's steps; see the module docstring for the bound and its slack.
     """
     m = st.shape[0]
-    if not st.min() >= 0.0:
+    if not np.minimum.reduce(st) >= 0.0:
         return False
     c = np.zeros(m + 1)
-    np.cumsum(st, out=c[1:])  # c[r]: the steps before row r
+    np.add.accumulate(st, out=c[1:])  # c[r]: the steps before row r
     cB = float(c[m])
     old = s[:p]
-    M0 = float(old.max())
+    M0 = float(np.maximum.reduce(old))
     if cB > 0.0:
         np.multiply(u[:p], cB, out=buf[:p])
         np.add(buf[:p], old, out=buf[:p])
-        bound = M0 + (c[:m] / cB) * (float(buf[:p].max()) - M0)  # the chord of a convex max
+        bound = M0 + (c[:m] / cB) * (float(np.maximum.reduce(buf[:p])) - M0)  # the chord of a convex max
     else:
         bound = np.full(m, M0)
     sf = np.asarray(fvs)
-    Z = max(M0, -float(old.min())) + float(np.abs(sf).max()) + cB * D
-    if len(opened):
-        rows = np.flatnonzero(st)  # the rows that opened a coordinate
+    Z = max(M0, -float(np.minimum.reduce(old))) + float(np.maximum.reduce(np.abs(sf))) + cB * D
+    k = len(opened)
+    if k:
+        rows = slice(0, m) if k == m else st.nonzero()[0]  # the rows that opened a coordinate
         v = np.asarray(opened)
         w = np.full(m, -math.inf)
-        w[rows] = v + np.maximum(u[p : p + len(opened)], 0.0) * (cB - c[rows + 1])
+        w[rows] = v + np.maximum(u[p : p + k], 0.0) * (cB - c[1:][rows])
         np.maximum.accumulate(w, out=w)
         np.maximum(bound[1:], w[:-1], out=bound[1:])
-        Z += float(np.abs(v).max())
+        Z += float(np.maximum.reduce(np.abs(v)))
     if not math.isfinite(Z):
         return False
     slack = 8.0 * (m + 2) * _EPS * Z + 1e-300
     np.subtract(sf, bound, out=bound)
-    return bool(np.all(bound > (2.0 + 16.0 * _EPS) * np.asarray(tols) + slack))
+    return bool((bound > (2.0 + 16.0 * _EPS) * np.asarray(tols) + slack).all())
 
 
 def _step_update(x, a, b, buf, i, step):
@@ -239,7 +251,7 @@ def _flush(x, a, b, buf, scratch, p, st):
     """
     m = st.shape[0]
     nz = st != 0.0
-    ps = np.cumsum(nz)
+    ps = np.add.accumulate(nz)
     p_end = p + int(ps[-1])
     ps += p - nz  # p at each row
     n = scratch.shape[0] // p_end - 1  # p_end bounds every chunk's width
@@ -249,20 +261,23 @@ def _flush(x, a, b, buf, scratch, p, st):
         return ps, p_end
     for r0 in range(0, m, n):
         r1 = min(r0 + n, m)
+        k = r1 - r0
         q, w = int(ps[r0]), int(ps[r1 - 1] + nz[r1 - 1])  # p before and after the chunk
-        blk = scratch[: (r1 - r0 + 1) * w].reshape(r1 - r0 + 1, w)
+        blk = scratch[: (k + 1) * w].reshape(k + 1, w)
         blk[0] = x[:w]
         sc = st[r0:r1]
         np.einsum("i,j->ij", sc, a[:w], out=blk[1:])
-        if w > q:  # coordinates opened inside the chunk
-            # rows before q + j opens leave it alone; outer() copies both
-            # operands at full size, so they go as int16 (entries below _BLOCK_ROWS)
-            j = np.arange(w - q, dtype=np.int16)
-            before = np.less.outer((ps[r0:r1] - q).astype(np.int16), j)
-            np.copyto(blk[1:, q:], 0.0, where=before)
-            # chunk row rows[j] opens q + j: x[k] += eta b[k], as x[k] - (-(eta b[k]))
-            rows = np.flatnonzero(nz[r0:r1])
-            scratch[(rows + 1) * w + q + j] = -(sc[rows] * b[q:w])
+        # chunk rows before the one that opens q + j leave it alone
+        if w - q == k:  # every row opens one: row r opens q + r
+            np.copyto(blk[1:, q:], 0.0, where=_TRIANGLE[:k, :k])
+            # x[q + r] += eta b[q + r], as x[q + r] - (-(eta b[q + r])), on the diagonal
+            fresh = scratch[w + q : (k + 1) * w : w + 1]
+            np.multiply(sc, b[q:w], out=fresh)
+            np.multiply(fresh, -1.0, out=fresh)  # np.negative miscomputes some strided outputs
+        elif w > q:
+            np.copyto(blk[1:, q:], 0.0, where=_TRIANGLE[ps[r0:r1] - q, : w - q])
+            rows = nz[r0:r1].nonzero()[0]  # chunk row rows[j] opens q + j
+            scratch[(rows + 1) * w + q + np.arange(w - q)] = -(sc[rows] * b[q:w])
         np.subtract.reduce(blk, axis=0, out=x[:w])
     return ps, p_end
 
@@ -292,8 +307,10 @@ def maxlinear_descent(a: np.ndarray, b: np.ndarray, eta: np.ndarray, snap_times:
     errors = np.full(T, np.nan)
     trace = np.zeros(T + 1, dtype=np.int64)
     snaps = np.empty((snap_times.shape[0], dim))
-    # a[dim - 1] never enters a score
-    if not (np.isfinite(a[: dim - 1]).all() and np.isfinite(b).all()):
+    # a[dim - 1] never enters a score; the largest magnitudes are NaN or inf unless all are finite
+    wa = float(np.maximum.reduce(np.abs(a[: dim - 1]), initial=0.0))
+    wb = float(np.maximum.reduce(np.abs(b)))
+    if not (math.isfinite(wa) and math.isfinite(wb)):
         return errors, trace, 0.0, 0, snaps, 0
 
     x = np.zeros(dim)
@@ -302,16 +319,15 @@ def maxlinear_descent(a: np.ndarray, b: np.ndarray, eta: np.ndarray, snap_times:
     with np.errstate(all="ignore"):  # huge weights overflow here, but then blocks are off
         np.multiply(a, a, out=buf)
         s[0] = 0.0
-        np.cumsum(buf[: dim - 1], out=s[1:])  # A2
+        np.add.accumulate(buf[: dim - 1], out=s[1:])  # A2
         u = a * b
         u -= s
         d = b * b
         d += s
-        D = max(float(d.max()), float(np.abs(u).max()))
-    w = max(float(np.abs(a[: dim - 1]).max(initial=0.0)), float(np.abs(b).max()))
+        D = max(float(np.maximum.reduce(d)), float(np.maximum.reduce(np.abs(u))))
     # With G below 2^200 no score, iterate entry, ||x||^2 or tracked
     # increment can overflow (each is at most G^4); otherwise no block runs.
-    G = (dim + 1.0) * (1.0 + w) * (1.0 + float(np.abs(eta).sum()))
+    G = (dim + 1.0) * (1.0 + max(wa, wb)) * (1.0 + float(np.add.reduce(np.abs(eta))))
     longest = _BLOCK_ROWS if _BLOCK_STEPS and G <= 2.0**200 else 0
     coef = 8.0 * (dim + 2 * _BLOCK_ROWS) * _EPS  # see the module docstring
     R = math.sqrt(D)

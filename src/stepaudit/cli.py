@@ -150,6 +150,7 @@ def _config_value(key: str, val):
 
 def _resolve_config(args: argparse.Namespace) -> dict:
     merged = {key: default for key, (_, default, _, _) in _OPTIONS.items()}
+    loaded = {}
     if args.config:
         try:
             with open(args.config) as fh:
@@ -168,6 +169,9 @@ def _resolve_config(args: argparse.Namespace) -> dict:
         val = getattr(args, key, None)
         if val is not None and val is not False:
             merged[key] = val
+    # verify reads family as families, from a flag or the file; a --families flag wins over the file
+    if args.command == "verify" and (args.family or (loaded.get("family") and args.families is None)):
+        merged["families"] = merged["family"]
     merged["command"] = args.command
     return merged
 
@@ -371,8 +375,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse uses 2 for usage errors already
         return int(exc.code or 0)
-    if getattr(args, "family", None) and args.command == "verify":
-        args.families = args.family
     try:
         config = _resolve_config(args)
         return _COMMANDS[args.command](config)

@@ -125,7 +125,13 @@ def _vshape_oracles(eps: float, c: float):
 
 
 def _vshape_landing(eps: float, c: float, steps: np.ndarray) -> float:
-    # the iterate after ``steps``, from the scalar loop that engine.run uses
+    # the iterate after ``steps``, bitwise that of the scalar loop engine.run
+    # uses.  On the ramp a step is fl(v - fl(s c)) = fl(v + fl(s * -c)), so one
+    # sequential fold gives every iterate while the one before the last step
+    # stays above the kink; the last is clamped at -1.  Otherwise the loop runs.
+    v = np.add.accumulate(np.concatenate(([eps], steps * -c)))
+    if v[-2] > 0.0:
+        return max(float(v[-1]), -1.0)
     return scalar_descent((*_vshape_oracles(eps, c), -1.0, 1.0), eps, steps)[0]
 
 
@@ -254,11 +260,9 @@ def coupling_weights(
         raise InvalidParameterError(f"envelope value {pt} at {t + 1} is below 1")
     eta = schedule.rates(t + 1)
     root = math.sqrt(t + 1.0)
-    j = np.arange(t + 1, dtype=np.float64)
-    a = np.minimum(1.0, eta * root) / (16.0 * pt * (t + 1.0 - j))
-    with np.errstate(divide="ignore"):
-        inv = np.where(eta > 0, 1.0 / (2.0 * eta * root), np.inf)
-    b = np.minimum(0.5, inv)
+    a = np.minimum(1.0, eta * root) / (16.0 * pt * np.arange(t + 1.0, 0.0, -1.0))  # t + 1 - j
+    with np.errstate(divide="ignore"):  # steps are finite and >= 0: a zero step gives 1/0 = inf
+        b = np.minimum(0.5, 1.0 / (2.0 * eta * root))
     return a, b
 
 
@@ -313,24 +317,24 @@ def check_weight_conditions(
     b = np.asarray(b, dtype=np.float64)
     if a.shape != (T + 1,) or b.shape != (T + 1,):
         raise InvalidParameterError(f"weight arrays must have length T+1 = {T + 1}")
-    if np.any(a < 0) or np.any(b < 0) or not np.all(np.isfinite(a)) or not np.all(np.isfinite(b)):
+    ab = np.concatenate((a, b))
+    if not (np.minimum.reduce(ab) >= 0.0 and np.maximum.reduce(ab) < math.inf):  # NaN fails both
         raise InvalidParameterError("weights must be finite and nonnegative")
     eta = schedule.rates(T + 1)
     root = math.sqrt(T + 1.0)
 
-    slack1 = 0.5 - float(np.sum(a * a))
+    slack1 = 0.5 - float(np.add.reduce(a * a))
     c1 = ConditionCheck("sum_sq", slack1 >= 0, slack1)
 
-    with np.errstate(divide="ignore"):
-        cap = np.minimum(0.5, np.where(eta > 0, 1.0 / (2.0 * eta * root), np.inf))
-    gap2 = cap - b
-    w2 = int(np.argmin(gap2))
+    with np.errstate(divide="ignore"):  # steps are finite and >= 0: a zero step has no cap
+        gap2 = np.minimum(0.5, 1.0 / (2.0 * eta * root)) - b
+    w2 = int(gap2.argmin())
     c2 = ConditionCheck("step_cap", float(gap2[w2]) >= 0, float(gap2[w2]), w2)
 
-    rev = np.cumsum(eta[::-1])[::-1]
-    tail = np.append(rev[1:], 0.0)  # tail[j] = sum_{k=j+1}^{T} eta_k
+    tail = np.zeros(T + 1)  # tail[j] = sum_{k=j+1}^{T} eta_k, added from k = T down
+    np.add.accumulate(eta[:0:-1], out=tail[:T][::-1])
     gap3 = 0.5 * eta * b - a * tail
-    w3 = int(np.argmin(gap3))
+    w3 = int(gap3.argmin())
     c3 = ConditionCheck("tail_coupling", float(gap3[w3]) >= 0, float(gap3[w3]), w3)
 
     return ConditionReport(sum_sq=c1, step_cap=c2, tail_coupling=c3)

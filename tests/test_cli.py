@@ -282,6 +282,20 @@ class TestConfigResolution:
         header = (tmp_path / "density.csv").read_text().splitlines()[0]
         assert "sqrt_decay:D=2,G=1" in header
 
+    @pytest.mark.parametrize(
+        "flags, families",
+        [((), "vshape"), (("--families", "quadratic"), "quadratic"), (("--family", "maxlinear"), "maxlinear")],
+        ids=["file", "families-flag", "family-flag"],
+    )
+    def test_verify_reads_family_from_the_config(self, tmp_path, flags, families):
+        # verify takes family as families from the file too; flags win over the file
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"family": "vshape"}))
+        assert run_cli("verify", "--config", str(cfg), "--T", "8", *flags, "--out", str(tmp_path)) == 0
+        report = json.loads((tmp_path / "verify_report.json").read_text())
+        assert {e["family"] for e in report["entries"]} == {families}
+        assert report["meta"]["config"]["families"] == families
+
     def test_unknown_config_field(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"schedul": "constant:c=1"}))

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from stepaudit import bounds as bnd
@@ -48,6 +48,37 @@ class TestVShape:
             assert v.landing <= 0
             assert abs(v.landing) <= 1e-12 * v.epsilon
             assert v.certified
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.one_of(st.just(0.0), st.floats(-7.0, 1.0).map(lambda e: 10.0**e)), min_size=1, max_size=60),
+        st.floats(-9.0, -3.0),
+        st.one_of(st.tuples(st.just("nudge"), st.floats(-1e-3, 1e-3)), st.tuples(st.just("slope"), st.floats(1e-9, 0.9))),
+    )
+    @example([0.0, 2.0], -6.0, ("slope", 0.9))  # one ramp step past -1
+    def test_landing_fold_matches_the_scalar_loop(self, steps, log_eps, slope):
+        # c within 0.1% of eps / sum(steps) reaches the kink at about the last
+        # step (the fold); a free slope up to 0.9 lands early and bounces
+        # back up (the loop), or overshoots -1 on a single step (the clamp)
+        steps, eps = np.array(steps), 10.0**log_eps
+        kind, value = slope
+        c = eps / max(float(steps.sum()), 1e-300) * (1.0 + value) if kind == "nudge" else value
+        assume(0.0 < c < 1.0)
+        want = engine.scalar_descent((*inst._vshape_oracles(eps, c), -1.0, 1.0), eps, steps)[0]
+        assert np.float64(inst._vshape_landing(eps, c, steps)).tobytes() == np.float64(want).tobytes()
+
+    def test_landing_takes_both_paths(self, monkeypatch):
+        # the headline schedule settles its slope on the fold; a slope that
+        # reaches the kink early goes through the loop
+        loops = []
+        monkeypatch.setattr(inst, "scalar_descent", lambda *args: loops.append(1) or engine.scalar_descent(*args))
+        inst.build_vshape(SQRT21, 512)
+        assert not loops
+        steps = SQRT21.rates(8)
+        assert inst._vshape_landing(1e-6, 0.5, steps) == engine.scalar_descent(
+            (*inst._vshape_oracles(1e-6, 0.5), -1.0, 1.0), 1e-6, steps
+        )[0]
+        assert loops == [1]
 
     def test_closed_form_matches_simulation(self):
         v = inst.build_vshape(SQRT21, 16)

@@ -534,6 +534,75 @@ def test_block_skips_a_nan_norm_as_the_loop_does():
         assert _bits(have) == _bits(expected)
 
 
+@contextlib.contextmanager
+def _chunks():
+    """Record ``(rows, all_open)`` for every batched chunk that opens a coordinate.
+
+    The flush zeroes the entries before each opening through the cached
+    triangle: a chunk whose every row opens one slices it, any other
+    chunk gathers its rows.  ``_flushes(cols)`` sets the width.
+    """
+    log = []
+
+    class Triangle(np.ndarray):
+        def __getitem__(self, key):
+            rows = key[0]
+            log.append((rows.stop, True) if isinstance(rows, slice) else (len(rows), False))
+            return np.asarray(self)[key]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernels, "_TRIANGLE", _kernels._TRIANGLE.view(Triangle))
+        yield log
+
+
+@pytest.mark.parametrize("T, sizes", [(7, [6]), (193, [64] * 3), (194, [64] * 3 + [1]), (199, [64] * 3 + [6])])
+def test_all_open_chunks_match_per_step(T, sizes):
+    # a scratch of 65 rows of dim = T + 1 cells splits the block [1, T) into
+    # chunks of up to 64 rows; the one that ends at the block's end has 64,
+    # 1 or 6 rows.  At T = 7 the diagonal's stride is 8 elements, where
+    # np.negative(v, out=v) miscomputes.
+    s = sqrt_decay(2, 1)
+    a, b = coupling_weights(s, T, log_envelope())
+    with _chunks() as log, _flushes(T + 1) as flushes:
+        trace = _assert_block_path_bitwise(a, b, s.rates(T), NO_SNAPS)
+    assert trace.tobytes() == np.arange(T + 1).tobytes()
+    assert [rows for _, rows, _ in flushes] == [T - 1]
+    assert log == [(k, True) for k in sizes]
+
+
+def test_construction_takes_the_all_open_path():
+    # every step of the headline schedule opens a coordinate, so at the
+    # default sizes both blocks of a dim 641 run batch only all-open chunks
+    s = sqrt_decay(2, 1)
+    T = 640
+    a, b = coupling_weights(s, T, log_envelope())
+    with _chunks() as log, _flushes() as flushes:
+        _assert_block_path_bitwise(a, b, s.rates(T), np.array([320], dtype=np.int64))
+    assert [rows for _, rows, _ in flushes] == [319, 320]
+    assert log == [(129, True)] * 2 + [(61, True)] + [(64, True)] * 5
+
+
+def test_chunks_with_zero_steps_match_per_step():
+    # zero steps every third row and a run of 140 inside the blocks: chunks
+    # with zeros gather the triangle's rows, the all-open ones slice it, and
+    # at width 210 the run fills a 65-row chunk that opens nothing
+    T = 400
+    eta = 1.0 / np.sqrt(np.arange(1.0, T + 2.0))
+    eta[2::3] = 0.0
+    eta[150:290] = 0.0
+    eta[300:] = 1.0 / np.sqrt(np.arange(301.0, T + 2.0))
+    s = sched.from_table(eta)
+    a, b = coupling_weights(s, T, log_envelope())
+    snaps = np.array([100, 399], dtype=np.int64)
+    for cols in (None, 210):
+        with _chunks() as log, _flushes(cols) as flushes:
+            _assert_block_path_bitwise(a, b, s.rates(T), snaps)
+        assert [(rows, by_row) for _, rows, by_row in flushes] == [(99, 0), (299, 0), (1, 0)]
+        assert {open_ for _, open_ in log} == {True, False}
+        assert (1, True) in log  # the one-row block [399, 400)
+        assert T - 1 - sum(rows for rows, _ in log) == (65 if cols else 0)
+
+
 def test_block_scratch_is_fixed_size():
     # a block batches at most _FLUSH_COLS columns in a fixed buffer and runs
     # wider prefixes row by row in the kernel's own O(dim) buffer, never
