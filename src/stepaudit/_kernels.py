@@ -13,17 +13,18 @@ recomputes every score over the whole vector, at O(p) cost plus the dot.
 Block path.  On the lower-bound construction the fresh coordinate ``p``
 wins every step.  After each exact recompute with ``p > 0``, the kernel
 tries the next rows as one block: up to ``_BLOCK_ROWS`` (512) of them, and
-never past ``T`` or the next snapshot time.  Scores are linear in ``x``, so a
-step with argmax ``i`` and stepsize ``eta`` moves them by known vectors:
-score ``k < i`` by ``eta u_k`` with ``u = a*b - A2`` (``A2`` the exclusive
-prefix sum of ``a**2``), score ``i`` by ``-eta d_i`` with ``d = A2 +
-b**2``, and every score ``k > i`` by the one scalar ``eta u_i``;
-``||x||^2`` moves by ``-2 eta score_i + eta**2 d_i``.  ``_block`` assumes
-``p`` wins each row and tracks only the scalars: the suffix score ``sfx``,
-``||x||^2`` and two error bounds.  It keeps the rows before the first one
-whose ``||x||^2`` lies within ``1e-9`` plus its error bound of 1 or past
-it, where the exact dot or a projection must decide; the block is cut
-there.
+never past ``T``, the next snapshot time or the next step that is not
+positive, which runs as one exact step.  So row ``r`` of a block opens
+coordinate ``p + r``.  Scores are linear in ``x``, so a step with argmax
+``i`` and stepsize ``eta`` moves them by known vectors: score ``k < i`` by
+``eta u_k`` with ``u = a*b - A2`` (``A2`` the exclusive prefix sum of
+``a**2``), score ``i`` by ``-eta d_i`` with ``d = A2 + b**2``, and every
+score ``k > i`` by the one scalar ``eta u_i``; ``||x||^2`` moves by ``-2
+eta score_i + eta**2 d_i``.  ``_block`` assumes ``p`` wins each row and
+tracks only the scalars: the suffix score ``sfx``, ``||x||^2`` and two
+error bounds.  It keeps the rows before the first one whose ``||x||^2``
+lies within ``1e-9`` plus its error bound of 1 or past it, where the exact
+dot or a projection must decide; the block is cut there.
 
 The tracked scalars have the bits of a loop over Python floats (kept in
 the tests as the oracle), from a fixed number of numpy calls.  Each is a
@@ -31,10 +32,10 @@ recurrence ``v_{r+1} = v_r + term_r`` whose terms depend only on earlier
 values, so the terms are formed elementwise with the loop's expressions
 and grouping (float ``+`` and ``*`` commute, so only the grouping
 matters), and one ``np.add.accumulate``, a sequential sum, adds them.
-``sfx`` sums ``eta u_p`` over the rows that open ``p``; ``||x||^2`` sums the
-interleaved ``-(2 eta_r) sfx_r`` and ``(eta_r eta_r) d_{p_r}``, since ``x +
-(-y)`` is exactly ``x - y`` and negation commutes with rounding; ``tol`` is
-formed elementwise from the step sum.
+``sfx`` sums ``eta_r u_{p+r}``; ``||x||^2`` sums the interleaved ``-(2
+eta_r) sfx_r`` and ``(eta_r eta_r) d_{p+r}``, since ``x + (-y)`` is
+exactly ``x - y`` and negation commutes with rounding; ``tol`` is formed
+elementwise from the step sum.
 
 Error bounds.  With ``R = sqrt(D)``, ``D`` the largest ``|u_k|`` or
 ``d_k``, and ``coef = 8 (dim + 2 _BLOCK_ROWS) _EPS``, a tracked score
@@ -50,17 +51,17 @@ Certificate.  The block is certified when, at every row ``r``, the tracked
 scores pass ``sfx_r - max s(r) > 2 tol_r``.  Each tracked score lies within
 ``tol_r`` of the exact one, so a passing certificate makes the fresh
 coordinate the exact minimal-index argmax at every block row.  The tracked
-scores of the old coordinates are never formed; with all steps ``>= 0`` and
+scores of the old coordinates are never formed; with all steps ``> 0`` and
 ``E_r`` the exact sum of the block's steps before row ``r`` (``c_r`` their
 float prefix sums), ``_certified`` bounds them:
 
 - a coordinate ``k < p0`` (the old ones) has tracked score ``s_k(0) + E_r
   u_k`` plus rounding, and ``max_k (s_k(0) + E u_k)`` is convex in ``E``, so
   the chord from ``E = 0`` to ``E = E_B`` (the whole block) bounds it;
-- a coordinate opened at row ``o`` starts at the float ``v`` the loop
-  computed and then moves by ``u_k (E_r - E_{o+1}) <= max(u_k, 0) (E_B -
-  E_{o+1})``; the running maximum of these bounds over the opened
-  coordinates bounds them all.
+- coordinate ``k = p0 + o``, opened at row ``o``, starts at the float ``v
+  = sfx_o - eta_o d_k`` the loop computes and then moves by ``u_k (E_r -
+  E_{o+1}) <= max(u_k, 0) (E_B - E_{o+1})``; the running maximum of these
+  bounds over the opened coordinates bounds them all.
 
 Slack.  Let ``u = 2^-53`` (``_EPS = 2u``) and ``Z = max|s(0)| + max|sfx_r|
 + max|v| + c_B D``, which bounds every score in the block and every
@@ -86,36 +87,35 @@ dim)`` cells in chunks of as many rows as fit (at least ``_BLOCK_STEPS``),
 each chunk a 2-d batch folded column by column, which saves the per-row
 call overhead.  A chunk zeroes the entries of coordinates its rows have
 not opened yet through a slice of one cached strict upper triangle
-(``_TRIANGLE``) when every row opens one, as on the construction, and
-writes the fresh entries on the batch's strided diagonal; with zero steps
-it gathers the triangle's rows and scatters the fresh entries.  Wider,
-each row runs the exact step's own update (``_step_update``) in the
-kernel's O(dim) buffer, which keeps the scratch fixed and, past a few
-thousand coordinates, costs less per cell than the batch's 2-d products
-and fold.  The batch forms its products
-with ``np.einsum``, which writes ``+0.0`` where a product is ``-0.0``.
-That cannot change an iterate, because no entry of ``x`` is ever
-``-0.0``: ``x`` starts at ``+0.0``, ``fl(x - y)`` is ``-0.0`` only if
-``x`` is, ``fl(+0.0 + y)`` is ``+0.0`` for ``y = +-0.0``, and dividing by
-the norm (above 1, and finite whenever blocks run) keeps the sign; so
-``x - (+0.0)`` and ``x - (-0.0)`` agree.
+(``_TRIANGLE``) and writes the fresh entries on the batch's strided
+diagonal.  Wider, each row runs the exact step's own update
+(``_step_update``) in the kernel's O(dim) buffer, which keeps the scratch
+fixed and, past a few thousand coordinates, costs less per cell than the
+batch's 2-d products and fold.  The batch forms its products with
+``np.einsum``, which writes ``+0.0`` where a product is ``-0.0``.  That
+cannot change an iterate, because no entry of ``x`` is ever ``-0.0``:
+``x`` starts at ``+0.0``, ``fl(x - y)`` is ``-0.0`` only if ``x`` is,
+``fl(+0.0 + y)`` is ``+0.0`` for ``y = +-0.0``, and dividing by the norm
+(above 1, and finite whenever blocks run) keeps the sign; so ``x -
+(+0.0)`` and ``x - (-0.0)`` agree.
 
 A block's errors are the tracked ``sfx_r``, within ``tol_r`` of the exact
-ones; the first is the exact recomputed score.  If row 0 gives up, a
-score or ``Z`` is not finite, a step is negative, or the certificate
-fails, nothing is written and one exact step runs; a block cut at a later
-row is certified and written up to the cut, and the exact step runs
-there.  A block costs about the same for any length, so after a failed
-certificate (a rival coordinate may keep winning) or a cut (``||x||^2``
-stays near 1 while the run projects), no block is tried again before the
-next row that is a multiple of ``_BLOCK_STEPS`` (64): a run tries at most
-one such block per ``_BLOCK_STEPS`` rows.  With ``_BLOCK_STEPS = 0``, or
-when a weight or step sum is so large that a tracked value could overflow,
-every step is exact.
+ones; the first is the exact recomputed score.  If row 0 gives up, a score
+or ``Z`` is not finite, or the certificate fails, nothing is written and
+one exact step runs; a block cut at a later row is certified and written
+up to the cut, and the exact step runs there.  A block costs about the
+same for any length, so after a failed certificate (a rival coordinate may
+keep winning) or a cut (``||x||^2`` stays near 1 while the run projects),
+no block is tried again before the next row that is a multiple of
+``_BLOCK_STEPS`` (64): a run tries at most one such block per
+``_BLOCK_STEPS`` rows.  With ``_BLOCK_STEPS = 0``, or when a weight or
+step sum is so large that a tracked value could overflow, every step is
+exact.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 
 import numpy as np
@@ -143,36 +143,26 @@ def _exact_scores(a, b, x, q, scores, cum):
 def _block(t0, t1, p, sfx, nsq, nerr, eta_acc, tol, base, coef, D, eta_v, u_v, d_v):
     """Steps ``t0..t1-1`` as array recurrences, assuming the fresh coordinate wins.
 
+    Every step is positive, so row ``r`` opens coordinate ``p + r``.
     ``eta_v``, ``u_v`` and ``d_v`` are arrays or memoryviews.  Updates only
-    the scalars (``abs(step)`` is ``step`` for the non-negative steps a
-    certified block has), each as one sequential ``np.add.accumulate`` over the
+    the scalars, each as one sequential ``np.add.accumulate`` over the
     terms a per-row loop adds (see the module docstring).  Returns
-    ``(fvs, tols, opened, nsq_max)`` for the rows before the first one
-    whose ``||x||^2`` needs the exact dot or a projection: per row the
-    tracked error and score bound, the score each opened coordinate starts
-    with, and the largest ``||x||^2``; or ``None`` when that is row 0.
+    ``(fvs, tols, nsq_max)`` for the rows before the first one whose
+    ``||x||^2`` needs the exact dot or a projection: per row the tracked
+    error and score bound, and the largest ``||x||^2``; or ``None`` when
+    that is row 0.
     """
     st = np.asarray(eta_v)[t0:t1]
     u, d = np.asarray(u_v), np.asarray(d_v)
     m = st.shape[0]
-    nz = st != 0.0
-    idx = np.add.accumulate(nz)
-    k = int(idx[-1])  # the coordinates the block opens
-    if k == m:  # every row opens one: p_r = p + r, and slices replace the gathers
-        idx = rows = slice(0, m)
-    else:
-        idx -= nz  # the coordinates opened before each row: p_r = p + idx_r
-        rows = nz.nonzero()[0]
-    so = st[rows]  # the steps that open a coordinate
-    fvs = np.add.accumulate(np.concatenate(([sfx], so * u[p : p + k])))[idx]  # sfx at the start of each row
-    opened = fvs[rows] - so * d[p : p + k]  # the tracked score of p after its step
+    fvs = np.add.accumulate(np.concatenate(([sfx], st * u[p : p + m])))[:m]  # sfx at the start of each row
     tols = coef * (base + (3.0 * D) * np.add.accumulate(np.concatenate(([eta_acc], st[:-1]))))
     tols[0] = tol
     ss = st * st
     w = np.empty(2 * m + 1)  # ||x||^2 = nsq - (2 step) fv + ss d_p at each row, as nsq + (-(2 step) fv)
     w[0] = nsq
     np.multiply(-2.0 * st, fvs, out=w[1::2])
-    np.multiply(ss, d[p : p + k + 1][idx], out=w[2::2])
+    np.multiply(ss, d[p : p + m], out=w[2::2])
     nsqs = np.add.accumulate(w)[::2]  # before each row, then after the last
     e = np.empty(m + 1)  # nerr, then its increment at each row
     e[0] = nerr
@@ -185,45 +175,37 @@ def _block(t0, t1, p, sfx, nsq, nerr, eta_acc, tol, base, coef, D, eta_v, u_v, d
     if g == 0:
         return None
     nsq_max = float(np.fmax.reduce(after[:g], initial=-math.inf))  # NaN rows never raise the loop's max
-    return fvs[:g], tols[:g], opened[: np.count_nonzero(st[:g])], nsq_max
+    return fvs[:g], tols[:g], nsq_max
 
 
-def _certified(s, u, buf, p, D, st, fvs, tols, opened):
+def _certified(s, u, d, buf, p, D, st, fvs, tols):
     """Whether the test ``sfx - max s > 2 tol`` holds at every block row.
 
     ``s[:p]`` holds the exact scores at the block's first row and ``st``
     the block's steps; see the module docstring for the bound and its slack.
     """
     m = st.shape[0]
-    if not np.minimum.reduce(st) >= 0.0:
+    if not np.minimum.reduce(st) > 0.0:
         return False
     c = np.zeros(m + 1)
     np.add.accumulate(st, out=c[1:])  # c[r]: the steps before row r
     cB = float(c[m])
     old = s[:p]
     M0 = float(np.maximum.reduce(old))
-    if cB > 0.0:
-        np.multiply(u[:p], cB, out=buf[:p])
-        np.add(buf[:p], old, out=buf[:p])
-        bound = M0 + (c[:m] / cB) * (float(np.maximum.reduce(buf[:p])) - M0)  # the chord of a convex max
-    else:
-        bound = np.full(m, M0)
-    sf = np.asarray(fvs)
-    Z = max(M0, -float(np.minimum.reduce(old))) + float(np.maximum.reduce(np.abs(sf))) + cB * D
-    k = len(opened)
-    if k:
-        rows = slice(0, m) if k == m else st.nonzero()[0]  # the rows that opened a coordinate
-        v = np.asarray(opened)
-        w = np.full(m, -math.inf)
-        w[rows] = v + np.maximum(u[p : p + k], 0.0) * (cB - c[1:][rows])
-        np.maximum.accumulate(w, out=w)
-        np.maximum(bound[1:], w[:-1], out=bound[1:])
-        Z += float(np.maximum.reduce(np.abs(v)))
+    np.multiply(u[:p], cB, out=buf[:p])
+    np.add(buf[:p], old, out=buf[:p])
+    bound = M0 + (c[:m] / cB) * (float(np.maximum.reduce(buf[:p])) - M0)  # the chord of a convex max
+    opened = fvs - st * d[p : p + m]  # the tracked score of p + r after row r
+    w = opened + np.maximum(u[p : p + m], 0.0) * (cB - c[1:])
+    np.maximum.accumulate(w, out=w)
+    np.maximum(bound[1:], w[:-1], out=bound[1:])
+    Z = max(M0, -float(np.minimum.reduce(old))) + float(np.maximum.reduce(np.abs(fvs))) + cB * D
+    Z += float(np.maximum.reduce(np.abs(opened)))
     if not math.isfinite(Z):
         return False
     slack = 8.0 * (m + 2) * _EPS * Z + 1e-300
-    np.subtract(sf, bound, out=bound)
-    return bool((bound > (2.0 + 16.0 * _EPS) * np.asarray(tols) + slack).all())
+    np.subtract(fvs, bound, out=bound)
+    return bool((bound > (2.0 + 16.0 * _EPS) * tols + slack).all())
 
 
 def _step_update(x, a, b, buf, i, step):
@@ -236,50 +218,38 @@ def _step_update(x, a, b, buf, i, step):
 def _flush(x, a, b, buf, scratch, p, st):
     """Apply a block's deferred iterate updates, each coordinate's in step order.
 
-    Row ``r`` of the block did ``x[:p_r] -= eta_r a[:p_r]; x[p_r] += eta_r
-    b[p_r]``.  When fewer than ``_BLOCK_STEPS`` rows of the touched prefix
-    fit in the flat ``scratch``, the rows run as those updates, one after
-    another (``_step_update``).  Otherwise they go in chunks of as many
-    rows as fit, one batch each: row 0 of a packed ``(n + 1, w)`` view of
-    ``scratch`` holds ``x[:w]`` (``w`` the prefix touched by the chunk's
+    Row ``r`` of the block did ``x[:p + r] -= eta_r a[:p + r]; x[p + r] +=
+    eta_r b[p + r]``.  When fewer than ``_BLOCK_STEPS`` rows of the touched
+    prefix fit in the flat ``scratch``, the rows run as those updates, one
+    after another (``_step_update``).  Otherwise they go in chunks of as
+    many rows as fit, one batch each: row 0 of a packed ``(k + 1, w)`` view
+    of ``scratch`` holds ``x[:w]`` (``w`` the prefix touched by the chunk's
     end), row ``r + 1`` the terms chunk row ``r`` subtracts, and
     ``np.subtract.reduce`` along axis 0 folds each column in row order
     (subtract does not reorder), so every coordinate sees the float
     operations of exact steps, up to the sign of zero terms (see the
-    module docstring).  Returns ``p`` at each row (the argmax trace) and
-    after the block.
+    module docstring).
     """
     m = st.shape[0]
-    nz = st != 0.0
-    ps = np.add.accumulate(nz)
-    p_end = p + int(ps[-1])
-    ps += p - nz  # p at each row
-    n = scratch.shape[0] // p_end - 1  # p_end bounds every chunk's width
+    n = scratch.shape[0] // (p + m) - 1  # p + m bounds every chunk's width
     if n < _BLOCK_STEPS:
-        for i, step in zip(memoryview(ps), memoryview(st)):
+        for i, step in zip(range(p, p + m), memoryview(st)):
             _step_update(x, a, b, buf, i, step)
-        return ps, p_end
+        return
     for r0 in range(0, m, n):
         r1 = min(r0 + n, m)
         k = r1 - r0
-        q, w = int(ps[r0]), int(ps[r1 - 1] + nz[r1 - 1])  # p before and after the chunk
+        q, w = p + r0, p + r1  # p before and after the chunk
         blk = scratch[: (k + 1) * w].reshape(k + 1, w)
         blk[0] = x[:w]
         sc = st[r0:r1]
         np.einsum("i,j->ij", sc, a[:w], out=blk[1:])
-        # chunk rows before the one that opens q + j leave it alone
-        if w - q == k:  # every row opens one: row r opens q + r
-            np.copyto(blk[1:, q:], 0.0, where=_TRIANGLE[:k, :k])
-            # x[q + r] += eta b[q + r], as x[q + r] - (-(eta b[q + r])), on the diagonal
-            fresh = scratch[w + q : (k + 1) * w : w + 1]
-            np.multiply(sc, b[q:w], out=fresh)
-            np.multiply(fresh, -1.0, out=fresh)  # np.negative miscomputes some strided outputs
-        elif w > q:
-            np.copyto(blk[1:, q:], 0.0, where=_TRIANGLE[ps[r0:r1] - q, : w - q])
-            rows = nz[r0:r1].nonzero()[0]  # chunk row rows[j] opens q + j
-            scratch[(rows + 1) * w + q + np.arange(w - q)] = -(sc[rows] * b[q:w])
+        np.copyto(blk[1:, q:], 0.0, where=_TRIANGLE[:k, :k])  # chunk row r leaves q + j alone for j > r
+        # x[q + r] += eta b[q + r], as x[q + r] - (-(eta b[q + r])), on the diagonal
+        fresh = scratch[w + q : (k + 1) * w : w + 1]
+        np.multiply(sc, b[q:w], out=fresh)
+        np.multiply(fresh, -1.0, out=fresh)  # np.negative miscomputes some strided outputs
         np.subtract.reduce(blk, axis=0, out=x[:w])
-    return ps, p_end
 
 
 def maxlinear_descent(a: np.ndarray, b: np.ndarray, eta: np.ndarray, snap_times: np.ndarray):
@@ -340,11 +310,13 @@ def maxlinear_descent(a: np.ndarray, b: np.ndarray, eta: np.ndarray, snap_times:
     spos = 0
     next_snap = int(snap_times[0]) if snap_times.shape[0] else -1
     scratch = np.empty((_BLOCK_STEPS + 1) * min(_FLUSH_COLS, dim))  # the flush's fixed buffer
+    stops = np.flatnonzero(~(eta > 0.0)).tolist()  # the steps no block spans: zero, negative or NaN
+    stops.append(T)
     t = 0
     retry = 0  # the first row at which a block may be tried
     while True:
         _exact_scores(a, b, x, p + 1, s, buf)
-        end = min(t + longest, T)
+        end = min(t + longest, stops[bisect.bisect_left(stops, t)])
         if 0 < next_snap < end:
             end = next_snap
         certified = False
@@ -357,14 +329,16 @@ def maxlinear_descent(a: np.ndarray, b: np.ndarray, eta: np.ndarray, snap_times:
             if rows is not None:
                 end = t + len(rows[0])
                 st = eta[t:end]
-                certified = _certified(s, u, buf, p, D, st, *rows[:3])
+                certified = _certified(s, u, d, buf, p, D, st, *rows[:2])
             if short or not certified:  # exact steps up to the next multiple of _BLOCK_STEPS
                 stop = end if certified else t
                 retry = stop - stop % _BLOCK_STEPS + _BLOCK_STEPS
         if certified:
-            trace[t:end], p = _flush(x, a, b, buf, scratch, p, st)
+            _flush(x, a, b, buf, scratch, p, st)
+            trace[t:end] = np.arange(p, p + end - t)
+            p += end - t
             errors[t - 1 : end - 1] = rows[0]
-            max_norm = max(max_norm, math.sqrt(max(rows[3], 0.0)))  # sqrt is monotone
+            max_norm = max(max_norm, math.sqrt(max(rows[2], 0.0)))  # sqrt is monotone
             t = end
         else:  # an exact step
             i = int(s[: p + 1].argmax())

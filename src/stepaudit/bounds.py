@@ -33,6 +33,7 @@ __all__ = [
     "quartic_floor",
     "averaged_quartic_floor",
     "tail_cutoff",
+    "tail_margin",
     "envelope_floor",
     "l1_l2_gap",
     "empirical_envelope",
@@ -202,22 +203,42 @@ def averaged_quartic_floor(schedule: StepSchedule, T: int) -> float:
 
 
 def tail_cutoff(T: int, phi: GuaranteeEnvelope) -> int | None:
-    """Warmup cutoff ``floor((T/2+1) / (256 e^4 phi(T/2+1)^2)) - 1``.
+    """Warmup cutoff ``t1 = floor((h+1) / (256 e^4 phi(h+1)^4)) - 1``, ``h = T/2``.
 
-    Returns ``None`` when the cutoff falls below 1 (horizon too small for
-    the tail argument to engage), or past ``T/2``, where the tail segment
-    ``[t1, T/2]`` is empty: only an envelope below 1 puts it there.
+    It makes ``tail_margin``'s test hold for every non-decreasing ``phi``:
+    with ``M = sqrt(h+1) / (8 e^2 phi(h+1))`` the target is ``2 M - 2
+    phi(t1) sqrt(t1+1)``, and ``sqrt(t1+1) <= sqrt(h+1) / (16 e^2
+    phi(h+1)^2)`` gives ``2 phi(t1) sqrt(t1+1) <= (phi(t1) / phi(h+1)) M
+    <= M``, as ``t1 <= h``.  (A square in place of the fourth power gives
+    only ``phi(t1) M``, short of ``M`` once ``phi(t1) > 1``.)  Returns
+    ``None`` when the cutoff falls below 1 (horizon too small for the tail
+    argument to engage), or past ``T/2``, where the tail segment ``[t1,
+    T/2]`` is empty: only an envelope below 1 puts it there.
     """
     T = int(T)
     if T < 2:
         raise InvalidParameterError("cutoff selection needs T >= 2")
     half = T // 2
     p = phi(half + 1)
-    denom = 256.0 * math.exp(4.0) * p * p
+    denom = 256.0 * math.exp(4.0) * p * p * p * p  # float * overflows to inf where ** raises
     if not denom > 0.0 or not (half + 1.0) / denom < half + 2.0:
         return None
     t1 = math.floor((half + 1.0) / denom) - 1
     return t1 if t1 >= 1 else None
+
+
+def tail_margin(T: int, phi: GuaranteeEnvelope, t1: int) -> tuple[float, float]:
+    """``(target, margin)`` of the chain's tail steps at cutoff ``t1``, ``h = T/2``.
+
+    ``target = sqrt(h+1) / (4 e^2 phi(h+1)) - 2 phi(t1) sqrt(t1+1)`` is the
+    floor the tail step sum ``S(h+1) - S(t1)`` must reach, and the cutoff
+    step asks ``target >= margin = sqrt(h+1) / (8 e^2 phi(h+1))``.  Neither
+    depends on the schedule.
+    """
+    half = int(T) // 2
+    p_half = phi(half + 1)
+    target = math.sqrt(half + 1.0) / (4.0 * math.exp(2.0) * p_half) - 2.0 * phi(t1) * math.sqrt(t1 + 1.0)
+    return target, math.sqrt(half + 1.0) / (8.0 * math.exp(2.0) * p_half)
 
 
 def envelope_floor(T: int) -> tuple[float, float]:

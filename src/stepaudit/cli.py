@@ -161,9 +161,9 @@ def _resolve_config(args: argparse.Namespace) -> dict:
             raise UsageError(f"config file {args.config} is not valid JSON: {exc}") from exc
         if not isinstance(loaded, dict):
             raise UsageError(f"config file {args.config} must hold a JSON object, not {type(loaded).__name__}")
-        unknown = set(loaded) - set(_OPTIONS)
+        unknown = set(loaded) - {key for key, (_, _, commands, _) in _OPTIONS.items() if args.command in commands}
         if unknown:
-            raise UsageError(f"unknown config fields: {sorted(unknown)}")
+            raise UsageError(f"unknown config fields for {args.command}: {sorted(unknown)}")
         merged.update({key: _config_value(key, val) for key, val in loaded.items() if val is not None})
     for key in _OPTIONS:
         val = getattr(args, key, None)
@@ -202,6 +202,8 @@ def _write_json(path: Path, payload: dict, config: dict) -> None:
 def _spec_from_config(config: dict, horizons: list[int], families: list[str]) -> ExperimentSpec:
     schedule = _parse_spec(config["schedule"], _SCHEDULES, "schedule")
     envelope = _parse_spec(config["phi"], _ENVELOPES, "envelope")
+    if envelope == "empirical" and config["command"] != "audit":  # only audit resolves it from its own runs
+        raise UsageError(f"{config['command']} needs a concrete envelope (field 'phi'), not 'empirical'")
     return ExperimentSpec(
         schedule=schedule,
         horizons=horizons,
@@ -237,8 +239,6 @@ def _families_from(config: dict, single: bool) -> list[str]:
 def cmd_verify(config: dict) -> int:
     """Check simulated trajectories against closed forms."""
     spec = _spec_from_config(config, _horizons_from(config), _families_from(config, single=False))
-    if spec.envelope == "empirical":
-        raise UsageError("verify needs a concrete envelope (field 'phi'), not 'empirical'")
     out = _out_dir(config)
     try:
         report = verify_trajectories(spec)
@@ -300,8 +300,6 @@ def cmd_bounds(config: dict) -> int:
     if T % 2 != 0 or T < 4:
         raise UsageError("chain check requires even T >= 4")
     spec = _spec_from_config(config, horizons, ["maxlinear"])
-    if spec.envelope == "empirical":
-        raise UsageError("bounds needs a concrete envelope (field 'phi'), not 'empirical'")
     phi = spec.resolved_envelope()
     out = _out_dir(config)
     report = bnd.BoundReport(
@@ -328,8 +326,8 @@ def cmd_bounds(config: dict) -> int:
 _COMMANDS = {"verify": cmd_verify, "audit": cmd_audit, "density": cmd_density, "bounds": cmd_bounds}
 _ALL = tuple(_COMMANDS)
 
-# field -> (type, default, subcommands that take it as a flag, help);
-# a bool field is a switch.  The config file may set any field.
+# field -> (type, default, subcommands that take it, help); a bool field
+# is a switch.  The config file may set the fields its subcommand takes.
 _OPTIONS = {
     "schedule": (str, "sqrt_decay:D=2,G=1", _ALL, f"schedule spec: {_grammar(_SCHEDULES)}"),
     "phi": (str, "log", _ALL, f"envelope spec: {_grammar(_ENVELOPES)}"),

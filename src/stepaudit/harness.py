@@ -654,10 +654,8 @@ def chain_check(
         steps.append({"step": "tail_sum_floor", "status": "inconclusive at this T"})
         steps.append({"step": "cutoff_margin", "status": "inconclusive at this T"})
     else:
-        p_half = phi(half + 1)
-        lower = math.sqrt(half + 1.0) / (4.0 * math.exp(2.0) * p_half)
+        target, margin_rhs = bnd.tail_margin(T, phi, t1)
         tail = schedule.prefix_sum(half + 1) - schedule.prefix_sum(t1)
-        target = lower - 2.0 * phi(t1) * math.sqrt(t1 + 1.0)
         steps.append(
             {
                 "step": "tail_sum_floor",
@@ -667,7 +665,6 @@ def chain_check(
                 "status": "pass" if tail >= target - 1e-12 * max(1.0, abs(target)) else "fail",
             }
         )
-        margin_rhs = math.sqrt(half + 1.0) / (8.0 * math.exp(2.0) * p_half)
         steps.append(
             {
                 "step": "cutoff_margin",

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from stepaudit import bounds as bnd
@@ -162,6 +162,15 @@ class TestCutoffAndFloor:
         assert bnd.tail_cutoff(10**6, one) == 34
         assert bnd.tail_cutoff(100, one) is None
 
+    def test_cutoff_engages_for_a_constant_two_at_two_to_the_twenty(self):
+        # the first power of two where const(2) engages: both tail steps pass
+        T, phi, s = 2**20, bnd.constant_envelope(2), sched.sqrt_decay(2, 1)
+        assert bnd.tail_cutoff(T // 2, phi) is None
+        t1 = bnd.tail_cutoff(T, phi)
+        target, margin = bnd.tail_margin(T, phi, t1)
+        assert t1 == 1 and target >= margin > 0.0
+        assert s.prefix_sum(T // 2 + 1) - s.prefix_sum(t1) >= target
+
     def test_envelope_floor_values(self):
         base = 2**2.5
         h2, l2 = bnd.envelope_floor(2)
@@ -176,6 +185,35 @@ class TestCutoffAndFloor:
     def test_harmonic_form_nondecreasing(self):
         values = [bnd.envelope_floor(T)[0] for T in (2, 4, 8, 64, 512, 4096)]
         assert values == sorted(values)
+
+
+def _rising(c, k, e):
+    return bnd.GuaranteeEnvelope(lambda t: c * (1.0 + k * math.log(t)) ** e, "rising")
+
+
+def _step(c, jump, at):
+    return bnd.GuaranteeEnvelope(lambda t: c if t < at else c * jump, "step")
+
+
+# non-decreasing envelopes, some below 1: c (1 + k ln t)^e, and one jump
+_non_decreasing = st.one_of(
+    st.builds(_rising, st.floats(0.1, 1e3), st.floats(0.0, 10.0), st.floats(0.0, 4.0)),
+    st.builds(_step, st.floats(0.1, 1e3), st.floats(1.0, 1e3), st.integers(1, 2**200)),
+)
+# T / 2 in [2^k, 2^(k+1)) for k up to 199
+_halves = st.builds(lambda k, r: 2**k + r % 2**k, st.integers(1, 199), st.integers(0, 2**199))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_non_decreasing, _halves)
+def test_tail_margin_holds_wherever_the_cutoff_engages(phi, half):
+    # the chain's cutoff_margin test and a positive tail_sum_floor target
+    T = 2 * half
+    t1 = bnd.tail_cutoff(T, phi)
+    assume(t1 is not None)
+    target, margin = bnd.tail_margin(T, phi, t1)
+    assert target > 0.0
+    assert target >= margin - 1e-12 * max(1.0, margin)
 
 
 def test_l1_l2_equality_case():

@@ -224,6 +224,12 @@ class TestBoundsCommand:
         # analytic-only report has empty measured columns
         assert csv_lines[2].endswith(",,,")
 
+    def test_tail_cutoff_below_its_margin_no_longer_fails(self, tmp_path, capsys):
+        # const(2) first engages the tail cutoff at 2^20; below it both tail
+        # steps are inconclusive, and cutoff_margin never fails
+        assert run_cli("bounds", "--phi", "const:c=2", "--T", "262144", "--out", str(tmp_path)) == 0
+        assert capsys.readouterr().out.startswith("bounds: chain passed (2 steps inconclusive at this T)")
+
     def test_horizon_list(self, tmp_path):
         code = run_cli(
             "bounds", "--schedule", "sqrt_decay:D=2,G=1", "--horizons", "pow2:8-64",
@@ -300,6 +306,36 @@ class TestConfigResolution:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"schedul": "constant:c=1"}))
         assert run_cli("density", "--config", str(cfg), "--out", str(tmp_path)) == 2
+
+    @pytest.mark.parametrize(
+        "command, config",
+        [("density", {"rows": True}), ("density", {"dump_instances": True}), ("verify", {"thresholds": "0"}),
+         ("bounds", {"families": "maxlinear"}), ("audit", {"per_t": True})],
+        ids=["density-rows", "density-dump", "verify-thresholds", "bounds-families", "audit-per-t"],
+    )
+    def test_config_field_of_another_subcommand(self, tmp_path, capsys, command, config):
+        # a field the subcommand does not take is refused, not recorded and ignored
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert run_cli(command, "--config", str(cfg), "--T", "8", "--out", str(tmp_path / "out")) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: unknown config fields for {command}: {sorted(config)}"]
+        assert not (tmp_path / "out").exists()
+
+    def test_bounds_takes_rows_from_the_config(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"rows": True}))
+        assert run_cli("bounds", "--config", str(cfg), "--T", "8", "--out", str(tmp_path)) == 0
+        chain = json.loads((tmp_path / "chain_report.json").read_text())
+        assert chain["meta"]["config"]["rows"] is True
+        assert sum(step["step"] == "quartic_floor" for step in chain["steps"]) == 8
+
+    @pytest.mark.parametrize("command", ["verify", "density", "bounds"])
+    def test_empirical_envelope_is_refused_outside_audit(self, tmp_path, capsys, command):
+        assert run_cli(command, "--phi", "empirical", "--T", "8", "--out", str(tmp_path / "out")) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {command} needs a concrete envelope (field 'phi'), not 'empirical'"]
+        assert not (tmp_path / "out").exists()
 
     def test_malformed_config(self, tmp_path):
         cfg = tmp_path / "cfg.json"

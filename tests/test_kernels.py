@@ -241,9 +241,9 @@ def _flushes(cols=None):
 
     def counted_flush(*args):
         before = calls[0]
-        ps, p_end = flush(*args)
-        log.append((p_end, len(ps), calls[0] - before))
-        return ps, p_end
+        flush(*args)
+        p, st = args[5], args[6]
+        log.append((p + len(st), len(st), calls[0] - before))
 
     with pytest.MonkeyPatch.context() as mp:
         if cols is not None:
@@ -259,6 +259,24 @@ def _wide_rows(log, cols):
     for p_end, rows, by_row in log:
         assert by_row == (rows if p_end > width else 0)
     return sum(by_row for _, _, by_row in log)
+
+
+@contextlib.contextmanager
+def _blocks():
+    """Record ``(t0, t1)`` of the rows every block keeps; fail on a step that is not positive."""
+    spans = []
+    block = _kernels._block
+
+    def recorded(t0, t1, *args):
+        assert (np.asarray(args[-3])[t0:t1] > 0.0).all()
+        rows = block(t0, t1, *args)
+        if rows is not None:
+            spans.append((t0, t0 + len(rows[0])))
+        return rows
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernels, "_block", recorded)
+        yield spans
 
 
 def _per_step(a, b, eta, snap_times):
@@ -405,21 +423,23 @@ def test_failed_certificate_backs_off_to_the_next_boundary():
 
 
 def test_block_refuses_negative_steps(weights):
-    # the chord needs the cumulative step to grow: negative steps run per step
+    # the chord needs the cumulative step to grow: a block never spans a
+    # step that is not positive, so negative steps all run exact
     a, b, eta = weights
     with _certificates() as results:
         _assert_block_path_bitwise(a, b, -eta, NO_SNAPS)
-    assert results and not any(results)
-    # the same rows pass with both steps positive
-    s, u, buf = np.array([-1.0]), np.zeros(3), np.empty(3)
-    rows = ([0.0, 0.0], [0.0, 0.0], [-5.0, -5.0])  # errors, score bounds, opened scores
-    assert _kernels._certified(s, u, buf, 1, 1.0, np.array([1e-3, 1e-3]), *rows)
-    assert not _kernels._certified(s, u, buf, 1, 1.0, np.array([1e-3, -1e-3]), *rows)
+    assert results == []
+    # the certificate refuses them too; the same rows pass with both steps positive
+    s, u, d, buf = np.array([-1.0]), np.zeros(3), np.full(3, 5e3), np.empty(3)
+    rows = (np.zeros(2), np.zeros(2))  # errors, score bounds; the opened scores are -5
+    assert _kernels._certified(s, u, d, buf, 1, 1.0, np.array([1e-3, 1e-3]), *rows)
+    for steps in ([1e-3, -1e-3], [1e-3, 0.0]):
+        assert not _kernels._certified(s, u, d, buf, 1, 1.0, np.array(steps), *rows)
 
 
 def _block_reference(t0, t1, p, sfx, nsq, nerr, eta_acc, tol, base, coef, D, eta_v, u_v, d_v):
     """``_kernels._block`` as a loop over Python floats, giving up on the whole block."""
-    fvs, tols, opened = [], [], []
+    fvs, tols = [], []
     nsq_max = -math.inf
     D3 = 3.0 * D
     for step in eta_v[t0:t1]:
@@ -427,10 +447,8 @@ def _block_reference(t0, t1, p, sfx, nsq, nerr, eta_acc, tol, base, coef, D, eta
         fvs.append(fv)
         tols.append(tol)
         di = d_v[p]
-        if step != 0.0:
-            opened.append(sfx - step * di)  # the tracked score of p after its step
-            sfx += step * u_v[p]
-            p += 1
+        sfx += step * u_v[p]  # every step opens p
+        p += 1
         ss = step * step
         nerr += 4.0 * step * tol + coef * (abs(nsq) + 2.0 * abs(step * fv) + ss * D)
         nsq = nsq - 2.0 * step * fv + ss * di
@@ -440,23 +458,22 @@ def _block_reference(t0, t1, p, sfx, nsq, nerr, eta_acc, tol, base, coef, D, eta
             return None
         if nsq > nsq_max:
             nsq_max = nsq
-    return fvs, tols, opened, nsq_max
+    return fvs, tols, nsq_max
 
 
 @settings(max_examples=80, deadline=None)
 @given(
     st.integers(1, _kernels._BLOCK_ROWS),
     st.integers(0, 3),
-    st.floats(0.0, 0.9),
     st.floats(-4.0, 0.0),
     st.integers(0, 2**32 - 1),
 )
-def test_block_matches_the_reference_loop(m, p, zeros, log_step, seed):
-    # steps up to 10^log_step with a share of zeros; the larger ones carry
-    # ||x||^2 to 1 within the block, where it gives up part of the way
+def test_block_matches_the_reference_loop(m, p, log_step, seed):
+    # positive steps up to 10^log_step; the larger ones carry ||x||^2 to 1
+    # within the block, where it gives up part of the way
     rng = np.random.default_rng(seed)
     t0 = int(rng.integers(0, 4))
-    eta = 10.0 ** rng.uniform(log_step - 2.0, log_step, t0 + m) * (rng.uniform(size=t0 + m) >= zeros)
+    eta = 10.0 ** rng.uniform(log_step - 2.0, log_step, t0 + m)
     u = rng.uniform(-1.0, 1.0, p + m + 1)
     d = rng.uniform(0.0, 2.0, p + m + 1)
     sfx, nsq = rng.uniform(-1.0, 1.0), rng.uniform(0.0, 1.0)
@@ -526,28 +543,26 @@ def test_block_gives_up_with_the_loops_rounding():
 
 def test_block_skips_a_nan_norm_as_the_loop_does():
     # a NaN ||x||^2 never gives up and never raises the largest norm
-    zeros, ones = np.zeros(3), np.ones(3)
+    steps, ones = np.full(3, 1e-3), np.ones(3)
     args = (0, 2, 1, 0.0, math.nan, 0.0, 0.0, 0.0, 0.0, 1e-16, 1.0)
-    want = _block_reference(*args, memoryview(zeros), memoryview(ones), memoryview(ones))
-    assert want[3] == -math.inf
-    for have, expected in zip(_kernels._block(*args, zeros, ones, ones), want):
+    want = _block_reference(*args, memoryview(steps), memoryview(ones), memoryview(ones))
+    assert want[2] == -math.inf
+    for have, expected in zip(_kernels._block(*args, steps, ones, ones), want):
         assert _bits(have) == _bits(expected)
 
 
 @contextlib.contextmanager
 def _chunks():
-    """Record ``(rows, all_open)`` for every batched chunk that opens a coordinate.
+    """Record the rows of every batched chunk.
 
-    The flush zeroes the entries before each opening through the cached
-    triangle: a chunk whose every row opens one slices it, any other
-    chunk gathers its rows.  ``_flushes(cols)`` sets the width.
+    The flush zeroes the entries before each opening through a slice of
+    the cached triangle.  ``_flushes(cols)`` sets the width.
     """
     log = []
 
     class Triangle(np.ndarray):
         def __getitem__(self, key):
-            rows = key[0]
-            log.append((rows.stop, True) if isinstance(rows, slice) else (len(rows), False))
+            log.append(key[0].stop)
             return np.asarray(self)[key]
 
     with pytest.MonkeyPatch.context() as mp:
@@ -567,25 +582,24 @@ def test_all_open_chunks_match_per_step(T, sizes):
         trace = _assert_block_path_bitwise(a, b, s.rates(T), NO_SNAPS)
     assert trace.tobytes() == np.arange(T + 1).tobytes()
     assert [rows for _, rows, _ in flushes] == [T - 1]
-    assert log == [(k, True) for k in sizes]
+    assert log == sizes
 
 
 def test_construction_takes_the_all_open_path():
-    # every step of the headline schedule opens a coordinate, so at the
-    # default sizes both blocks of a dim 641 run batch only all-open chunks
+    # at the default sizes both blocks of a dim 641 run batch their rows in chunks
     s = sqrt_decay(2, 1)
     T = 640
     a, b = coupling_weights(s, T, log_envelope())
     with _chunks() as log, _flushes() as flushes:
         _assert_block_path_bitwise(a, b, s.rates(T), np.array([320], dtype=np.int64))
     assert [rows for _, rows, _ in flushes] == [319, 320]
-    assert log == [(129, True)] * 2 + [(61, True)] + [(64, True)] * 5
+    assert log == [129] * 2 + [61] + [64] * 5
 
 
 def test_chunks_with_zero_steps_match_per_step():
-    # zero steps every third row and a run of 140 inside the blocks: chunks
-    # with zeros gather the triangle's rows, the all-open ones slice it, and
-    # at width 210 the run fills a 65-row chunk that opens nothing
+    # zero steps every third row and a run of 140: every block stops before
+    # a zero step, and on the construction the zero steps and row 0 are the
+    # only rows that run exact
     T = 400
     eta = 1.0 / np.sqrt(np.arange(1.0, T + 2.0))
     eta[2::3] = 0.0
@@ -594,13 +608,25 @@ def test_chunks_with_zero_steps_match_per_step():
     s = sched.from_table(eta)
     a, b = coupling_weights(s, T, log_envelope())
     snaps = np.array([100, 399], dtype=np.int64)
-    for cols in (None, 210):
-        with _chunks() as log, _flushes(cols) as flushes:
+    zeros = set(np.flatnonzero(eta[:T] == 0.0).tolist())
+    for cols in _WIDTHS:
+        with _blocks() as spans, _certificates() as results, _flushes(cols) as log:
             _assert_block_path_bitwise(a, b, s.rates(T), snaps)
-        assert [(rows, by_row) for _, rows, by_row in flushes] == [(99, 0), (299, 0), (1, 0)]
-        assert {open_ for _, open_ in log} == {True, False}
-        assert (1, True) in log  # the one-row block [399, 400)
-        assert T - 1 - sum(rows for rows, _ in log) == (65 if cols else 0)
+        assert len(results) == len(spans) and all(results)
+        assert set(range(T)).difference(*(range(*span) for span in spans)) == {0} | zeros
+        assert sum(rows for _, rows, _ in log) == T - 1 - len(zeros)
+        _wide_rows(log, cols)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_long_tables)
+def test_blocks_span_positive_steps_only(table):
+    # tables with zero runs: _blocks fails on a block given a zero step
+    s = sched.from_table(table + [1.0])
+    T = len(table)
+    a, b = coupling_weights(s, T, log_envelope())
+    with _blocks():
+        _assert_block_path_bitwise(a, b, s.rates(T), NO_SNAPS)
 
 
 def test_block_scratch_is_fixed_size():
