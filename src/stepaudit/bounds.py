@@ -2,12 +2,14 @@
 
 A guarantee envelope is a non-decreasing function ``phi: {1, 2, ...} ->
 [1, inf)`` certifying that the worst-case last-iterate error at step ``t``
-is at most ``phi(t) / sqrt(t)``.  The functions below evaluate the lower
-bounds that any such envelope must respect for a given stepsize schedule:
-the single-step floor, the step-sum floor, the high-dimensional
-max-of-linear floor, the fourth-power floor and its time average, and the
-asymptotic floor obtained by combining them.  All constants are computed
-from library transcendentals at full working precision.
+is at most ``phi(t) / sqrt(t)``.  ``GuaranteeEnvelope`` refuses any value
+that is not finite or lies below 1, so no floor here handles one.  The
+functions below evaluate the lower bounds that any such envelope must
+respect for a given stepsize schedule: the single-step floor, the
+step-sum floor, the high-dimensional max-of-linear floor, the
+fourth-power floor and its time average, and the asymptotic floor
+obtained by combining them.  All constants are computed from library
+transcendentals at full working precision.
 """
 
 from __future__ import annotations
@@ -46,34 +48,39 @@ __all__ = [
 
 
 class GuaranteeEnvelope:
-    """A non-decreasing guarantee function ``phi(t) >= 1`` for ``t >= 1``."""
+    """A non-decreasing guarantee function ``phi(t) >= 1`` for ``t >= 1``.
+
+    Every value is checked when it is evaluated: one that is not finite or
+    lies below 1 raises ``InvalidParameterError`` naming the envelope and
+    the first bad ``t``.  The constructor evaluates ``phi(1)``, the minimum
+    of a non-decreasing envelope, so an envelope below 1 throughout is
+    refused as soon as it is built.
+    """
 
     def __init__(self, evaluator: Callable[[int], float], label: str = "phi"):
         self._evaluator = evaluator
         self.label = label
+        self(1)
 
     def __call__(self, t: int) -> float:
         t = int(t)
-        if t < 1:
-            raise InvalidParameterError("envelopes are defined for t >= 1")
-        value = float(self._evaluator(t))
-        if not math.isfinite(value):
-            raise InvalidParameterError(f"envelope {self.label} is not finite at t={t}")
-        return value
+        return float(self.values(range(t, t + 1))[0])
 
     def values(self, ts: range) -> np.ndarray:
         """``[phi(t) for t in ts]`` as a float64 array, bit for bit.
 
         ``ts`` is a range of steps ``t >= 1``.  Every value comes from the
-        same scalar evaluator as ``__call__``, and the same finiteness check
-        names the first ``t`` whose value is not finite.
+        scalar evaluator, and the check names the first bad ``t``.
         """
         if len(ts) and min(ts[0], ts[-1]) < 1:
             raise InvalidParameterError("envelopes are defined for t >= 1")
         vals = np.fromiter(map(self._evaluator, ts), np.float64, len(ts))
-        bad = ~np.isfinite(vals)
-        if bad.any():
-            raise InvalidParameterError(f"envelope {self.label} is not finite at t={ts[int(bad.argmax())]}")
+        ok = (vals >= 1.0) & (vals < math.inf)  # NaN fails both
+        if not ok.all():
+            i = int(ok.argmin())
+            raise InvalidParameterError(
+                f"envelope {self.label} is {float(vals[i])!r} at t={ts[i]}: values must be finite and >= 1"
+            )
         return vals
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -88,8 +95,6 @@ def log_envelope(offset: float = 8.0, coef: float = 4.0) -> GuaranteeEnvelope:
     """
     offset = float(offset)
     coef = float(coef)
-    if not (math.isfinite(offset) and math.isfinite(coef)):
-        raise InvalidParameterError("log envelope requires finite offset and coef")
     return GuaranteeEnvelope(
         lambda t: offset + coef * math.log(t),
         label=f"log(offset={offset:g},coef={coef:g})",
@@ -99,8 +104,6 @@ def log_envelope(offset: float = 8.0, coef: float = 4.0) -> GuaranteeEnvelope:
 def constant_envelope(c: float) -> GuaranteeEnvelope:
     """Envelope ``phi(t) = c`` (finite ``c >= 1``)."""
     c = float(c)
-    if not 1.0 <= c < math.inf:
-        raise InvalidParameterError("constant envelope requires finite c >= 1")
     return GuaranteeEnvelope(lambda t: c, label=f"const({c:g})")
 
 
@@ -148,13 +151,12 @@ def step_sum_bound(schedule: StepSchedule, t: int) -> float | None:
     return 1.0 / (4.0 * math.exp(2.0) * S)
 
 
-def maxlinear_bound(schedule: StepSchedule, t: int, phi: GuaranteeEnvelope) -> float | None:
+def maxlinear_bound(schedule: StepSchedule, t: int, phi: GuaranteeEnvelope) -> float:
     """High-dimensional error floor from the max-of-linear construction.
 
     Evaluates ``sum_{j<t} min(1, eta_j sqrt(t+1))^2 / (t+1-j)`` scaled by
     ``1 / (64 phi(t+1) sqrt(t+1))``; algebraically equal to half the
-    weighted step sum certified by the built instance.  Returns ``None``
-    where ``phi(t+1)`` is not positive and the scale is undefined.
+    weighted step sum certified by the built instance.
     """
     t = int(t)
     if t < 1:
@@ -163,10 +165,7 @@ def maxlinear_bound(schedule: StepSchedule, t: int, phi: GuaranteeEnvelope) -> f
     root = math.sqrt(t + 1.0)
     j = np.arange(t, dtype=np.float64)
     terms = np.minimum(1.0, eta * root) ** 2 / (t + 1.0 - j)
-    p = phi(t + 1)
-    if not p > 0.0:
-        return None
-    return float(np.sum(terms)) / (64.0 * p * root)
+    return float(np.sum(terms)) / (64.0 * phi(t + 1) * root)
 
 
 def quartic_floor(schedule: StepSchedule, t: int, shifted: bool = False) -> float:
@@ -210,10 +209,10 @@ def tail_cutoff(T: int, phi: GuaranteeEnvelope) -> int | None:
     phi(t1) sqrt(t1+1)``, and ``sqrt(t1+1) <= sqrt(h+1) / (16 e^2
     phi(h+1)^2)`` gives ``2 phi(t1) sqrt(t1+1) <= (phi(t1) / phi(h+1)) M
     <= M``, as ``t1 <= h``.  (A square in place of the fourth power gives
-    only ``phi(t1) M``, short of ``M`` once ``phi(t1) > 1``.)  Returns
-    ``None`` when the cutoff falls below 1 (horizon too small for the tail
-    argument to engage), or past ``T/2``, where the tail segment ``[t1,
-    T/2]`` is empty: only an envelope below 1 puts it there.
+    only ``phi(t1) M``, short of ``M`` once ``phi(t1) > 1``.)  As ``phi >=
+    1``, ``t1 + 1 <= (h+1) / (256 e^4)``, so the tail segment ``[t1, h]``
+    is never empty.  Returns ``None`` when the cutoff falls below 1
+    (horizon too small for the tail argument to engage).
     """
     T = int(T)
     if T < 2:
@@ -221,8 +220,6 @@ def tail_cutoff(T: int, phi: GuaranteeEnvelope) -> int | None:
     half = T // 2
     p = phi(half + 1)
     denom = 256.0 * math.exp(4.0) * p * p * p * p  # float * overflows to inf where ** raises
-    if not denom > 0.0 or not (half + 1.0) / denom < half + 2.0:
-        return None
     t1 = math.floor((half + 1.0) / denom) - 1
     return t1 if t1 >= 1 else None
 
@@ -312,23 +309,19 @@ def empirical_envelope(records: Iterable, label: str | None = None) -> Guarantee
 class EnvelopeReport:
     """Outcome of the necessary-condition checks on an envelope."""
 
-    ge_one_ok: bool
     monotone_ok: bool
     step_ok: bool
-    records_ok: bool
     failures: list[str] = field(default_factory=list)
 
     @property
     def passed(self) -> bool:
-        return self.ge_one_ok and self.monotone_ok and self.step_ok and self.records_ok
+        return self.monotone_ok and self.step_ok
 
     def to_dict(self) -> dict:
         return {
             "passed": self.passed,
-            "ge_one_ok": self.ge_one_ok,
             "monotone_ok": self.monotone_ok,
             "step_ok": self.step_ok,
-            "records_ok": self.records_ok,
             "failures": self.failures,
         }
 
@@ -336,32 +329,26 @@ class EnvelopeReport:
 def validate_envelope(
     schedule: StepSchedule,
     phi: GuaranteeEnvelope,
-    records: Iterable = (),
     t_max: int = 1024,
     phi_values: np.ndarray | None = None,
 ) -> EnvelopeReport:
     """Check the conditions any true envelope must satisfy.
 
-    On ``t = 1..t_max``: ``phi >= 1`` and monotone non-decreasing; the
-    step condition ``phi(t+1) >= eta_t sqrt(t+1)`` forced by the
-    single-step floor; and ``phi(t) >= sqrt(t) err(t)`` against every
-    recorded error.  Failures are report entries, never exceptions.
-    ``phi_values``, when given, holds ``phi.values(range(1, n + 1))`` for
-    some ``n``; ``phi`` is evaluated again only if the checks need more.
+    On ``t = 1..t_max``: ``phi`` is non-decreasing through ``phi(t_max +
+    1)``, and meets the step condition ``phi(t+1) >= eta_t sqrt(t+1)``
+    forced by the single-step floor.  Failures are report entries, never
+    exceptions; a value below 1 or not finite raises where ``phi`` is
+    evaluated, as everywhere.  ``phi_values``, when given, holds
+    ``phi.values(range(1, n + 1))`` for some ``n``; ``phi`` is evaluated
+    again only if the checks need more.
     """
     t_max = int(t_max)
     if t_max < 1:
         raise InvalidParameterError("t_max must be >= 1")
-    records = list(records)
-    n = max([t_max + 1] + [r.horizon for r in records])
-    if phi_values is None or phi_values.shape[0] < n:
-        phi_values = phi.values(range(1, n + 1))
+    if phi_values is None or phi_values.shape[0] < t_max + 1:
+        phi_values = phi.values(range(1, t_max + 2))
     failures: list[str] = []
     vals = phi_values[: t_max + 1]
-    ge_one = bool(np.all(vals >= 1.0))
-    if not ge_one:
-        t_bad = int(np.argmax(vals < 1.0)) + 1
-        failures.append(f"phi({t_bad}) = {vals[t_bad - 1]} < 1")
     mono = bool(np.all(np.diff(vals) >= 0))
     if not mono:
         t_bad = int(np.argmax(np.diff(vals) < 0)) + 1
@@ -375,26 +362,7 @@ def validate_envelope(
             f"step condition fails at t={t_bad}: eta_t sqrt(t+1) = {need[t_bad]} "
             f"> phi({t_bad + 1}) = {vals[t_bad]}"
         )
-    records_ok = True
-    for r in records:
-        ts = np.arange(1, r.horizon + 1, dtype=np.float64)
-        measured = np.sqrt(ts) * r.errors
-        phivals = phi_values[: r.horizon]
-        bad = measured > phivals
-        if np.any(bad):
-            records_ok = False
-            t_bad = int(np.argmax(bad)) + 1
-            failures.append(
-                f"recorded error exceeds envelope at t={t_bad}: "
-                f"sqrt(t) err = {measured[t_bad - 1]} > phi = {phivals[t_bad - 1]}"
-            )
-    return EnvelopeReport(
-        ge_one_ok=ge_one,
-        monotone_ok=mono,
-        step_ok=step_ok,
-        records_ok=records_ok,
-        failures=failures,
-    )
+    return EnvelopeReport(monotone_ok=mono, step_ok=step_ok, failures=failures)
 
 
 # -- tabular report ----------------------------------------------------------
@@ -422,7 +390,7 @@ class BoundRow:
     t: int
     last_step: float
     step_sum: float | None
-    maxlinear: float | None
+    maxlinear: float
     quartic: float
     quartic_shifted: float
     floor_harmonic: float | None

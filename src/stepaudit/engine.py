@@ -49,14 +49,14 @@ class ConvexInstance:
     """A convex objective bundled with its oracles and domain.
 
     Errors are objective values measured from 0, a level at or above the
-    domain minimum of every family here.  ``lipschitz`` is a certified
-    gradient-norm bound.  Two optional fields select a fast
-    path in :func:`run`: ``kernel_data`` holds the max-of-linear weights
-    ``(a, b)`` of the kernel path, and ``scalar`` holds the float-to-float
-    oracles ``(value, subgradient, lo, hi)`` of a 1-d instance on the
-    interval ``[lo, hi]``, for the scalar path.  ``value``, ``subgradient``
-    and ``project`` must be those oracles on 1-element arrays, so that the
-    generic path stays a bitwise oracle for the scalar one.
+    domain minimum of every family here.  Two optional fields select a
+    fast path in :func:`run`: ``kernel_data`` holds the max-of-linear
+    weights ``(a, b)`` of the kernel path, and ``scalar`` holds the
+    float-to-float oracles ``(value, subgradient, lo, hi)`` of a 1-d
+    instance on the interval ``[lo, hi]``, for the scalar path.
+    ``value``, ``subgradient`` and ``project`` must be those oracles on
+    1-element arrays, so that the generic path stays a bitwise oracle for
+    the scalar one.
     """
 
     dim: int
@@ -64,7 +64,6 @@ class ConvexInstance:
     value: Callable[[np.ndarray], float]
     subgradient: Callable[[np.ndarray], np.ndarray]
     project: Callable[[np.ndarray], np.ndarray]
-    lipschitz: float
     kernel_data: tuple | None = None
     scalar: tuple | None = None
 

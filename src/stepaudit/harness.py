@@ -37,18 +37,12 @@ __all__ = [
 ]
 
 
-def _build_vshape(schedule: StepSchedule, t: int, phi: bnd.GuaranteeEnvelope, shrink: float):
-    if t < 2:
-        raise ConstructionError("vshape needs a target >= 2")
-    return inst.build_vshape(schedule, t, shrink=shrink)
-
-
 # family -> builder(schedule, t, phi, shrink); a builder raises
 # ConstructionError when the family does not apply at ``t``, while a bad
 # stepsize raises InvalidParameterError and stops the run
 _BUILDERS = {
     "maxlinear": lambda schedule, t, phi, shrink: inst.build_maxlinear(schedule, t, phi),
-    "vshape": _build_vshape,
+    "vshape": lambda schedule, t, phi, shrink: inst.build_vshape(schedule, t, shrink=shrink),
     "quadratic": lambda schedule, t, phi, shrink: inst.build_quadratic(schedule, t),
 }
 FAMILIES = tuple(_BUILDERS)
@@ -80,9 +74,11 @@ class ExperimentSpec:
             raise InvalidParameterError("horizons must be a nonempty list of integers >= 1")
         if sorted(hs) != hs:
             raise InvalidParameterError("horizons must be sorted ascending")
-        for fam in self.families:
+        for k, fam in enumerate(self.families):
             if fam not in FAMILIES:
                 raise InvalidParameterError(f"unknown family {fam!r}")
+            if fam in self.families[:k]:
+                raise InvalidParameterError(f"family {fam!r} is repeated")
         if not self.families:
             raise InvalidParameterError("at least one family must be selected")
         if int(self.workers) < 1:
@@ -623,19 +619,17 @@ def chain_check(
 
     half = T // 2
     t1 = bnd.tail_cutoff(T, phi)
-    lo = max(t1 or 1, 1)
-    segment = schedule.rates(half + 1)[lo:]
-    gap = bnd.l1_l2_gap(segment) if segment.size else None
-    if gap is not None:
-        steps.append(
-            {
-                "step": "l1_l2",
-                "range": [lo, half],
-                "lhs": gap.lhs,
-                "rhs": gap.rhs,
-                "status": "pass" if gap.passed else "fail",
-            }
-        )
+    lo = t1 or 1
+    gap = bnd.l1_l2_gap(schedule.rates(half + 1)[lo:])
+    steps.append(
+        {
+            "step": "l1_l2",
+            "range": [lo, half],
+            "lhs": gap.lhs,
+            "rhs": gap.rhs,
+            "status": "pass" if gap.passed else "fail",
+        }
+    )
 
     S_half = schedule.prefix_sum(half + 1)
     ss = bnd.step_sum_bound(schedule, half + 1)

@@ -101,7 +101,6 @@ def _interval_instance(value, subgradient, x0: float) -> ConvexInstance:
         value=lambda x: value(float(x[0])),
         subgradient=lambda x: np.array([subgradient(float(x[0]))]),
         project=lambda x: project_interval(x, -1.0, 1.0),
-        lipschitz=1.0,
         scalar=(value, subgradient, -1.0, 1.0),
     )
 
@@ -146,7 +145,7 @@ def build_vshape(schedule: StepSchedule, target_t: int, shrink: float = 1e-6) ->
     """
     target_t = int(target_t)
     if target_t < 2:
-        raise InvalidParameterError("vshape target_t must be >= 2")
+        raise ConstructionError("vshape needs a target >= 2")
     if not 0 < shrink <= 1e-3:
         raise InvalidParameterError("shrink factor must lie in (0, 1e-3]")
     eta_exit = schedule.rate(target_t - 1)
@@ -250,14 +249,15 @@ def coupling_weights(
     coordinate ``j+1`` into later linear pieces, and
     ``b_j = min(1/2, 1/(2 eta_j sqrt(t+1)))`` is the depth of the fresh
     coordinate opened at step ``j``.  A zero stepsize yields ``a_j = 0``
-    and ``b_j = 1/2``.
+    and ``b_j = 1/2``.  Where ``eta_j sqrt(t+1) >= 1`` for every ``j < t``
+    (a saturated schedule), ``b_j eta_j = 1 / (2 sqrt(t+1))`` and the
+    certified sum does not depend on the schedule:
+    ``sum_{j<t} a_j b_j eta_j = (H_{t+1} - 1) / (32 phi(t+1) sqrt(t+1))``.
     """
     t = int(t)
     if t < 1:
         raise InvalidParameterError("weights need t >= 1")
-    pt = float(phi(t + 1))
-    if not pt >= 1.0:
-        raise InvalidParameterError(f"envelope value {pt} at {t + 1} is below 1")
+    pt = phi(t + 1)
     eta = schedule.rates(t + 1)
     root = math.sqrt(t + 1.0)
     a = np.minimum(1.0, eta * root) / (16.0 * pt * np.arange(t + 1.0, 0.0, -1.0))  # t + 1 - j
@@ -437,7 +437,6 @@ def build_maxlinear(schedule: StepSchedule, T: int, phi: GuaranteeEnvelope) -> M
         value=value,
         subgradient=subgradient,
         project=lambda x: project_ball(x, 1.0),
-        lipschitz=1.0,
         kernel_data=(a, b),
     )
     return MaxLinearInstance(

@@ -86,7 +86,6 @@ class TestExitCodes:
         # envelope validation fails, and the last line must say so
         cases = [
             (("--schedule", "constant:c=2", "--phi", "one", "--horizons", "4,8"), "step condition fails at t=0"),
-            (("--phi", "log:offset=0.5", "--T", "8"), "phi(1) = 0.5 < 1"),
             (("--schedule", "constant:c=1e3", "--T", "8"), "step condition fails at t=0"),
         ]
         for k, (args, reason) in enumerate(cases):
@@ -106,11 +105,11 @@ class TestExitCodes:
             (("audit", "--schedule", "constant:c=1e200"), "'constant(c=1e+200)' produced a huge"),
             (("bounds", "--schedule", "constant:c=1e200"), "'constant(c=1e+200)' produced a huge"),
             (("density", "--per-t", "--schedule", "constant:c=1e200"), "produced a huge"),
-            (("bounds", "--phi", "const:c=inf"), "constant envelope requires finite c >= 1"),
-            (("bounds", "--phi", "log:offset=inf"), "log envelope requires finite offset and coef"),
-            (("audit", "--phi", "const:c=inf"), "constant envelope requires finite c >= 1"),
-            (("audit", "--phi", "log:coef=inf"), "log envelope requires finite offset and coef"),
-            (("audit", "--phi", "log:offset=1e308,coef=1e308"), "is not finite at t=3"),
+            (("bounds", "--phi", "const:c=inf"), "envelope const(inf) is inf at t=1: values must be finite and >= 1"),
+            (("bounds", "--phi", "log:offset=inf"), "envelope log(offset=inf,coef=4) is inf at t=1"),
+            (("audit", "--phi", "const:c=inf"), "envelope const(inf) is inf at t=1: values must be finite and >= 1"),
+            (("audit", "--phi", "log:coef=inf"), "envelope log(offset=8,coef=inf) is nan at t=1"),
+            (("audit", "--phi", "log:offset=1e308,coef=1e308"), "is inf at t=3: values must be finite and >= 1"),
             (("density", "--thresholds", "nan"), "thresholds must be numbers or inf"),
             (("audit", "--schedule", "table:{one_column}"), "row without an eta value"),
             (("audit", "--schedule", "table:{directory}"), "bad schedule spec"),
@@ -250,22 +249,54 @@ class TestBoundsCommand:
             assert reason in capsys.readouterr().out.splitlines()[-1]
 
     def test_failed_validation_named_beside_the_failing_step(self, tmp_path, capsys):
-        # phi**4 hides the sign, so the quartic rows pass; the negative
-        # envelope fails envelope_floor and its validation, and both are named
-        assert run_cli("bounds", "--phi", "log:offset=-1,coef=0", "--T", "8", "--out", str(tmp_path)) == 1
+        # phi = 1 fails the step condition at t = 0 and the quartic row at t = 2
+        args = ("--schedule", "constant:c=100", "--phi", "one", "--T", "8", "--out", str(tmp_path))
+        assert run_cli("bounds", *args) == 1
         last = capsys.readouterr().out.splitlines()[-1]
-        assert "first failing step envelope_floor" in last
-        assert "envelope validation failed: phi(1) = -1.0 < 1" in last
+        assert "first failing step quartic_floor at t=2" in last
+        assert "envelope validation failed: step condition fails at t=0" in last
 
-    @pytest.mark.parametrize("phi", ["log:offset=0,coef=0", "log:offset=1e-200,coef=0", "log:offset=1e-100,coef=0"])
-    def test_envelope_near_zero_fails_the_chain(self, tmp_path, capsys, phi):
-        # floors divide by phi: zero once raised, and a tiny phi put the
-        # tail cutoff far past T/2
-        assert run_cli("bounds", "--phi", phi, "--T", "8", "--out", str(tmp_path)) == 1
-        chain = json.loads((tmp_path / "chain_report.json").read_text())
-        assert chain["validation"]["ge_one_ok"] is False
-        assert set(chain["inconclusive"]) == {"tail_sum_floor", "cutoff_margin"}
-        assert "first failing step quartic_floor at t=2" in capsys.readouterr().out
+
+_BELOW_ONE = [
+    "log:offset=0.5",
+    "log:offset=-1,coef=0",
+    "log:offset=0,coef=0",
+    "log:offset=1e-200,coef=0",
+    "log:offset=1e-100,coef=0",
+    "const:c=0.5",
+]
+
+
+class TestEnvelopeRule:
+    @pytest.mark.parametrize("command", ["verify", "audit", "density", "bounds"])
+    @pytest.mark.parametrize("phi", _BELOW_ONE)
+    def test_envelope_below_one_exits_2(self, tmp_path, capsys, phi, command):
+        # phi(1) is the least value of a non-decreasing envelope: the spec is
+        # refused when it is parsed, before any output is written
+        out = tmp_path / "out"
+        family = ("--family", "vshape") if command == "density" else ()
+        assert run_cli(command, "--phi", phi, "--T", "8", *family, "--out", str(out)) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and f"bad envelope spec {phi!r}: envelope " in err[0], err
+        assert "at t=1: values must be finite and >= 1" in err[0]
+        assert not out.exists()
+
+    def test_envelope_dipping_below_one_later_exits_2(self, tmp_path, capsys):
+        # a decreasing envelope is a validation failure while it stays >= 1 ...
+        assert run_cli("audit", "--phi", "log:offset=2,coef=-0.1", "--T", "8", "--out", str(tmp_path)) == 1
+        assert "phi decreases between t=1 and t=2" in capsys.readouterr().out
+        # ... and bad input from the first value below 1, wherever it is evaluated
+        assert run_cli("audit", "--phi", "log:offset=2,coef=-0.5", "--T", "8", "--out", str(tmp_path)) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "is 0.9602792291600821 at t=8" in err[0], err
+
+    @pytest.mark.parametrize("command, families", [("verify", "vshape,vshape"), ("audit", "maxlinear,maxlinear")])
+    def test_repeated_family_exits_2(self, tmp_path, capsys, command, families):
+        out = tmp_path / "out"
+        assert run_cli(command, "--families", families, "--horizons", "8", "--out", str(out)) == 2
+        name = families.split(",")[0]
+        assert capsys.readouterr().err.splitlines() == [f"error: family {name!r} is repeated"]
+        assert not any(out.iterdir())
 
 
 class TestConfigResolution:

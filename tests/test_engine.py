@@ -17,7 +17,6 @@ def _toy_instance(value=None, subgradient=None):
         value=value or (lambda x: float(x[0]) ** 2),
         subgradient=subgradient or (lambda x: np.array([2.0 * float(x[0])])),
         project=lambda x: engine.project_interval(x, -1.0, 1.0),
-        lipschitz=2.0,
     )
 
 
@@ -136,7 +135,6 @@ def _scalar_toy(value, subgradient, lo=-1.0, hi=1.0, x0=1.0):
         value=lambda x: value(float(x[0])),
         subgradient=lambda x: np.array([subgradient(float(x[0]))]),
         project=lambda x: engine.project_interval(x, lo, hi),
-        lipschitz=1.0,
         scalar=(value, subgradient, lo, hi),
     )
 
@@ -226,8 +224,9 @@ def _validate_instance(instance, sample, rng, trials=1000, rel_tol=1e-12):
 
     Samples point pairs from the instance's domain with ``sample(rng,
     dim)`` and counts violations of ``f(y) >= f(x) + g(x).(y-x)``, of
-    convexity along segments, of the Lipschitz bound on subgradient norms,
-    and of ``project(project(x)) == project(x)``.
+    convexity along segments, of the unit bound on subgradient norms (every
+    family here is 1-Lipschitz), and of ``project(project(x)) ==
+    project(x)``.
     """
     report = {
         "trials": trials,
@@ -248,7 +247,7 @@ def _validate_instance(instance, sample, rng, trials=1000, rel_tol=1e-12):
         if gap > rel_tol * scale:
             report["subgradient_violations"] += 1
             report["worst_subgradient_gap"] = max(report["worst_subgradient_gap"], gap / scale)
-        if float(np.linalg.norm(g)) > instance.lipschitz * (1 + rel_tol):
+        if float(np.linalg.norm(g)) > 1.0 + rel_tol:
             report["lipschitz_violations"] += 1
         lam = float(rng.uniform())
         z = lam * x + (1 - lam) * y

@@ -19,6 +19,7 @@ from stepaudit.harness import (
 )
 
 SQRT21 = sched.sqrt_decay(2, 1)
+SQRT64 = sched.sqrt_decay(64, 1)  # its quartic floor exceeds 1 from t = 2 on
 
 
 def make_spec(**kwargs):
@@ -39,6 +40,10 @@ class TestSpecValidation:
     def test_unknown_family(self):
         with pytest.raises(InvalidParameterError):
             make_spec(families=("cubic",)).validate()
+
+    def test_repeated_family(self):
+        with pytest.raises(InvalidParameterError, match="family 'vshape' is repeated"):
+            make_spec(families=("vshape", "maxlinear", "vshape")).validate()
 
     def test_unresolved_envelope(self):
         with pytest.raises(InvalidParameterError):
@@ -287,16 +292,12 @@ class TestChain:
         assert len(recwarn) == 0
 
     def test_rows_within_the_bound_are_decided_exactly(self):
-        from stepaudit.harness import _quartic_profile
-
-        profile, _ = _quartic_profile(SQRT21, 64)
-        # phi(t+1)^4 reproduces row t's FFT value to a few ulps, far inside its bound
-        tight = bnd.GuaranteeEnvelope(lambda t: float(profile[t - 2]) ** 0.25 if t >= 2 else 1.0)
-        report = chain_check(SQRT21, tight, 64, rows=True)
+        # every row but the first (a zero floor under phi = 1) is within its bound
+        report = chain_check(SQRT64, _tight_envelope(SQRT64, 64), 64, rows=True)
         rows = [s for s in report.steps if s["step"] == "quartic_floor"]
-        assert all("rhs_exact" in r for r in rows)
-        for r in rows:
-            assert r["rhs_exact"] == bnd.quartic_floor(SQRT21, r["t"])
+        assert ["rhs_exact" in r for r in rows] == [False] + [True] * 63
+        for r in rows[1:]:
+            assert r["rhs_exact"] == bnd.quartic_floor(SQRT64, r["t"])
             assert r["status"] == ("pass" if r["lhs"] >= r["rhs_exact"] else "fail")
         loose = chain_check(SQRT21, bnd.log_envelope(), 64, rows=True)
         assert not any("rhs_exact" in s for s in loose.steps if s["step"] == "quartic_floor")
@@ -361,11 +362,12 @@ _tables = st.lists(
 
 
 def _tight_envelope(schedule, T):
-    # phi(t+1)^4 reproduces row t's FFT value to a few ulps, inside its bound
+    # where row t's FFT value exceeds 1, phi(t+1)^4 reproduces it to a few
+    # ulps, inside its bound; elsewhere phi is 1
     from stepaudit.harness import _quartic_profile
 
     profile, _ = _quartic_profile(schedule, T)
-    return bnd.GuaranteeEnvelope(lambda t: float(profile[t - 2]) ** 0.25 if t >= 2 else 1.0)
+    return bnd.GuaranteeEnvelope(lambda t: max(1.0, float(profile[t - 2]) ** 0.25) if t >= 2 else 1.0)
 
 
 _envelopes = st.one_of(
@@ -377,8 +379,7 @@ _envelopes = st.one_of(
 
 @settings(max_examples=60, deadline=None)
 @given(_tables, _envelopes)
-@example(table=[1.0, 1e-4], env=("tight", 0.0, 0.0))  # phi < 1 once put the cutoff past T/2
-@example(table=[0.0, 0.0], env=("tight", 0.0, 0.0))  # phi = 0 once divided by zero
+@example(table=[1e3] * 8, env=("tight", 0.0, 0.0))  # rows above 1 from t = 2 on
 def test_array_rows_match_the_per_row_loop(table, env):
     T = max(4, len(table) - len(table) % 2)
     schedule = sched.from_table(table + [1.0] * (T + 2 - len(table)))
@@ -399,6 +400,8 @@ def test_array_rows_match_the_per_row_loop(table, env):
     assert _bitwise(full.steps[T]) == _bitwise(ref_worst)
     failing = [r["t"] for r in ref_rows if r["status"] == "fail"]
     exact = [r["t"] for r in ref_rows if "rhs_exact" in r]
+    if kind == "tight" and any(r["rhs"] > 1.0 for r in ref_rows):
+        assert exact
     expected = {"step": "quartic_floor", "rows": T, "failed": len(failing), "decided_exactly": len(exact)}
     expected["status"] = "fail" if failing else "pass"
     if failing:
@@ -411,10 +414,10 @@ def test_array_rows_match_the_per_row_loop(table, env):
 
 
 def test_rows_decided_exactly_are_counted():
-    # the tight envelope sends every row to the exact sum
-    tight = _tight_envelope(SQRT21, 64)
-    summary = chain_check(SQRT21, tight, 64).steps[0]
-    assert summary["decided_exactly"] == 64
+    # the tight envelope sends every row but the first to the exact sum
+    tight = _tight_envelope(SQRT64, 64)
+    summary = chain_check(SQRT64, tight, 64).steps[0]
+    assert summary["decided_exactly"] == 63
     loose = chain_check(SQRT21, bnd.log_envelope(), 64).steps[0]
     assert loose == {"step": "quartic_floor", "rows": 64, "failed": 0, "decided_exactly": 0, "status": "pass"}
     failing = chain_check(sched.constant(100), bnd.constant_envelope(1), 8)
@@ -448,12 +451,13 @@ def test_envelope_values_match_calls(phi):
         bnd.log_envelope(1e308, 1e308),
         bnd.GuaranteeEnvelope(lambda t: math.nan if t >= 9 else 1.0, label="gap"),
         bnd.GuaranteeEnvelope(lambda t: math.inf if t % 4 == 0 else 1.0, label="spikes"),
+        bnd.GuaranteeEnvelope(lambda t: 2.0 if t < 7 else 0.5, label="dip"),
     ],
-    ids=["log-overflow", "nan", "inf"],
+    ids=["log-overflow", "nan", "inf", "below-one"],
 )
 def test_envelope_values_raise_as_calls_do(phi):
     ts = range(1, 50)
-    bad = next(t for t in ts if not math.isfinite(phi._evaluator(t)))
+    bad = next(t for t in ts if not 1.0 <= phi._evaluator(t) < math.inf)
     with pytest.raises(InvalidParameterError) as scalar:
         phi(bad)
     with pytest.raises(InvalidParameterError) as array:

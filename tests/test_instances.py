@@ -92,7 +92,7 @@ class TestVShape:
         assert abs(v.closed_form_iterate(31)[0]) <= 1e-12 * v.epsilon
 
     def test_preconditions(self):
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(ConstructionError, match="vshape needs a target >= 2"):
             inst.build_vshape(SQRT21, 1)
         with pytest.raises(ConstructionError):
             inst.build_vshape(sched.constant(0), 3)
@@ -173,8 +173,9 @@ class TestCouplingWeights:
                 assert float(np.sum(a * a)) <= cap < 0.5
 
     def test_envelope_below_one_rejected(self):
-        bad = bnd.GuaranteeEnvelope(lambda t: 0.5, label="bad")
-        with pytest.raises(InvalidParameterError):
+        # the envelope checks its own values: phi(5) is where this one dips below 1
+        bad = bnd.GuaranteeEnvelope(lambda t: 2.0 if t < 5 else 0.5, label="bad")
+        with pytest.raises(InvalidParameterError, match=r"envelope bad is 0\.5 at t=5"):
             inst.coupling_weights(sched.constant(1), 4, bad)
 
 
@@ -336,3 +337,31 @@ def test_measured_error_dominates_certificate_on_generated_tables(table, phi):
         assume(False)
     if m.certified:
         assert engine.run(m.convex, s, T).error_at(T) >= m.certified_bound() - Tolerances().bound_slack
+
+
+def _saturated_table(t, spread, seed):
+    # eta_j sqrt(t+1) = m_j >= 1 for every j <= t, m_j log-uniform in [1, 10^spread];
+    # one ulp up keeps the product >= 1 after rounding
+    root = math.sqrt(t + 1.0)
+    m = 10.0 ** np.random.default_rng(seed).uniform(0.0, spread, t + 1)
+    return t, np.nextafter(m / root, np.inf).tolist()
+
+
+_saturated_tables = st.builds(_saturated_table, st.integers(1, 700), st.floats(0.0, 3.0), st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_saturated_tables, _envelopes)
+def test_saturated_weighted_sum_does_not_depend_on_the_schedule(case, phi):
+    # sum_{j<t} a_j b_j eta_j = (H_{t+1} - 1) / (32 phi(t+1) sqrt(t+1)) where
+    # eta_j sqrt(t+1) >= 1 for every j < t
+    t, table = case
+    s = sched.from_table(table)
+    a, b = inst.coupling_weights(s, t, phi)
+    eta = s.rates(t)
+    root = math.sqrt(t + 1.0)
+    assert np.all(eta * root >= 1.0)
+    got = float(np.sum(a[:t] * b[:t] * eta))
+    want = math.fsum(1.0 / k for k in range(2, t + 2)) / (32.0 * phi(t + 1) * root)
+    # each term rounds 7 times, the sum t - 1 times at most, the harmonic side 4 times
+    assert abs(got - want) <= (t + 11) * 2.0**-53 * want
