@@ -18,6 +18,8 @@ GOLDEN = Path(__file__).parent / "golden"
 
 COMMANDS = {
     "audit": ["audit", "--horizons", "pow2:8-256"],
+    "audit-dump": ["audit", "--dump-instances", "--horizons", "8,16"],
+    "audit-empirical": ["audit", "--phi", "empirical", "--horizons", "8,16,32"],
     "bounds": ["bounds", "--T", "256"],
     "bounds-rows": ["bounds", "--T", "256", "--rows"],
     "density": ["density", "--T", "64", "--per-t"],
