@@ -8,6 +8,7 @@ codes: 0 success, 1 assertion/validation failure, 2 usage/config error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -204,7 +205,7 @@ def _spec_from_config(config: dict, horizons: list[int], families: list[str]) ->
     envelope = _parse_spec(config["phi"], _ENVELOPES, "envelope")
     if envelope == "empirical" and config["command"] != "audit":  # only audit resolves it from its own runs
         raise UsageError(f"{config['command']} needs a concrete envelope (field 'phi'), not 'empirical'")
-    return ExperimentSpec(
+    spec = ExperimentSpec(
         schedule=schedule,
         horizons=horizons,
         families=tuple(families),
@@ -212,6 +213,8 @@ def _spec_from_config(config: dict, horizons: list[int], families: list[str]) ->
         shrink=config["shrink"],
         workers=config["workers"],
     )
+    spec.validate()  # a bad spec is refused before the output directory is made
+    return spec
 
 
 def _horizons_from(config: dict) -> list[int]:
@@ -240,15 +243,12 @@ def cmd_verify(config: dict) -> int:
     """Check simulated trajectories against closed forms."""
     spec = _spec_from_config(config, _horizons_from(config), _families_from(config, single=False))
     out = _out_dir(config)
-    try:
-        report = verify_trajectories(spec)
-    except ConstructionError as exc:
-        raise UsageError(str(exc)) from exc
+    report = verify_trajectories(spec)
     hard_skips = [e for e in report.entries if "skipped" in e]
     if hard_skips:
         # verify is strict: a family that cannot be built is a config error
         raise UsageError(f"cannot verify: {hard_skips[0]['family']} at T={hard_skips[0]['T']}: {hard_skips[0]['skipped']}")
-    _write_json(out / "verify_report.json", report.to_dict(), config)
+    _write_json(out / "verify_report.json", dataclasses.asdict(report), config)
     line = f"verify: max deviation {report.max_deviation:.3e}"
     failed = [e for e in report.entries if not e["passed"]]
     if failed:
@@ -309,7 +309,7 @@ def cmd_bounds(config: dict) -> int:
     )
     report.write_csv(out / "bound_report.csv", header=_header(config))
     chain = chain_check(spec.schedule, phi, T, rows=bool(config.get("rows")))
-    _write_json(out / "chain_report.json", chain.to_dict(), config)
+    _write_json(out / "chain_report.json", dataclasses.asdict(chain), config)
     line = f"bounds: chain {'passed' if chain.passed else 'FAILED'}"
     if chain.inconclusive:
         line += f" ({len(chain.inconclusive)} steps inconclusive at this T)"
@@ -338,7 +338,6 @@ _OPTIONS = {
     "thresholds": (str, "0,0.5,1", ("density",), "comma list of thresholds; 'inf' allowed"),
     "out": (str, None, _ALL, f"output directory (default ${OUT_ENV_VAR} or ./out)"),
     "workers": (int, 1, _ALL, "accepted (an int >= 1) but ignored: work runs on one thread"),
-    "seed": (int, 0, _ALL, "accepted for interface compatibility; pipeline is deterministic"),
     "shrink": (float, 1e-6, _ALL, "vshape kink shrink factor"),
     "per_t": (bool, False, ("density",), "build a fresh instance per stopping time (cubic cost)"),
     "dump_instances": (bool, False, ("audit",), "also write every built instance to instances.json"),

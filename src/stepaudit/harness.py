@@ -58,13 +58,13 @@ class Tolerances:
 
 @dataclass
 class ExperimentSpec:
-    """What to run: schedule, horizons, families, envelope, knobs."""
+    """What to run: schedule, horizons, families, envelope, knobs; ``validate``
+    checks them all, and the CLI calls it before making the output directory."""
 
     schedule: StepSchedule
     horizons: Sequence[int]
     families: Sequence[str] = FAMILIES
     envelope: bnd.GuaranteeEnvelope | str = "log"
-    tolerances: Tolerances = field(default_factory=Tolerances)
     shrink: float = 1e-6
     workers: int = 1
 
@@ -83,6 +83,8 @@ class ExperimentSpec:
             raise InvalidParameterError("at least one family must be selected")
         if int(self.workers) < 1:
             raise InvalidParameterError("workers must be >= 1")
+        if not 0 < self.shrink <= 1e-3:
+            raise InvalidParameterError("shrink factor must lie in (0, 1e-3]")
         # materialise every horizon's stepsizes here, so an inadmissible
         # value stops the run before any work
         self.schedule.prefix_sum(int(hs[-1]))
@@ -116,13 +118,6 @@ class TrajectoryReport:
     max_deviation: float
     passed: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "max_deviation": self.max_deviation,
-            "entries": self.entries,
-        }
-
 
 def _snapshot_grid(T: int) -> list[int]:
     times = {1, 2, max(T // 2, 1), T}
@@ -139,7 +134,6 @@ def verify_trajectories(spec: ExperimentSpec) -> TrajectoryReport:
     """
     spec.validate()
     phi = spec.resolved_envelope()
-    tol = spec.tolerances
 
     def work(key):
         family, T = key
@@ -149,7 +143,7 @@ def verify_trajectories(spec: ExperimentSpec) -> TrajectoryReport:
             return {"family": family, "T": T, "skipped": str(exc)}
         times = _snapshot_grid(T)
         record = run(built.convex, spec.schedule, T, snapshots=times)
-        coord_tol = tol.kink_abs if family == "vshape" else tol.coord_abs
+        coord_tol = Tolerances.kink_abs if family == "vshape" else Tolerances.coord_abs
         dev = 0.0
         for t in times:
             dev = max(dev, float(np.max(np.abs(record.snapshots[t] - built.closed_form_iterate(t)))))
@@ -200,7 +194,6 @@ class AuditResult:
 
 
 def _audit_one(spec: ExperimentSpec, phi: bnd.GuaranteeEnvelope, t: int):
-    tol = spec.tolerances
     row = bnd.bound_row(spec.schedule, t, phi)
     assertions: list[dict] = []
     skipped: list[dict] = []
@@ -226,7 +219,7 @@ def _audit_one(spec: ExperimentSpec, phi: bnd.GuaranteeEnvelope, t: int):
                     "check": "measured_ge_certified",
                     "measured": measured,
                     "certified": cert,
-                    "passed": measured >= cert - tol.bound_slack,
+                    "passed": measured >= cert - Tolerances.bound_slack,
                 }
             )
         if family == "maxlinear" and built.certified:
@@ -242,7 +235,7 @@ def _audit_one(spec: ExperimentSpec, phi: bnd.GuaranteeEnvelope, t: int):
                     "certified": cert,
                     "analytic": analytic,
                     "rel_diff": rel,
-                    "passed": rel <= tol.scalar_rel,
+                    "passed": rel <= Tolerances.scalar_rel,
                 }
             )
     return row, assertions, skipped, records, dumps
@@ -309,7 +302,6 @@ def audit_schedule(spec: ExperimentSpec) -> AuditResult:
 class DensityTable:
     """Counts of steps whose scaled error clears each threshold."""
 
-    family: str
     mode: str  # "single-run" or "per-t"
     rows: list[dict]
     profiles: dict[int, np.ndarray]
@@ -383,7 +375,6 @@ def density_experiment(
             rows.append({"c": c, "T": T, "count": count, "density": count / T})
     rows.sort(key=lambda r: (r["T"], r["c"]))
     return DensityTable(
-        family=family,
         mode="per-t" if per_t else "single-run",
         rows=rows,
         profiles=profiles,
@@ -401,14 +392,6 @@ class ChainReport:
     validation: dict
     passed: bool
     inconclusive: list[str]
-
-    def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "inconclusive": self.inconclusive,
-            "validation": self.validation,
-            "steps": self.steps,
-        }
 
 
 _U = 2.0**-53  # unit roundoff of float64

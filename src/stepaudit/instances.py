@@ -70,7 +70,7 @@ class VShapeInstance:
 
     @property
     def certified(self) -> bool:
-        return self.landing <= 0 and abs(self.landing) <= 1e-12 * self.epsilon
+        return abs(self.landing) <= 1e-12 * self.epsilon  # build_vshape ensures landing <= 0
 
     def closed_form_iterate(self, t: int) -> np.ndarray:
         if not 1 <= t <= self.target_t:
@@ -273,14 +273,6 @@ class ConditionCheck:
     slack: float
     worst_index: int | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "slack": self.slack,
-            "worst_index": self.worst_index,
-        }
-
 
 @dataclass
 class ConditionReport:
@@ -293,12 +285,6 @@ class ConditionReport:
     @property
     def ok(self) -> bool:
         return self.sum_sq.passed and self.step_cap.passed and self.tail_coupling.passed
-
-    def to_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "checks": [c.to_dict() for c in (self.sum_sq, self.step_cap, self.tail_coupling)],
-        }
 
 
 def check_weight_conditions(
@@ -347,13 +333,14 @@ class MaxLinearInstance:
     The deterministic oracle returns the linear piece of minimal index
     among those attaining the maximum; under positive stepsizes this is
     piece ``t`` at iterate ``t``, which drives the closed-form trajectory.
+    Only ``build_maxlinear`` makes one, after the weights pass
+    ``check_weight_conditions``.
     """
 
     schedule: StepSchedule
     T: int
     a: np.ndarray
     b: np.ndarray
-    conditions: ConditionReport
     convex: ConvexInstance
 
     @property
@@ -369,8 +356,6 @@ class MaxLinearInstance:
         # zero stepsizes allow argmax ties that break the trajectory
         # argument, so the floor is only certified for strictly positive
         # steps (or when it is vacuously zero)
-        if not self.conditions.ok:
-            return False
         eta = self.schedule.rates(self.T)
         return bool(np.all(eta > 0)) or self.certified_bound() == 0.0
 
@@ -409,8 +394,7 @@ def build_maxlinear(schedule: StepSchedule, T: int, phi: GuaranteeEnvelope) -> M
     if T < 1:
         raise InvalidParameterError("maxlinear horizon must be >= 1")
     a, b = coupling_weights(schedule, T, phi)
-    report = check_weight_conditions(a, b, schedule, T)
-    if not report.ok:
+    if not check_weight_conditions(a, b, schedule, T).ok:
         raise ConstructionError(f"maxlinear weight conditions failed for {schedule.label} at T={T}")
     dim = T + 1
 
@@ -444,6 +428,5 @@ def build_maxlinear(schedule: StepSchedule, T: int, phi: GuaranteeEnvelope) -> M
         T=T,
         a=a,
         b=b,
-        conditions=report,
         convex=convex,
     )

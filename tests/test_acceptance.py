@@ -76,7 +76,7 @@ def test_criterion_3_condition_suite():
             for t in range(1, 1025):
                 a, b = inst.coupling_weights(s, t, phi)
                 rep = inst.check_weight_conditions(a, b, s, t)
-                assert rep.ok, (s.label, phi.label, t, rep.to_dict())
+                assert rep.ok, (s.label, phi.label, t, rep)
                 min_slack = min(min_slack, rep.sum_sq.slack)
                 checked += 1
     ok = min_slack >= slack_floor

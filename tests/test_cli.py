@@ -296,7 +296,27 @@ class TestEnvelopeRule:
         assert run_cli(command, "--families", families, "--horizons", "8", "--out", str(out)) == 2
         name = families.split(",")[0]
         assert capsys.readouterr().err.splitlines() == [f"error: family {name!r} is repeated"]
-        assert not any(out.iterdir())
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["verify", "audit", "density", "bounds"])
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (("--schedule", "constant:c=1e300"), "produced a huge (1e+300 > 2^440) stepsize at t=0"),
+            (("--shrink", "0.5"), "shrink factor must lie in (0, 1e-3]"),
+            (("--workers", "0"), "workers must be >= 1"),
+        ],
+        ids=["huge-step", "shrink", "workers"],
+    )
+    def test_rejected_spec_makes_no_out_dir(self, tmp_path, capsys, command, args, message):
+        # every subcommand checks the whole spec before it makes --out;
+        # maxlinear alone shows the shrink check does not wait for vshape
+        out = tmp_path / "out"
+        family = {"verify": ("--families", "maxlinear"), "audit": ("--families", "maxlinear")}.get(command, ())
+        assert run_cli(command, *args, *family, "--T", "8", "--out", str(out)) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and message in err[0], err
+        assert not out.exists()
 
 
 class TestConfigResolution:
@@ -400,13 +420,13 @@ class TestConfigResolution:
         assert code == 0
         assert (tmp_path / "envout" / "density.csv").exists()
 
-    def test_seed_accepted_and_recorded(self, tmp_path):
+    def test_shrink_accepted_and_recorded(self, tmp_path):
         code = run_cli(
             "density", "--schedule", "constant:c=1", "--T", "4", "--thresholds", "0",
-            "--seed", "99", "--out", str(tmp_path),
+            "--shrink", "1e-05", "--out", str(tmp_path),
         )
         assert code == 0
-        assert '"seed": 99' in (tmp_path / "density.csv").read_text().splitlines()[0]
+        assert '"shrink": 1e-05' in (tmp_path / "density.csv").read_text().splitlines()[0]
 
 
 class TestOutputHeaders:
@@ -551,7 +571,7 @@ def test_resolved_config_is_pinned(tmp_path, command, csvs, jsons):
     expected = _typed({
         "schedule": "sqrt_decay:D=2,G=1", "phi": "log", "families": "maxlinear,vshape,quadratic",
         "family": "maxlinear", "horizons": None, "T": 8, "thresholds": "0,0.5,1", "out": str(tmp_path),
-        "workers": 1, "seed": 0, "shrink": 1e-6, "per_t": False, "dump_instances": False, "rows": False,
+        "workers": 1, "shrink": 1e-6, "per_t": False, "dump_instances": False, "rows": False,
         "command": command,
     })
     for name in csvs:
@@ -600,14 +620,13 @@ _FLAGS = {
     "--family": (["maxlinear", "vshape", "quadratic"], ["bogus", "vshape,quadratic", ""]),
     "--thresholds": (["0,0.5,1", "inf", "-inf,0", "1e308"], ["nan", "", "a,b"]),
     "--workers": (["1", "2"], ["0", "-1", "x"]),
-    "--seed": (["0", "7"], ["-1", "x"]),
     "--shrink": (["1e-6", "1e-3"], ["0", "-1", "nan", "inf", "0.5", "2"]),
     "--config": (["{config}"], ["{missing}", "{bad_json}"]),
     "--per-t": None,
     "--rows": None,
     "--dump-instances": None,
 }
-_COMMON = ["--config", "--schedule", "--phi", "--workers", "--seed", "--shrink", "--T", "--horizons"]
+_COMMON = ["--config", "--schedule", "--phi", "--workers", "--shrink", "--T", "--horizons"]
 _COMMANDS = {
     "verify": _COMMON + ["--families", "--family"],
     "audit": _COMMON + ["--families", "--dump-instances"],

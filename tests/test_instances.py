@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from stepaudit import bounds as bnd
-from stepaudit import engine
+from stepaudit import cli, engine
 from stepaudit import instances as inst
 from stepaudit import schedules as sched
 from stepaudit.errors import ConstructionError, InvalidParameterError
@@ -204,12 +205,6 @@ class TestConditionChecks:
         with pytest.raises(InvalidParameterError):
             inst.check_weight_conditions(np.zeros(2), np.zeros(3), sched.constant(1), 2)
 
-    def test_report_dict(self):
-        rep = inst.check_weight_conditions(np.zeros(2), np.zeros(2), sched.constant(1), 1)
-        d = rep.to_dict()
-        assert d["ok"] is True
-        assert len(d["checks"]) == 3
-
 
 class TestMaxLinear:
     def test_subgradient_at_origin_uses_minimal_index(self):
@@ -266,15 +261,24 @@ class TestMaxLinear:
             inst.build_maxlinear(schedule, 512, phi)
         assert not inst.check_weight_conditions(*inst.coupling_weights(schedule, 512, phi), schedule, 512).ok
 
-    def test_zero_step_gates_certificate(self):
+    def test_zero_step_gates_certificate(self, tmp_path):
         # with a zero step the argmax can tie away from the active piece,
         # so the instance builds but refuses to certify its floor
         s = sched.from_table([0.0, 1.0, 1.0])
         m = inst.build_maxlinear(s, 2, bnd.constant_envelope(16.0))
-        assert m.conditions.ok
+        assert inst.check_weight_conditions(m.a, m.b, s, 2).ok
         assert not m.certified
         measured = engine.run(m.convex, s, 2).error_at(2)
         assert measured < m.certified_bound()  # the gate is load-bearing
+        # audit measures the instance but asserts nothing about it
+        table = tmp_path / "steps.csv"
+        table.write_text("t,eta\n0,0\n1,1\n2,1\n")
+        argv = ["audit", "--schedule", f"table:{table}", "--T", "2", "--families", "maxlinear", "--phi", "const:c=16"]
+        assert cli.main([*argv, "--out", str(tmp_path)]) == 0
+        lines = (tmp_path / "bound_report.csv").read_text().splitlines()
+        header, row = (line.split(",") for line in lines[1:])
+        assert float(row[header.index("err_maxlinear")]) == measured
+        assert json.loads((tmp_path / "audit_summary.json").read_text())["assertions"] == []
 
     def test_ball_projection_never_activates(self):
         m = inst.build_maxlinear(SQRT21, 100, PHI)
@@ -331,12 +335,18 @@ _envelopes = st.one_of(
 def test_measured_error_dominates_certificate_on_generated_tables(table, phi):
     s = sched.from_table(table + [1.0])
     T = len(table)
-    try:
-        m = inst.build_maxlinear(s, T, phi)
-    except ConstructionError:
-        assume(False)
-    if m.certified:
-        assert engine.run(m.convex, s, T).error_at(T) >= m.certified_bound() - Tolerances().bound_slack
+    built = []
+    for build in (lambda: inst.build_maxlinear(s, T, phi), lambda: inst.build_vshape(s, T)):
+        try:
+            built.append(build())
+        except ConstructionError:
+            pass
+    assume(built)
+    for m in built:
+        if isinstance(m, inst.VShapeInstance):
+            assert m.landing <= 0  # VShapeInstance.certified tests only its size
+        if m.certified:
+            assert engine.run(m.convex, s, T).error_at(T) >= m.certified_bound() - Tolerances().bound_slack
 
 
 def _saturated_table(t, spread, seed):
