@@ -36,8 +36,10 @@ __all__ = [
     "averaged_quartic_floor",
     "tail_cutoff",
     "tail_margin",
+    "tail_margin_error",
     "envelope_floor",
     "l1_l2_gap",
+    "decide",
     "empirical_envelope",
     "validate_envelope",
     "EnvelopeReport",
@@ -108,6 +110,15 @@ def constant_envelope(c: float) -> GuaranteeEnvelope:
 
 
 # -- elementary quantities -------------------------------------------------
+
+
+_U = 2.0**-53  # unit roundoff of float64
+
+
+def _gamma(k: int) -> float:
+    """Higham's ``gamma_k = k u / (1 - k u)``, the relative error bound of
+    ``k`` roundings; ``inf`` once ``k u >= 1/2``, where it no longer holds."""
+    return k * _U / (1.0 - k * _U) if k * _U < 0.5 else math.inf
 
 
 def harmonic(n: int) -> float:
@@ -238,6 +249,29 @@ def tail_margin(T: int, phi: GuaranteeEnvelope, t1: int) -> tuple[float, float]:
     return target, math.sqrt(half + 1.0) / (8.0 * math.exp(2.0) * p_half)
 
 
+def tail_margin_error(target: float, margin: float) -> tuple[float, float]:
+    """Bounds on the rounding errors of ``tail_margin``'s ``(target, margin)``.
+
+    The envelope's values are taken as exact, and ``math.exp`` as within one
+    ulp (``2 u``, ``u = 2^-53``).  ``tail_margin`` computes ``a^ =
+    sqrt(h+1) / (4 e^2 phi(h+1))`` with five roundings (the square root,
+    ``exp``, the product and the division; the factor 4 is exact), so
+    ``|a^ - a| <= gamma_5 a <= gamma_6 a^`` for the exact ``a``, with
+    ``gamma_k = k u / (1 - k u)``.  The factor 8 in place of 4 only shifts
+    the exponent, so ``margin = a^ / 2`` exactly, and it errs by at most
+    ``gamma_6 margin``.  ``b^ = 2 phi(t1) sqrt(t1+1)`` rounds twice, so
+    ``|b^ - b| <= gamma_3 b^``, and ``target = fl(a^ - b^)`` adds ``u |a^ -
+    b^|``.  Together ``target`` errs by at most ``gamma_7 (a^ + b^)``, and
+    ``a^ + b^ <= 4 margin + (1 + 3 u) |target|``.
+
+    Returns ``(gamma_8 (4 margin + 2 |target|), gamma_7 margin)``.  The
+    raised indices and the ``2 |target|`` leave a spare of at least ``3 u
+    margin``, which covers the roundings of evaluating these bounds and of
+    the chain's comparisons.
+    """
+    return _gamma(8) * (4.0 * margin + 2.0 * abs(target)), _gamma(7) * margin
+
+
 def envelope_floor(T: int) -> tuple[float, float]:
     """Asymptotic floor on ``phi(T+1)`` in two forms.
 
@@ -256,22 +290,73 @@ def envelope_floor(T: int) -> tuple[float, float]:
     return harm, lg
 
 
+def decide(lhs: float, rhs: float, err: float) -> str:
+    """Decide ``lhs >= rhs`` for the exact values the computed sides stand for.
+
+    ``err`` bounds the two sides' errors together.  Returns ``"pass"`` when
+    the inequality holds for every exact pair that near the computed one,
+    ``"fail"`` when it holds for none, and ``"inconclusive"`` otherwise
+    (NaN sides included).
+    """
+    if lhs - rhs >= err:
+        return "pass"
+    if rhs - lhs > err:
+        return "fail"
+    return "inconclusive"
+
+
 @dataclass
 class StepSumCheck:
     lhs: float
     rhs: float
-    passed: bool
+    error_bound: float  # on both sides' rounding together
+    status: str  # "pass", "fail" or "inconclusive", from ``decide``
+
+    @property
+    def passed(self) -> bool:
+        return self.status == "pass"
 
 
 def l1_l2_gap(values: Sequence[float] | np.ndarray) -> StepSumCheck:
-    """Check ``sum v^2 >= (sum v)^2 / n`` directly on a vector."""
+    """Decide ``sum v^2 >= (sum v)^2 / n`` on a vector, under a derived error bound.
+
+    The sides are ``lhs = fl(sum fl(v_i^2))`` and ``rhs = fl(fl(s^2) / n)``
+    with ``s = fl(sum v_i)``.  A float sum of ``m`` terms, in any order,
+    errs by at most ``gamma_{m-1}`` times the sum of their magnitudes
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed.,
+    Sec. 4.2), with ``gamma_k = k u / (1 - k u)`` and ``u = 2^-53``.  Take
+    the exact sums ``A = sum v^2``, ``B = sum v`` and ``N = sum |v|``, and
+    ``N^ = fl(sum |v_i|)``:
+
+    - ``|lhs - A| <= gamma_n A <= gamma_{2n} lhs``, as ``lhs >= (1 - gamma_n) A``;
+    - ``|s - B| <= gamma_{n-1} N``, so ``|s^2 - B^2| <= gamma_{n-1} (2 +
+      gamma_{n-1}) N^2``; the square and the division add ``gamma_2``, so
+      ``|rhs - B^2 / n| <= gamma_3 rhs + gamma_{n-1} (2 + gamma_{n-1}) N^2 / n``;
+    - ``N <= N^ / (1 - gamma_{n-1})``, and ``(2 + g) / (1 - g)^2 <= 3`` for
+      ``g <= 1/8``.
+
+    So ``gamma_{2n} lhs + gamma_3 rhs + 3 gamma_{n-1} N^2 / n`` bounds both
+    sides' error together.  A product or quotient that underflows adds at
+    most ``2^-1075`` absolute (a sum is exact there), and through the sums
+    these add less than ``(n + 1) 2^-1073``, the bound's last term.  Each
+    index is taken one higher: the spare, at least ``u (lhs + rhs)``,
+    covers the roundings of evaluating the bound and of ``lhs - rhs`` for
+    any ``n`` below ``2^48`` (``N^2 / n <= A`` by Cauchy-Schwarz keeps the
+    bound below ``6 n u lhs``).  The status is ``decide``'s, except that a
+    constant vector passes outright: it meets the inequality with
+    equality, whatever the rounding.
+    """
     v = np.asarray(values, dtype=np.float64)
     if v.ndim != 1 or v.shape[0] == 0:
         raise InvalidParameterError("need a nonempty vector")
+    n = v.shape[0]
     lhs = float(np.sum(v * v))
     total = float(np.sum(v))
-    rhs = total * total / v.shape[0]
-    return StepSumCheck(lhs=lhs, rhs=rhs, passed=lhs >= rhs - 1e-12 * max(1.0, rhs))
+    rhs = total * total / n
+    norm1 = float(np.sum(np.abs(v)))
+    err = _gamma(2 * n + 1) * lhs + _gamma(4) * rhs + 3.0 * _gamma(n) * (norm1 * norm1 / n) + (n + 1) * 2.0**-1073
+    status = "pass" if v.min() == v.max() else decide(lhs, rhs, err)
+    return StepSumCheck(lhs=lhs, rhs=rhs, error_bound=err, status=status)
 
 
 # -- envelopes from measurements --------------------------------------------

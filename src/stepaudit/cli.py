@@ -178,6 +178,8 @@ def _resolve_config(args: argparse.Namespace) -> dict:
 
 
 def _out_dir(config: dict) -> Path:
+    """Make the output directory; each subcommand calls this after its last
+    check that can exit 2, just before it writes its first output."""
     out = config.get("out") or os.environ.get(OUT_ENV_VAR) or "out"
     path = Path(out)
     try:
@@ -213,7 +215,7 @@ def _spec_from_config(config: dict, horizons: list[int], families: list[str]) ->
         shrink=config["shrink"],
         workers=config["workers"],
     )
-    spec.validate()  # a bad spec is refused before the output directory is made
+    spec.validate()
     return spec
 
 
@@ -242,12 +244,12 @@ def _families_from(config: dict, single: bool) -> list[str]:
 def cmd_verify(config: dict) -> int:
     """Check simulated trajectories against closed forms."""
     spec = _spec_from_config(config, _horizons_from(config), _families_from(config, single=False))
-    out = _out_dir(config)
     report = verify_trajectories(spec)
     hard_skips = [e for e in report.entries if "skipped" in e]
     if hard_skips:
         # verify is strict: a family that cannot be built is a config error
         raise UsageError(f"cannot verify: {hard_skips[0]['family']} at T={hard_skips[0]['T']}: {hard_skips[0]['skipped']}")
+    out = _out_dir(config)
     _write_json(out / "verify_report.json", dataclasses.asdict(report), config)
     line = f"verify: max deviation {report.max_deviation:.3e}"
     failed = [e for e in report.entries if not e["passed"]]
@@ -262,8 +264,8 @@ def cmd_verify(config: dict) -> int:
 def cmd_audit(config: dict) -> int:
     """Run certified floors against measured errors per horizon."""
     spec = _spec_from_config(config, _horizons_from(config), _families_from(config, single=False))
-    out = _out_dir(config)
     result = audit_schedule(spec)
+    out = _out_dir(config)
     result.report.write_csv(out / "bound_report.csv", header=_header(config))
     _write_json(out / "audit_summary.json", result.summary(), config)
     if config.get("dump_instances"):
@@ -281,8 +283,8 @@ def cmd_density(config: dict) -> int:
     """Measure how often scaled errors clear thresholds."""
     spec = _spec_from_config(config, _horizons_from(config), _families_from(config, single=True))
     thresholds = _parse_thresholds(config["thresholds"])
-    out = _out_dir(config)
     table = density_experiment(spec, thresholds, per_t=bool(config.get("per_t")))
+    out = _out_dir(config)
     table.write_csv(out / "density.csv", header=_header(config))
     table.write_profile_csv(out / "density_profile.csv", header=_header(config))
     line = f"density ({table.mode}): {len(table.rows)} rows"
@@ -301,14 +303,14 @@ def cmd_bounds(config: dict) -> int:
         raise UsageError("chain check requires even T >= 4")
     spec = _spec_from_config(config, horizons, ["maxlinear"])
     phi = spec.resolved_envelope()
-    out = _out_dir(config)
     report = bnd.BoundReport(
         schedule_label=spec.schedule.label,
         envelope_label=phi.label,
         rows=[bnd.bound_row(spec.schedule, t, phi) for t in horizons],
     )
-    report.write_csv(out / "bound_report.csv", header=_header(config))
     chain = chain_check(spec.schedule, phi, T, rows=bool(config.get("rows")))
+    out = _out_dir(config)
+    report.write_csv(out / "bound_report.csv", header=_header(config))
     _write_json(out / "chain_report.json", dataclasses.asdict(chain), config)
     line = f"bounds: chain {'passed' if chain.passed else 'FAILED'}"
     if chain.inconclusive:

@@ -10,6 +10,7 @@ depend on ``workers``.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -18,6 +19,7 @@ import numpy as np
 
 from . import bounds as bnd
 from . import instances as inst
+from .bounds import _U, _gamma
 from .engine import ConvexInstance, RunRecord, run
 from .errors import ConstructionError, InvalidParameterError
 from .schedules import StepSchedule
@@ -394,9 +396,6 @@ class ChainReport:
     inconclusive: list[str]
 
 
-_U = 2.0**-53  # unit roundoff of float64
-
-
 def _quartic_profile(schedule: StepSchedule, T: int) -> tuple[np.ndarray, float]:
     """Quartic floors at every ``t <= T`` in one pass, and their error bound.
 
@@ -409,26 +408,48 @@ def _quartic_profile(schedule: StepSchedule, T: int) -> tuple[np.ndarray, float]
     ``(1/128) sum_{j<t} j eta_j^2 / (t+1-j)``, and ``128 fsum(profile) / T``
     within ``conv_err / sqrt(T) + 6 u |average|`` of its exact time average
     (``u = 2^-53``; derivation in ``_profile_error_bound``).
+
+    The transform is the shortest alias-free one: ``size`` is the smallest
+    power of two ``>= max(2T - 1, T + 2)``, which is ``2T`` at power-of-two
+    ``T``.  The linear convolution ``c`` of ``w`` (indices ``0..T-1``) with
+    the kernel (``0..T+1``) lives on ``0..2T``, and a cyclic one of length
+    ``N`` reads ``conv[n] = c[n] + c[n + N]`` for ``0 <= n < N``.  Only
+    ``conv[2..T+1]`` is read; there ``n + N >= 2 + 2T - 1 > 2T``, so the
+    alias term is zero, and ``N >= T + 2 > T + 1`` keeps every read index
+    below ``N`` and the kernel untruncated (the ``T + 2`` term matters only
+    at ``T <= 2``).  Each input and spectrum is freed once used, so at most
+    one input and two spectra of ``size / 2 + 1`` complex values are alive
+    at once.
     """
     eta = schedule.rates(T)
-    j = np.arange(T, dtype=np.float64)
-    w = j * eta * eta
-    kernel = np.zeros(T + 2)
-    kernel[1:] = 1.0 / np.arange(1, T + 2, dtype=np.float64)
+    w = np.arange(T, dtype=np.float64)
+    w *= eta
+    w *= eta
+    del eta
+    kernel = np.arange(T + 2, dtype=np.float64)
+    np.divide(1.0, kernel[1:], out=kernel[1:])
     size = 1
-    while size < 2 * T + 1:
+    while size < max(2 * T - 1, T + 2):
         size *= 2
-    conv = np.fft.irfft(np.fft.rfft(w, size) * np.fft.rfft(kernel, size), size)
+    conv_err = _profile_error_bound(w, kernel, size)
+    spectrum = np.fft.rfft(kernel, size)
+    del kernel
+    spectrum *= np.fft.rfft(w, size)
+    conv = np.fft.irfft(spectrum, size)
+    del spectrum
     # conv[t+1] sums w_j / (t+1-j) over j <= min(t+1, T-1); drop the j = t term
-    profile = np.empty(T)
-    profile[: T - 1] = conv[2 : T + 1] - w[1:T]
-    profile[T - 1] = conv[T + 1]
-    return np.maximum(profile, 0.0) / 128.0, _profile_error_bound(w, kernel, size)
+    profile = conv[2 : T + 2]
+    profile[: T - 1] -= w[1:T]
+    np.maximum(profile, 0.0, out=profile)
+    profile /= 128.0
+    return profile, conv_err
 
 
 def _profile_error_bound(w: np.ndarray, kernel: np.ndarray, size: int) -> float:
     """Bound ``E >= ||conv_computed - conv_exact||_2`` for ``_quartic_profile``.
 
+    ``conv_exact`` is the cyclic convolution of length ``size``, which
+    equals the linear one on every row ``_quartic_profile`` reads.
     Standard model of float64 arithmetic (no underflow or overflow), unit
     roundoff ``u = 2^-53``, ``L = log2(size)`` butterfly levels.  numpy's
     pocketfft is modelled as a radix-2 Cooley-Tukey transform (its radix-4
@@ -476,7 +497,7 @@ def _profile_error_bound(w: np.ndarray, kernel: np.ndarray, size: int) -> float:
     """
     levels = size.bit_length() - 1
     norm = float(np.hypot.reduce(w))  # finite even where w_j^2 overflows
-    return (65 * levels + 3) * _U * norm * math.fsum(kernel)
+    return (65 * levels + 3) * _U * norm * math.fsum(memoryview(kernel))
 
 
 def _fourth_power(p: float) -> float:
@@ -501,13 +522,13 @@ def _quartic_steps(
     ``quartic_floor_worst``: the tightest row re-evaluated exactly.
     """
     T = profile.shape[0]
-    # a float ``**`` (not numpy's pow, whose last bit can differ) raises on overflow
+    # the scalar pow (not numpy's, whose last bit can differ) raises on overflow
     try:
-        lhs = [v**4 for v in phis[1:].tolist()]
+        lhs = np.fromiter(map(math.pow, memoryview(phis)[1:], itertools.repeat(4.0)), np.float64, T)
     except OverflowError:
-        lhs = [_fourth_power(v) for v in phis[1:].tolist()]
+        lhs = np.fromiter(map(_fourth_power, memoryview(phis)[1:]), np.float64, T)
     with np.errstate(invalid="ignore"):  # inf - inf is NaN, as for Python floats
-        slack = np.array(lhs) - profile
+        slack = lhs - profile
         decided = np.abs(slack) > conv_err / 128.0 + 4.0 * _U * profile
     passed = decided & (slack > 0)
     exact = {}  # row t -> its exact sum, where the FFT value is too close to call
@@ -516,7 +537,7 @@ def _quartic_steps(
         passed[t - 1] = lhs[t - 1] >= exact[t]
     if rows:
         steps = []
-        for t, (l, r, ok) in enumerate(zip(lhs, profile.tolist(), passed.tolist()), start=1):
+        for t, (l, r, ok) in enumerate(zip(lhs.tolist(), profile.tolist(), passed.tolist()), start=1):
             row = {"step": "quartic_floor", "t": t, "lhs": l, "rhs": r}
             if t in exact:
                 row["rhs_exact"] = exact[t]
@@ -537,7 +558,7 @@ def _quartic_steps(
         {
             "step": "quartic_floor_worst",
             "t": worst_t,
-            "slack": lhs[worst_t - 1] - exact_rhs,
+            "slack": float(lhs[worst_t - 1]) - exact_rhs,
             "rhs_exact": exact_rhs,
             "status": "info",
         }
@@ -562,16 +583,18 @@ def chain_check(
     is compared with the profile's time average under the derived
     ``oracle_error_bound`` (pass or fail only where that bound settles it,
     otherwise inconclusive); the l1/l2 step on the tail segment; the tail
-    step-sum floor and the cutoff margin (reported as inconclusive when
-    the cutoff does not engage at this horizon); and the final envelope
-    floor.  Each entry reports its sides and a status.
+    step-sum floor and the cutoff margin (reported as ``inconclusive at
+    this T`` when the cutoff does not engage at this horizon); and the
+    final envelope floor.  The l1/l2 and tail steps, too, pass or fail
+    only where their derived float64 error bounds (``bounds.l1_l2_gap``,
+    ``bounds.tail_margin_error`` and the tail sum's below) settle it, and
+    are inconclusive otherwise.  Each entry reports its sides and a status.
     """
     T = int(T)
     if T < 4 or T % 2 != 0:
         raise InvalidParameterError("chain check requires even T >= 4")
     phis = phi.values(range(1, T + 2))
     validation = bnd.validate_envelope(schedule, phi, t_max=T, phi_values=phis).to_dict()
-    inconclusive: list[str] = []
     profile, conv_err = _quartic_profile(schedule, T)
     steps = _quartic_steps(schedule, phis, profile, conv_err, rows)
 
@@ -579,7 +602,7 @@ def chain_check(
     # it errs by at most oracle_err, and a verdict that bound cannot settle
     # is inconclusive
     closed = bnd.averaged_quartic_floor(schedule, T)
-    oracle = 128.0 * math.fsum(profile) / T
+    oracle = 128.0 * math.fsum(memoryview(profile)) / T
     oracle_err = conv_err / math.sqrt(T) + 6.0 * _U * oracle
     diff = abs(closed - oracle)
     if (closed == 0.0 and oracle == 0.0) or diff + oracle_err <= Tolerances.scalar_rel * (oracle - oracle_err):
@@ -588,7 +611,6 @@ def chain_check(
         status = "fail"
     else:
         status = "inconclusive"
-        inconclusive.append("average_identity")
     steps.append(
         {
             "step": "average_identity",
@@ -610,7 +632,7 @@ def chain_check(
             "range": [lo, half],
             "lhs": gap.lhs,
             "rhs": gap.rhs,
-            "status": "pass" if gap.passed else "fail",
+            "status": gap.status,
         }
     )
 
@@ -627,19 +649,25 @@ def chain_check(
     )
 
     if t1 is None:
-        inconclusive.extend(["tail_sum_floor", "cutoff_margin"])
         steps.append({"step": "tail_sum_floor", "status": "inconclusive at this T"})
         steps.append({"step": "cutoff_margin", "status": "inconclusive at this T"})
     else:
         target, margin_rhs = bnd.tail_margin(T, phi, t1)
-        tail = schedule.prefix_sum(half + 1) - schedule.prefix_sum(t1)
+        target_err, margin_err = bnd.tail_margin_error(target, margin_rhs)
+        top = schedule.prefix_sum(half + 1)
+        tail = top - schedule.prefix_sum(t1)
+        # a prefix sum S(k) adds its k nonnegative steps in order (k - 1
+        # roundings), so S(h+1) and S(t1) each err by at most gamma_h S(h+1)
+        # <= gamma_{2h} top / 2, and the difference rounds once more; the
+        # raised index leaves u top for the comparison
+        tail_err = _gamma(2 * half + 2) * top
         steps.append(
             {
                 "step": "tail_sum_floor",
                 "t1": t1,
                 "lhs": tail,
                 "rhs": target,
-                "status": "pass" if tail >= target - 1e-12 * max(1.0, abs(target)) else "fail",
+                "status": bnd.decide(tail, target, tail_err + target_err),
             }
         )
         steps.append(
@@ -648,7 +676,7 @@ def chain_check(
                 "t1": t1,
                 "lhs": target,
                 "rhs": margin_rhs,
-                "status": "pass" if target >= margin_rhs - 1e-12 * max(1.0, margin_rhs) else "fail",
+                "status": bnd.decide(target, margin_rhs, target_err + margin_err),
             }
         )
 
@@ -664,6 +692,7 @@ def chain_check(
         }
     )
 
+    inconclusive = [s["step"] for s in steps if s["status"].startswith("inconclusive")]
     gating = [s for s in steps if s["status"] in ("pass", "fail")]
     passed = all(s["status"] == "pass" for s in gating) and validation["passed"]
     return ChainReport(steps=steps, validation=validation, passed=passed, inconclusive=inconclusive)

@@ -1,4 +1,7 @@
+import decimal
 import math
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -127,10 +130,24 @@ def _exact_terms(eta, T):
     return np.where(j < t, w / np.maximum(t + 1.0 - j, 1.0), 0.0)
 
 
+def _ramp(T):
+    """``T`` steps rising log-uniformly from 1e-8 to 1e3."""
+    return [10.0 ** (-8.0 + 11.0 * i / max(T - 1, 1)) for i in range(T)]
+
+
 @settings(max_examples=30, deadline=None)
 @given(_even_tables())
 @example([0.0] * 510 + [1e3, 1e3])
-@example([10.0 ** (-8.0 + 11.0 * i / 511) for i in range(512)])
+@example(_ramp(512))
+# odd T, powers of two and their neighbours, and T <= 2, where T + 2 > 2T - 1
+# sets the transform length
+@example(_ramp(1))
+@example(_ramp(2))
+@example(_ramp(3))
+@example(_ramp(5))
+@example(_ramp(255))
+@example(_ramp(256))
+@example(_ramp(257))
 def test_fft_profile_within_derived_bound(table):
     T = len(table)
     s = sched.from_table(table)
@@ -212,13 +229,51 @@ def test_tail_margin_holds_wherever_the_cutoff_engages(phi, half):
     t1 = bnd.tail_cutoff(T, phi)
     assume(t1 is not None)
     target, margin = bnd.tail_margin(T, phi, t1)
+    target_err, margin_err = bnd.tail_margin_error(target, margin)
     assert target > 0.0
-    assert target >= margin - 1e-12 * max(1.0, margin)
+    # target >= margin holds exactly, so its derived bound never refutes it
+    assert bnd.decide(target, margin, target_err + margin_err) != "fail"
+
+
+@settings(max_examples=200, deadline=None)
+@given(_non_decreasing, _halves)
+def test_tail_margin_error_bounds_the_exact_values(phi, half):
+    # the exact target and margin of the envelope's values, to 60 digits
+    T = 2 * half
+    t1 = bnd.tail_cutoff(T, phi)
+    assume(t1 is not None)
+    target, margin = bnd.tail_margin(T, phi, t1)
+    target_err, margin_err = bnd.tail_margin_error(target, margin)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        a = Decimal(half + 1).sqrt() / (4 * Decimal(2).exp() * Decimal(phi(half + 1)))
+        b = 2 * Decimal(phi(t1)) * Decimal(t1 + 1).sqrt()
+        assert abs(Decimal(target) - (a - b)) <= Decimal(target_err)
+        assert abs(Decimal(margin) - a / 2) <= Decimal(margin_err)
 
 
 def test_l1_l2_equality_case():
     check = bnd.l1_l2_gap([1.0, 1.0, 1.0, 1.0])
     assert check.lhs == 4.0 and check.rhs == 4.0 and check.passed
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.floats(-8.0, 3.0).map(lambda e: 10.0**e) | st.floats(-1e3, 1e3), min_size=1, max_size=200))
+def test_l1_l2_error_bound_covers_both_sides(values):
+    check = bnd.l1_l2_gap(values)
+    exact = [Fraction(v) for v in values]
+    A = sum(v * v for v in exact)
+    B2n = sum(exact) ** 2 / len(exact)
+    assert abs(Fraction(check.lhs) - A) + abs(Fraction(check.rhs) - B2n) <= Fraction(check.error_bound)
+    assert check.status != "fail"  # the exact sides always meet the inequality
+
+
+def test_l1_l2_near_tie_is_inconclusive():
+    # the exact gap is 2^-105, far inside the rounding bound
+    check = bnd.l1_l2_gap([1.0, 1.0 + 2.0**-52])
+    assert 0.0 < check.error_bound and check.status == "inconclusive" and not check.passed
+    # a constant vector meets the inequality with equality: it passes outright
+    assert bnd.l1_l2_gap([0.1] * 1000).passed
 
 
 def _record(errors, label="s", horizon=None):

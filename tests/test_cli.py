@@ -318,6 +318,40 @@ class TestEnvelopeRule:
         assert len(err) == 1 and message in err[0], err
         assert not out.exists()
 
+    _INF_PHI = ("--phi", "log:offset=1e308,coef=1e308", "--T", "8")  # phi(3) and later are inf
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("audit", *_INF_PHI), "is inf at t=3"),
+            (("bounds", *_INF_PHI), "is inf at t=9"),
+            (("density", *_INF_PHI), "is inf at t=9"),
+            (("verify", *_INF_PHI), "is inf at t=9"),
+            (("audit", "--phi", "empirical", "--families", "vshape", "--T", "1"), "collected no runs"),
+            (("verify", "--schedule", "constant:c=0", "--horizons", "8"), "cannot verify: quadratic at T=8"),
+        ],
+        ids=[
+            "audit-inf-phi", "bounds-inf-phi", "density-inf-phi", "verify-inf-phi",
+            "empirical-no-runs", "verify-skip",
+        ],
+    )
+    def test_run_that_exits_2_on_a_computed_value_makes_no_out_dir(self, tmp_path, capsys, argv, message):
+        # --out is made just before the first output is written
+        out = tmp_path / "out"
+        assert run_cli(*argv, "--out", str(out)) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and message in err[0], err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["verify", "audit", "density", "bounds"])
+    def test_out_dir_that_cannot_be_made_exits_2(self, tmp_path, capsys, command):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out = blocker / "out"
+        assert run_cli(command, "--T", "8", "--out", str(out)) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and f"output directory {str(out)!r} is not writable" in err[0], err
+
 
 class TestConfigResolution:
     def test_config_file_supplies_values(self, tmp_path):

@@ -265,6 +265,37 @@ class TestChain:
             allowed = conv_err / 128.0 + 4.0 * _U * profile[t - 1] + (t + 3) * _U * exact
             assert abs(profile[t - 1] - exact) <= allowed
 
+    def test_profile_peak_allocation(self):
+        # numpy reports its buffers to tracemalloc, so the peak is the same on
+        # every run: one input and two spectra of the 2T-point transform, about
+        # 2.5 MB at T = 2^16 (6.0 MB with the 4T-point transform)
+        import tracemalloc
+
+        from stepaudit.harness import _quartic_profile
+
+        schedule = sched.sqrt_decay(2, 1)
+        schedule.rates(2**16)  # the steps are materialised outside the traced call
+        tracemalloc.start()
+        try:
+            _quartic_profile(schedule, 2**16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2**20
+
+    def test_tail_steps_near_a_tie_are_inconclusive(self):
+        # a tail sum within its rounding bound of the target settles neither way
+        T, phi = 55924, bnd.constant_envelope(1)  # the cutoff engages here, at t1 = 1
+        t1 = bnd.tail_cutoff(T, phi)
+        target, _ = bnd.tail_margin(T, phi, t1)
+        steps = [0.0] * t1 + [target] + [0.0] * (T - t1 - 1)
+        report = chain_check(sched.from_table(steps), phi, T)
+        by_name = {s["step"]: s for s in report.steps}
+        assert by_name["tail_sum_floor"]["lhs"] == target
+        assert by_name["tail_sum_floor"]["status"] == "inconclusive"
+        assert by_name["cutoff_margin"]["status"] == "pass"
+        assert "tail_sum_floor" in report.inconclusive
+
     def test_average_identity_reports_its_oracle_bound(self):
         report = chain_check(SQRT21, bnd.log_envelope(), 4096)
         step = next(s for s in report.steps if s["step"] == "average_identity")
