@@ -254,22 +254,24 @@ def tail_margin_error(target: float, margin: float) -> tuple[float, float]:
 
     The envelope's values are taken as exact, and ``math.exp`` as within one
     ulp (``2 u``, ``u = 2^-53``).  ``tail_margin`` computes ``a^ =
-    sqrt(h+1) / (4 e^2 phi(h+1))`` with five roundings (the square root,
-    ``exp``, the product and the division; the factor 4 is exact), so
-    ``|a^ - a| <= gamma_5 a <= gamma_6 a^`` for the exact ``a``, with
-    ``gamma_k = k u / (1 - k u)``.  The factor 8 in place of 4 only shifts
-    the exponent, so ``margin = a^ / 2`` exactly, and it errs by at most
-    ``gamma_6 margin``.  ``b^ = 2 phi(t1) sqrt(t1+1)`` rounds twice, so
-    ``|b^ - b| <= gamma_3 b^``, and ``target = fl(a^ - b^)`` adds ``u |a^ -
-    b^|``.  Together ``target`` errs by at most ``gamma_7 (a^ + b^)``, and
-    ``a^ + b^ <= 4 margin + (1 + 3 u) |target|``.
+    sqrt(h+1) / (4 e^2 phi(h+1))``: the square root, ``exp``, the product
+    and the division round (the factor 4 is exact), and so does converting
+    ``h + 1`` to a float once it passes ``2^53``, which the square root
+    halves.  That is ``5.5 u`` in all, so ``|a^ - a| <= gamma_6 a <= gamma_7
+    a^`` for the exact ``a``, with ``gamma_k = k u / (1 - k u)``.  The
+    factor 8 in place of 4 only shifts the exponent, so ``margin = a^ / 2``
+    exactly, and it errs by at most ``gamma_7 margin``.  ``b^ = 2 phi(t1)
+    sqrt(t1+1)`` rounds by ``2.5 u`` in the same way, so ``|b^ - b| <=
+    gamma_4 b^``, and ``target = fl(a^ - b^)`` adds ``u |a^ - b^|``.
+    Together ``target`` errs by at most ``gamma_8 (a^ + b^)``, and ``a^ +
+    b^ <= 4 margin + (1 + 3 u) |target|``.
 
-    Returns ``(gamma_8 (4 margin + 2 |target|), gamma_7 margin)``.  The
-    raised indices and the ``2 |target|`` leave a spare of at least ``3 u
-    margin``, which covers the roundings of evaluating these bounds and of
-    the chain's comparisons.
+    Returns ``(gamma_9 (4 margin + 2 |target|), gamma_8 margin)``.  Each
+    index is one higher than derived, which leaves a spare of at least ``5 u
+    margin``; it covers the roundings of evaluating these bounds and of the
+    chain's comparisons.
     """
-    return _gamma(8) * (4.0 * margin + 2.0 * abs(target)), _gamma(7) * margin
+    return _gamma(9) * (4.0 * margin + 2.0 * abs(target)), _gamma(8) * margin
 
 
 def envelope_floor(T: int) -> tuple[float, float]:
