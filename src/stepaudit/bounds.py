@@ -364,7 +364,7 @@ def l1_l2_gap(values: Sequence[float] | np.ndarray) -> StepSumCheck:
 # -- envelopes from measurements --------------------------------------------
 
 
-def empirical_envelope(records: Iterable, label: str | None = None) -> GuaranteeEnvelope:
+def empirical_envelope(records: Iterable) -> GuaranteeEnvelope:
     """Best envelope candidate supported by measured errors.
 
     ``phi_hat(t) = max(1, max over records and s <= t of sqrt(s) err(s))``;
@@ -388,8 +388,7 @@ def empirical_envelope(records: Iterable, label: str | None = None) -> Guarantee
     def evaluator(t: int) -> float:
         return float(table[min(t, max_t) - 1])
 
-    name = label or f"empirical({labels.pop()},T<={max_t})"
-    return GuaranteeEnvelope(evaluator, label=name)
+    return GuaranteeEnvelope(evaluator, label=f"empirical({labels.pop()},T<={max_t})")
 
 
 @dataclass
@@ -413,29 +412,21 @@ class EnvelopeReport:
         }
 
 
-def validate_envelope(
-    schedule: StepSchedule,
-    phi: GuaranteeEnvelope,
-    t_max: int = 1024,
-    phi_values: np.ndarray | None = None,
-) -> EnvelopeReport:
+def validate_envelope(schedule: StepSchedule, phi_values: np.ndarray) -> EnvelopeReport:
     """Check the conditions any true envelope must satisfy.
 
-    On ``t = 1..t_max``: ``phi`` is non-decreasing through ``phi(t_max +
-    1)``, and meets the step condition ``phi(t+1) >= eta_t sqrt(t+1)``
-    forced by the single-step floor.  Failures are report entries, never
-    exceptions; a value below 1 or not finite raises where ``phi`` is
-    evaluated, as everywhere.  ``phi_values``, when given, holds
-    ``phi.values(range(1, n + 1))`` for some ``n``; ``phi`` is evaluated
-    again only if the checks need more.
+    ``phi_values`` holds ``phi(1), ..., phi(t_max + 1)``, as
+    ``phi.values(range(1, t_max + 2))`` returns them.  On ``t = 1..t_max``:
+    ``phi`` is non-decreasing through ``phi(t_max + 1)``, and meets the step
+    condition ``phi(t+1) >= eta_t sqrt(t+1)`` forced by the single-step
+    floor.  Failures are report entries, never exceptions; a value below 1
+    or not finite raises where ``phi`` is evaluated, as everywhere.
     """
-    t_max = int(t_max)
+    vals = np.asarray(phi_values, dtype=np.float64)
+    t_max = vals.shape[0] - 1
     if t_max < 1:
-        raise InvalidParameterError("t_max must be >= 1")
-    if phi_values is None or phi_values.shape[0] < t_max + 1:
-        phi_values = phi.values(range(1, t_max + 2))
+        raise InvalidParameterError("validate_envelope needs phi(1) .. phi(t_max + 1) with t_max >= 1")
     failures: list[str] = []
-    vals = phi_values[: t_max + 1]
     mono = bool(np.all(np.diff(vals) >= 0))
     if not mono:
         t_bad = int(np.argmax(np.diff(vals) < 0)) + 1

@@ -151,7 +151,6 @@ def _config_value(key: str, val):
 
 def _resolve_config(args: argparse.Namespace) -> dict:
     merged = {key: default for key, (_, default, _, _) in _OPTIONS.items()}
-    loaded = {}
     if args.config:
         try:
             with open(args.config) as fh:
@@ -170,9 +169,6 @@ def _resolve_config(args: argparse.Namespace) -> dict:
         val = getattr(args, key, None)
         if val is not None and val is not False:
             merged[key] = val
-    # verify reads family as families, from a flag or the file; a --families flag wins over the file
-    if args.command == "verify" and (args.family or (loaded.get("family") and args.families is None)):
-        merged["families"] = merged["family"]
     merged["command"] = args.command
     return merged
 
@@ -207,19 +203,22 @@ def _spec_from_config(config: dict, horizons: list[int], families: list[str]) ->
     envelope = _parse_spec(config["phi"], _ENVELOPES, "envelope")
     if envelope == "empirical" and config["command"] != "audit":  # only audit resolves it from its own runs
         raise UsageError(f"{config['command']} needs a concrete envelope (field 'phi'), not 'empirical'")
+    if config["workers"] < 1:  # checked, though it has no effect: see harness._map_tasks
+        raise UsageError("workers must be >= 1")
     spec = ExperimentSpec(
         schedule=schedule,
         horizons=horizons,
         families=tuple(families),
         envelope=envelope,
         shrink=config["shrink"],
-        workers=config["workers"],
     )
     spec.validate()
     return spec
 
 
 def _horizons_from(config: dict) -> list[int]:
+    if config.get("horizons") is not None and config.get("T") is not None:
+        raise UsageError("give --T or --horizons, not both")
     if config.get("horizons") is not None:
         horizons = _parse_horizons(config["horizons"])
     elif config.get("T") is not None:
@@ -297,18 +296,14 @@ def cmd_density(config: dict) -> int:
 
 def cmd_bounds(config: dict) -> int:
     """Analytic bound table and proof-chain replay (no simulation)."""
-    horizons = _horizons_from(config)
-    T = max(horizons)
-    if T % 2 != 0 or T < 4:
-        raise UsageError("chain check requires even T >= 4")
-    spec = _spec_from_config(config, horizons, ["maxlinear"])
-    phi = spec.resolved_envelope()
+    spec = _spec_from_config(config, _horizons_from(config), ["maxlinear"])
+    phi = spec.envelope
     report = bnd.BoundReport(
         schedule_label=spec.schedule.label,
         envelope_label=phi.label,
-        rows=[bnd.bound_row(spec.schedule, t, phi) for t in horizons],
+        rows=[bnd.bound_row(spec.schedule, t, phi) for t in spec.horizons],
     )
-    chain = chain_check(spec.schedule, phi, T, rows=bool(config.get("rows")))
+    chain = chain_check(spec.schedule, phi, spec.horizons[-1], rows=bool(config.get("rows")))
     out = _out_dir(config)
     report.write_csv(out / "bound_report.csv", header=_header(config))
     _write_json(out / "chain_report.json", dataclasses.asdict(chain), config)
@@ -334,13 +329,13 @@ _OPTIONS = {
     "schedule": (str, "sqrt_decay:D=2,G=1", _ALL, f"schedule spec: {_grammar(_SCHEDULES)}"),
     "phi": (str, "log", _ALL, f"envelope spec: {_grammar(_ENVELOPES)}"),
     "families": (str, ",".join(FAMILIES), ("verify", "audit"), f"comma list from {','.join(FAMILIES)}"),
-    "family": (str, "maxlinear", ("verify", "density"), "a single family; verify reads it as --families"),
+    "family": (str, "maxlinear", ("density",), "a single family"),
     "horizons": (str, None, _ALL, "comma list (8,64,512) or pow2:LO-HI"),
     "T": (int, None, _ALL, "single horizon"),
     "thresholds": (str, "0,0.5,1", ("density",), "comma list of thresholds; 'inf' allowed"),
     "out": (str, None, _ALL, f"output directory (default ${OUT_ENV_VAR} or ./out)"),
     "workers": (int, 1, _ALL, "accepted (an int >= 1) but ignored: work runs on one thread"),
-    "shrink": (float, 1e-6, _ALL, "vshape kink shrink factor"),
+    "shrink": (float, 1e-6, ("verify", "audit", "density"), "vshape kink shrink factor"),
     "per_t": (bool, False, ("density",), "build a fresh instance per stopping time (cubic cost)"),
     "dump_instances": (bool, False, ("audit",), "also write every built instance to instances.json"),
     "rows": (bool, False, ("bounds",), "write every quartic_floor row to chain_report.json, not one summary step"),

@@ -9,8 +9,8 @@ three paths:
 * the scalar path: 1-d instances carrying a ``scalar`` hook run through
   :func:`scalar_descent` on Python floats;
 * the generic path: a numpy loop over the instance's array oracles, taken
-  by every other instance and by every instance under
-  ``force_generic=True``, which keeps it as the oracle for the other two.
+  by every instance with neither field set; tests clear both fields (with
+  ``dataclasses.replace``) to keep it as the oracle for the other two.
 
 All paths are pure functions of their inputs, so repeated runs are
 bit-identical.  The scalar path performs the generic loop's float64
@@ -105,15 +105,7 @@ def project_interval(x, lo: float, hi: float):
 
 
 def _snapshot_times(snapshots, T: int) -> np.ndarray:
-    if snapshots is None:
-        return np.empty(0, dtype=np.int64)
-    if isinstance(snapshots, str):
-        if snapshots == "none":
-            return np.empty(0, dtype=np.int64)
-        if snapshots == "all":
-            return np.arange(1, T + 1, dtype=np.int64)
-        raise InvalidParameterError(f"unknown snapshot policy {snapshots!r}")
-    times = sorted({int(s) for s in snapshots})
+    times = sorted({int(s) for s in (() if snapshots is None else snapshots)})
     if times and (times[0] < 1 or times[-1] > T):
         raise InvalidParameterError(f"snapshot times must lie in 1..{T}")
     return np.asarray(times, dtype=np.int64)
@@ -123,14 +115,13 @@ def run(
     instance: ConvexInstance,
     schedule: StepSchedule,
     T: int,
-    snapshots: str | Iterable[int] | None = None,
-    force_generic: bool = False,
+    snapshots: Iterable[int] | None = None,
 ) -> RunRecord:
     """Run ``T`` projected subgradient steps and record per-step errors.
 
-    ``snapshots`` selects which iterates to keep: ``None``/``"none"``,
-    ``"all"``, or an iterable of step indices in ``1..T``.  With no
-    snapshots the working memory stays O(dim) regardless of ``T``.
+    ``snapshots`` lists the step indices in ``1..T`` whose iterates are
+    kept (``None`` keeps none).  With no snapshots the working memory stays
+    O(dim) regardless of ``T``.
     """
     T = int(T)
     if T < 1:
@@ -140,7 +131,7 @@ def run(
     snap_times = _snapshot_times(snapshots, T)
     eta = schedule.rates(T)
 
-    if not force_generic and instance.kernel_data is not None:
+    if instance.kernel_data is not None:
         a, b = instance.kernel_data
         errors, trace, max_norm, hits, snaps, fault = _kernels.maxlinear_descent(a, b, eta, snap_times)
         if fault >= 0:
@@ -158,7 +149,7 @@ def run(
     x = np.array(instance.initial_point, dtype=np.float64, copy=True)
     if x.shape != (instance.dim,):
         raise InvalidParameterError("initial point does not match instance dimension")
-    if not force_generic and instance.scalar is not None:
+    if instance.scalar is not None:
         if instance.dim != 1:
             raise InvalidParameterError("scalar oracles need a 1-d instance")
         _, errors, stored, max_norm, hits = scalar_descent(instance.scalar, float(x[0]), eta, snap_times)

@@ -3,8 +3,7 @@ stopping-time density measurement, and the end-to-end bound chain replay.
 
 Work items (one per family/horizon pair) are pure functions of the
 experiment spec; they run in order on the calling thread and results are
-merged in sorted order, so every report is deterministic and does not
-depend on ``workers``.
+merged in sorted order, so every report is deterministic.
 """
 
 from __future__ import annotations
@@ -48,6 +47,8 @@ _BUILDERS = {
     "quadratic": lambda schedule, t, phi, shrink: inst.build_quadratic(schedule, t),
 }
 FAMILIES = tuple(_BUILDERS)
+# family -> why a build that ran is not certified (quadratic always is)
+_UNCERTIFIED = {"maxlinear": "a zero stepsize allows argmax ties", "vshape": "its ramp overshoots the minimum"}
 
 
 @dataclass
@@ -61,14 +62,15 @@ class Tolerances:
 @dataclass
 class ExperimentSpec:
     """What to run: schedule, horizons, families, envelope, knobs; ``validate``
-    checks them all, and the CLI calls it before making the output directory."""
+    checks them all, and the CLI calls it before making the output directory.
+    ``envelope`` is a :class:`GuaranteeEnvelope`, or ``"empirical"``, which
+    only :func:`audit_schedule` resolves."""
 
     schedule: StepSchedule
     horizons: Sequence[int]
     families: Sequence[str] = FAMILIES
-    envelope: bnd.GuaranteeEnvelope | str = "log"
+    envelope: bnd.GuaranteeEnvelope | str = field(default_factory=bnd.log_envelope)
     shrink: float = 1e-6
-    workers: int = 1
 
     def validate(self) -> None:
         hs = list(self.horizons)
@@ -83,29 +85,18 @@ class ExperimentSpec:
                 raise InvalidParameterError(f"family {fam!r} is repeated")
         if not self.families:
             raise InvalidParameterError("at least one family must be selected")
-        if int(self.workers) < 1:
-            raise InvalidParameterError("workers must be >= 1")
         if not 0 < self.shrink <= 1e-3:
             raise InvalidParameterError("shrink factor must lie in (0, 1e-3]")
         # materialise every horizon's stepsizes here, so an inadmissible
         # value stops the run before any work
         self.schedule.prefix_sum(int(hs[-1]))
 
-    def resolved_envelope(self) -> bnd.GuaranteeEnvelope:
-        if isinstance(self.envelope, bnd.GuaranteeEnvelope):
-            return self.envelope
-        if self.envelope == "log":
-            return bnd.log_envelope()
-        raise InvalidParameterError(
-            f"envelope {self.envelope!r} must be resolved before running this experiment"
-        )
-
 
 def _map_tasks(fn, keys, workers: int):
     """Apply ``fn`` to each key in order on this thread; return key-sorted dict.
 
-    ``workers`` has no effect: the work items are Python-bound, so threads
-    only took turns on the GIL (two ran slower than one).
+    ``workers`` has no effect (threads only took turns on the GIL); callers
+    pass 1, and it stays because stepbench's traced wrapper passes it on.
     """
     results = {key: fn(key) for key in keys}
     return {key: results[key] for key in sorted(results)}
@@ -135,7 +126,7 @@ def verify_trajectories(spec: ExperimentSpec) -> TrajectoryReport:
     beyond tolerance are recorded as failures, not raised.
     """
     spec.validate()
-    phi = spec.resolved_envelope()
+    phi = spec.envelope
 
     def work(key):
         family, T = key
@@ -163,7 +154,7 @@ def verify_trajectories(spec: ExperimentSpec) -> TrajectoryReport:
         }
 
     keys = [(family, int(T)) for family in spec.families for T in spec.horizons]
-    results = _map_tasks(work, keys, int(spec.workers))
+    results = _map_tasks(work, keys, 1)
     entries = list(results.values())
     checked = [e for e in entries if "passed" in e]
     max_dev = max((e["max_coord_deviation"] for e in checked), default=0.0)
@@ -212,19 +203,21 @@ def _audit_one(spec: ExperimentSpec, phi: bnd.GuaranteeEnvelope, t: int):
         dumps.append(built.to_dict())
         measured = record.error_at(t)
         row.measured[family] = measured
+        if not built.certified:
+            skipped.append({"t": t, "family": family, "reason": f"{family} floor not certified: {_UNCERTIFIED[family]}"})
+            continue
         cert = built.certified_bound()
-        if built.certified:
-            assertions.append(
-                {
-                    "t": t,
-                    "family": family,
-                    "check": "measured_ge_certified",
-                    "measured": measured,
-                    "certified": cert,
-                    "passed": measured >= cert - Tolerances.bound_slack,
-                }
-            )
-        if family == "maxlinear" and built.certified:
+        assertions.append(
+            {
+                "t": t,
+                "family": family,
+                "check": "measured_ge_certified",
+                "measured": measured,
+                "certified": cert,
+                "passed": measured >= cert - Tolerances.bound_slack,
+            }
+        )
+        if family == "maxlinear":
             # the instance certificate and the analytic floor are the same
             # sum grouped differently; they must agree to rounding
             analytic = row.maxlinear
@@ -253,8 +246,8 @@ def audit_schedule(spec: ExperimentSpec) -> AuditResult:
     second pass audits with the envelope extracted from them.
     """
     spec.validate()
-    if isinstance(spec.envelope, str) and spec.envelope == "empirical":
-        pass1 = audit_schedule(dataclasses.replace(spec, envelope="log"))
+    if spec.envelope == "empirical":
+        pass1 = audit_schedule(dataclasses.replace(spec, envelope=bnd.log_envelope()))
         all_records = [rec for per_t in pass1.records.values() for rec in per_t.values()]
         if not all_records:
             raise ConstructionError("empirical envelope audit collected no runs")
@@ -266,12 +259,10 @@ def audit_schedule(spec: ExperimentSpec) -> AuditResult:
         result.passed = all(a["passed"] for a in result.assertions)
         return result
 
-    phi = spec.resolved_envelope()
+    phi = spec.envelope
     t_max = max(int(t) for t in spec.horizons)
-    env_report = bnd.validate_envelope(spec.schedule, phi, t_max=t_max)
-    results = _map_tasks(
-        lambda t: _audit_one(spec, phi, t), [int(t) for t in spec.horizons], int(spec.workers)
-    )
+    env_report = bnd.validate_envelope(spec.schedule, phi.values(range(1, t_max + 2)))
+    results = _map_tasks(lambda t: _audit_one(spec, phi, t), [int(t) for t in spec.horizons], 1)
     report = bnd.BoundReport(schedule_label=spec.schedule.label, envelope_label=phi.label)
     assertions: list[dict] = []
     skipped: list[dict] = []
@@ -347,7 +338,7 @@ def density_experiment(
     if len(spec.families) != 1:
         raise InvalidParameterError("density experiments run on exactly one family")
     family = spec.families[0]
-    phi = spec.resolved_envelope()
+    phi = spec.envelope
     thresholds = [float(c) for c in thresholds]
     if not thresholds:
         raise InvalidParameterError("density experiments need at least one threshold")
@@ -367,7 +358,7 @@ def density_experiment(
                 skipped.append((t, str(exc)))
         profiles = {T: errs[:T] for T in horizons}
     else:
-        profiles = _map_tasks(lambda T: run(build(T), spec.schedule, T).errors, horizons, int(spec.workers))
+        profiles = _map_tasks(lambda T: run(build(T), spec.schedule, T).errors, horizons, 1)
     rows = []
     for T in sorted(profiles):
         errs = profiles[T]
@@ -594,7 +585,7 @@ def chain_check(
     if T < 4 or T % 2 != 0:
         raise InvalidParameterError("chain check requires even T >= 4")
     phis = phi.values(range(1, T + 2))
-    validation = bnd.validate_envelope(schedule, phi, t_max=T, phi_values=phis).to_dict()
+    validation = bnd.validate_envelope(schedule, phis).to_dict()
     profile, conv_err = _quartic_profile(schedule, T)
     steps = _quartic_steps(schedule, phis, profile, conv_err, rows)
 

@@ -394,8 +394,13 @@ def build_maxlinear(schedule: StepSchedule, T: int, phi: GuaranteeEnvelope) -> M
     if T < 1:
         raise InvalidParameterError("maxlinear horizon must be >= 1")
     a, b = coupling_weights(schedule, T, phi)
-    if not check_weight_conditions(a, b, schedule, T).ok:
-        raise ConstructionError(f"maxlinear weight conditions failed for {schedule.label} at T={T}")
+    report = check_weight_conditions(a, b, schedule, T)
+    if not report.ok:
+        bad = next(c for c in vars(report).values() if not c.passed)
+        raise ConstructionError(
+            f"maxlinear weight conditions failed for {schedule.label} at T={T}: "
+            f"{bad.name} has slack {bad.slack!r} at worst_index={bad.worst_index}"
+        )
     dim = T + 1
 
     def scores(x: np.ndarray) -> np.ndarray:

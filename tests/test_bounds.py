@@ -343,29 +343,30 @@ def test_empirical_envelope_is_at_least_one_and_non_decreasing(runs):
 
 class TestValidateEnvelope:
     def test_known_pair_passes(self):
-        rep = bnd.validate_envelope(sched.sqrt_decay(2, 1), bnd.log_envelope(), t_max=512)
+        rep = bnd.validate_envelope(sched.sqrt_decay(2, 1), bnd.log_envelope().values(range(1, 514)))
         assert rep.passed
 
     def test_step_condition_failure(self):
-        rep = bnd.validate_envelope(sched.constant(2), bnd.constant_envelope(1), t_max=16)
+        rep = bnd.validate_envelope(sched.constant(2), bnd.constant_envelope(1).values(range(1, 18)))
         assert not rep.step_ok
         assert any("t=0" in f for f in rep.failures)
 
     def test_monotonicity_failure(self):
         phi = bnd.GuaranteeEnvelope(lambda t: 2.0 if t < 5 else 1.5, label="dip")
-        rep = bnd.validate_envelope(sched.constant(0), phi, t_max=16)
+        rep = bnd.validate_envelope(sched.constant(0), phi.values(range(1, 18)))
         assert not rep.monotone_ok
 
     def test_checks_reach_t_max_plus_one(self):
-        # phi(t_max + 1) enters the monotone check; precomputed values are not evaluated again
-        calls = []
-        phi = bnd.GuaranteeEnvelope(lambda t: calls.append(t) or (2.0 if t <= 16 else 1.5), label="late dip")
-        values = phi.values(range(1, 18))
-        calls.clear()
-        assert not bnd.validate_envelope(sched.constant(0), phi, t_max=16, phi_values=values).monotone_ok
-        assert calls == []
-        assert not bnd.validate_envelope(sched.constant(0), phi, t_max=16).monotone_ok
-        assert calls == list(range(1, 18))
+        # the last value, phi(t_max + 1), enters the monotone check, and the
+        # step condition runs on t = 1..t_max
+        dip = np.array([2.0] * 16 + [1.5])
+        rep = bnd.validate_envelope(sched.constant(0), dip)
+        assert not rep.monotone_ok and rep.step_ok
+        assert rep.failures == ["phi decreases between t=16 and t=17"]
+        steps = sched.from_table([0.0] * 15 + [1.0, 100.0])  # eta_16 would fail, but t_max = 16
+        assert bnd.validate_envelope(steps, np.full(17, 4.0)).passed
+        with pytest.raises(InvalidParameterError, match="t_max >= 1"):
+            bnd.validate_envelope(steps, np.full(1, 4.0))
 
     def test_below_one_failure(self):
         # a value below 1 is bad input, not a failed check: it raises where it is evaluated
@@ -373,7 +374,7 @@ class TestValidateEnvelope:
             bnd.GuaranteeEnvelope(lambda t: 0.9, label="low")
         late = bnd.GuaranteeEnvelope(lambda t: 2.0 if t < 4 else 0.9, label="late")
         with pytest.raises(InvalidParameterError, match=r"envelope late is 0\.9 at t=4"):
-            bnd.validate_envelope(sched.constant(0), late, t_max=4)
+            late.values(range(1, 6))
 
 
 class TestBoundReport:

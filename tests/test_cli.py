@@ -21,7 +21,7 @@ def run_cli(*args):
 class TestExitCodes:
     def test_verify_success(self, tmp_path):
         code = run_cli(
-            "verify", "--schedule", "sqrt_decay:D=2,G=1", "--family", "maxlinear",
+            "verify", "--schedule", "sqrt_decay:D=2,G=1", "--families", "maxlinear",
             "--T", "64", "--out", str(tmp_path),
         )
         assert code == 0
@@ -51,7 +51,7 @@ class TestExitCodes:
         table = tmp_path / "steps.csv"
         table.write_text("t,eta\n" + "\n".join(f"{t},{1.0 / (t + 1)}" for t in range(9)))
         code = run_cli(
-            "verify", "--schedule", f"table:{table}", "--family", "maxlinear",
+            "verify", "--schedule", f"table:{table}", "--families", "maxlinear",
             "--T", "8", "--out", str(tmp_path),
         )
         assert code == 0
@@ -149,6 +149,22 @@ class TestExitCodes:
 
     def test_missing_horizons(self, tmp_path):
         assert run_cli("audit", "--schedule", "constant:c=1", "--out", str(tmp_path)) == 2
+
+    def test_uncertified_build_is_listed_as_skipped(self, tmp_path, capsys):
+        # eta_1 = 0 lets the max-of-linear argmax tie: the run is measured,
+        # its floor is not asserted, and the skip says why
+        table = tmp_path / "steps.csv"
+        table.write_text("t,eta\n" + "".join(f"{t},{0.0 if t == 1 else 0.5}\n" for t in range(9)))
+        out = tmp_path / "out"
+        assert run_cli("audit", "--schedule", f"table:{table}", "--horizons", "8", "--out", str(out)) == 0
+        assert capsys.readouterr().out.startswith("audit: 2/2 assertions passed, 1 skipped;")
+        summary = json.loads((out / "audit_summary.json").read_text())
+        assert summary["skipped"] == [
+            {"t": 8, "family": "maxlinear", "reason": "maxlinear floor not certified: a zero stepsize allows argmax ties"}
+        ]
+        assert {a["family"] for a in summary["assertions"]} == {"vshape", "quadratic"}
+        header, row = (line.split(",") for line in (out / "bound_report.csv").read_text().splitlines()[1:])
+        assert float(row[header.index("err_maxlinear")]) > 0
 
 
 class TestDensityCommand:
@@ -298,15 +314,18 @@ class TestEnvelopeRule:
         assert capsys.readouterr().err.splitlines() == [f"error: family {name!r} is repeated"]
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["verify", "audit", "density", "bounds"])
     @pytest.mark.parametrize(
-        "args, message",
+        "command, args, message",
         [
-            (("--schedule", "constant:c=1e300"), "produced a huge (1e+300 > 2^440) stepsize at t=0"),
-            (("--shrink", "0.5"), "shrink factor must lie in (0, 1e-3]"),
-            (("--workers", "0"), "workers must be >= 1"),
+            pytest.param(command, args, message, id=f"{name}-{command}")
+            for name, args, message in [
+                ("huge-step", ("--schedule", "constant:c=1e300"), "produced a huge (1e+300 > 2^440) stepsize at t=0"),
+                ("shrink", ("--shrink", "0.5"), "shrink factor must lie in (0, 1e-3]"),
+                ("workers", ("--workers", "0"), "workers must be >= 1"),
+            ]
+            for command in ["audit", "bounds", "density", "verify"]
+            if not (name == "shrink" and command == "bounds")  # bounds takes no --shrink
         ],
-        ids=["huge-step", "shrink", "workers"],
     )
     def test_rejected_spec_makes_no_out_dir(self, tmp_path, capsys, command, args, message):
         # every subcommand checks the whole spec before it makes --out;
@@ -373,20 +392,6 @@ class TestConfigResolution:
         header = (tmp_path / "density.csv").read_text().splitlines()[0]
         assert "sqrt_decay:D=2,G=1" in header
 
-    @pytest.mark.parametrize(
-        "flags, families",
-        [((), "vshape"), (("--families", "quadratic"), "quadratic"), (("--family", "maxlinear"), "maxlinear")],
-        ids=["file", "families-flag", "family-flag"],
-    )
-    def test_verify_reads_family_from_the_config(self, tmp_path, flags, families):
-        # verify takes family as families from the file too; flags win over the file
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"family": "vshape"}))
-        assert run_cli("verify", "--config", str(cfg), "--T", "8", *flags, "--out", str(tmp_path)) == 0
-        report = json.loads((tmp_path / "verify_report.json").read_text())
-        assert {e["family"] for e in report["entries"]} == {families}
-        assert report["meta"]["config"]["families"] == families
-
     def test_unknown_config_field(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"schedul": "constant:c=1"}))
@@ -395,8 +400,10 @@ class TestConfigResolution:
     @pytest.mark.parametrize(
         "command, config",
         [("density", {"rows": True}), ("density", {"dump_instances": True}), ("verify", {"thresholds": "0"}),
-         ("bounds", {"families": "maxlinear"}), ("audit", {"per_t": True})],
-        ids=["density-rows", "density-dump", "verify-thresholds", "bounds-families", "audit-per-t"],
+         ("bounds", {"families": "maxlinear"}), ("audit", {"per_t": True}), ("verify", {"family": "vshape"}),
+         ("bounds", {"shrink": 1e-6})],
+        ids=["density-rows", "density-dump", "verify-thresholds", "bounds-families", "audit-per-t", "verify-family",
+             "bounds-shrink"],
     )
     def test_config_field_of_another_subcommand(self, tmp_path, capsys, command, config):
         # a field the subcommand does not take is refused, not recorded and ignored
@@ -406,6 +413,28 @@ class TestConfigResolution:
         err = capsys.readouterr().err.splitlines()
         assert err == [f"error: unknown config fields for {command}: {sorted(config)}"]
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "argv", [("verify", "--family", "vshape"), ("bounds", "--shrink", "1e-6")], ids=["verify-family", "bounds-shrink"]
+    )
+    def test_flag_the_subcommand_does_not_take_exits_2(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        assert run_cli(*argv, "--T", "8", "--out", str(out)) == 2
+        assert f"unrecognized arguments: {argv[1]}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["verify", "audit", "density", "bounds"])
+    @pytest.mark.parametrize(
+        "config, flags", [({}, ("--T", "8", "--horizons", "8")), ({"T": 8}, ("--horizons", "16"))], ids=["flags", "file"]
+    )
+    def test_T_with_horizons_exits_2(self, tmp_path, capsys, command, config, flags):
+        # neither wins over the other, wherever each comes from
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert run_cli(command, "--config", str(cfg), *flags, "--out", str(out)) == 2
+        assert capsys.readouterr().err.splitlines() == ["error: give --T or --horizons, not both"]
+        assert not out.exists()
 
     def test_bounds_takes_rows_from_the_config(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -660,11 +689,11 @@ _FLAGS = {
     "--rows": None,
     "--dump-instances": None,
 }
-_COMMON = ["--config", "--schedule", "--phi", "--workers", "--shrink", "--T", "--horizons"]
+_COMMON = ["--config", "--schedule", "--phi", "--workers", "--T", "--horizons"]
 _COMMANDS = {
-    "verify": _COMMON + ["--families", "--family"],
-    "audit": _COMMON + ["--families", "--dump-instances"],
-    "density": _COMMON + ["--family", "--thresholds", "--per-t"],
+    "verify": _COMMON + ["--shrink", "--families"],
+    "audit": _COMMON + ["--shrink", "--families", "--dump-instances"],
+    "density": _COMMON + ["--shrink", "--family", "--thresholds", "--per-t"],
     "bounds": _COMMON + ["--rows"],
 }
 _CONFIGS = st.dictionaries(

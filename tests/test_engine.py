@@ -10,6 +10,11 @@ from stepaudit import schedules as sched
 from stepaudit.errors import InvalidParameterError, NumericFaultError
 
 
+def _generic(instance):
+    """A copy with neither fast-path field, so ``engine.run`` takes the generic loop."""
+    return dataclasses.replace(instance, kernel_data=None, scalar=None)
+
+
 def _toy_instance(value=None, subgradient=None):
     return engine.ConvexInstance(
         dim=1,
@@ -50,7 +55,7 @@ class TestProjections:
 class TestRun:
     def test_zero_schedule_stays_put(self):
         inst = _toy_instance()
-        rec = engine.run(inst, sched.constant(0), 5, snapshots="all")
+        rec = engine.run(inst, sched.constant(0), 5, snapshots=range(1, 6))
         assert rec.horizon == 5
         assert np.all(rec.errors == 1.0)
         for t in range(1, 6):
@@ -58,7 +63,7 @@ class TestRun:
 
     def test_quadratic_hand_iteration(self):
         q = build_quadratic(sched.constant(1), 2)
-        rec = engine.run(q.convex, sched.constant(1), 2, snapshots="all")
+        rec = engine.run(q.convex, sched.constant(1), 2, snapshots=range(1, 3))
         assert rec.snapshots[1][0] == 0.75
         assert rec.snapshots[2][0] == 0.5625
         assert rec.error_at(2) == pytest.approx(81 / 2048, rel=1e-15)
@@ -82,8 +87,8 @@ class TestRun:
     def test_kernel_matches_generic_loop(self):
         s = sched.sqrt_decay(2, 1)
         m = build_maxlinear(s, 24, log_envelope())
-        fast = engine.run(m.convex, s, 24, snapshots="all")
-        slow = engine.run(m.convex, s, 24, snapshots="all", force_generic=True)
+        fast = engine.run(m.convex, s, 24, snapshots=range(1, 25))
+        slow = engine.run(_generic(m.convex), s, 24, snapshots=range(1, 25))
         assert np.array_equal(fast.errors, slow.errors)
         for t in range(1, 25):
             assert np.array_equal(fast.snapshots[t], slow.snapshots[t])
@@ -99,15 +104,13 @@ class TestRun:
         inst = _toy_instance()
         s = sched.constant(0.1)
         assert engine.run(inst, s, 4).snapshots == {}
-        assert engine.run(inst, s, 4, snapshots="none").snapshots == {}
-        assert sorted(engine.run(inst, s, 4, snapshots="all").snapshots) == [1, 2, 3, 4]
-        assert sorted(engine.run(inst, s, 4, snapshots=[2, 4]).snapshots) == [2, 4]
+        assert engine.run(inst, s, 4, snapshots=[]).snapshots == {}
+        assert sorted(engine.run(inst, s, 4, snapshots=range(1, 5)).snapshots) == [1, 2, 3, 4]
+        assert sorted(engine.run(inst, s, 4, snapshots=[4, 2, 4]).snapshots) == [2, 4]
         with pytest.raises(InvalidParameterError):
             engine.run(inst, s, 4, snapshots=[0])
         with pytest.raises(InvalidParameterError):
             engine.run(inst, s, 4, snapshots=[5])
-        with pytest.raises(InvalidParameterError):
-            engine.run(inst, s, 4, snapshots="sometimes")
 
     def test_bad_horizon(self):
         with pytest.raises(InvalidParameterError):
@@ -150,9 +153,9 @@ class TestScalarPath:
     )
     def test_fault_messages_match_array_path(self, value, subgradient, message):
         inst = _scalar_toy(value, subgradient)
-        for force_generic in (False, True):
+        for instance in (inst, _generic(inst)):
             with pytest.raises(NumericFaultError) as exc:
-                engine.run(inst, sched.constant(0.1), 20, force_generic=force_generic)
+                engine.run(instance, sched.constant(0.1), 20)
             assert str(exc.value) == message
 
     def test_nan_iterate_counts_as_projection(self):
@@ -161,7 +164,7 @@ class TestScalarPath:
         inst = _scalar_toy(lambda v: 0.0, lambda v: -1e300 if v < 2.0 else 1e300, -math.inf, math.inf)
         s = sched.constant(1e100)
         with np.errstate(over="ignore", invalid="ignore"):
-            fast, slow = (engine.run(inst, s, 4, snapshots="all", force_generic=f) for f in (False, True))
+            fast, slow = (engine.run(i, s, 4, snapshots=range(1, 5)) for i in (inst, _generic(inst)))
         assert fast.projection_activations == slow.projection_activations == 3
         assert fast.max_norm_seen == slow.max_norm_seen == math.inf
         assert fast.errors.tobytes() == slow.errors.tobytes()
@@ -175,7 +178,7 @@ class TestScalarPath:
     def test_max_norm_is_the_array_norm(self, x0, g, expected):
         inst = _scalar_toy(lambda v: 0.0, lambda v: g, -math.inf, math.inf, x0=x0)
         with np.errstate(over="ignore"):
-            fast, slow = (engine.run(inst, sched.constant(1.0), 2, force_generic=f) for f in (False, True))
+            fast, slow = (engine.run(i, sched.constant(1.0), 2) for i in (inst, _generic(inst)))
         assert fast.max_norm_seen == slow.max_norm_seen == expected
 
     @pytest.mark.parametrize("build", [build_vshape, build_quadratic])
@@ -189,7 +192,7 @@ class TestScalarPath:
         built.convex.value = built.convex.subgradient = stub
         assert engine.run(built.convex, s, 64).errors.shape == (64,)
         with pytest.raises(RuntimeError, match="array oracle called"):
-            engine.run(built.convex, s, 64, force_generic=True)
+            engine.run(_generic(built.convex), s, 64)
 
     def test_scalar_hook_needs_one_dimension(self):
         inst = dataclasses.replace(_toy_instance(), dim=2, initial_point=np.zeros(2), scalar=(abs, abs, -1.0, 1.0))

@@ -27,7 +27,7 @@ class TestVShape:
     def test_example_run(self):
         s = sched.constant(0.5)
         v = inst.build_vshape(s, 2, shrink=1e-6)
-        rec = engine.run(v.convex, s, 2, snapshots="all")
+        rec = engine.run(v.convex, s, 2, snapshots=range(1, 3))
         assert abs(rec.snapshots[1][0]) <= 1e-12 * v.epsilon
         assert rec.snapshots[2][0] == pytest.approx(0.5, rel=1e-9)
         expected = 0.5 - v.epsilon + v.c_eps * v.epsilon
@@ -83,7 +83,7 @@ class TestVShape:
 
     def test_closed_form_matches_simulation(self):
         v = inst.build_vshape(SQRT21, 16)
-        rec = engine.run(v.convex, SQRT21, 16, snapshots="all")
+        rec = engine.run(v.convex, SQRT21, 16, snapshots=range(1, 17))
         for t in range(1, 17):
             cf = v.closed_form_iterate(t)
             assert abs(rec.snapshots[t][0] - cf[0]) <= 1e-6
@@ -134,7 +134,7 @@ class TestQuadratic:
 
     def test_simulation_matches_closed_form(self):
         q = inst.build_quadratic(SQRT21, 64)
-        rec = engine.run(q.convex, SQRT21, 64, snapshots="all")
+        rec = engine.run(q.convex, SQRT21, 64, snapshots=range(1, 65))
         for t in range(1, 65):
             assert abs(rec.snapshots[t][0] - q.closed_form_iterate(t)[0]) <= 1e-9
 
@@ -257,9 +257,14 @@ class TestMaxLinear:
     def test_condition_failure_aborts_construction(self):
         # a constant envelope of 1 cannot absorb large constant steps
         schedule, phi = sched.constant(2), bnd.constant_envelope(1.0)
-        with pytest.raises(ConstructionError, match="maxlinear weight conditions failed"):
+        with pytest.raises(ConstructionError, match="maxlinear weight conditions failed") as exc:
             inst.build_maxlinear(schedule, 512, phi)
-        assert not inst.check_weight_conditions(*inst.coupling_weights(schedule, 512, phi), schedule, 512).ok
+        report = inst.check_weight_conditions(*inst.coupling_weights(schedule, 512, phi), schedule, 512)
+        assert not report.ok
+        # the message names the first failing condition, where it is worst and by how much
+        bad = report.tail_coupling
+        assert report.sum_sq.passed and report.step_cap.passed and not bad.passed
+        assert str(exc.value).endswith(f": tail_coupling has slack {bad.slack!r} at worst_index={bad.worst_index}")
 
     def test_zero_step_gates_certificate(self, tmp_path):
         # with a zero step the argmax can tie away from the active piece,

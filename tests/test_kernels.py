@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import math
 import tracemalloc
 
@@ -61,6 +62,11 @@ def _reference_descent(a, b, eta, snap_times):
             snaps[spos] = x
             spos += 1
     return errors, trace, max_norm, hits, snaps, fault
+
+
+def _generic(instance):
+    """A copy with neither fast-path field, so ``engine.run`` takes the generic loop."""
+    return dataclasses.replace(instance, kernel_data=None, scalar=None)
 
 
 def _bits(v):
@@ -191,7 +197,7 @@ def test_long_horizon_matches_generic_loop():
     built = build_maxlinear(s, T, log_envelope())
     times = [1, 2, T // 2, T]
     fast = engine.run(built.convex, s, T, snapshots=times)
-    slow = engine.run(built.convex, s, T, snapshots=times, force_generic=True)
+    slow = engine.run(_generic(built.convex), s, T, snapshots=times)
     for t in times:
         assert fast.snapshots[t].tobytes() == slow.snapshots[t].tobytes()
         assert _bits(fast.error_at(t)) == _bits(slow.error_at(t))
@@ -649,9 +655,9 @@ def test_block_scratch_is_fixed_size():
 
 
 def _assert_scalar_matches_array(built, s, T, coord_tol):
-    """Bitwise against ``force_generic``; within ``coord_tol`` of the closed form."""
-    fast = engine.run(built.convex, s, T, snapshots="all")
-    slow = engine.run(built.convex, s, T, snapshots="all", force_generic=True)
+    """Bitwise against the generic loop; within ``coord_tol`` of the closed form."""
+    fast = engine.run(built.convex, s, T, snapshots=range(1, T + 1))
+    slow = engine.run(_generic(built.convex), s, T, snapshots=range(1, T + 1))
     assert fast.errors.tobytes() == slow.errors.tobytes()
     assert fast.snapshots.keys() == slow.snapshots.keys()
     for t in fast.snapshots:

@@ -1,0 +1,33 @@
+"""README examples run as written: every ``stepaudit`` line of the
+command-line block parses, and the library quick start runs."""
+
+import shlex
+from pathlib import Path
+
+import pytest
+
+from stepaudit import cli
+
+README = (Path(__file__).parent.parent / "README.md").read_text()
+
+
+def _code_block(heading: str) -> str:
+    """The first fenced block after the ``## heading`` line."""
+    section = README.split(f"\n## {heading}\n", 1)[1]
+    return section.split("```", 2)[1].partition("\n")[2]
+
+
+def test_command_line_examples_parse():
+    lines = [line for line in _code_block("Command line").splitlines() if line.startswith("stepaudit ")]
+    assert len(lines) == 4
+    for line in lines:
+        try:
+            cli.build_parser().parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            pytest.fail(f"README example does not parse: {line}")
+
+
+def test_quick_start_runs(capsys):
+    exec(compile(_code_block("Quick start (library)"), "README quick start", "exec"), {})
+    measured, certified = capsys.readouterr().out.splitlines()[0].split(" >= ")
+    assert float(measured) >= float(certified) > 0
