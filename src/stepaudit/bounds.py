@@ -9,7 +9,9 @@ respect for a given stepsize schedule: the single-step floor, the
 step-sum floor, the high-dimensional max-of-linear floor, the
 fourth-power floor and its time average, and the asymptotic floor
 obtained by combining them.  All constants are computed from library
-transcendentals at full working precision.
+transcendentals at full working precision; envelopes are numpy array
+functions, so ``log_envelope`` uses numpy's ``log``, whose last bit can
+differ from ``math.log``'s.
 """
 
 from __future__ import annotations
@@ -52,14 +54,17 @@ __all__ = [
 class GuaranteeEnvelope:
     """A non-decreasing guarantee function ``phi(t) >= 1`` for ``t >= 1``.
 
-    Every value is checked when it is evaluated: one that is not finite or
-    lies below 1 raises ``InvalidParameterError`` naming the envelope and
-    the first bad ``t``.  The constructor evaluates ``phi(1)``, the minimum
-    of a non-decreasing envelope, so an envelope below 1 throughout is
-    refused as soon as it is built.
+    ``evaluator`` maps an int64 array of steps to the float64 array of their
+    values; steps past the int64 range, which only the analytic tail bounds
+    reach, come as their nearest float64 values.  Every value is checked
+    when it is evaluated: one that is not finite or lies below 1 raises
+    ``InvalidParameterError`` naming the envelope and the first bad ``t``.
+    The constructor evaluates ``phi(1)``, the minimum of a non-decreasing
+    envelope, so an envelope below 1 throughout is refused as soon as it is
+    built.
     """
 
-    def __init__(self, evaluator: Callable[[int], float], label: str = "phi"):
+    def __init__(self, evaluator: Callable[[np.ndarray], np.ndarray], label: str = "phi"):
         self._evaluator = evaluator
         self.label = label
         self(1)
@@ -69,14 +74,24 @@ class GuaranteeEnvelope:
         return float(self.values(range(t, t + 1))[0])
 
     def values(self, ts: range) -> np.ndarray:
-        """``[phi(t) for t in ts]`` as a float64 array, bit for bit.
+        """``[phi(t) for t in ts]`` as a float64 array.
 
-        ``ts`` is a range of steps ``t >= 1``.  Every value comes from the
-        scalar evaluator, and the check names the first bad ``t``.
+        ``ts`` is a range of steps ``t >= 1``, evaluated as one array; a
+        single value is a one-step range, so ``phi(t)`` has the same bits.
+        Overflow and invalid operations give inf or NaN without a warning,
+        and the check names the first bad ``t``.
         """
-        if len(ts) and min(ts[0], ts[-1]) < 1:
+        first, last = (ts[0], ts[-1]) if len(ts) else (1, 1)
+        if min(first, last) < 1:
             raise InvalidParameterError("envelopes are defined for t >= 1")
-        vals = np.fromiter(map(self._evaluator, ts), np.float64, len(ts))
+        if max(first, last) < 2**63:  # np.arange's own length can round at large t
+            steps = np.arange(len(ts), dtype=np.int64)
+            steps *= ts.step
+            steps += first
+        else:
+            steps = np.array(ts, dtype=np.float64)
+        with np.errstate(all="ignore"):
+            vals = np.asarray(self._evaluator(steps), dtype=np.float64)
         ok = (vals >= 1.0) & (vals < math.inf)  # NaN fails both
         if not ok.all():
             i = int(ok.argmin())
@@ -90,7 +105,7 @@ class GuaranteeEnvelope:
 
 
 def log_envelope(offset: float = 8.0, coef: float = 4.0) -> GuaranteeEnvelope:
-    """Envelope ``phi(t) = offset + coef * ln(t)``.
+    """Envelope ``phi(t) = offset + coef * ln(t)``, with numpy's ``log``.
 
     The defaults are the known anytime guarantee of the ``sqrt_decay``
     schedule at unit gradient scale and diameter 2.
@@ -98,7 +113,7 @@ def log_envelope(offset: float = 8.0, coef: float = 4.0) -> GuaranteeEnvelope:
     offset = float(offset)
     coef = float(coef)
     return GuaranteeEnvelope(
-        lambda t: offset + coef * math.log(t),
+        lambda ts: offset + coef * np.log(ts),
         label=f"log(offset={offset:g},coef={coef:g})",
     )
 
@@ -106,7 +121,7 @@ def log_envelope(offset: float = 8.0, coef: float = 4.0) -> GuaranteeEnvelope:
 def constant_envelope(c: float) -> GuaranteeEnvelope:
     """Envelope ``phi(t) = c`` (finite ``c >= 1``)."""
     c = float(c)
-    return GuaranteeEnvelope(lambda t: c, label=f"const({c:g})")
+    return GuaranteeEnvelope(lambda ts: np.full(ts.shape, c), label=f"const({c:g})")
 
 
 # -- elementary quantities -------------------------------------------------
@@ -384,11 +399,8 @@ def empirical_envelope(records: Iterable) -> GuaranteeEnvelope:
         ts = np.arange(1, r.horizon + 1, dtype=np.float64)
         np.maximum(scaled[: r.horizon], np.sqrt(ts) * r.errors, out=scaled[: r.horizon])
     table = np.maximum.accumulate(scaled)
-
-    def evaluator(t: int) -> float:
-        return float(table[min(t, max_t) - 1])
-
-    return GuaranteeEnvelope(evaluator, label=f"empirical({labels.pop()},T<={max_t})")
+    label = f"empirical({labels.pop()},T<={max_t})"
+    return GuaranteeEnvelope(lambda ts: table[np.minimum(ts, max_t).astype(np.intp, copy=False) - 1], label)
 
 
 @dataclass

@@ -24,6 +24,7 @@ from .harness import (
     ExperimentSpec,
     audit_schedule,
     chain_check,
+    chain_horizon,
     density_experiment,
     verify_trajectories,
 )
@@ -150,7 +151,8 @@ def _config_value(key: str, val):
 
 
 def _resolve_config(args: argparse.Namespace) -> dict:
-    merged = {key: default for key, (_, default, _, _) in _OPTIONS.items()}
+    # only the subcommand's own fields: the header records what the run took
+    merged = {key: default for key, (_, default, commands, _) in _OPTIONS.items() if args.command in commands}
     if args.config:
         try:
             with open(args.config) as fh:
@@ -161,12 +163,12 @@ def _resolve_config(args: argparse.Namespace) -> dict:
             raise UsageError(f"config file {args.config} is not valid JSON: {exc}") from exc
         if not isinstance(loaded, dict):
             raise UsageError(f"config file {args.config} must hold a JSON object, not {type(loaded).__name__}")
-        unknown = set(loaded) - {key for key, (_, _, commands, _) in _OPTIONS.items() if args.command in commands}
+        unknown = set(loaded) - merged.keys()
         if unknown:
             raise UsageError(f"unknown config fields for {args.command}: {sorted(unknown)}")
         merged.update({key: _config_value(key, val) for key, val in loaded.items() if val is not None})
-    for key in _OPTIONS:
-        val = getattr(args, key, None)
+    for key in merged:
+        val = getattr(args, key)
         if val is not None and val is not False:
             merged[key] = val
     merged["command"] = args.command
@@ -210,7 +212,7 @@ def _spec_from_config(config: dict, horizons: list[int], families: list[str]) ->
         horizons=horizons,
         families=tuple(families),
         envelope=envelope,
-        shrink=config["shrink"],
+        shrink=config.get("shrink", ExperimentSpec.shrink),  # bounds builds no vshape
     )
     spec.validate()
     return spec
@@ -296,7 +298,9 @@ def cmd_density(config: dict) -> int:
 
 def cmd_bounds(config: dict) -> int:
     """Analytic bound table and proof-chain replay (no simulation)."""
-    spec = _spec_from_config(config, _horizons_from(config), ["maxlinear"])
+    horizons = _horizons_from(config)
+    chain_horizon(horizons[-1])
+    spec = _spec_from_config(config, horizons, ["maxlinear"])
     phi = spec.envelope
     report = bnd.BoundReport(
         schedule_label=spec.schedule.label,

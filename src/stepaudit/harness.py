@@ -34,6 +34,7 @@ __all__ = [
     "audit_schedule",
     "density_experiment",
     "chain_check",
+    "chain_horizon",
     "FAMILIES",
 ]
 
@@ -87,9 +88,11 @@ class ExperimentSpec:
             raise InvalidParameterError("at least one family must be selected")
         if not 0 < self.shrink <= 1e-3:
             raise InvalidParameterError("shrink factor must lie in (0, 1e-3]")
-        # materialise every horizon's stepsizes here, so an inadmissible
-        # value stops the run before any work
+        # materialise every horizon's stepsizes and envelope values here, so
+        # an inadmissible value stops the run before any work
         self.schedule.prefix_sum(int(hs[-1]))
+        if self.envelope != "empirical":
+            self.envelope.values(range(1, int(hs[-1]) + 2))
 
 
 def _map_tasks(fn, keys, workers: int):
@@ -557,6 +560,14 @@ def _quartic_steps(
     return steps
 
 
+def chain_horizon(T: int) -> int:
+    """``T`` as an int, if the chain replay can run at it (even, at least 4)."""
+    T = int(T)
+    if T < 4 or T % 2 != 0:
+        raise InvalidParameterError("chain check requires even T >= 4")
+    return T
+
+
 def chain_check(
     schedule: StepSchedule,
     phi: bnd.GuaranteeEnvelope,
@@ -581,9 +592,7 @@ def chain_check(
     ``bounds.tail_margin_error`` and the tail sum's below) settle it, and
     are inconclusive otherwise.  Each entry reports its sides and a status.
     """
-    T = int(T)
-    if T < 4 or T % 2 != 0:
-        raise InvalidParameterError("chain check requires even T >= 4")
+    T = chain_horizon(T)
     phis = phi.values(range(1, T + 2))
     validation = bnd.validate_envelope(schedule, phis).to_dict()
     profile, conv_err = _quartic_profile(schedule, T)

@@ -14,6 +14,8 @@ from stepaudit import schedules as sched
 from stepaudit.errors import InvalidParameterError
 from stepaudit.harness import _quartic_profile
 
+from envelopes import step_envelope
+
 U = 2.0**-53  # unit roundoff of float64
 
 
@@ -205,11 +207,11 @@ class TestCutoffAndFloor:
 
 
 def _rising(c, k, e):
-    return bnd.GuaranteeEnvelope(lambda t: c * (1.0 + k * math.log(t)) ** e, "rising")
+    return bnd.GuaranteeEnvelope(lambda ts: c * (1.0 + k * np.log(ts)) ** e, "rising")
 
 
 def _step(c, jump, at):
-    return bnd.GuaranteeEnvelope(lambda t: c if t < at else c * jump, "step")
+    return step_envelope(c, c * jump, at)
 
 
 # non-decreasing envelopes: c (1 + k ln t)^e, and one jump, with c >= 1
@@ -352,7 +354,7 @@ class TestValidateEnvelope:
         assert any("t=0" in f for f in rep.failures)
 
     def test_monotonicity_failure(self):
-        phi = bnd.GuaranteeEnvelope(lambda t: 2.0 if t < 5 else 1.5, label="dip")
+        phi = step_envelope(2.0, 1.5, 5, label="dip")
         rep = bnd.validate_envelope(sched.constant(0), phi.values(range(1, 18)))
         assert not rep.monotone_ok
 
@@ -371,8 +373,8 @@ class TestValidateEnvelope:
     def test_below_one_failure(self):
         # a value below 1 is bad input, not a failed check: it raises where it is evaluated
         with pytest.raises(InvalidParameterError, match=r"envelope low is 0\.9 at t=1"):
-            bnd.GuaranteeEnvelope(lambda t: 0.9, label="low")
-        late = bnd.GuaranteeEnvelope(lambda t: 2.0 if t < 4 else 0.9, label="late")
+            bnd.GuaranteeEnvelope(lambda ts: np.full(ts.shape, 0.9), label="low")
+        late = step_envelope(2.0, 0.9, 4, label="late")
         with pytest.raises(InvalidParameterError, match=r"envelope late is 0\.9 at t=4"):
             late.values(range(1, 6))
 

@@ -69,6 +69,16 @@ class TestExitCodes:
         assert code == 2
         assert "even T" in capsys.readouterr().err
 
+    def test_bounds_horizon_refused_before_the_schedule(self, tmp_path, capsys, monkeypatch):
+        def materialise(self, n):
+            raise AssertionError(f"schedule materialised up to {n}")
+
+        monkeypatch.setattr(stepaudit.schedules.StepSchedule, "_materialise", materialise)
+        for T in ("1048577", "2"):
+            assert run_cli("bounds", "--T", T, "--out", str(tmp_path / "out")) == 2
+            assert capsys.readouterr().err == "error: chain check requires even T >= 4\n"
+        assert not (tmp_path / "out").exists()
+
     def test_module_entry_point(self, tmp_path):
         env = dict(os.environ, PYTHONPATH=str(Path(stepaudit.__file__).parents[1]))
         proc = subprocess.run(
@@ -110,6 +120,9 @@ class TestExitCodes:
             (("audit", "--phi", "const:c=inf"), "envelope const(inf) is inf at t=1: values must be finite and >= 1"),
             (("audit", "--phi", "log:coef=inf"), "envelope log(offset=8,coef=inf) is nan at t=1"),
             (("audit", "--phi", "log:offset=1e308,coef=1e308"), "is inf at t=3: values must be finite and >= 1"),
+            (("bounds", "--phi", "log:offset=1e308,coef=1e308"), "is inf at t=3: values must be finite and >= 1"),
+            (("verify", "--phi", "log:offset=1e308,coef=1e308"), "is inf at t=3: values must be finite and >= 1"),
+            (("density", "--family", "vshape", "--phi", "log:offset=1e308,coef=1e308"), "is inf at t=3"),
             (("density", "--thresholds", "nan"), "thresholds must be numbers or inf"),
             (("audit", "--schedule", "table:{one_column}"), "row without an eta value"),
             (("audit", "--schedule", "table:{directory}"), "bad schedule spec"),
@@ -118,6 +131,7 @@ class TestExitCodes:
         ids=[
             "c-1e308", "audit-c-1e200", "bounds-c-1e200", "density-c-1e200", "bounds-phi-const-inf",
             "bounds-phi-offset-inf", "audit-phi-const-inf", "audit-phi-coef-inf", "phi-overflows",
+            "bounds-phi-overflows", "verify-phi-overflows", "density-vshape-phi-overflows",
             "thresholds-nan", "table-one-column", "table-directory", "table-huge-row",
         ],
     )
@@ -343,9 +357,9 @@ class TestEnvelopeRule:
         "argv, message",
         [
             (("audit", *_INF_PHI), "is inf at t=3"),
-            (("bounds", *_INF_PHI), "is inf at t=9"),
-            (("density", *_INF_PHI), "is inf at t=9"),
-            (("verify", *_INF_PHI), "is inf at t=9"),
+            (("bounds", *_INF_PHI), "is inf at t=3"),
+            (("density", *_INF_PHI), "is inf at t=3"),
+            (("verify", *_INF_PHI), "is inf at t=3"),
             (("audit", "--phi", "empirical", "--families", "vshape", "--T", "1"), "collected no runs"),
             (("verify", "--schedule", "constant:c=0", "--horizons", "8"), "cannot verify: quadratic at T=8"),
         ],
@@ -619,6 +633,15 @@ def _typed(config):
     return {key: (type(val).__name__, val) for key, val in config.items()}
 
 
+# the fields each subcommand takes besides schedule, phi, horizons, T, out and workers
+_OWN_FIELDS = {
+    "verify": ("families", "shrink"),
+    "audit": ("families", "shrink", "dump_instances"),
+    "density": ("family", "thresholds", "shrink", "per_t"),
+    "bounds": ("rows",),
+}
+
+
 @pytest.mark.parametrize(
     "command, csvs, jsons",
     [
@@ -630,13 +653,15 @@ def _typed(config):
 )
 def test_resolved_config_is_pinned(tmp_path, command, csvs, jsons):
     assert run_cli(command, "--T", "8", "--out", str(tmp_path)) == 0
-    # the resolved configuration every output carries, for a run given only --T 8
-    expected = _typed({
+    # the resolved configuration every output carries, for a run given only
+    # --T 8: the subcommand's own fields and nothing else
+    values = {
         "schedule": "sqrt_decay:D=2,G=1", "phi": "log", "families": "maxlinear,vshape,quadratic",
         "family": "maxlinear", "horizons": None, "T": 8, "thresholds": "0,0.5,1", "out": str(tmp_path),
         "workers": 1, "shrink": 1e-6, "per_t": False, "dump_instances": False, "rows": False,
-        "command": command,
-    })
+    }
+    fields = ("schedule", "phi", "horizons", "T", "out", "workers") + _OWN_FIELDS[command]
+    expected = _typed({**{key: values[key] for key in fields}, "command": command})
     for name in csvs:
         first = (tmp_path / name).read_text().splitlines()[0]
         prefix = f"# stepaudit {__version__} config="

@@ -17,6 +17,8 @@ from stepaudit.harness import (
     verify_trajectories,
 )
 
+from envelopes import step_envelope
+
 SQRT21 = sched.sqrt_decay(2, 1)
 SQRT64 = sched.sqrt_decay(64, 1)  # its quartic floor exceeds 1 from t = 2 on
 
@@ -379,7 +381,9 @@ def _tight_envelope(schedule, T):
     from stepaudit.harness import _quartic_profile
 
     profile, _ = _quartic_profile(schedule, T)
-    return bnd.GuaranteeEnvelope(lambda t: max(1.0, float(profile[t - 2]) ** 0.25) if t >= 2 else 1.0)
+    return bnd.GuaranteeEnvelope(
+        lambda ts: np.where(ts >= 2, np.maximum(1.0, profile[np.maximum(ts, 2) - 2] ** 0.25), 1.0)
+    )
 
 
 _envelopes = st.one_of(
@@ -445,13 +449,19 @@ def _envelope_cases():
         bnd.log_envelope(1.5, 0.25),
         bnd.constant_envelope(3.0),
         bnd.empirical_envelope([record]),
-        bnd.GuaranteeEnvelope(lambda t: t**0.5 + 1, label="root"),
+        bnd.GuaranteeEnvelope(lambda ts: ts**0.5 + 1, label="root"),
     ]
 
 
 @pytest.mark.parametrize("phi", _envelope_cases(), ids=["log", "log-small", "const", "empirical", "root"])
 def test_envelope_values_match_calls(phi):
-    for ts in (range(1, 300), range(5, 6), range(7, 7), range(40, 100, 3)):
+    # numpy's log and math.log differ in the last bit first at t = 9170, then
+    # at 19143; the last range reaches past int64, where steps are float64
+    for ts in (
+        range(1, 300), range(5, 6), range(7, 7), range(40, 100, 3),
+        range(9000, 9300), range(9170, 9171), range(19143, 19144), range(1, 20001, 7),
+        range(2**63 - 2, 2**63 + 2),
+    ):
         vals = phi.values(ts)
         assert vals.dtype == np.float64
         assert vals.tobytes() == np.array([phi(t) for t in ts], dtype=np.float64).tobytes()
@@ -461,15 +471,17 @@ def test_envelope_values_match_calls(phi):
     "phi",
     [
         bnd.log_envelope(1e308, 1e308),
-        bnd.GuaranteeEnvelope(lambda t: math.nan if t >= 9 else 1.0, label="gap"),
-        bnd.GuaranteeEnvelope(lambda t: math.inf if t % 4 == 0 else 1.0, label="spikes"),
-        bnd.GuaranteeEnvelope(lambda t: 2.0 if t < 7 else 0.5, label="dip"),
+        step_envelope(1.0, math.nan, 9, label="gap"),
+        bnd.GuaranteeEnvelope(lambda ts: np.where(ts % 4 == 0, math.inf, 1.0), label="spikes"),
+        step_envelope(2.0, 0.5, 7, label="dip"),
     ],
     ids=["log-overflow", "nan", "inf", "below-one"],
 )
 def test_envelope_values_raise_as_calls_do(phi):
     ts = range(1, 50)
-    bad = next(t for t in ts if not 1.0 <= phi._evaluator(t) < math.inf)
+    with np.errstate(all="ignore"):
+        raw = phi._evaluator(np.arange(ts.start, ts.stop)).tolist()
+    bad = next(t for t, v in zip(ts, raw) if not 1.0 <= v < math.inf)
     with pytest.raises(InvalidParameterError) as scalar:
         phi(bad)
     with pytest.raises(InvalidParameterError) as array:

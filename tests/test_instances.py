@@ -13,6 +13,8 @@ from stepaudit import schedules as sched
 from stepaudit.errors import ConstructionError, InvalidParameterError
 from stepaudit.harness import Tolerances
 
+from envelopes import step_envelope
+
 PHI = bnd.log_envelope()
 SQRT21 = sched.sqrt_decay(2, 1)
 
@@ -175,7 +177,7 @@ class TestCouplingWeights:
 
     def test_envelope_below_one_rejected(self):
         # the envelope checks its own values: phi(5) is where this one dips below 1
-        bad = bnd.GuaranteeEnvelope(lambda t: 2.0 if t < 5 else 0.5, label="bad")
+        bad = step_envelope(2.0, 0.5, 5, label="bad")
         with pytest.raises(InvalidParameterError, match=r"envelope bad is 0\.5 at t=5"):
             inst.coupling_weights(sched.constant(1), 4, bad)
 
