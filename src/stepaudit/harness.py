@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -60,25 +61,38 @@ class Tolerances:
     bound_slack: float = 1e-12
 
 
-@dataclass
+# numpy arrays span at most sys.maxsize bytes and the pipeline holds up to
+# T + 2 float64 values per horizon, so a larger horizon is refused up front
+_MAX_HORIZON = sys.maxsize // 8 - 2
+
+
+@dataclass(frozen=True)
 class ExperimentSpec:
-    """What to run: schedule, horizons, families, envelope, knobs; ``validate``
-    checks them all, and the CLI calls it before making the output directory.
-    ``envelope`` is a :class:`GuaranteeEnvelope`, or ``"empirical"``, which
-    only :func:`audit_schedule` resolves."""
+    """What to run: schedule, horizons, families, envelope and vshape shrink.
+
+    Making a spec, also by ``dataclasses.replace``, checks them all and keeps
+    ``phis = phi(1), ..., phi(T + 1)`` for the largest horizon ``T``, so a bad
+    stepsize or envelope value stops the run before any work, and every later
+    step reads these values.  ``horizons`` is kept as a tuple of ints.
+    ``envelope`` is a :class:`GuaranteeEnvelope`, or ``"empirical"`` (``phis``
+    is then ``None``), which only :func:`audit_schedule` resolves.
+    """
 
     schedule: StepSchedule
     horizons: Sequence[int]
     families: Sequence[str] = FAMILIES
     envelope: bnd.GuaranteeEnvelope | str = field(default_factory=bnd.log_envelope)
     shrink: float = 1e-6
+    phis: np.ndarray | None = field(init=False, repr=False, compare=False)
 
-    def validate(self) -> None:
-        hs = list(self.horizons)
-        if not hs or any(int(t) < 1 for t in hs):
+    def __post_init__(self) -> None:
+        hs = tuple(int(t) for t in self.horizons)
+        if not hs or min(hs) < 1:
             raise InvalidParameterError("horizons must be a nonempty list of integers >= 1")
-        if sorted(hs) != hs:
+        if sorted(hs) != list(hs):
             raise InvalidParameterError("horizons must be sorted ascending")
+        if hs[-1] > _MAX_HORIZON:
+            raise InvalidParameterError(f"horizon {hs[-1]} is too large: numpy cannot index a float64 array of T + 2 values")
         for k, fam in enumerate(self.families):
             if fam not in FAMILIES:
                 raise InvalidParameterError(f"unknown family {fam!r}")
@@ -88,11 +102,10 @@ class ExperimentSpec:
             raise InvalidParameterError("at least one family must be selected")
         if not 0 < self.shrink <= 1e-3:
             raise InvalidParameterError("shrink factor must lie in (0, 1e-3]")
-        # materialise every horizon's stepsizes and envelope values here, so
-        # an inadmissible value stops the run before any work
-        self.schedule.prefix_sum(int(hs[-1]))
-        if self.envelope != "empirical":
-            self.envelope.values(range(1, int(hs[-1]) + 2))
+        object.__setattr__(self, "horizons", hs)
+        self.schedule.prefix_sum(hs[-1])
+        phis = None if self.envelope == "empirical" else self.envelope.values(range(1, hs[-1] + 2))
+        object.__setattr__(self, "phis", phis)
 
 
 def _map_tasks(fn, keys, workers: int):
@@ -128,7 +141,6 @@ def verify_trajectories(spec: ExperimentSpec) -> TrajectoryReport:
     and the measured errors against the closed-form errors.  Deviations
     beyond tolerance are recorded as failures, not raised.
     """
-    spec.validate()
     phi = spec.envelope
 
     def work(key):
@@ -156,7 +168,7 @@ def verify_trajectories(spec: ExperimentSpec) -> TrajectoryReport:
             "passed": dev <= coord_tol and err_dev <= coord_tol,
         }
 
-    keys = [(family, int(T)) for family in spec.families for T in spec.horizons]
+    keys = [(family, T) for family in spec.families for T in spec.horizons]
     results = _map_tasks(work, keys, 1)
     entries = list(results.values())
     checked = [e for e in entries if "passed" in e]
@@ -248,7 +260,6 @@ def audit_schedule(spec: ExperimentSpec) -> AuditResult:
     pass under the default log envelope collects error records, and the
     second pass audits with the envelope extracted from them.
     """
-    spec.validate()
     if spec.envelope == "empirical":
         pass1 = audit_schedule(dataclasses.replace(spec, envelope=bnd.log_envelope()))
         all_records = [rec for per_t in pass1.records.values() for rec in per_t.values()]
@@ -263,9 +274,8 @@ def audit_schedule(spec: ExperimentSpec) -> AuditResult:
         return result
 
     phi = spec.envelope
-    t_max = max(int(t) for t in spec.horizons)
-    env_report = bnd.validate_envelope(spec.schedule, phi.values(range(1, t_max + 2)))
-    results = _map_tasks(lambda t: _audit_one(spec, phi, t), [int(t) for t in spec.horizons], 1)
+    env_report = bnd.validate_envelope(spec.schedule, spec.phis)
+    results = _map_tasks(lambda t: _audit_one(spec, phi, t), spec.horizons, 1)
     report = bnd.BoundReport(schedule_label=spec.schedule.label, envelope_label=phi.label)
     assertions: list[dict] = []
     skipped: list[dict] = []
@@ -337,19 +347,20 @@ def density_experiment(
     horizon reads its prefix of these errors.  Both modes share the ``t =
     T`` value exactly.
     """
-    spec.validate()
     if len(spec.families) != 1:
-        raise InvalidParameterError("density experiments run on exactly one family")
+        raise InvalidParameterError(f"density experiments run on exactly one family, got {list(spec.families)}")
     family = spec.families[0]
     phi = spec.envelope
     thresholds = [float(c) for c in thresholds]
     if not thresholds:
         raise InvalidParameterError("density experiments need at least one threshold")
+    if any(math.isnan(c) for c in thresholds):
+        raise InvalidParameterError(f"thresholds must be numbers or inf, got {thresholds}")
 
     def build(t: int) -> ConvexInstance:
         return _BUILDERS[family](spec.schedule, t, phi, spec.shrink).convex
 
-    horizons = [int(T) for T in spec.horizons]
+    horizons = spec.horizons
     skipped: list[tuple[int, str]] = []
     if per_t:
         # the build for t does not depend on T: run each t once, share the prefixes
@@ -568,13 +579,9 @@ def chain_horizon(T: int) -> int:
     return T
 
 
-def chain_check(
-    schedule: StepSchedule,
-    phi: bnd.GuaranteeEnvelope,
-    T: int,
-    rows: bool = False,
-) -> ChainReport:
-    """Numerically replay the lower-bound argument for an even horizon.
+def chain_check(spec: ExperimentSpec, rows: bool = False) -> ChainReport:
+    """Numerically replay the lower-bound argument at the spec's largest
+    horizon ``T``, which must be even.
 
     Checks, step by step: the quartic floor at every ``t <= T`` (from the
     FFT profile; a row within the profile's error bound of its threshold
@@ -592,8 +599,8 @@ def chain_check(
     ``bounds.tail_margin_error`` and the tail sum's below) settle it, and
     are inconclusive otherwise.  Each entry reports its sides and a status.
     """
-    T = chain_horizon(T)
-    phis = phi.values(range(1, T + 2))
+    T = chain_horizon(spec.horizons[-1])
+    schedule, phi, phis = spec.schedule, spec.envelope, spec.phis
     validation = bnd.validate_envelope(schedule, phis).to_dict()
     profile, conv_err = _quartic_profile(schedule, T)
     steps = _quartic_steps(schedule, phis, profile, conv_err, rows)

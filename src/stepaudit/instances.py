@@ -261,7 +261,7 @@ def coupling_weights(
     eta = schedule.rates(t + 1)
     root = math.sqrt(t + 1.0)
     a = np.minimum(1.0, eta * root) / (16.0 * pt * np.arange(t + 1.0, 0.0, -1.0))  # t + 1 - j
-    with np.errstate(divide="ignore"):  # steps are finite and >= 0: a zero step gives 1/0 = inf
+    with np.errstate(divide="ignore", over="ignore"):  # a zero step's 1/0 and a subnormal one's 1/eta are inf
         b = np.minimum(0.5, 1.0 / (2.0 * eta * root))
     return a, b
 
@@ -312,7 +312,7 @@ def check_weight_conditions(
     slack1 = 0.5 - float(np.add.reduce(a * a))
     c1 = ConditionCheck("sum_sq", slack1 >= 0, slack1)
 
-    with np.errstate(divide="ignore"):  # steps are finite and >= 0: a zero step has no cap
+    with np.errstate(divide="ignore", over="ignore"):  # a zero or subnormal step has no cap (inf)
         gap2 = np.minimum(0.5, 1.0 / (2.0 * eta * root)) - b
     w2 = int(gap2.argmin())
     c2 = ConditionCheck("step_cap", float(gap2[w2]) >= 0, float(gap2[w2]), w2)

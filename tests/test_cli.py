@@ -95,7 +95,7 @@ class TestExitCodes:
         # each case passes every assertion it makes; only the gating
         # envelope validation fails, and the last line must say so
         cases = [
-            (("--schedule", "constant:c=2", "--phi", "one", "--horizons", "4,8"), "step condition fails at t=0"),
+            (("--schedule", "constant:c=2", "--phi", "const", "--horizons", "4,8"), "step condition fails at t=0"),
             (("--schedule", "constant:c=1e3", "--T", "8"), "step condition fails at t=0"),
         ]
         for k, (args, reason) in enumerate(cases):
@@ -274,13 +274,13 @@ class TestBoundsCommand:
             ("constant:c=100", "first failing step quartic_floor at t=2"),
         ]
         for schedule, reason in cases:
-            code = run_cli("bounds", "--schedule", schedule, "--phi", "one", "--T", "8", "--out", str(tmp_path))
+            code = run_cli("bounds", "--schedule", schedule, "--phi", "const", "--T", "8", "--out", str(tmp_path))
             assert code == 1
             assert reason in capsys.readouterr().out.splitlines()[-1]
 
     def test_failed_validation_named_beside_the_failing_step(self, tmp_path, capsys):
         # phi = 1 fails the step condition at t = 0 and the quartic row at t = 2
-        args = ("--schedule", "constant:c=100", "--phi", "one", "--T", "8", "--out", str(tmp_path))
+        args = ("--schedule", "constant:c=100", "--phi", "const", "--T", "8", "--out", str(tmp_path))
         assert run_cli("bounds", *args) == 1
         last = capsys.readouterr().out.splitlines()[-1]
         assert "first failing step quartic_floor at t=2" in last
@@ -476,7 +476,7 @@ class TestConfigResolution:
             ({"workers": "two"}, ("--T", "4"), "'workers' must be int"),
             ({"T": "abc"}, (), "'T' must be int"),
             ({}, ("--T", "4", "--thresholds", "a,b"), "bad thresholds list"),
-            ({}, ("--T", "0"), "T must be >= 1"),
+            ({}, ("--T", "0"), "horizons must be a nonempty list of integers >= 1"),
             ({"T": 8.9}, (), "'T' must be int, got 8.9"),
             ({"T": 1e3}, (), "'T' must be int, got 1000.0"),
             ({"per_t": "true"}, ("--T", "4"), "'per_t' must be bool"),
@@ -559,7 +559,7 @@ def _bad_specs():
         ("--schedule", "constant:C=0.5", "unknown key 'C'"),
         ("--schedule", "sqrt_decay:D=2,D=3", "repeated key 'D'"),
         ("--phi", "log:Offset=3", "unknown key 'Offset'"),
-        ("--phi", "one:c=5", "unknown key 'c'"),
+        ("--phi", "empirical:c=5", "unknown key 'c'"),
         ("--phi", "empirical:x=1", "unknown key 'x'"),
     ]
     for row in _keyed_rows():
@@ -629,6 +629,52 @@ class TestHugeHorizons:
         assert capsys.readouterr().err == "error: MemoryError\n"
 
 
+class TestOnePass:
+    # argv -> (envelope evaluations over t = 1..T+1, specs made): one of each
+    # per pass, and an empirical audit runs two passes, each on its own spec
+    _RUNS = [
+        (("verify", "--T", "8"), 1, 1),
+        (("audit", "--horizons", "4,8"), 1, 1),
+        (("audit", "--phi", "empirical", "--horizons", "4,8"), 2, 3),
+        (("density", "--T", "8"), 1, 1),
+        (("density", "--per-t", "--T", "8"), 1, 1),
+        (("bounds", "--horizons", "4,8"), 1, 1),
+        (("bounds", "--T", "8", "--rows"), 1, 1),
+    ]
+
+    @pytest.mark.parametrize("argv, evaluations, specs", _RUNS, ids=[" ".join(a) for a, _, _ in _RUNS])
+    def test_envelope_evaluated_once_per_pass(self, tmp_path, monkeypatch, argv, evaluations, specs):
+        horizon = 8
+        ranges, made = [], []
+        values = stepaudit.bounds.GuaranteeEnvelope.values
+        post_init = stepaudit.harness.ExperimentSpec.__post_init__
+
+        def counted_values(self, ts):
+            ranges.append(ts)
+            return values(self, ts)
+
+        def counted_post_init(self):
+            made.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(stepaudit.bounds.GuaranteeEnvelope, "values", counted_values)
+        monkeypatch.setattr(stepaudit.harness.ExperimentSpec, "__post_init__", counted_post_init)
+        assert run_cli(*argv, "--out", str(tmp_path)) == 0
+        assert ranges.count(range(1, horizon + 2)) == evaluations
+        assert len(made) == specs
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("audit",), ("verify", "--families", "maxlinear"), ("density", "--per-t")],
+        ids=["audit", "verify", "density"],
+    )
+    def test_subnormal_steps_warn_nothing(self, tmp_path, argv):
+        # 1 / (2 eta sqrt(t+1)) overflows at a subnormal step; its cap 1/2 applies
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(*argv, "--schedule", "constant:c=1e-310", "--T", "8", "--out", str(tmp_path)) == 0
+
+
 def _typed(config):
     return {key: (type(val).__name__, val) for key, val in config.items()}
 
@@ -694,7 +740,7 @@ _FLAGS = {
         + [f"table:{{{name}}}" for name in ("short", "negative", "nan", "header", "empty")],
     ),
     "--phi": (
-        ["log", "log:offset=1,coef=0.5", "one", "const:c=3", "const:c=1e100", "empirical"],
+        ["log", "log:offset=1,coef=0.5", "const", "const:c=3", "const:c=1e100", "empirical"],
         ["log:offset=0.5", "log:offset=1e308,coef=1e308", "log:coef=-1", "log:offset", "const:c=0.5",
          "const:c=nan", "bogus", "log:offset=0,coef=0", "log:offset=1e-200,coef=0", "log:offset=1e-3,coef=0",
          "log:offset=-1,coef=0", "log:coef=1e300", "log:Offset=3", "one:c=5", "empirical:x=1"],

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -30,21 +31,56 @@ def make_spec(**kwargs):
 
 
 class TestSpecValidation:
+    # a spec checks itself when it is made, also from the library
     def test_horizons_must_ascend(self):
-        with pytest.raises(InvalidParameterError):
-            make_spec(horizons=[16, 8]).validate()
+        with pytest.raises(InvalidParameterError, match="horizons must be sorted ascending"):
+            make_spec(horizons=[16, 8])
 
     def test_horizons_must_be_positive(self):
-        with pytest.raises(InvalidParameterError):
-            make_spec(horizons=[0, 4]).validate()
+        with pytest.raises(InvalidParameterError, match="horizons must be a nonempty list of integers >= 1"):
+            make_spec(horizons=[0, 4])
 
     def test_unknown_family(self):
-        with pytest.raises(InvalidParameterError):
-            make_spec(families=("cubic",)).validate()
+        with pytest.raises(InvalidParameterError, match="unknown family 'cubic'"):
+            make_spec(families=("cubic",))
 
     def test_repeated_family(self):
         with pytest.raises(InvalidParameterError, match="family 'vshape' is repeated"):
-            make_spec(families=("vshape", "maxlinear", "vshape")).validate()
+            make_spec(families=("vshape", "maxlinear", "vshape"))
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"horizons": []}, "horizons must be a nonempty list of integers >= 1"),
+            ({"families": ()}, "at least one family must be selected"),
+            ({"shrink": 0.5}, r"shrink factor must lie in \(0, 1e-3\]"),
+            ({"envelope": bnd.log_envelope(2.0, -0.5)}, "is 0.9602792291600821 at t=8"),
+            ({"schedule": sched.constant(1e300)}, "produced a huge"),
+        ],
+        ids=["no-horizon", "no-family", "shrink", "envelope-below-one", "huge-step"],
+    )
+    def test_other_bad_input_raises_when_made(self, kwargs, message):
+        with pytest.raises(InvalidParameterError, match=message):
+            make_spec(**kwargs)
+
+    @pytest.mark.parametrize(
+        "change", [{"horizons": [16, 8]}, {"families": ("cubic",)}, {"shrink": 0.0}], ids=["horizons", "family", "shrink"]
+    )
+    def test_replace_checks_again(self, change):
+        with pytest.raises(InvalidParameterError):
+            dataclasses.replace(make_spec(), **change)
+
+    def test_huge_horizon_is_refused_naming_it(self):
+        with pytest.raises(InvalidParameterError, match=f"horizon {2**61} is too large"):
+            ExperimentSpec(sched.sqrt_decay(2, 1), [2**61])
+
+    @pytest.mark.parametrize("phi", [bnd.log_envelope(), bnd.constant_envelope(3.0), step_envelope(1.0, 2.0, 5)])
+    def test_phis_are_the_envelope_values(self, phi):
+        spec = make_spec(horizons=[4, 8, 64], envelope=phi)
+        expected = phi.values(range(1, 66))
+        assert spec.phis.dtype == expected.dtype and spec.phis.tobytes() == expected.tobytes()
+        assert spec.horizons == (4, 8, 64)
+        assert make_spec(envelope="empirical").phis is None
 
 
 class TestVerify:
@@ -210,12 +246,12 @@ class TestDensity:
 class TestChain:
     def test_requires_even_horizon(self):
         with pytest.raises(InvalidParameterError):
-            chain_check(SQRT21, bnd.log_envelope(), 7)
+            chain_check(ExperimentSpec(SQRT21, [7]))
         with pytest.raises(InvalidParameterError):
-            chain_check(SQRT21, bnd.log_envelope(), 2)
+            chain_check(ExperimentSpec(SQRT21, [2]))
 
     def test_reference_setup_passes(self):
-        report = chain_check(SQRT21, bnd.log_envelope(), 64)
+        report = chain_check(ExperimentSpec(SQRT21, [64]))
         assert report.passed
         assert set(report.inconclusive) == {"tail_sum_floor", "cutoff_margin"}
         statuses = {s["step"]: s["status"] for s in report.steps if s["step"] != "quartic_floor"}
@@ -224,14 +260,14 @@ class TestChain:
         assert statuses["envelope_floor"] == "pass"
 
     def test_zero_schedule_trivially_consistent(self):
-        report = chain_check(sched.constant(0), bnd.constant_envelope(1), 8)
+        report = chain_check(ExperimentSpec(sched.constant(0), [8], envelope=bnd.constant_envelope(1)))
         assert report.passed
         by_name = {s["step"]: s for s in report.steps}
         assert by_name["step_sum_floor"]["status"] == "not_applicable"
 
     def test_cutoff_steps_engage_on_huge_horizon(self):
         # with phi == 1 the cutoff first engages near T = 56k
-        report = chain_check(sched.sqrt_decay(1, 4), bnd.constant_envelope(1), 55924)
+        report = chain_check(ExperimentSpec(sched.sqrt_decay(1, 4), [55924], envelope=bnd.constant_envelope(1)))
         by_name = {s["step"]: s for s in report.steps}
         assert by_name["tail_sum_floor"]["t1"] == 1
         assert report.inconclusive == []
@@ -272,7 +308,7 @@ class TestChain:
         t1 = bnd.tail_cutoff(T, phi)
         target, _ = bnd.tail_margin(T, phi, t1)
         steps = [0.0] * t1 + [target] + [0.0] * (T - t1 - 1)
-        report = chain_check(sched.from_table(steps), phi, T)
+        report = chain_check(ExperimentSpec(sched.from_table(steps), [T], envelope=phi))
         by_name = {s["step"]: s for s in report.steps}
         assert by_name["tail_sum_floor"]["lhs"] == target
         assert by_name["tail_sum_floor"]["status"] == "inconclusive"
@@ -280,7 +316,7 @@ class TestChain:
         assert "tail_sum_floor" in report.inconclusive
 
     def test_average_identity_reports_its_oracle_bound(self):
-        report = chain_check(SQRT21, bnd.log_envelope(), 4096)
+        report = chain_check(ExperimentSpec(SQRT21, [4096]))
         step = next(s for s in report.steps if s["step"] == "average_identity")
         assert step["status"] == "pass"
         assert 0.0 < step["oracle_error_bound"] < 1e-12 * step["rhs"]
@@ -291,7 +327,7 @@ class TestChain:
         # 1e-12 relative tolerance, so neither pass nor fail can be certified
         T = 1024
         tail = sched.from_table([0.0] * (T - 2) + [1.0, 1.0])
-        report = chain_check(tail, bnd.constant_envelope(1), T)
+        report = chain_check(ExperimentSpec(tail, [T], envelope=bnd.constant_envelope(1)))
         step = next(s for s in report.steps if s["step"] == "average_identity")
         assert step["oracle_error_bound"] > 1e-12 * step["rhs"]
         assert step["status"] == "inconclusive"
@@ -299,7 +335,7 @@ class TestChain:
 
     def test_huge_stepsizes_keep_a_finite_bound(self, recwarn):
         # w_j^2 overflows here, so the bound must scale ||w||_2, silently
-        report = chain_check(sched.constant(1e100), bnd.constant_envelope(1), 8)
+        report = chain_check(ExperimentSpec(sched.constant(1e100), [8], envelope=bnd.constant_envelope(1)))
         step = next(s for s in report.steps if s["step"] == "average_identity")
         assert step["status"] == "pass"
         assert 0.0 < step["oracle_error_bound"] < 1e-12 * step["rhs"]
@@ -307,17 +343,17 @@ class TestChain:
 
     def test_rows_within_the_bound_are_decided_exactly(self):
         # every row but the first (a zero floor under phi = 1) is within its bound
-        report = chain_check(SQRT64, _tight_envelope(SQRT64, 64), 64, rows=True)
+        report = chain_check(ExperimentSpec(SQRT64, [64], envelope=_tight_envelope(SQRT64, 64)), rows=True)
         rows = [s for s in report.steps if s["step"] == "quartic_floor"]
         assert ["rhs_exact" in r for r in rows] == [False] + [True] * 63
         for r in rows[1:]:
             assert r["rhs_exact"] == bnd.quartic_floor(SQRT64, r["t"])
             assert r["status"] == ("pass" if r["lhs"] >= r["rhs_exact"] else "fail")
-        loose = chain_check(SQRT21, bnd.log_envelope(), 64, rows=True)
+        loose = chain_check(ExperimentSpec(SQRT21, [64]), rows=True)
         assert not any("rhs_exact" in s for s in loose.steps if s["step"] == "quartic_floor")
 
     def test_step_payloads_have_sides(self):
-        report = chain_check(SQRT21, bnd.log_envelope(), 16, rows=True)
+        report = chain_check(ExperimentSpec(SQRT21, [16]), rows=True)
         quartics = [s for s in report.steps if s["step"] == "quartic_floor"]
         assert len(quartics) == 16
         assert all({"lhs", "rhs", "t"} <= set(q) for q in quartics)
@@ -407,10 +443,10 @@ def test_array_rows_match_the_per_row_loop(table, env):
     else:
         phi = _tight_envelope(schedule, T)
     ref_rows, ref_worst = _reference_rows(schedule, phi, T)
-    full = chain_check(schedule, phi, T, rows=True)
+    full = chain_check(ExperimentSpec(schedule, [T], envelope=phi), rows=True)
     rows = [s for s in full.steps if s["step"] == "quartic_floor"]
     assert [_bitwise(r) for r in rows] == [_bitwise(r) for r in ref_rows]
-    summary_report = chain_check(schedule, phi, T)
+    summary_report = chain_check(ExperimentSpec(schedule, [T], envelope=phi))
     summary, worst = summary_report.steps[:2]
     assert _bitwise(worst) == _bitwise(ref_worst)
     assert _bitwise(full.steps[T]) == _bitwise(ref_worst)
@@ -432,11 +468,11 @@ def test_array_rows_match_the_per_row_loop(table, env):
 def test_rows_decided_exactly_are_counted():
     # the tight envelope sends every row but the first to the exact sum
     tight = _tight_envelope(SQRT64, 64)
-    summary = chain_check(SQRT64, tight, 64).steps[0]
+    summary = chain_check(ExperimentSpec(SQRT64, [64], envelope=tight)).steps[0]
     assert summary["decided_exactly"] == 63
-    loose = chain_check(SQRT21, bnd.log_envelope(), 64).steps[0]
+    loose = chain_check(ExperimentSpec(SQRT21, [64])).steps[0]
     assert loose == {"step": "quartic_floor", "rows": 64, "failed": 0, "decided_exactly": 0, "status": "pass"}
-    failing = chain_check(sched.constant(100), bnd.constant_envelope(1), 8)
+    failing = chain_check(ExperimentSpec(sched.constant(100), [8], envelope=bnd.constant_envelope(1)))
     assert failing.steps[0]["status"] == "fail" and failing.steps[0]["t"] == 2
     assert not failing.passed
 

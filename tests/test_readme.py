@@ -1,6 +1,8 @@
 """README examples run as written: every ``stepaudit`` line of the
-command-line block parses, and the library quick start runs."""
+command-line block parses, the library quick start runs, and the listed
+schedule and envelope forms are the ones the command line accepts."""
 
+import re
 import shlex
 from pathlib import Path
 
@@ -31,3 +33,12 @@ def test_quick_start_runs(capsys):
     exec(compile(_code_block("Quick start (library)"), "README quick start", "exec"), {})
     measured, certified = capsys.readouterr().out.splitlines()[0].split(" >= ")
     assert float(measured) >= float(certified) > 0
+
+
+@pytest.mark.parametrize("lead, table", [("Schedules, each key shown with its default:", "_SCHEDULES"),
+                                         ("Envelopes:", "_ENVELOPES")])
+def test_spec_grammar_lists_every_form(lead, table):
+    # the comma list of backticked forms after ``lead``, up to its period
+    listed = re.match(r"\s*((?:`[^`]+`,\s+)*`[^`]+`)\.", README.split(lead, 1)[1])
+    assert listed, f"no list of forms after {lead!r}"
+    assert re.findall(r"`([^`]+)`", listed.group(1)) == cli._grammar(getattr(cli, table)).split(" | ")
