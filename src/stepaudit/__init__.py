@@ -24,6 +24,7 @@ from .harness import (
     audit_schedule,
     chain_check,
     density_experiment,
+    empirical_audit,
     verify_trajectories,
 )
 from .instances import (
@@ -76,6 +77,7 @@ __all__ = [
     "Tolerances",
     "verify_trajectories",
     "audit_schedule",
+    "empirical_audit",
     "density_experiment",
     "chain_check",
     "StepAuditError",

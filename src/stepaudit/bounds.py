@@ -458,6 +458,7 @@ def validate_envelope(schedule: StepSchedule, phi_values: np.ndarray) -> Envelop
 # -- tabular report ----------------------------------------------------------
 
 
+# the floor columns; BoundReport adds one err_<family> column per family
 _CSV_COLUMNS = (
     "t",
     "last_step",
@@ -467,9 +468,6 @@ _CSV_COLUMNS = (
     "quartic_floor_shifted",
     "floor_harmonic",
     "floor_log",
-    "err_maxlinear",
-    "err_vshape",
-    "err_quadratic",
 )
 
 
@@ -505,10 +503,12 @@ def bound_row(schedule: StepSchedule, t: int, phi: GuaranteeEnvelope) -> BoundRo
 
 @dataclass
 class BoundReport:
-    """Per-horizon bound table for one schedule/envelope pair."""
+    """Per-horizon bound table for one schedule/envelope pair, with one
+    measured-error column per name in ``families``."""
 
     schedule_label: str
     envelope_label: str
+    families: Sequence[str]
     rows: list[BoundRow] = field(default_factory=list)
 
     def write_csv(self, path: str, header: str | None = None) -> None:
@@ -518,19 +518,9 @@ class BoundReport:
         with open(path, "w") as fh:
             if header:
                 fh.write(f"# {header}\n")
-            fh.write(",".join(_CSV_COLUMNS) + "\n")
+            fh.write(",".join([*_CSV_COLUMNS, *(f"err_{f}" for f in self.families)]) + "\n")
             for row in self.rows:
-                cells = [
-                    str(row.t),
-                    fmt(row.last_step),
-                    fmt(row.step_sum),
-                    fmt(row.maxlinear),
-                    fmt(row.quartic),
-                    fmt(row.quartic_shifted),
-                    fmt(row.floor_harmonic),
-                    fmt(row.floor_log),
-                    fmt(row.measured.get("maxlinear")),
-                    fmt(row.measured.get("vshape")),
-                    fmt(row.measured.get("quadratic")),
-                ]
+                floors = (row.last_step, row.step_sum, row.maxlinear, row.quartic, row.quartic_shifted,
+                          row.floor_harmonic, row.floor_log)
+                cells = [str(row.t), *map(fmt, floors), *(fmt(row.measured.get(f)) for f in self.families)]
                 fh.write(",".join(cells) + "\n")

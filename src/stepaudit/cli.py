@@ -25,6 +25,7 @@ from .harness import (
     chain_check,
     chain_horizon,
     density_experiment,
+    empirical_audit,
     verify_trajectories,
 )
 
@@ -186,20 +187,24 @@ def _write_json(path: Path, payload: dict, config: dict) -> None:
         fh.write("\n")
 
 
-def _spec_from_config(config: dict, horizons: list[int], families: list[str]) -> ExperimentSpec:
+def _spec_from_config(config: dict, horizons: list[int], families: list[str]) -> tuple[ExperimentSpec, bool]:
+    """The run's spec, and whether its envelope is ``empirical``: audit then
+    draws it from the runs of a first pass under the default envelope."""
     schedule = _parse_spec(config["schedule"], _SCHEDULES, "schedule")
     envelope = _parse_spec(config["phi"], _ENVELOPES, "envelope")
-    if envelope == "empirical" and config["command"] != "audit":  # only audit resolves it from its own runs
+    empirical = envelope == "empirical"
+    if empirical and config["command"] != "audit":  # only audit resolves it from its own runs
         raise UsageError(f"{config['command']} needs a concrete envelope (field 'phi'), not 'empirical'")
     if config["workers"] < 1:  # checked, though it has no effect: see harness._map_tasks
         raise UsageError("workers must be >= 1")
-    return ExperimentSpec(
+    spec = ExperimentSpec(
         schedule=schedule,
         horizons=horizons,
         families=tuple(families),
-        envelope=envelope,
+        envelope=bnd.log_envelope() if empirical else envelope,
         shrink=config.get("shrink", ExperimentSpec.shrink),  # bounds builds no vshape
     )
+    return spec, empirical
 
 
 def _horizons_from(config: dict) -> list[int]:
@@ -218,7 +223,7 @@ def _families_from(config: dict, single: bool) -> list[str]:
 
 def cmd_verify(config: dict) -> int:
     """Check simulated trajectories against closed forms."""
-    spec = _spec_from_config(config, _horizons_from(config), _families_from(config, single=False))
+    spec, _ = _spec_from_config(config, _horizons_from(config), _families_from(config, single=False))
     report = verify_trajectories(spec)
     hard_skips = [e for e in report.entries if "skipped" in e]
     if hard_skips:
@@ -238,8 +243,8 @@ def cmd_verify(config: dict) -> int:
 
 def cmd_audit(config: dict) -> int:
     """Run certified floors against measured errors per horizon."""
-    spec = _spec_from_config(config, _horizons_from(config), _families_from(config, single=False))
-    result = audit_schedule(spec)
+    spec, empirical = _spec_from_config(config, _horizons_from(config), _families_from(config, single=False))
+    result = empirical_audit(spec) if empirical else audit_schedule(spec)
     out = _out_dir(config)
     result.report.write_csv(out / "bound_report.csv", header=_header(config))
     _write_json(out / "audit_summary.json", result.summary(), config)
@@ -256,7 +261,7 @@ def cmd_audit(config: dict) -> int:
 
 def cmd_density(config: dict) -> int:
     """Measure how often scaled errors clear thresholds."""
-    spec = _spec_from_config(config, _horizons_from(config), _families_from(config, single=True))
+    spec, _ = _spec_from_config(config, _horizons_from(config), _families_from(config, single=True))
     thresholds = _parse_thresholds(config["thresholds"])
     table = density_experiment(spec, thresholds, per_t=bool(config.get("per_t")))
     out = _out_dir(config)
@@ -274,13 +279,9 @@ def cmd_bounds(config: dict) -> int:
     """Analytic bound table and proof-chain replay (no simulation)."""
     horizons = _horizons_from(config)
     chain_horizon(max(horizons, default=0))  # before the spec materialises the schedule
-    spec = _spec_from_config(config, horizons, ["maxlinear"])
-    phi = spec.envelope
-    report = bnd.BoundReport(
-        schedule_label=spec.schedule.label,
-        envelope_label=phi.label,
-        rows=[bnd.bound_row(spec.schedule, t, phi) for t in spec.horizons],
-    )
+    spec, _ = _spec_from_config(config, horizons, ["maxlinear"])
+    rows = [bnd.bound_row(spec.schedule, t, spec.envelope) for t in spec.horizons]
+    report = bnd.BoundReport(spec.schedule.label, spec.envelope.label, FAMILIES, rows)
     chain = chain_check(spec, rows=bool(config.get("rows")))
     out = _out_dir(config)
     report.write_csv(out / "bound_report.csv", header=_header(config))

@@ -12,15 +12,16 @@ import dataclasses
 import itertools
 import math
 import sys
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from . import bounds as bnd
 from . import instances as inst
 from .bounds import _U, _gamma
-from .engine import ConvexInstance, RunRecord, run
+from .engine import ConvexInstance, run
 from .errors import ConstructionError, InvalidParameterError
 from .schedules import StepSchedule
 
@@ -33,24 +34,12 @@ __all__ = [
     "ChainReport",
     "verify_trajectories",
     "audit_schedule",
+    "empirical_audit",
     "density_experiment",
     "chain_check",
     "chain_horizon",
     "FAMILIES",
 ]
-
-
-# family -> builder(schedule, t, phi, shrink); a builder raises
-# ConstructionError when the family does not apply at ``t``, while a bad
-# stepsize raises InvalidParameterError and stops the run
-_BUILDERS = {
-    "maxlinear": lambda schedule, t, phi, shrink: inst.build_maxlinear(schedule, t, phi),
-    "vshape": lambda schedule, t, phi, shrink: inst.build_vshape(schedule, t, shrink=shrink),
-    "quadratic": lambda schedule, t, phi, shrink: inst.build_quadratic(schedule, t),
-}
-FAMILIES = tuple(_BUILDERS)
-# family -> why a build that ran is not certified (quadratic always is)
-_UNCERTIFIED = {"maxlinear": "a zero stepsize allows argmax ties", "vshape": "its ramp overshoots the minimum"}
 
 
 @dataclass
@@ -59,6 +48,34 @@ class Tolerances:
     scalar_rel: float = 1e-12
     kink_abs: float = 1e-6
     bound_slack: float = 1e-12
+
+
+class Family(NamedTuple):
+    """Everything the pipeline knows about one instance family."""
+
+    # (schedule, t, phi, shrink) -> instance; raises ConstructionError when
+    # the family does not apply at ``t``, while a bad stepsize raises
+    # InvalidParameterError and stops the run.  Rows look the builder up on
+    # ``inst`` when called, so a wrapper installed on the module is seen.
+    build: Callable
+    uncertified: str | None  # why a build that ran can be uncertified
+    coord_tol: float  # verify's tolerance on iterates and errors
+    floor: str | None = None  # the BoundRow floor the certificate must match
+
+
+# the dumped and reported name of each family is its key here
+_REGISTRY = {
+    "maxlinear": Family(
+        lambda schedule, t, phi, shrink: inst.build_maxlinear(schedule, t, phi),
+        "a zero stepsize allows argmax ties", Tolerances.coord_abs, floor="maxlinear",
+    ),
+    "vshape": Family(
+        lambda schedule, t, phi, shrink: inst.build_vshape(schedule, t, shrink=shrink),
+        "its ramp overshoots the minimum", Tolerances.kink_abs,
+    ),
+    "quadratic": Family(lambda schedule, t, phi, shrink: inst.build_quadratic(schedule, t), None, Tolerances.coord_abs),
+}
+FAMILIES = tuple(_REGISTRY)
 
 
 # numpy arrays span at most sys.maxsize bytes and the pipeline holds up to
@@ -74,16 +91,15 @@ class ExperimentSpec:
     ``phis = phi(1), ..., phi(T + 1)`` for the largest horizon ``T``, so a bad
     stepsize or envelope value stops the run before any work, and every later
     step reads these values.  ``horizons`` is kept as a tuple of ints.
-    ``envelope`` is a :class:`GuaranteeEnvelope`, or ``"empirical"`` (``phis``
-    is then ``None``), which only :func:`audit_schedule` resolves.
+    ``envelope`` must be a :class:`GuaranteeEnvelope`.
     """
 
     schedule: StepSchedule
     horizons: Sequence[int]
     families: Sequence[str] = FAMILIES
-    envelope: bnd.GuaranteeEnvelope | str = field(default_factory=bnd.log_envelope)
+    envelope: bnd.GuaranteeEnvelope = field(default_factory=bnd.log_envelope)
     shrink: float = 1e-6
-    phis: np.ndarray | None = field(init=False, repr=False, compare=False)
+    phis: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         hs = tuple(int(t) for t in self.horizons)
@@ -102,10 +118,11 @@ class ExperimentSpec:
             raise InvalidParameterError("at least one family must be selected")
         if not 0 < self.shrink <= 1e-3:
             raise InvalidParameterError("shrink factor must lie in (0, 1e-3]")
+        if not isinstance(self.envelope, bnd.GuaranteeEnvelope):
+            raise InvalidParameterError(f"envelope must be a GuaranteeEnvelope, got {self.envelope!r}")
         object.__setattr__(self, "horizons", hs)
         self.schedule.prefix_sum(hs[-1])
-        phis = None if self.envelope == "empirical" else self.envelope.values(range(1, hs[-1] + 2))
-        object.__setattr__(self, "phis", phis)
+        object.__setattr__(self, "phis", self.envelope.values(range(1, hs[-1] + 2)))
 
 
 def _map_tasks(fn, keys, workers: int):
@@ -141,17 +158,15 @@ def verify_trajectories(spec: ExperimentSpec) -> TrajectoryReport:
     and the measured errors against the closed-form errors.  Deviations
     beyond tolerance are recorded as failures, not raised.
     """
-    phi = spec.envelope
-
     def work(key):
         family, T = key
         try:
-            built = _BUILDERS[family](spec.schedule, T, phi, spec.shrink)
+            built = _REGISTRY[family].build(spec.schedule, T, spec.envelope, spec.shrink)
         except ConstructionError as exc:
             return {"family": family, "T": T, "skipped": str(exc)}
         times = _snapshot_grid(T)
         record = run(built.convex, spec.schedule, T, snapshots=times)
-        coord_tol = Tolerances.kink_abs if family == "vshape" else Tolerances.coord_abs
+        coord_tol = _REGISTRY[family].coord_tol
         dev = 0.0
         for t in times:
             dev = max(dev, float(np.max(np.abs(record.snapshots[t] - built.closed_form_iterate(t)))))
@@ -186,7 +201,6 @@ class AuditResult:
     assertions: list[dict]
     skipped: list[dict]
     envelope_validation: dict
-    records: dict
     instances: list[dict]
     passed: bool
 
@@ -201,25 +215,23 @@ class AuditResult:
         }
 
 
-def _audit_one(spec: ExperimentSpec, phi: bnd.GuaranteeEnvelope, t: int):
-    row = bnd.bound_row(spec.schedule, t, phi)
+def _audit_one(spec: ExperimentSpec, t: int):
+    row = bnd.bound_row(spec.schedule, t, spec.envelope)
     assertions: list[dict] = []
     skipped: list[dict] = []
-    records: dict[str, RunRecord] = {}
     dumps: list[dict] = []
     for family in spec.families:
+        fam = _REGISTRY[family]
         try:
-            built = _BUILDERS[family](spec.schedule, t, phi, spec.shrink)
+            built = fam.build(spec.schedule, t, spec.envelope, spec.shrink)
         except ConstructionError as exc:
             skipped.append({"t": t, "family": family, "reason": str(exc)})
             continue
-        record = run(built.convex, spec.schedule, t)
-        records[family] = record
-        dumps.append(built.to_dict())
-        measured = record.error_at(t)
+        measured = run(built.convex, spec.schedule, t).error_at(t)
+        dumps.append({"family": family, **built.to_dict()})
         row.measured[family] = measured
         if not built.certified:
-            skipped.append({"t": t, "family": family, "reason": f"{family} floor not certified: {_UNCERTIFIED[family]}"})
+            skipped.append({"t": t, "family": family, "reason": f"{family} floor not certified: {fam.uncertified}"})
             continue
         cert = built.certified_bound()
         assertions.append(
@@ -232,10 +244,10 @@ def _audit_one(spec: ExperimentSpec, phi: bnd.GuaranteeEnvelope, t: int):
                 "passed": measured >= cert - Tolerances.bound_slack,
             }
         )
-        if family == "maxlinear":
+        if fam.floor:
             # the instance certificate and the analytic floor are the same
             # sum grouped differently; they must agree to rounding
-            analytic = row.maxlinear
+            analytic = getattr(row, fam.floor)
             rel = abs(cert - analytic) / max(abs(analytic), 1e-300)
             assertions.append(
                 {
@@ -248,7 +260,7 @@ def _audit_one(spec: ExperimentSpec, phi: bnd.GuaranteeEnvelope, t: int):
                     "passed": rel <= Tolerances.scalar_rel,
                 }
             )
-    return row, assertions, skipped, records, dumps
+    return row, assertions, skipped, dumps
 
 
 def audit_schedule(spec: ExperimentSpec) -> AuditResult:
@@ -256,36 +268,18 @@ def audit_schedule(spec: ExperimentSpec) -> AuditResult:
 
     For each horizon the applicable families are built, run, and the
     measured last-iterate error is asserted to dominate each certified
-    floor.  With ``envelope="empirical"`` the audit runs twice: a first
-    pass under the default log envelope collects error records, and the
-    second pass audits with the envelope extracted from them.
+    floor.
     """
-    if spec.envelope == "empirical":
-        pass1 = audit_schedule(dataclasses.replace(spec, envelope=bnd.log_envelope()))
-        all_records = [rec for per_t in pass1.records.values() for rec in per_t.values()]
-        if not all_records:
-            raise ConstructionError("empirical envelope audit collected no runs")
-        phi = bnd.empirical_envelope(all_records)
-        result = audit_schedule(dataclasses.replace(spec, envelope=phi))
-        # the candidate envelope only shapes instances; its own
-        # step-condition status is informational
-        result.envelope_validation["gating"] = False
-        result.passed = all(a["passed"] for a in result.assertions)
-        return result
-
-    phi = spec.envelope
     env_report = bnd.validate_envelope(spec.schedule, spec.phis)
-    results = _map_tasks(lambda t: _audit_one(spec, phi, t), spec.horizons, 1)
-    report = bnd.BoundReport(schedule_label=spec.schedule.label, envelope_label=phi.label)
+    results = _map_tasks(lambda t: _audit_one(spec, t), spec.horizons, 1)
+    report = bnd.BoundReport(spec.schedule.label, spec.envelope.label, FAMILIES)
     assertions: list[dict] = []
     skipped: list[dict] = []
-    records: dict[int, dict[str, RunRecord]] = {}
     dumps: list[dict] = []
-    for t, (row, asserts, skips, recs, dmp) in results.items():
+    for row, asserts, skips, dmp in results.values():
         report.rows.append(row)
         assertions.extend(asserts)
         skipped.extend(skips)
-        records[t] = recs
         dumps.extend(dmp)
     validation = env_report.to_dict()
     validation["gating"] = True
@@ -295,10 +289,34 @@ def audit_schedule(spec: ExperimentSpec) -> AuditResult:
         assertions=assertions,
         skipped=skipped,
         envelope_validation=validation,
-        records=records,
         instances=dumps,
         passed=passed,
     )
+
+
+def empirical_audit(spec: ExperimentSpec) -> AuditResult:
+    """Audit under the envelope the spec's own runs support.
+
+    A first pass builds and runs every selected family at every horizon
+    under ``spec.envelope`` and keeps only the error records; the audit
+    then runs under ``empirical_envelope`` of them.  That candidate only
+    shapes the instances, so its step-condition status is reported but
+    does not gate the verdict.
+    """
+    records = []
+    for t in spec.horizons:
+        for family in spec.families:
+            try:
+                built = _REGISTRY[family].build(spec.schedule, t, spec.envelope, spec.shrink)
+            except ConstructionError:
+                continue
+            records.append(run(built.convex, spec.schedule, t))
+    if not records:
+        raise ConstructionError("empirical envelope audit collected no runs")
+    result = audit_schedule(dataclasses.replace(spec, envelope=bnd.empirical_envelope(records)))
+    result.envelope_validation["gating"] = False
+    result.passed = all(a["passed"] for a in result.assertions)
+    return result
 
 
 # -- stopping-time density ------------------------------------------------------
@@ -350,7 +368,6 @@ def density_experiment(
     if len(spec.families) != 1:
         raise InvalidParameterError(f"density experiments run on exactly one family, got {list(spec.families)}")
     family = spec.families[0]
-    phi = spec.envelope
     thresholds = [float(c) for c in thresholds]
     if not thresholds:
         raise InvalidParameterError("density experiments need at least one threshold")
@@ -358,7 +375,7 @@ def density_experiment(
         raise InvalidParameterError(f"thresholds must be numbers or inf, got {thresholds}")
 
     def build(t: int) -> ConvexInstance:
-        return _BUILDERS[family](spec.schedule, t, phi, spec.shrink).convex
+        return _REGISTRY[family].build(spec.schedule, t, spec.envelope, spec.shrink).convex
 
     horizons = spec.horizons
     skipped: list[tuple[int, str]] = []
@@ -661,13 +678,12 @@ def chain_check(spec: ExperimentSpec, rows: bool = False) -> ChainReport:
     else:
         target, margin_rhs = bnd.tail_margin(T, phi, t1)
         target_err, margin_err = bnd.tail_margin_error(target, margin_rhs)
-        top = schedule.prefix_sum(half + 1)
-        tail = top - schedule.prefix_sum(t1)
+        tail = S_half - schedule.prefix_sum(t1)
         # a prefix sum S(k) adds its k nonnegative steps in order (k - 1
         # roundings), so S(h+1) and S(t1) each err by at most gamma_h S(h+1)
-        # <= gamma_{2h} top / 2, and the difference rounds once more; the
-        # raised index leaves u top for the comparison
-        tail_err = _gamma(2 * half + 2) * top
+        # <= gamma_{2h} S(h+1) / 2, and the difference rounds once more; the
+        # raised index leaves u S(h+1) for the comparison
+        tail_err = _gamma(2 * half + 2) * S_half
         steps.append(
             {
                 "step": "tail_sum_floor",

@@ -12,15 +12,17 @@ descent run realizes a certified error floor:
   deterministic minimal-index subgradient rule walks the iterate through
   one fresh coordinate per step.
 
-Each family embeds a :class:`~stepaudit.engine.ConvexInstance`, exposes
-``closed_form_iterate`` for independent trajectory verification, and
-carries the analytic error floor it certifies.
+Each family's instance class extends one base, which embeds a
+:class:`~stepaudit.engine.ConvexInstance`, exposes ``closed_form_iterate``
+for independent trajectory verification and dumps the instance with
+``to_dict``; each class carries the analytic error floor it certifies.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -43,54 +45,69 @@ __all__ = [
 ]
 
 
+# -- shared base -------------------------------------------------------------
+
+
+@dataclass
+class _Instance:
+    """A built instance: its schedule, target step ``T`` and convex problem.
+
+    Subclasses give ``_iterate(t)``, the closed-form iterate after ``t``
+    steps, and ``_dumped``, the fields ``to_dict`` writes besides ``T`` and
+    the schedule's label (arrays as lists).
+    """
+
+    schedule: StepSchedule
+    T: int
+    convex: ConvexInstance
+    _dumped: ClassVar[tuple[str, ...]] = ()
+
+    def closed_form_iterate(self, t: int) -> np.ndarray:
+        if not 1 <= t <= self.T:
+            raise InvalidParameterError(f"t={t} outside 1..{self.T}")
+        return self._iterate(t)
+
+    def closed_form_error(self, t: int) -> float:
+        return float(self.convex.value(self.closed_form_iterate(t)))
+
+    def to_dict(self) -> dict:
+        dumped = {name: getattr(self, name) for name in self._dumped}
+        dumped = {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in dumped.items()}
+        return {"T": self.T, "schedule_label": self.schedule.label, **dumped}
+
+
 # -- valley (piecewise-linear) family -------------------------------------
 
 
 @dataclass
-class VShapeInstance:
+class VShapeInstance(_Instance):
     """1-d valley with a shallow ramp of slope ``c_eps`` on ``(0, eps]``.
 
     Starting at ``x_0 = eps``, the ramp steps shrink the iterate to the
-    minimum at exactly ``target_t - 1`` steps; the consistent subgradient
-    ``-1`` at the minimum then throws step ``target_t`` a full stepsize
-    up the right branch.
+    minimum at exactly ``T - 1`` steps; the consistent subgradient ``-1``
+    at the minimum then throws step ``T`` a full stepsize up the right
+    branch.
     """
 
-    schedule: StepSchedule
-    target_t: int
     epsilon: float
     c_eps: float
     landing: float  # simulated iterate value one step before the target
-    convex: ConvexInstance
+    _dumped = ("epsilon", "c_eps")
 
     def certified_bound(self) -> float:
         """Predicted error at the target step (domain-capped exit)."""
-        exit_step = min(self.schedule.rate(self.target_t - 1), 1.0)
+        exit_step = min(self.schedule.rate(self.T - 1), 1.0)
         return exit_step - self.epsilon + self.c_eps * self.epsilon
 
     @property
     def certified(self) -> bool:
         return abs(self.landing) <= 1e-12 * self.epsilon  # build_vshape ensures landing <= 0
 
-    def closed_form_iterate(self, t: int) -> np.ndarray:
-        if not 1 <= t <= self.target_t:
-            raise InvalidParameterError(f"t={t} outside 1..{self.target_t}")
-        if t < self.target_t:
+    def _iterate(self, t: int) -> np.ndarray:
+        if t < self.T:
             return np.array([self.epsilon - self.c_eps * self.schedule.prefix_sum(t)])
-        pre = self.epsilon - self.c_eps * self.schedule.prefix_sum(self.target_t - 1)
-        return np.array([float(np.clip(pre + self.schedule.rate(self.target_t - 1), -1.0, 1.0))])
-
-    def closed_form_error(self, t: int) -> float:
-        return float(self.convex.value(self.closed_form_iterate(t)))
-
-    def to_dict(self) -> dict:
-        return {
-            "family": "vshape",
-            "T": self.target_t,
-            "schedule_label": self.schedule.label,
-            "epsilon": self.epsilon,
-            "c_eps": self.c_eps,
-        }
+        pre = self.epsilon - self.c_eps * self.schedule.prefix_sum(self.T - 1)
+        return np.array([float(np.clip(pre + self.schedule.rate(self.T - 1), -1.0, 1.0))])
 
 
 def _interval_instance(value, subgradient, x0: float) -> ConvexInstance:
@@ -134,8 +151,8 @@ def _vshape_landing(eps: float, c: float, steps: np.ndarray) -> float:
     return scalar_descent((*_vshape_oracles(eps, c), -1.0, 1.0), eps, steps)[0]
 
 
-def build_vshape(schedule: StepSchedule, target_t: int, shrink: float = 1e-6) -> VShapeInstance:
-    """Build the valley instance targeted at step ``target_t``.
+def build_vshape(schedule: StepSchedule, T: int, shrink: float = 1e-6) -> VShapeInstance:
+    """Build the valley instance targeted at step ``T``.
 
     ``eps = shrink * min(1, eta_{t-1}, sum_{j<t-1} eta_j)`` and the ramp
     slope is ``eps`` divided by that prefix sum.  The slope is nudged up
@@ -143,20 +160,20 @@ def build_vshape(schedule: StepSchedule, target_t: int, shrink: float = 1e-6) ->
     step before the target lands at or below the minimum and the exit
     step takes the ``-1`` branch exactly as in real arithmetic.
     """
-    target_t = int(target_t)
-    if target_t < 2:
+    T = int(T)
+    if T < 2:
         raise ConstructionError("vshape needs a target >= 2")
     if not 0 < shrink <= 1e-3:
         raise InvalidParameterError("shrink factor must lie in (0, 1e-3]")
-    eta_exit = schedule.rate(target_t - 1)
-    ramp_sum = schedule.prefix_sum(target_t - 1)
+    eta_exit = schedule.rate(T - 1)
+    ramp_sum = schedule.prefix_sum(T - 1)
     if eta_exit <= 0:
-        raise ConstructionError(f"vshape needs eta_{target_t - 1} > 0")
+        raise ConstructionError(f"vshape needs eta_{T - 1} > 0")
     if ramp_sum <= 0:
         raise ConstructionError("vshape needs a positive stepsize sum before the target")
     eps = shrink * min(1.0, eta_exit, ramp_sum)
     c = eps / ramp_sum
-    steps = schedule.rates(target_t - 1)
+    steps = schedule.rates(T - 1)
     landing = _vshape_landing(eps, c, steps)
     bump = 2.0**-50
     for _ in range(64):
@@ -171,27 +188,18 @@ def build_vshape(schedule: StepSchedule, target_t: int, shrink: float = 1e-6) ->
         raise ConstructionError(f"vshape ramp slope c={c} outside (0, 1)")
 
     convex = _interval_instance(*_vshape_oracles(eps, c), eps)
-    return VShapeInstance(
-        schedule=schedule,
-        target_t=target_t,
-        epsilon=eps,
-        c_eps=c,
-        landing=landing,
-        convex=convex,
-    )
+    return VShapeInstance(schedule=schedule, T=T, convex=convex, epsilon=eps, c_eps=c, landing=landing)
 
 
 # -- quadratic family ------------------------------------------------------
 
 
 @dataclass
-class QuadraticInstance:
+class QuadraticInstance(_Instance):
     """1-d quadratic ``x^2 / (4 S)`` with ``S`` the step sum to the target."""
 
-    schedule: StepSchedule
-    target_t: int
     S: float
-    convex: ConvexInstance
+    _dumped = ("S",)
 
     def certified_bound(self) -> float:
         return math.exp(-2.0) / (4.0 * self.S)
@@ -200,41 +208,26 @@ class QuadraticInstance:
     def certified(self) -> bool:
         return True
 
-    def closed_form_iterate(self, t: int) -> np.ndarray:
-        if not 1 <= t <= self.target_t:
-            raise InvalidParameterError(f"t={t} outside 1..{self.target_t}")
+    def _iterate(self, t: int) -> np.ndarray:
         factors = 1.0 - self.schedule.rates(t) / (2.0 * self.S)
         return np.array([float(np.prod(factors))])
 
-    def closed_form_error(self, t: int) -> float:
-        return float(self.convex.value(self.closed_form_iterate(t)))
 
-    def to_dict(self) -> dict:
-        return {
-            "family": "quadratic",
-            "T": self.target_t,
-            "schedule_label": self.schedule.label,
-            "S": self.S,
-        }
+def build_quadratic(schedule: StepSchedule, T: int) -> QuadraticInstance:
+    """Build the quadratic instance targeted at step ``T``.
 
-
-def build_quadratic(schedule: StepSchedule, target_t: int) -> QuadraticInstance:
-    """Build the quadratic instance targeted at step ``target_t``.
-
-    Requires the step sum ``S`` over the first ``target_t`` steps to be at
-    least 1/2 so the objective is 1-Lipschitz on ``[-1, 1]``.
+    Requires the step sum ``S`` over the first ``T`` steps to be at least
+    1/2 so the objective is 1-Lipschitz on ``[-1, 1]``.
     """
-    target_t = int(target_t)
-    if target_t < 1:
-        raise InvalidParameterError("quadratic target_t must be >= 1")
-    S = schedule.prefix_sum(target_t)
+    T = int(T)
+    if T < 1:
+        raise InvalidParameterError("quadratic target must be >= 1")
+    S = schedule.prefix_sum(T)
     if S < 0.5:
-        raise ConstructionError(
-            f"quadratic instance needs step sum S >= 1/2 at t={target_t}, got S={S}"
-        )
+        raise ConstructionError(f"quadratic instance needs step sum S >= 1/2 at t={T}, got S={S}")
     inv = 1.0 / (4.0 * S)
     convex = _interval_instance(lambda v: v * v * inv, lambda v: v / (2.0 * S), 1.0)
-    return QuadraticInstance(schedule=schedule, target_t=target_t, S=S, convex=convex)
+    return QuadraticInstance(schedule=schedule, T=T, convex=convex, S=S)
 
 
 # -- max-of-linear family ---------------------------------------------------
@@ -327,7 +320,7 @@ def check_weight_conditions(
 
 
 @dataclass
-class MaxLinearInstance:
+class MaxLinearInstance(_Instance):
     """Max-of-linear objective on the unit ball in dimension ``T + 1``.
 
     The deterministic oracle returns the linear piece of minimal index
@@ -337,15 +330,9 @@ class MaxLinearInstance:
     ``check_weight_conditions``.
     """
 
-    schedule: StepSchedule
-    T: int
     a: np.ndarray
     b: np.ndarray
-    convex: ConvexInstance
-
-    @property
-    def dim(self) -> int:
-        return self.T + 1
+    _dumped = ("a", "b")
 
     def certified_bound(self) -> float:
         eta = self.schedule.rates(self.T)
@@ -359,27 +346,13 @@ class MaxLinearInstance:
         eta = self.schedule.rates(self.T)
         return bool(np.all(eta > 0)) or self.certified_bound() == 0.0
 
-    def closed_form_iterate(self, t: int) -> np.ndarray:
-        if not 1 <= t <= self.T:
-            raise InvalidParameterError(f"t={t} outside 1..{self.T}")
+    def _iterate(self, t: int) -> np.ndarray:
         eta = self.schedule.rates(t)
-        x = np.zeros(self.dim)
+        x = np.zeros(self.T + 1)
         rev = np.cumsum(eta[::-1])[::-1]
         tail = np.append(rev[1:], 0.0)  # tail[m] = sum_{k=m+1}^{t-1} eta_k
         x[:t] = self.b[:t] * eta - self.a[:t] * tail
         return x
-
-    def closed_form_error(self, t: int) -> float:
-        return float(self.convex.value(self.closed_form_iterate(t)))
-
-    def to_dict(self) -> dict:
-        return {
-            "family": "maxlinear",
-            "T": self.T,
-            "schedule_label": self.schedule.label,
-            "a": self.a.tolist(),
-            "b": self.b.tolist(),
-        }
 
 
 def build_maxlinear(schedule: StepSchedule, T: int, phi: GuaranteeEnvelope) -> MaxLinearInstance:
@@ -428,10 +401,4 @@ def build_maxlinear(schedule: StepSchedule, T: int, phi: GuaranteeEnvelope) -> M
         project=lambda x: project_ball(x, 1.0),
         kernel_data=(a, b),
     )
-    return MaxLinearInstance(
-        schedule=schedule,
-        T=T,
-        a=a,
-        b=b,
-        convex=convex,
-    )
+    return MaxLinearInstance(schedule=schedule, T=T, convex=convex, a=a, b=b)

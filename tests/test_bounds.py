@@ -381,7 +381,7 @@ class TestValidateEnvelope:
 
 class TestBoundReport:
     def test_csv_layout(self, tmp_path):
-        report = bnd.BoundReport("s", "phi")
+        report = bnd.BoundReport("s", "phi", ("maxlinear", "vshape", "quadratic"))
         report.rows.append(
             bnd.BoundRow(
                 t=4,
@@ -399,5 +399,8 @@ class TestBoundReport:
         report.write_csv(str(path), header="hello")
         lines = path.read_text().splitlines()
         assert lines[0] == "# hello"
-        assert lines[1].startswith("t,last_step,step_sum,maxlinear,quartic_floor")
+        assert lines[1] == (
+            "t,last_step,step_sum,maxlinear,quartic_floor,quartic_floor_shifted,floor_harmonic,floor_log,"
+            "err_maxlinear,err_vshape,err_quadratic"
+        )
         assert lines[2] == "4,1.0,,0.5,0.25,0.3,0.1,0.2,0.75,,"

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stepaudit import bounds as bnd
-from stepaudit import engine, harness
+from stepaudit import cli, engine, harness
 from stepaudit import schedules as sched
 from stepaudit.errors import InvalidParameterError
 from stepaudit.harness import (
@@ -15,6 +16,7 @@ from stepaudit.harness import (
     audit_schedule,
     chain_check,
     density_experiment,
+    empirical_audit,
     verify_trajectories,
 )
 
@@ -80,7 +82,10 @@ class TestSpecValidation:
         expected = phi.values(range(1, 66))
         assert spec.phis.dtype == expected.dtype and spec.phis.tobytes() == expected.tobytes()
         assert spec.horizons == (4, 8, 64)
-        assert make_spec(envelope="empirical").phis is None
+
+    def test_envelope_must_be_an_envelope(self):
+        with pytest.raises(InvalidParameterError, match="envelope must be a GuaranteeEnvelope, got 'empirical'"):
+            make_spec(envelope="empirical")
 
 
 class TestVerify:
@@ -156,11 +161,32 @@ class TestAudit:
         assert not result.envelope_validation["passed"]
 
     def test_empirical_two_phase(self):
-        spec = make_spec(horizons=[8, 16], envelope="empirical")
-        result = audit_schedule(spec)
+        result = empirical_audit(make_spec(horizons=[8, 16]))
         assert result.passed
         assert result.report.envelope_label.startswith("empirical(")
         assert result.envelope_validation["gating"] is False
+
+
+def test_a_registered_family_reaches_every_output(tmp_path, monkeypatch):
+    # a family is one registry row plus its name in FAMILIES: here a copy of
+    # the max-of-linear row with its own reason and tolerance
+    row = harness._REGISTRY["maxlinear"]._replace(uncertified="a test reason", coord_tol=2e-9)
+    monkeypatch.setitem(harness._REGISTRY, "coupled", row)
+    monkeypatch.setattr(harness, "FAMILIES", (*harness.FAMILIES, "coupled"))
+    table = tmp_path / "steps.csv"  # eta_1 = 0 lets the argmax tie: neither floor is certified
+    table.write_text("t,eta\n" + "".join(f"{t},{0.0 if t == 1 else 0.5}\n" for t in range(9)))
+    argv = ["--families", "maxlinear,coupled", "--T", "8", "--out", str(tmp_path)]
+    assert cli.main(["audit", "--schedule", f"table:{table}", "--dump-instances", *argv]) == 0
+    assert cli.main(["verify", *argv]) == 0
+    header, cells = (line.split(",") for line in (tmp_path / "bound_report.csv").read_text().splitlines()[1:])
+    assert header[-4:] == ["err_maxlinear", "err_vshape", "err_quadratic", "err_coupled"]
+    assert float(cells[-1]) > 0 and cells[-1] == cells[-4]
+    skipped = json.loads((tmp_path / "audit_summary.json").read_text())["skipped"]
+    assert skipped[-1] == {"t": 8, "family": "coupled", "reason": "coupled floor not certified: a test reason"}
+    entries = json.loads((tmp_path / "verify_report.json").read_text())["entries"]
+    assert [(e["family"], e["tolerance"]) for e in entries] == [("coupled", 2e-9), ("maxlinear", 1e-9)]
+    dumps = json.loads((tmp_path / "instances.json").read_text())["instances"]
+    assert [d["family"] for d in dumps] == ["maxlinear", "coupled"]
 
 
 class TestBadStepsizeAtTheHorizon:
@@ -209,8 +235,9 @@ class TestDensity:
     def test_per_t_runs_each_t_once(self, monkeypatch):
         # the build for t does not depend on T: all horizons share one run per t
         targets = []
-        build = harness._BUILDERS["maxlinear"]
-        monkeypatch.setitem(harness._BUILDERS, "maxlinear", lambda s, t, *rest: targets.append(t) or build(s, t, *rest))
+        row = harness._REGISTRY["maxlinear"]
+        counted = row._replace(build=lambda s, t, *rest: targets.append(t) or row.build(s, t, *rest))
+        monkeypatch.setitem(harness._REGISTRY, "maxlinear", counted)
         table = density_experiment(make_spec(horizons=[8, 16]), [0.0], per_t=True)
         assert targets == list(range(1, 17))
         assert table.builds == 16

@@ -111,10 +111,7 @@ class TestVShape:
 
     def test_dump(self):
         v = inst.build_vshape(SQRT21, 8)
-        d = v.to_dict()
-        assert d["family"] == "vshape"
-        assert d["T"] == 8
-        assert d["epsilon"] == v.epsilon
+        assert v.to_dict() == {"T": 8, "schedule_label": SQRT21.label, "epsilon": v.epsilon, "c_eps": v.c_eps}
 
 
 class TestQuadratic:
@@ -148,7 +145,6 @@ class TestQuadratic:
     def test_dump(self):
         q = inst.build_quadratic(sched.constant(1), 2)
         assert q.to_dict() == {
-            "family": "quadratic",
             "T": 2,
             "schedule_label": "constant(c=1)",
             "S": 2.0,
@@ -296,8 +292,8 @@ class TestMaxLinear:
     def test_dump_roundtrip(self):
         m = inst.build_maxlinear(SQRT21, 4, PHI)
         d = m.to_dict()
-        assert d["family"] == "maxlinear"
-        assert len(d["a"]) == 5 and len(d["b"]) == 5
+        assert set(d) == {"T", "schedule_label", "a", "b"} and d["T"] == 4
+        assert d["a"] == m.a.tolist() and d["b"] == m.b.tolist()
 
     def test_range_checks(self):
         m = inst.build_maxlinear(SQRT21, 4, PHI)

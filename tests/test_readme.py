@@ -1,6 +1,7 @@
 """README examples run as written: every ``stepaudit`` line of the
-command-line block parses, the library quick start runs, and the listed
-schedule and envelope forms are the ones the command line accepts."""
+command-line block parses, the library quick start runs, the listed
+families are the registry's, and the listed schedule and envelope forms
+are the ones the command line accepts."""
 
 import re
 import shlex
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from stepaudit import cli
+from stepaudit import cli, harness
 
 README = (Path(__file__).parent.parent / "README.md").read_text()
 
@@ -42,3 +43,9 @@ def test_spec_grammar_lists_every_form(lead, table):
     listed = re.match(r"\s*((?:`[^`]+`,\s+)*`[^`]+`)\.", README.split(lead, 1)[1])
     assert listed, f"no list of forms after {lead!r}"
     assert re.findall(r"`([^`]+)`", listed.group(1)) == cli._grammar(getattr(cli, table)).split(" | ")
+
+
+def test_family_bullets_list_every_family():
+    # the bolded bullets after the families' lead line, in order
+    bullets = README.split("instance families drive the floors:\n", 1)[1].split("\n\n", 1)[0]
+    assert re.findall(r"^- \*\*(\w+)\*\* - ", bullets, re.M) == list(harness.FAMILIES)
