@@ -16,7 +16,7 @@ from .bounds import (
     log_envelope,
     validate_envelope,
 )
-from .engine import ConvexInstance, RunRecord, project_ball, project_interval, run
+from .engine import ConvexInstance, RunRecord, run
 from .errors import ConstructionError, InvalidParameterError, NumericFaultError, StepAuditError
 from .harness import (
     ExperimentSpec,
@@ -57,8 +57,6 @@ __all__ = [
     "ConvexInstance",
     "RunRecord",
     "run",
-    "project_ball",
-    "project_interval",
     "build_vshape",
     "build_quadratic",
     "build_maxlinear",

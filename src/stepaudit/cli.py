@@ -202,7 +202,6 @@ def _spec_from_config(config: dict, horizons: list[int], families: list[str]) ->
         horizons=horizons,
         families=tuple(families),
         envelope=bnd.log_envelope() if empirical else envelope,
-        shrink=config.get("shrink", ExperimentSpec.shrink),  # bounds builds no vshape
     )
     return spec, empirical
 
@@ -314,7 +313,6 @@ _OPTIONS = {
     "thresholds": (str, "0,0.5,1", ("density",), "comma list of thresholds; 'inf' allowed"),
     "out": (str, None, _ALL, f"output directory (default ${OUT_ENV_VAR} or ./out)"),
     "workers": (int, 1, _ALL, "accepted (an int >= 1) but ignored: work runs on one thread"),
-    "shrink": (float, 1e-6, ("verify", "audit", "density"), "vshape kink shrink factor"),
     "per_t": (bool, False, ("density",), "build a fresh instance per stopping time (cubic cost)"),
     "dump_instances": (bool, False, ("audit",), "also write every built instance to instances.json"),
     "rows": (bool, False, ("bounds",), "write every quartic_floor row to chain_report.json, not one summary step"),

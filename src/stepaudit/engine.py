@@ -1,21 +1,19 @@
-"""Generic projected subgradient descent over a convex instance.
+"""Projected subgradient descent over a convex instance.
 
 The update is ``x_{t+1} = project(x_t - eta_t * g_t)`` with ``g_t`` taken
 from the instance's deterministic subgradient oracle.  :func:`run` has
-three paths:
+two paths, chosen by the one fast-path field an instance carries:
 
-* the kernel path: instances carrying ``kernel_data`` run through the
-  prefix-only numpy kernel with certified blocks in ``_kernels``;
-* the scalar path: 1-d instances carrying a ``scalar`` hook run through
-  :func:`scalar_descent` on Python floats;
-* the generic path: a numpy loop over the instance's array oracles, taken
-  by every instance with neither field set; tests clear both fields (with
-  ``dataclasses.replace``) to keep it as the oracle for the other two.
+* the kernel path: ``kernel_data`` holds max-of-linear weights, run
+  through the prefix-only numpy kernel with certified blocks in
+  ``_kernels``;
+* the scalar path: ``scalar`` holds the float oracles of a 1-d instance,
+  run through :func:`scalar_descent` on Python floats.
 
-All paths are pure functions of their inputs, so repeated runs are
-bit-identical.  The scalar path performs the generic loop's float64
+Both paths are pure functions of their inputs, so repeated runs are
+bit-identical.  The scalar path performs a numpy array loop's float64
 operations in the same order, so its errors, snapshots, projection count
-and ``max_norm_seen`` equal the generic path's bit for bit.  The kernel's
+and ``max_norm_seen`` equal that loop's bit for bit.  The kernel's
 iterates, snapshots, projection count and its errors at snapshot times and
 at ``t = T`` equal those of a full score recompute each step bit for bit;
 inside its certified blocks the other errors and ``max_norm_seen`` are
@@ -39,33 +37,32 @@ __all__ = [
     "RunRecord",
     "run",
     "scalar_descent",
-    "project_ball",
-    "project_interval",
 ]
 
 
 @dataclass
 class ConvexInstance:
-    """A convex objective bundled with its oracles and domain.
+    """A convex objective and the one fast-path field :func:`run` takes.
 
     Errors are objective values measured from 0, a level at or above the
-    domain minimum of every family here.  Two optional fields select a
-    fast path in :func:`run`: ``kernel_data`` holds the max-of-linear
-    weights ``(a, b)`` of the kernel path, and ``scalar`` holds the
-    float-to-float oracles ``(value, subgradient, lo, hi)`` of a 1-d
-    instance on the interval ``[lo, hi]``, for the scalar path.
-    ``value``, ``subgradient`` and ``project`` must be those oracles on
-    1-element arrays, so that the generic path stays a bitwise oracle for
-    the scalar one.
+    domain minimum of every family here; ``value`` is the objective on
+    arrays.  Exactly one of two fields must be set: ``kernel_data`` holds
+    the max-of-linear weights ``(a, b)`` of the kernel path, and ``scalar``
+    holds the float-to-float oracles ``(value, subgradient, lo, hi)`` of a
+    1-d instance on the interval ``[lo, hi]``, for the scalar path.
     """
 
     dim: int
     initial_point: np.ndarray
     value: Callable[[np.ndarray], float]
-    subgradient: Callable[[np.ndarray], np.ndarray]
-    project: Callable[[np.ndarray], np.ndarray]
     kernel_data: tuple | None = None
     scalar: tuple | None = None
+
+    def __post_init__(self) -> None:
+        if (self.kernel_data is None) == (self.scalar is None):
+            raise InvalidParameterError("an instance needs exactly one of kernel_data and scalar")
+        if self.scalar is not None and self.dim != 1:
+            raise InvalidParameterError("scalar oracles need a 1-d instance")
 
 
 @dataclass
@@ -85,23 +82,6 @@ class RunRecord:
         if not 1 <= t <= self.horizon:
             raise InvalidParameterError(f"t={t} outside 1..{self.horizon}")
         return float(self.errors[t - 1])
-
-
-def project_ball(x: np.ndarray, radius: float) -> np.ndarray:
-    """Project onto the Euclidean ball of the given radius."""
-    if radius <= 0:
-        raise InvalidParameterError("ball radius must be positive")
-    nrm = float(np.linalg.norm(x))
-    if nrm <= radius:
-        return x
-    return x * (radius / nrm)
-
-
-def project_interval(x, lo: float, hi: float):
-    """Clamp to ``[lo, hi]`` (works on scalars and arrays)."""
-    if lo > hi:
-        raise InvalidParameterError(f"empty interval [{lo}, {hi}]")
-    return np.clip(x, lo, hi)
 
 
 def _snapshot_times(snapshots, T: int) -> np.ndarray:
@@ -126,8 +106,6 @@ def run(
     T = int(T)
     if T < 1:
         raise InvalidParameterError("horizon T must be >= 1")
-    if instance.dim < 1:
-        raise InvalidParameterError("instance dimension must be >= 1")
     snap_times = _snapshot_times(snapshots, T)
     eta = schedule.rates(T)
 
@@ -149,12 +127,7 @@ def run(
     x = np.array(instance.initial_point, dtype=np.float64, copy=True)
     if x.shape != (instance.dim,):
         raise InvalidParameterError("initial point does not match instance dimension")
-    if instance.scalar is not None:
-        if instance.dim != 1:
-            raise InvalidParameterError("scalar oracles need a 1-d instance")
-        _, errors, stored, max_norm, hits = scalar_descent(instance.scalar, float(x[0]), eta, snap_times)
-    else:
-        errors, stored, max_norm, hits = _array_descent(instance, x, eta, snap_times)
+    _, errors, stored, max_norm, hits = scalar_descent(instance.scalar, float(x[0]), eta, snap_times)
     return RunRecord(
         schedule_label=schedule.label,
         horizon=T,
@@ -163,34 +136,6 @@ def run(
         max_norm_seen=max_norm,
         projection_activations=hits,
     )
-
-
-def _array_descent(instance: ConvexInstance, x: np.ndarray, eta: np.ndarray, snap_times: np.ndarray):
-    # the generic path: the instance's array oracles, one numpy step at a time
-    errors = np.empty(len(eta))
-    stored: dict[int, np.ndarray] = {}
-    wanted = set(int(t) for t in snap_times)
-    max_norm = 0.0
-    hits = 0
-    for t in range(len(eta)):
-        g = instance.subgradient(x)
-        if not np.all(np.isfinite(g)):
-            raise NumericFaultError(f"non-finite subgradient at step {t}")
-        y = x - eta[t] * g
-        nrm = float(np.linalg.norm(y))
-        if nrm > max_norm:
-            max_norm = nrm
-        x_new = np.asarray(instance.project(y), dtype=np.float64)
-        if not np.array_equal(x_new, y):
-            hits += 1
-        x = x_new
-        fv = float(instance.value(x))
-        if not np.isfinite(fv):
-            raise NumericFaultError(f"non-finite objective value at step {t + 1}")
-        errors[t] = fv
-        if t + 1 in wanted:
-            stored[t + 1] = x.copy()
-    return errors, stored, max_norm, hits
 
 
 def scalar_descent(scalar: tuple, x: float, eta: np.ndarray, snap_times: Iterable[int] = ()):
@@ -203,8 +148,9 @@ def scalar_descent(scalar: tuple, x: float, eta: np.ndarray, snap_times: Iterabl
     iterates at the sorted step indices ``snap_times``, the largest
     pre-projection norm and the projection count.
 
-    Each step performs the generic loop's float64 operations in the same
-    order, fault checks included: ``math.sqrt(y * y)`` is what
+    Each step performs the float64 operations of a numpy loop over 1-element
+    arrays (``np.clip`` as the projection) in the same order, fault checks
+    included: ``math.sqrt(y * y)`` is what
     ``np.linalg.norm`` computes for one element, and a NaN ``y`` counts as a
     projection hit because ``np.array_equal`` finds NaN unequal to itself.
     """

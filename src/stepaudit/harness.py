@@ -3,7 +3,8 @@ stopping-time density measurement, and the end-to-end bound chain replay.
 
 Work items (one per family/horizon pair) are pure functions of the
 experiment spec; they run in order on the calling thread and results are
-merged in sorted order, so every report is deterministic.
+merged in the order of the spec's families and horizons, so every report
+is deterministic.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ class Tolerances:
 class Family(NamedTuple):
     """Everything the pipeline knows about one instance family."""
 
-    # (schedule, t, phi, shrink) -> instance; raises ConstructionError when
+    # (schedule, t, phi) -> instance; raises ConstructionError when
     # the family does not apply at ``t``, while a bad stepsize raises
     # InvalidParameterError and stops the run.  Rows look the builder up on
     # ``inst`` when called, so a wrapper installed on the module is seen.
@@ -66,14 +67,14 @@ class Family(NamedTuple):
 # the dumped and reported name of each family is its key here
 _REGISTRY = {
     "maxlinear": Family(
-        lambda schedule, t, phi, shrink: inst.build_maxlinear(schedule, t, phi),
+        lambda schedule, t, phi: inst.build_maxlinear(schedule, t, phi),
         "a zero stepsize allows argmax ties", Tolerances.coord_abs, floor="maxlinear",
     ),
     "vshape": Family(
-        lambda schedule, t, phi, shrink: inst.build_vshape(schedule, t, shrink=shrink),
+        lambda schedule, t, phi: inst.build_vshape(schedule, t),
         "its ramp overshoots the minimum", Tolerances.kink_abs,
     ),
-    "quadratic": Family(lambda schedule, t, phi, shrink: inst.build_quadratic(schedule, t), None, Tolerances.coord_abs),
+    "quadratic": Family(lambda schedule, t, phi: inst.build_quadratic(schedule, t), None, Tolerances.coord_abs),
 }
 FAMILIES = tuple(_REGISTRY)
 
@@ -85,7 +86,7 @@ _MAX_HORIZON = sys.maxsize // 8 - 2
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """What to run: schedule, horizons, families, envelope and vshape shrink.
+    """What to run: schedule, horizons, families and envelope.
 
     Making a spec, also by ``dataclasses.replace``, checks them all and keeps
     ``phis = phi(1), ..., phi(T + 1)`` for the largest horizon ``T``, so a bad
@@ -98,7 +99,6 @@ class ExperimentSpec:
     horizons: Sequence[int]
     families: Sequence[str] = FAMILIES
     envelope: bnd.GuaranteeEnvelope = field(default_factory=bnd.log_envelope)
-    shrink: float = 1e-6
     phis: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -116,8 +116,6 @@ class ExperimentSpec:
                 raise InvalidParameterError(f"family {fam!r} is repeated")
         if not self.families:
             raise InvalidParameterError("at least one family must be selected")
-        if not 0 < self.shrink <= 1e-3:
-            raise InvalidParameterError("shrink factor must lie in (0, 1e-3]")
         if not isinstance(self.envelope, bnd.GuaranteeEnvelope):
             raise InvalidParameterError(f"envelope must be a GuaranteeEnvelope, got {self.envelope!r}")
         object.__setattr__(self, "horizons", hs)
@@ -126,13 +124,13 @@ class ExperimentSpec:
 
 
 def _map_tasks(fn, keys, workers: int):
-    """Apply ``fn`` to each key in order on this thread; return key-sorted dict.
+    """Apply ``fn`` to each key in order on this thread; return ``{key: fn(key)}``
+    in the order of ``keys``.
 
     ``workers`` has no effect (threads only took turns on the GIL); callers
     pass 1, and it stays because stepbench's traced wrapper passes it on.
     """
-    results = {key: fn(key) for key in keys}
-    return {key: results[key] for key in sorted(results)}
+    return {key: fn(key) for key in keys}
 
 
 # -- trajectory verification -------------------------------------------------
@@ -161,7 +159,7 @@ def verify_trajectories(spec: ExperimentSpec) -> TrajectoryReport:
     def work(key):
         family, T = key
         try:
-            built = _REGISTRY[family].build(spec.schedule, T, spec.envelope, spec.shrink)
+            built = _REGISTRY[family].build(spec.schedule, T, spec.envelope)
         except ConstructionError as exc:
             return {"family": family, "T": T, "skipped": str(exc)}
         times = _snapshot_grid(T)
@@ -223,7 +221,7 @@ def _audit_one(spec: ExperimentSpec, t: int):
     for family in spec.families:
         fam = _REGISTRY[family]
         try:
-            built = fam.build(spec.schedule, t, spec.envelope, spec.shrink)
+            built = fam.build(spec.schedule, t, spec.envelope)
         except ConstructionError as exc:
             skipped.append({"t": t, "family": family, "reason": str(exc)})
             continue
@@ -307,7 +305,7 @@ def empirical_audit(spec: ExperimentSpec) -> AuditResult:
     for t in spec.horizons:
         for family in spec.families:
             try:
-                built = _REGISTRY[family].build(spec.schedule, t, spec.envelope, spec.shrink)
+                built = _REGISTRY[family].build(spec.schedule, t, spec.envelope)
             except ConstructionError:
                 continue
             records.append(run(built.convex, spec.schedule, t))
@@ -375,7 +373,7 @@ def density_experiment(
         raise InvalidParameterError(f"thresholds must be numbers or inf, got {thresholds}")
 
     def build(t: int) -> ConvexInstance:
-        return _REGISTRY[family].build(spec.schedule, t, spec.envelope, spec.shrink).convex
+        return _REGISTRY[family].build(spec.schedule, t, spec.envelope).convex
 
     horizons = spec.horizons
     skipped: list[tuple[int, str]] = []

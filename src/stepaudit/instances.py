@@ -27,7 +27,7 @@ from typing import ClassVar
 import numpy as np
 
 from .bounds import GuaranteeEnvelope
-from .engine import ConvexInstance, project_ball, project_interval, scalar_descent
+from .engine import ConvexInstance, scalar_descent
 from .errors import ConstructionError, InvalidParameterError
 from .schedules import StepSchedule
 
@@ -111,13 +111,11 @@ class VShapeInstance(_Instance):
 
 
 def _interval_instance(value, subgradient, x0: float) -> ConvexInstance:
-    """1-d instance on ``[-1, 1]`` whose array oracles wrap the float ones."""
+    """1-d instance on ``[-1, 1]`` whose array ``value`` wraps the float one."""
     return ConvexInstance(
         dim=1,
         initial_point=np.array([x0]),
         value=lambda x: value(float(x[0])),
-        subgradient=lambda x: np.array([subgradient(float(x[0]))]),
-        project=lambda x: project_interval(x, -1.0, 1.0),
         scalar=(value, subgradient, -1.0, 1.0),
     )
 
@@ -360,8 +358,9 @@ def build_maxlinear(schedule: StepSchedule, T: int, phi: GuaranteeEnvelope) -> M
 
     The admissibility conditions are checked on the generated weights and
     a failure aborts construction; the certified floor rests on that
-    check, not on ``phi`` being a true guarantee envelope.  One oracle
-    call costs O(T) via a running prefix sum over the coupled coordinates.
+    check, not on ``phi`` being a true guarantee envelope.  Descent runs on
+    the weights ``(a, b)`` through the kernel; ``value`` costs O(T) via a
+    running prefix sum over the coupled coordinates.
     """
     T = int(T)
     if T < 1:
@@ -376,29 +375,12 @@ def build_maxlinear(schedule: StepSchedule, T: int, phi: GuaranteeEnvelope) -> M
         )
     dim = T + 1
 
-    def scores(x: np.ndarray) -> np.ndarray:
+    def value(x: np.ndarray) -> float:
         ax = a * x
         cum = np.empty(dim)
         cum[0] = 0.0
         np.cumsum(ax[:-1], out=cum[1:])
-        return cum - b * x
+        return float(np.max(cum - b * x))
 
-    def value(x: np.ndarray) -> float:
-        return float(np.max(scores(x)))
-
-    def subgradient(x: np.ndarray) -> np.ndarray:
-        i = int(np.argmax(scores(x)))
-        g = np.zeros(dim)
-        g[:i] = a[:i]
-        g[i] = -b[i]
-        return g
-
-    convex = ConvexInstance(
-        dim=dim,
-        initial_point=np.zeros(dim),
-        value=value,
-        subgradient=subgradient,
-        project=lambda x: project_ball(x, 1.0),
-        kernel_data=(a, b),
-    )
+    convex = ConvexInstance(dim=dim, initial_point=np.zeros(dim), value=value, kernel_data=(a, b))
     return MaxLinearInstance(schedule=schedule, T=T, convex=convex, a=a, b=b)

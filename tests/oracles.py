@@ -1,0 +1,144 @@
+"""Reference descent loops for the tests: slow, plain numpy, and checked
+against the engine's two paths bit for bit.
+
+``array_descent`` takes one numpy step at a time over array oracles: for
+a 1-d instance they wrap its ``scalar`` tuple, and the scalar path performs
+the same float64 operations in the same order.  ``reference_descent`` is
+the max-of-linear kernel with every score recomputed over the full vector
+each step.
+"""
+
+import numpy as np
+
+from stepaudit.engine import RunRecord
+from stepaudit.errors import InvalidParameterError, NumericFaultError
+
+
+def project_ball(x: np.ndarray, radius: float) -> np.ndarray:
+    """Project onto the Euclidean ball of the given radius."""
+    if radius <= 0:
+        raise InvalidParameterError("ball radius must be positive")
+    nrm = float(np.linalg.norm(x))
+    if nrm <= radius:
+        return x
+    return x * (radius / nrm)
+
+
+def project_interval(x, lo: float, hi: float):
+    """Clamp to ``[lo, hi]`` (works on scalars and arrays)."""
+    if lo > hi:
+        raise InvalidParameterError(f"empty interval [{lo}, {hi}]")
+    return np.clip(x, lo, hi)
+
+
+def array_oracles(instance):
+    """``(value, subgradient, project)`` on arrays for a built instance.
+
+    For a 1-d instance they wrap its ``scalar`` tuple.  For a max-of-linear
+    instance they read its weights ``(a, b)``, take the piece of minimal
+    index among those attaining the maximum and project onto the unit ball.
+    """
+    if instance.scalar is not None:
+        value, subgradient, lo, hi = instance.scalar
+        return (
+            lambda x: value(float(x[0])),
+            lambda x: np.array([subgradient(float(x[0]))]),
+            lambda x: project_interval(x, lo, hi),
+        )
+    a, b = instance.kernel_data
+
+    def scores(x):
+        cum = np.empty(a.shape[0])
+        cum[0] = 0.0
+        np.cumsum((a * x)[:-1], out=cum[1:])
+        return cum - b * x
+
+    def subgradient(x):
+        i = int(np.argmax(scores(x)))
+        g = np.zeros(a.shape[0])
+        g[:i] = a[:i]
+        g[i] = -b[i]
+        return g
+
+    return lambda x: float(np.max(scores(x))), subgradient, lambda x: project_ball(x, 1.0)
+
+
+def array_descent(instance, schedule, T, snapshots=()) -> RunRecord:
+    """``engine.run`` as a numpy loop over ``array_oracles(instance)``."""
+    value, subgradient, project = array_oracles(instance)
+    x = np.array(instance.initial_point, dtype=np.float64)
+    eta = schedule.rates(T)
+    errors = np.empty(T)
+    stored: dict[int, np.ndarray] = {}
+    wanted = set(snapshots)
+    max_norm = 0.0
+    hits = 0
+    for t in range(T):
+        g = subgradient(x)
+        if not np.all(np.isfinite(g)):
+            raise NumericFaultError(f"non-finite subgradient at step {t}")
+        y = x - eta[t] * g
+        nrm = float(np.linalg.norm(y))
+        if nrm > max_norm:
+            max_norm = nrm
+        x_new = np.asarray(project(y), dtype=np.float64)
+        if not np.array_equal(x_new, y):
+            hits += 1
+        x = x_new
+        fv = float(value(x))
+        if not np.isfinite(fv):
+            raise NumericFaultError(f"non-finite objective value at step {t + 1}")
+        errors[t] = fv
+        if t + 1 in wanted:
+            stored[t + 1] = x.copy()
+    return RunRecord(schedule.label, T, errors, stored, max_norm, hits)
+
+
+def reference_descent(a, b, eta, snap_times):
+    """The plain kernel: every score recomputed over the full vector each step.
+
+    Returns what ``_kernels.maxlinear_descent`` does: ``(errors, trace,
+    max_norm, hits, snaps, fault)``.
+    """
+    dim = a.shape[0]
+    T = eta.shape[0]
+    x = np.zeros(dim)
+    errors = np.empty(T)
+    trace = np.empty(T + 1, dtype=np.int64)
+    snaps = np.empty((snap_times.shape[0], dim))
+    scores = np.empty(dim)
+    cum = np.empty(dim)
+    max_norm = 0.0
+    hits = 0
+    fault = -1
+    spos = 0
+    for t in range(T + 1):
+        np.multiply(a, x, out=scores)
+        cum[0] = 0.0
+        np.cumsum(scores[: dim - 1], out=cum[1:])
+        np.multiply(b, x, out=scores)
+        np.subtract(cum, scores, out=scores)
+        i = int(np.argmax(scores))
+        fv = float(scores[i])
+        trace[t] = i
+        if t >= 1:
+            errors[t - 1] = fv
+        if not np.isfinite(fv):
+            fault = t
+            break
+        if t == T:
+            break
+        step = eta[t]
+        x[:i] -= step * a[:i]
+        x[i] += step * b[i]
+        nsq = float(np.dot(x, x))
+        nrm = np.sqrt(nsq)
+        if nrm > max_norm:
+            max_norm = nrm
+        if nsq > 1.0:
+            hits += 1
+            x /= nrm
+        if spos < snap_times.shape[0] and snap_times[spos] == t + 1:
+            snaps[spos] = x
+            spos += 1
+    return errors, trace, max_norm, hits, snaps, fault

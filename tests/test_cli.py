@@ -334,16 +334,13 @@ class TestEnvelopeRule:
             pytest.param(command, args, message, id=f"{name}-{command}")
             for name, args, message in [
                 ("huge-step", ("--schedule", "constant:c=1e300"), "produced a huge (1e+300 > 2^440) stepsize at t=0"),
-                ("shrink", ("--shrink", "0.5"), "shrink factor must lie in (0, 1e-3]"),
                 ("workers", ("--workers", "0"), "workers must be >= 1"),
             ]
             for command in ["audit", "bounds", "density", "verify"]
-            if not (name == "shrink" and command == "bounds")  # bounds takes no --shrink
         ],
     )
     def test_rejected_spec_makes_no_out_dir(self, tmp_path, capsys, command, args, message):
-        # every subcommand checks the whole spec before it makes --out;
-        # maxlinear alone shows the shrink check does not wait for vshape
+        # every subcommand checks the whole spec before it makes --out
         out = tmp_path / "out"
         family = {"verify": ("--families", "maxlinear"), "audit": ("--families", "maxlinear")}.get(command, ())
         assert run_cli(command, *args, *family, "--T", "8", "--out", str(out)) == 2
@@ -361,7 +358,7 @@ class TestEnvelopeRule:
             (("density", *_INF_PHI), "is inf at t=3"),
             (("verify", *_INF_PHI), "is inf at t=3"),
             (("audit", "--phi", "empirical", "--families", "vshape", "--T", "1"), "collected no runs"),
-            (("verify", "--schedule", "constant:c=0", "--horizons", "8"), "cannot verify: quadratic at T=8"),
+            (("verify", "--schedule", "constant:c=0", "--horizons", "8"), "cannot verify: vshape at T=8"),
         ],
         ids=[
             "audit-inf-phi", "bounds-inf-phi", "density-inf-phi", "verify-inf-phi",
@@ -497,13 +494,17 @@ class TestConfigResolution:
         assert code == 0
         assert (tmp_path / "envout" / "density.csv").exists()
 
-    def test_shrink_accepted_and_recorded(self, tmp_path):
-        code = run_cli(
-            "density", "--schedule", "constant:c=1", "--T", "4", "--thresholds", "0",
-            "--shrink", "1e-05", "--out", str(tmp_path),
-        )
-        assert code == 0
-        assert '"shrink": 1e-05' in (tmp_path / "density.csv").read_text().splitlines()[0]
+    @pytest.mark.parametrize("command", ["verify", "audit", "density"])
+    def test_shrink_is_refused(self, tmp_path, capsys, command):
+        # the vshape shrink factor is fixed: no subcommand takes it as a flag or a field
+        out = tmp_path / "out"
+        assert run_cli(command, "--shrink", "1e-05", "--T", "8", "--out", str(out)) == 2
+        assert "unrecognized arguments: --shrink" in capsys.readouterr().err
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"shrink": 1e-05}))
+        assert run_cli(command, "--config", str(cfg), "--T", "8", "--out", str(out)) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: unknown config fields for {command}: ['shrink']"]
+        assert not out.exists()
 
 
 class TestOutputHeaders:
@@ -682,9 +683,9 @@ def _typed(config):
 
 # the fields each subcommand takes besides schedule, phi, horizons, T, out and workers
 _OWN_FIELDS = {
-    "verify": ("families", "shrink"),
-    "audit": ("families", "shrink", "dump_instances"),
-    "density": ("family", "thresholds", "shrink", "per_t"),
+    "verify": ("families",),
+    "audit": ("families", "dump_instances"),
+    "density": ("family", "thresholds", "per_t"),
     "bounds": ("rows",),
 }
 
@@ -705,7 +706,7 @@ def test_resolved_config_is_pinned(tmp_path, command, csvs, jsons):
     values = {
         "schedule": "sqrt_decay:D=2,G=1", "phi": "log", "families": "maxlinear,vshape,quadratic",
         "family": "maxlinear", "horizons": None, "T": 8, "thresholds": "0,0.5,1", "out": str(tmp_path),
-        "workers": 1, "shrink": 1e-6, "per_t": False, "dump_instances": False, "rows": False,
+        "workers": 1, "per_t": False, "dump_instances": False, "rows": False,
     }
     fields = ("schedule", "phi", "horizons", "T", "out", "workers") + _OWN_FIELDS[command]
     expected = _typed({**{key: values[key] for key in fields}, "command": command})
@@ -755,7 +756,6 @@ _FLAGS = {
     "--family": (["maxlinear", "vshape", "quadratic"], ["bogus", "vshape,quadratic", ""]),
     "--thresholds": (["0,0.5,1", "inf", "-inf,0", "1e308"], ["nan", "", "a,b"]),
     "--workers": (["1", "2"], ["0", "-1", "x"]),
-    "--shrink": (["1e-6", "1e-3"], ["0", "-1", "nan", "inf", "0.5", "2"]),
     "--config": (["{config}"], ["{missing}", "{bad_json}"]),
     "--per-t": None,
     "--rows": None,
@@ -763,9 +763,9 @@ _FLAGS = {
 }
 _COMMON = ["--config", "--schedule", "--phi", "--workers", "--T", "--horizons"]
 _COMMANDS = {
-    "verify": _COMMON + ["--shrink", "--families"],
-    "audit": _COMMON + ["--shrink", "--families", "--dump-instances"],
-    "density": _COMMON + ["--shrink", "--family", "--thresholds", "--per-t"],
+    "verify": _COMMON + ["--families"],
+    "audit": _COMMON + ["--families", "--dump-instances"],
+    "density": _COMMON + ["--family", "--thresholds", "--per-t"],
     "bounds": _COMMON + ["--rows"],
 }
 _CONFIGS = st.dictionaries(

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -9,47 +8,44 @@ from stepaudit import engine
 from stepaudit import schedules as sched
 from stepaudit.errors import InvalidParameterError, NumericFaultError
 
-
-def _generic(instance):
-    """A copy with neither fast-path field, so ``engine.run`` takes the generic loop."""
-    return dataclasses.replace(instance, kernel_data=None, scalar=None)
+from oracles import array_descent, array_oracles, project_ball, project_interval, reference_descent
 
 
-def _toy_instance(value=None, subgradient=None):
+def _toy_instance(value=lambda v: v * v, subgradient=lambda v: 2.0 * v, lo=-1.0, hi=1.0, x0=1.0):
+    """A 1-d toy on the scalar path whose array ``value`` wraps the float one, as the 1-d families do."""
     return engine.ConvexInstance(
         dim=1,
-        initial_point=np.array([1.0]),
-        value=value or (lambda x: float(x[0]) ** 2),
-        subgradient=subgradient or (lambda x: np.array([2.0 * float(x[0])])),
-        project=lambda x: engine.project_interval(x, -1.0, 1.0),
+        initial_point=np.array([x0]),
+        value=lambda x: value(float(x[0])),
+        scalar=(value, subgradient, lo, hi),
     )
 
 
 class TestProjections:
     def test_ball_inside(self):
         x = np.array([0.3, 0.4])
-        assert np.array_equal(engine.project_ball(x, 1.0), x)
+        assert np.array_equal(project_ball(x, 1.0), x)
 
     def test_ball_outside(self):
-        out = engine.project_ball(np.array([3.0, 4.0]), 1.0)
+        out = project_ball(np.array([3.0, 4.0]), 1.0)
         assert np.allclose(out, [0.6, 0.8], rtol=0, atol=1e-15)
 
     def test_ball_origin(self):
         z = np.zeros(4)
-        assert np.array_equal(engine.project_ball(z, 1.0), z)
+        assert np.array_equal(project_ball(z, 1.0), z)
 
     def test_ball_bad_radius(self):
         with pytest.raises(InvalidParameterError):
-            engine.project_ball(np.zeros(2), 0.0)
+            project_ball(np.zeros(2), 0.0)
 
     def test_interval(self):
-        assert engine.project_interval(1.5, -1, 1) == 1.0
-        assert engine.project_interval(0.2, -1, 1) == 0.2
-        assert engine.project_interval(-3.0, -1, 1) == -1.0
+        assert project_interval(1.5, -1, 1) == 1.0
+        assert project_interval(0.2, -1, 1) == 0.2
+        assert project_interval(-3.0, -1, 1) == -1.0
 
     def test_interval_empty(self):
         with pytest.raises(InvalidParameterError):
-            engine.project_interval(0.0, 1.0, -1.0)
+            project_interval(0.0, 1.0, -1.0)
 
 
 class TestRun:
@@ -85,13 +81,15 @@ class TestRun:
             assert np.array_equal(r1.snapshots[t], r2.snapshots[t])
 
     def test_kernel_matches_generic_loop(self):
+        # with a snapshot at every step, every error is bitwise the full recompute's
         s = sched.sqrt_decay(2, 1)
         m = build_maxlinear(s, 24, log_envelope())
-        fast = engine.run(m.convex, s, 24, snapshots=range(1, 25))
-        slow = engine.run(_generic(m.convex), s, 24, snapshots=range(1, 25))
-        assert np.array_equal(fast.errors, slow.errors)
-        for t in range(1, 25):
-            assert np.array_equal(fast.snapshots[t], slow.snapshots[t])
+        times = np.arange(1, 25)
+        fast = engine.run(m.convex, s, 24, snapshots=times)
+        errors, _, _, _, snaps, _ = reference_descent(m.a, m.b, s.rates(24), times)
+        assert fast.errors.tobytes() == errors.tobytes()
+        for k, t in enumerate(times):
+            assert fast.snapshots[t].tobytes() == snaps[k].tobytes()
 
     def test_errors_never_negative_on_families(self):
         s = sched.sqrt_decay(2, 1)
@@ -117,29 +115,17 @@ class TestRun:
             engine.run(_toy_instance(), sched.constant(0.1), 0)
 
     def test_numeric_fault_names_step(self):
-        def bad_value(x):
-            return float("nan") if float(x[0]) < 0.9 else float(x[0])
+        def bad_value(v):
+            return math.nan if v < 0.9 else v
 
-        inst = _toy_instance(value=bad_value, subgradient=lambda x: np.array([1.0]))
+        inst = _toy_instance(value=bad_value, subgradient=lambda v: 1.0)
         with pytest.raises(NumericFaultError, match="step 2"):
             engine.run(inst, sched.constant(0.1), 5)
 
     def test_numeric_fault_in_subgradient(self):
-        inst = _toy_instance(subgradient=lambda x: np.array([float("inf")]))
+        inst = _toy_instance(subgradient=lambda v: math.inf)
         with pytest.raises(NumericFaultError, match="step 0"):
             engine.run(inst, sched.constant(0.1), 3)
-
-
-def _scalar_toy(value, subgradient, lo=-1.0, hi=1.0, x0=1.0):
-    """A 1-d toy whose array oracles wrap its float ones, as the 1-d families do."""
-    return engine.ConvexInstance(
-        dim=1,
-        initial_point=np.array([x0]),
-        value=lambda x: value(float(x[0])),
-        subgradient=lambda x: np.array([subgradient(float(x[0]))]),
-        project=lambda x: engine.project_interval(x, lo, hi),
-        scalar=(value, subgradient, lo, hi),
-    )
 
 
 class TestScalarPath:
@@ -152,19 +138,19 @@ class TestScalarPath:
         ],
     )
     def test_fault_messages_match_array_path(self, value, subgradient, message):
-        inst = _scalar_toy(value, subgradient)
-        for instance in (inst, _generic(inst)):
+        inst = _toy_instance(value, subgradient)
+        for descend in (engine.run, array_descent):
             with pytest.raises(NumericFaultError) as exc:
-                engine.run(instance, sched.constant(0.1), 20)
+                descend(inst, sched.constant(0.1), 20)
             assert str(exc.value) == message
 
     def test_nan_iterate_counts_as_projection(self):
         # the first step overflows x to inf, the second gives y = inf - inf = NaN;
         # np.clip keeps a NaN that np.array_equal finds unequal to itself
-        inst = _scalar_toy(lambda v: 0.0, lambda v: -1e300 if v < 2.0 else 1e300, -math.inf, math.inf)
+        inst = _toy_instance(lambda v: 0.0, lambda v: -1e300 if v < 2.0 else 1e300, -math.inf, math.inf)
         s = sched.constant(1e100)
         with np.errstate(over="ignore", invalid="ignore"):
-            fast, slow = (engine.run(i, s, 4, snapshots=range(1, 5)) for i in (inst, _generic(inst)))
+            fast, slow = (descend(inst, s, 4, snapshots=range(1, 5)) for descend in (engine.run, array_descent))
         assert fast.projection_activations == slow.projection_activations == 3
         assert fast.max_norm_seen == slow.max_norm_seen == math.inf
         assert fast.errors.tobytes() == slow.errors.tobytes()
@@ -176,28 +162,42 @@ class TestScalarPath:
     # to 0 at 1e-200 and overflows to inf at 1e200
     @pytest.mark.parametrize("x0, g, expected", [(1e-200, 0.0, 0.0), (1.0, -1e200, math.inf)])
     def test_max_norm_is_the_array_norm(self, x0, g, expected):
-        inst = _scalar_toy(lambda v: 0.0, lambda v: g, -math.inf, math.inf, x0=x0)
+        inst = _toy_instance(lambda v: 0.0, lambda v: g, -math.inf, math.inf, x0=x0)
         with np.errstate(over="ignore"):
-            fast, slow = (engine.run(i, sched.constant(1.0), 2) for i in (inst, _generic(inst)))
+            fast, slow = (descend(inst, sched.constant(1.0), 2) for descend in (engine.run, array_descent))
         assert fast.max_norm_seen == slow.max_norm_seen == expected
 
     @pytest.mark.parametrize("build", [build_vshape, build_quadratic])
-    def test_families_take_the_scalar_path(self, build):
+    def test_families_take_the_scalar_path(self, build, monkeypatch):
         s = sched.sqrt_decay(2, 1)
         built = build(s, 64)
+        loops = []
+        scalar_descent = engine.scalar_descent
+        monkeypatch.setattr(engine, "scalar_descent", lambda *args: loops.append(1) or scalar_descent(*args))
 
         def stub(x):
             raise RuntimeError("array oracle called")
 
-        built.convex.value = built.convex.subgradient = stub
+        built.convex.value = stub
         assert engine.run(built.convex, s, 64).errors.shape == (64,)
-        with pytest.raises(RuntimeError, match="array oracle called"):
-            engine.run(_generic(built.convex), s, 64)
+        assert loops == [1]
 
     def test_scalar_hook_needs_one_dimension(self):
-        inst = dataclasses.replace(_toy_instance(), dim=2, initial_point=np.zeros(2), scalar=(abs, abs, -1.0, 1.0))
-        with pytest.raises(InvalidParameterError, match="1-d"):
-            engine.run(inst, sched.constant(0.1), 3)
+        with pytest.raises(InvalidParameterError, match="^scalar oracles need a 1-d instance$"):
+            engine.ConvexInstance(dim=2, initial_point=np.zeros(2), value=abs, scalar=(abs, abs, -1.0, 1.0))
+
+
+class TestConvexInstance:
+    def test_needs_a_fast_path(self):
+        with pytest.raises(InvalidParameterError, match="^an instance needs exactly one of kernel_data and scalar$"):
+            engine.ConvexInstance(dim=1, initial_point=np.zeros(1), value=abs)
+
+    def test_takes_one_fast_path(self):
+        a, b = np.zeros(2), np.full(2, 0.5)
+        with pytest.raises(InvalidParameterError, match="^an instance needs exactly one of kernel_data and scalar$"):
+            engine.ConvexInstance(
+                dim=1, initial_point=np.zeros(1), value=abs, kernel_data=(a, b), scalar=(abs, abs, -1.0, 1.0)
+            )
 
 
 class TestRunRecord:
@@ -226,10 +226,10 @@ def _validate_instance(instance, sample, rng, trials=1000, rel_tol=1e-12):
     """Spot-check convexity, subgradient validity, and projection idempotence.
 
     Samples point pairs from the instance's domain with ``sample(rng,
-    dim)`` and counts violations of ``f(y) >= f(x) + g(x).(y-x)``, of
-    convexity along segments, of the unit bound on subgradient norms (every
-    family here is 1-Lipschitz), and of ``project(project(x)) ==
-    project(x)``.
+    dim)`` and, on the instance's ``array_oracles``, counts violations of
+    ``f(y) >= f(x) + g(x).(y-x)``, of convexity along segments, of the unit
+    bound on subgradient norms (every family here is 1-Lipschitz), and of
+    ``project(project(x)) == project(x)``.
     """
     report = {
         "trials": trials,
@@ -239,12 +239,13 @@ def _validate_instance(instance, sample, rng, trials=1000, rel_tol=1e-12):
         "projection_violations": 0,
         "worst_subgradient_gap": 0.0,
     }
+    value, subgradient, project = array_oracles(instance)
     for _ in range(trials):
         x = sample(rng, instance.dim)
         y = sample(rng, instance.dim)
-        fx = instance.value(x)
-        fy = instance.value(y)
-        g = instance.subgradient(x)
+        fx = value(x)
+        fy = value(y)
+        g = subgradient(x)
         scale = max(1.0, abs(fx), abs(fy))
         gap = (fx + float(np.dot(g, y - x))) - fy
         if gap > rel_tol * scale:
@@ -254,10 +255,10 @@ def _validate_instance(instance, sample, rng, trials=1000, rel_tol=1e-12):
             report["lipschitz_violations"] += 1
         lam = float(rng.uniform())
         z = lam * x + (1 - lam) * y
-        if instance.value(z) > lam * fx + (1 - lam) * fy + rel_tol * scale:
+        if value(z) > lam * fx + (1 - lam) * fy + rel_tol * scale:
             report["convexity_violations"] += 1
-        p = np.asarray(instance.project(x))
-        if not np.allclose(instance.project(p), p, rtol=0, atol=1e-15):
+        p = np.asarray(project(x))
+        if not np.allclose(project(p), p, rtol=0, atol=1e-15):
             report["projection_violations"] += 1
     report["passed"] = not any(
         report[k]

@@ -55,18 +55,17 @@ class TestSpecValidation:
         [
             ({"horizons": []}, "horizons must be a nonempty list of integers >= 1"),
             ({"families": ()}, "at least one family must be selected"),
-            ({"shrink": 0.5}, r"shrink factor must lie in \(0, 1e-3\]"),
             ({"envelope": bnd.log_envelope(2.0, -0.5)}, "is 0.9602792291600821 at t=8"),
             ({"schedule": sched.constant(1e300)}, "produced a huge"),
         ],
-        ids=["no-horizon", "no-family", "shrink", "envelope-below-one", "huge-step"],
+        ids=["no-horizon", "no-family", "envelope-below-one", "huge-step"],
     )
     def test_other_bad_input_raises_when_made(self, kwargs, message):
         with pytest.raises(InvalidParameterError, match=message):
             make_spec(**kwargs)
 
     @pytest.mark.parametrize(
-        "change", [{"horizons": [16, 8]}, {"families": ("cubic",)}, {"shrink": 0.0}], ids=["horizons", "family", "shrink"]
+        "change", [{"horizons": [16, 8]}, {"families": ("cubic",)}], ids=["horizons", "family"]
     )
     def test_replace_checks_again(self, change):
         with pytest.raises(InvalidParameterError):
@@ -184,9 +183,22 @@ def test_a_registered_family_reaches_every_output(tmp_path, monkeypatch):
     skipped = json.loads((tmp_path / "audit_summary.json").read_text())["skipped"]
     assert skipped[-1] == {"t": 8, "family": "coupled", "reason": "coupled floor not certified: a test reason"}
     entries = json.loads((tmp_path / "verify_report.json").read_text())["entries"]
-    assert [(e["family"], e["tolerance"]) for e in entries] == [("coupled", 2e-9), ("maxlinear", 1e-9)]
+    assert [(e["family"], e["tolerance"]) for e in entries] == [("maxlinear", 1e-9), ("coupled", 2e-9)]
     dumps = json.loads((tmp_path / "instances.json").read_text())["instances"]
     assert [d["family"] for d in dumps] == ["maxlinear", "coupled"]
+
+
+def test_verify_lists_families_in_the_given_order(tmp_path):
+    argv = ["verify", "--families", "vshape,maxlinear", "--horizons", "8,16", "--out", str(tmp_path)]
+    assert cli.main(argv) == 0
+    entries = json.loads((tmp_path / "verify_report.json").read_text())["entries"]
+    assert [(e["family"], e["T"]) for e in entries] == [("vshape", 8), ("vshape", 16), ("maxlinear", 8), ("maxlinear", 16)]
+
+
+@pytest.mark.parametrize("family", harness.FAMILIES)
+def test_every_family_takes_one_fast_path(family):
+    built = harness._REGISTRY[family].build(sched.sqrt_decay(2, 1), 16, bnd.log_envelope())
+    assert (built.convex.kernel_data is None) != (built.convex.scalar is None)
 
 
 class TestBadStepsizeAtTheHorizon:

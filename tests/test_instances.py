@@ -206,11 +206,13 @@ class TestConditionChecks:
 
 class TestMaxLinear:
     def test_subgradient_at_origin_uses_minimal_index(self):
+        # every piece scores 0 at the origin: piece 0 wins, so g = -b_0 e_0
         m = inst.build_maxlinear(SQRT21, 3, PHI)
-        g = m.convex.subgradient(np.zeros(4))
+        rec = engine.run(m.convex, SQRT21, 3, snapshots=[1])
+        assert rec.argmax_trace[0] == 0
         expected = np.zeros(4)
-        expected[0] = -m.b[0]
-        assert np.array_equal(g, expected)
+        expected[0] = SQRT21.rate(0) * m.b[0]
+        assert np.array_equal(rec.snapshots[1], expected)
 
     def test_first_iterate(self):
         m = inst.build_maxlinear(SQRT21, 3, PHI)

@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 import math
 import tracemalloc
 
@@ -14,59 +13,10 @@ from stepaudit.errors import ConstructionError, InvalidParameterError
 from stepaudit.harness import ExperimentSpec, Tolerances, _snapshot_grid, density_experiment
 from stepaudit.instances import build_maxlinear, build_quadratic, build_vshape
 
+from oracles import array_descent, reference_descent
+
 NO_SNAPS = np.empty(0, dtype=np.int64)
 REL = Tolerances().scalar_rel
-
-
-def _reference_descent(a, b, eta, snap_times):
-    """The plain kernel: every score recomputed over the full vector each step."""
-    dim = a.shape[0]
-    T = eta.shape[0]
-    x = np.zeros(dim)
-    errors = np.empty(T)
-    trace = np.empty(T + 1, dtype=np.int64)
-    snaps = np.empty((snap_times.shape[0], dim))
-    scores = np.empty(dim)
-    cum = np.empty(dim)
-    max_norm = 0.0
-    hits = 0
-    fault = -1
-    spos = 0
-    for t in range(T + 1):
-        np.multiply(a, x, out=scores)
-        cum[0] = 0.0
-        np.cumsum(scores[: dim - 1], out=cum[1:])
-        np.multiply(b, x, out=scores)
-        np.subtract(cum, scores, out=scores)
-        i = int(np.argmax(scores))
-        fv = float(scores[i])
-        trace[t] = i
-        if t >= 1:
-            errors[t - 1] = fv
-        if not np.isfinite(fv):
-            fault = t
-            break
-        if t == T:
-            break
-        step = eta[t]
-        x[:i] -= step * a[:i]
-        x[i] += step * b[i]
-        nsq = float(np.dot(x, x))
-        nrm = np.sqrt(nsq)
-        if nrm > max_norm:
-            max_norm = nrm
-        if nsq > 1.0:
-            hits += 1
-            x /= nrm
-        if spos < snap_times.shape[0] and snap_times[spos] == t + 1:
-            snaps[spos] = x
-            spos += 1
-    return errors, trace, max_norm, hits, snaps, fault
-
-
-def _generic(instance):
-    """A copy with neither fast-path field, so ``engine.run`` takes the generic loop."""
-    return dataclasses.replace(instance, kernel_data=None, scalar=None)
 
 
 def _bits(v):
@@ -81,7 +31,7 @@ def _assert_matches_reference(a, b, eta, snap_times, pointwise=True):
     rounding of its much larger terms, in either kernel.
     """
     errors, trace, max_norm, hits, snaps, fault = _kernels.maxlinear_descent(a, b, eta, snap_times)
-    r_errors, r_trace, r_max_norm, r_hits, r_snaps, r_fault = _reference_descent(a, b, eta, snap_times)
+    r_errors, r_trace, r_max_norm, r_hits, r_snaps, r_fault = reference_descent(a, b, eta, snap_times)
     assert fault == r_fault == -1
     assert trace.tobytes() == r_trace.tobytes()
     assert hits == r_hits
@@ -124,7 +74,7 @@ def test_fault_flag_on_nonfinite_weights(weights):
 def test_fault_at_step_zero(weights, which, index, value):
     a, b, eta = (w.copy() for w in weights)
     {"a": a, "b": b}[which][index] = value
-    for kernel in (_kernels.maxlinear_descent, _reference_descent):
+    for kernel in (_kernels.maxlinear_descent, reference_descent):
         with np.errstate(invalid="ignore"):
             assert kernel(a, b, eta, NO_SNAPS)[5] == 0
 
@@ -191,17 +141,17 @@ def test_projecting_runs_match_reference(T, seed):
 
 
 def test_long_horizon_matches_generic_loop():
-    # many recompute intervals; the generic loop is an independent oracle
+    # many recompute intervals; the full recompute is an independent oracle
     T = 1000
     s = sqrt_decay(2, 1)
     built = build_maxlinear(s, T, log_envelope())
-    times = [1, 2, T // 2, T]
+    times = np.array([1, 2, T // 2, T])
     fast = engine.run(built.convex, s, T, snapshots=times)
-    slow = engine.run(_generic(built.convex), s, T, snapshots=times)
-    for t in times:
-        assert fast.snapshots[t].tobytes() == slow.snapshots[t].tobytes()
-        assert _bits(fast.error_at(t)) == _bits(slow.error_at(t))
-    assert np.all(np.abs(fast.errors - slow.errors) <= REL * np.abs(slow.errors))
+    errors, _, _, _, snaps, _ = reference_descent(built.a, built.b, s.rates(T), times)
+    for k, t in enumerate(times):
+        assert fast.snapshots[t].tobytes() == snaps[k].tobytes()
+        assert _bits(fast.error_at(t)) == _bits(errors[t - 1])
+    assert np.all(np.abs(fast.errors - errors) <= REL * np.abs(errors))
     # per-t density at t = T is the run built for T; single-run reads its last error
     single = density_experiment(ExperimentSpec(s, [T], families=("maxlinear",)), [0.0])
     assert _bits(single.profiles[T][T - 1]) == _bits(fast.errors[T - 1])
@@ -302,7 +252,7 @@ def _assert_block_path_bitwise(a, b, eta, snap_times):
     """
     errors, trace, max_norm, hits, snaps, fault = _kernels.maxlinear_descent(a, b, eta, snap_times)
     p_out = _per_step(a, b, eta, snap_times)
-    for got, want in zip(p_out, _reference_descent(a, b, eta, snap_times)):
+    for got, want in zip(p_out, reference_descent(a, b, eta, snap_times)):
         assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
     p_errors, p_trace, p_max_norm, p_hits, p_snaps, p_fault = p_out
     assert trace.tobytes() == p_trace.tobytes()
@@ -655,9 +605,9 @@ def test_block_scratch_is_fixed_size():
 
 
 def _assert_scalar_matches_array(built, s, T, coord_tol):
-    """Bitwise against the generic loop; within ``coord_tol`` of the closed form."""
+    """Bitwise against the array loop; within ``coord_tol`` of the closed form."""
     fast = engine.run(built.convex, s, T, snapshots=range(1, T + 1))
-    slow = engine.run(_generic(built.convex), s, T, snapshots=range(1, T + 1))
+    slow = array_descent(built.convex, s, T, snapshots=range(1, T + 1))
     assert fast.errors.tobytes() == slow.errors.tobytes()
     assert fast.snapshots.keys() == slow.snapshots.keys()
     for t in fast.snapshots:
