@@ -120,7 +120,7 @@ import math
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, NumericFaultError
 
 __all__ = ["maxlinear_descent"]
 
@@ -256,32 +256,32 @@ def maxlinear_descent(a: np.ndarray, b: np.ndarray, eta: np.ndarray, snap_times:
     """Run ``len(eta)`` projected subgradient steps on a max-of-linear objective.
 
     ``a`` and ``b`` are the construction weights (length ``dim``), ``eta``
-    the stepsizes, and ``snap_times`` a sorted int64 array of iterate
-    indices (in ``1..T``) to copy out.  Returns
-    ``(errors, argmax_trace, max_norm, projection_hits, snapshots, fault_step)``
-    where ``fault_step < 0`` means no numeric fault occurred.  Non-finite
-    weights fault at step 0.  ``max_norm`` is the largest ``sqrt(np.dot(x,
-    x))`` after an exact step's update, or the largest tracked norm in a
-    block, within rounding of the exact one.
+    the stepsizes, and ``snap_times`` the sorted iterate indices (in
+    ``1..T``) to copy out.  The run starts at the origin.
+    Returns ``(errors, argmax_trace, max_norm, projection_hits, {t: x})``.
+    As on the scalar path, a non-finite objective value raises
+    :class:`NumericFaultError` naming its step; non-finite weights fault at
+    step 0.  ``max_norm`` is the largest ``sqrt(np.dot(x, x))`` after an
+    exact step's update, or the largest tracked norm in a block, within
+    rounding of the exact one.
     """
     a = np.ascontiguousarray(a, dtype=np.float64)
     b = np.ascontiguousarray(b, dtype=np.float64)
     eta = np.ascontiguousarray(eta, dtype=np.float64)
-    snap_times = np.ascontiguousarray(snap_times, dtype=np.int64)
     if a.shape != b.shape or a.ndim != 1:
         raise InvalidParameterError("weight arrays must be 1-d and equally sized")
     if eta.shape[0] >= a.shape[0]:
         raise InvalidParameterError("need one more weight than steps (dim = T + 1)")
     dim = a.shape[0]
     T = eta.shape[0]
-    errors = np.full(T, np.nan)
+    errors = np.empty(T)
     trace = np.zeros(T + 1, dtype=np.int64)
-    snaps = np.empty((snap_times.shape[0], dim))
+    snaps: dict[int, np.ndarray] = {}
     # a[dim - 1] never enters a score; the largest magnitudes are NaN or inf unless all are finite
     wa = float(np.maximum.reduce(np.abs(a[: dim - 1]), initial=0.0))
     wb = float(np.maximum.reduce(np.abs(b)))
     if not (math.isfinite(wa) and math.isfinite(wb)):
-        return errors, trace, 0.0, 0, snaps, 0
+        raise NumericFaultError("non-finite objective value at step 0")
 
     x = np.zeros(dim)
     s = np.empty(dim)  # exact scores of the touched prefix
@@ -306,9 +306,8 @@ def maxlinear_descent(a: np.ndarray, b: np.ndarray, eta: np.ndarray, snap_times:
     p = 0  # x[k] == 0 for every k >= p
     max_norm = 0.0
     hits = 0
-    fault = -1
-    spos = 0
-    next_snap = int(snap_times[0]) if snap_times.shape[0] else -1
+    pending = iter(np.asarray(snap_times, dtype=np.int64).tolist())
+    next_snap = next(pending, -1)
     scratch = np.empty((_BLOCK_STEPS + 1) * min(_FLUSH_COLS, dim))  # the flush's fixed buffer
     stops = np.flatnonzero(~(eta > 0.0)).tolist()  # the steps no block spans: zero, negative or NaN
     stops.append(T)
@@ -347,8 +346,7 @@ def maxlinear_descent(a: np.ndarray, b: np.ndarray, eta: np.ndarray, snap_times:
             if t >= 1:
                 errors[t - 1] = fv
             if not math.isfinite(fv):
-                fault = t
-                break
+                raise NumericFaultError(f"non-finite objective value at step {t}")
             if t == T:
                 break
             step = float(eta[t])
@@ -363,7 +361,6 @@ def maxlinear_descent(a: np.ndarray, b: np.ndarray, eta: np.ndarray, snap_times:
                 x /= nrm
             t += 1
         if t == next_snap:
-            snaps[spos] = x
-            spos += 1
-            next_snap = int(snap_times[spos]) if spos < snap_times.shape[0] else -1
-    return errors, trace, max_norm, hits, snaps, fault
+            snaps[t] = x.copy()
+            next_snap = next(pending, -1)
+    return errors, trace, max_norm, hits, snaps

@@ -1,23 +1,24 @@
 """Projected subgradient descent over a convex instance.
 
 The update is ``x_{t+1} = project(x_t - eta_t * g_t)`` with ``g_t`` taken
-from the instance's deterministic subgradient oracle.  :func:`run` has
-two paths, chosen by the one fast-path field an instance carries:
+from the instance's deterministic subgradient oracle.  An instance carries
+one of two paths, and :func:`run` takes it:
 
-* the kernel path: ``kernel_data`` holds max-of-linear weights, run
-  through the prefix-only numpy kernel with certified blocks in
-  ``_kernels``;
-* the scalar path: ``scalar`` holds the float oracles of a 1-d instance,
-  run through :func:`scalar_descent` on Python floats.
+* ``kernel_data``: max-of-linear weights, run from the origin through the
+  prefix-only numpy kernel with certified blocks in ``_kernels``;
+* ``scalar``: the float oracles and start point of a 1-d instance, run
+  through :func:`scalar_descent` on Python floats.
 
-Both paths are pure functions of their inputs, so repeated runs are
-bit-identical.  The scalar path performs a numpy array loop's float64
-operations in the same order, so its errors, snapshots, projection count
-and ``max_norm_seen`` equal that loop's bit for bit.  The kernel's
-iterates, snapshots, projection count and its errors at snapshot times and
-at ``t = T`` equal those of a full score recompute each step bit for bit;
-inside its certified blocks the other errors and ``max_norm_seen`` are
-tracked, and agree to rounding.
+Both paths raise :class:`~stepaudit.errors.NumericFaultError` naming the
+step of a fault, return their snapshots as ``{t: x}``, and are pure
+functions of their inputs, so repeated runs are bit-identical; :func:`run`
+makes one :class:`RunRecord` of either.  The scalar path performs a numpy
+array loop's float64 operations in the same order, so its errors,
+snapshots, projection count and ``max_norm_seen`` equal that loop's bit
+for bit.  The kernel's iterates, snapshots, projection count and its
+errors at snapshot times and at ``t = T`` equal those of a full score
+recompute each step bit for bit; inside its certified blocks the other
+errors and ``max_norm_seen`` are tracked, and agree to rounding.
 """
 
 from __future__ import annotations
@@ -42,18 +43,17 @@ __all__ = [
 
 @dataclass
 class ConvexInstance:
-    """A convex objective and the one fast-path field :func:`run` takes.
+    """A convex objective and the one descent path :func:`run` takes.
 
     Errors are objective values measured from 0, a level at or above the
     domain minimum of every family here; ``value`` is the objective on
     arrays.  Exactly one of two fields must be set: ``kernel_data`` holds
-    the max-of-linear weights ``(a, b)`` of the kernel path, and ``scalar``
-    holds the float-to-float oracles ``(value, subgradient, lo, hi)`` of a
-    1-d instance on the interval ``[lo, hi]``, for the scalar path.
+    the max-of-linear weights ``(a, b)`` of the kernel path, which starts
+    at the origin, and ``scalar`` holds ``(value, subgradient, lo, hi,
+    x0)``: the float-to-float oracles of a 1-d instance on the interval
+    ``[lo, hi]`` and its start point, for the scalar path.
     """
 
-    dim: int
-    initial_point: np.ndarray
     value: Callable[[np.ndarray], float]
     kernel_data: tuple | None = None
     scalar: tuple | None = None
@@ -61,8 +61,6 @@ class ConvexInstance:
     def __post_init__(self) -> None:
         if (self.kernel_data is None) == (self.scalar is None):
             raise InvalidParameterError("an instance needs exactly one of kernel_data and scalar")
-        if self.scalar is not None and self.dim != 1:
-            raise InvalidParameterError("scalar oracles need a 1-d instance")
 
 
 @dataclass
@@ -84,13 +82,6 @@ class RunRecord:
         return float(self.errors[t - 1])
 
 
-def _snapshot_times(snapshots, T: int) -> np.ndarray:
-    times = sorted({int(s) for s in (() if snapshots is None else snapshots)})
-    if times and (times[0] < 1 or times[-1] > T):
-        raise InvalidParameterError(f"snapshot times must lie in 1..{T}")
-    return np.asarray(times, dtype=np.int64)
-
-
 def run(
     instance: ConvexInstance,
     schedule: StepSchedule,
@@ -106,47 +97,29 @@ def run(
     T = int(T)
     if T < 1:
         raise InvalidParameterError("horizon T must be >= 1")
-    snap_times = _snapshot_times(snapshots, T)
+    snap_times = sorted({int(s) for s in (() if snapshots is None else snapshots)})
+    if snap_times and (snap_times[0] < 1 or snap_times[-1] > T):
+        raise InvalidParameterError(f"snapshot times must lie in 1..{T}")
     eta = schedule.rates(T)
-
     if instance.kernel_data is not None:
-        a, b = instance.kernel_data
-        errors, trace, max_norm, hits, snaps, fault = _kernels.maxlinear_descent(a, b, eta, snap_times)
-        if fault >= 0:
-            raise NumericFaultError(f"non-finite objective value at step {fault}")
-        return RunRecord(
-            schedule_label=schedule.label,
-            horizon=T,
-            errors=errors,
-            snapshots={int(t): snaps[k].copy() for k, t in enumerate(snap_times)},
-            max_norm_seen=float(max_norm),
-            projection_activations=int(hits),
-            argmax_trace=trace,
-        )
-
-    x = np.array(instance.initial_point, dtype=np.float64, copy=True)
-    if x.shape != (instance.dim,):
-        raise InvalidParameterError("initial point does not match instance dimension")
-    _, errors, stored, max_norm, hits = scalar_descent(instance.scalar, float(x[0]), eta, snap_times)
-    return RunRecord(
-        schedule_label=schedule.label,
-        horizon=T,
-        errors=errors,
-        snapshots=stored,
-        max_norm_seen=max_norm,
-        projection_activations=hits,
-    )
+        errors, trace, max_norm, hits, snaps = _kernels.maxlinear_descent(*instance.kernel_data, eta, snap_times)
+    else:
+        _, errors, snaps, max_norm, hits = scalar_descent(instance.scalar, eta, snap_times)
+        trace = None
+    return RunRecord(schedule.label, T, errors, snaps, max_norm, hits, trace)
 
 
-def scalar_descent(scalar: tuple, x: float, eta: np.ndarray, snap_times: Iterable[int] = ()):
+def scalar_descent(scalar: tuple, eta: np.ndarray, snap_times: Iterable[int] = ()):
     """Run projected subgradient steps of a 1-d instance on Python floats.
 
-    ``scalar = (value, subgradient, lo, hi)`` as in :class:`ConvexInstance`,
-    ``x`` is the start point and ``eta`` the float64 stepsizes, streamed
+    ``scalar = (value, subgradient, lo, hi, x0)`` as in
+    :class:`ConvexInstance` and ``eta`` the float64 stepsizes, streamed
     through a memoryview rather than a Python list.  Returns ``(x, errors,
     snapshots, max_norm, hits)``: the last iterate, the per-step errors, the
-    iterates at the sorted step indices ``snap_times``, the largest
-    pre-projection norm and the projection count.
+    iterates at the sorted step indices ``snap_times`` as ``{t: x}``, the
+    largest pre-projection norm and the projection count.  A non-finite
+    subgradient or objective value raises :class:`NumericFaultError`
+    naming its step.
 
     Each step performs the float64 operations of a numpy loop over 1-element
     arrays (``np.clip`` as the projection) in the same order, fault checks
@@ -154,7 +127,7 @@ def scalar_descent(scalar: tuple, x: float, eta: np.ndarray, snap_times: Iterabl
     ``np.linalg.norm`` computes for one element, and a NaN ``y`` counts as a
     projection hit because ``np.array_equal`` finds NaN unequal to itself.
     """
-    value, subgradient, lo, hi = scalar
+    value, subgradient, lo, hi, x = scalar
     errors = np.empty(len(eta))
     out = memoryview(errors)
     snapshots: dict[int, np.ndarray] = {}

@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+import numbers
 import sys
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
@@ -91,7 +92,8 @@ class ExperimentSpec:
     Making a spec, also by ``dataclasses.replace``, checks them all and keeps
     ``phis = phi(1), ..., phi(T + 1)`` for the largest horizon ``T``, so a bad
     stepsize or envelope value stops the run before any work, and every later
-    step reads these values.  ``horizons`` is kept as a tuple of ints.
+    step reads these values.  ``horizons`` and ``families`` are kept as
+    tuples, which later changes to the caller's lists do not reach.
     ``envelope`` must be a :class:`GuaranteeEnvelope`.
     """
 
@@ -102,23 +104,31 @@ class ExperimentSpec:
     phis: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        hs = tuple(int(t) for t in self.horizons)
+        hs = tuple(self.horizons)
+        for t in hs:
+            if not isinstance(t, numbers.Integral):
+                raise InvalidParameterError(f"horizon {t!r} is not an integer")
+        hs = tuple(map(int, hs))
         if not hs or min(hs) < 1:
             raise InvalidParameterError("horizons must be a nonempty list of integers >= 1")
         if sorted(hs) != list(hs):
             raise InvalidParameterError("horizons must be sorted ascending")
         if hs[-1] > _MAX_HORIZON:
             raise InvalidParameterError(f"horizon {hs[-1]} is too large: numpy cannot index a float64 array of T + 2 values")
-        for k, fam in enumerate(self.families):
+        if isinstance(self.families, str):
+            raise InvalidParameterError(f"families must be a list of names, got the string {self.families!r}")
+        fams = tuple(self.families)
+        for k, fam in enumerate(fams):
             if fam not in FAMILIES:
                 raise InvalidParameterError(f"unknown family {fam!r}")
-            if fam in self.families[:k]:
+            if fam in fams[:k]:
                 raise InvalidParameterError(f"family {fam!r} is repeated")
-        if not self.families:
+        if not fams:
             raise InvalidParameterError("at least one family must be selected")
         if not isinstance(self.envelope, bnd.GuaranteeEnvelope):
             raise InvalidParameterError(f"envelope must be a GuaranteeEnvelope, got {self.envelope!r}")
         object.__setattr__(self, "horizons", hs)
+        object.__setattr__(self, "families", fams)
         self.schedule.prefix_sum(hs[-1])
         object.__setattr__(self, "phis", self.envelope.values(range(1, hs[-1] + 2)))
 
@@ -366,6 +376,8 @@ def density_experiment(
     if len(spec.families) != 1:
         raise InvalidParameterError(f"density experiments run on exactly one family, got {list(spec.families)}")
     family = spec.families[0]
+    if isinstance(thresholds, str):
+        raise InvalidParameterError(f"thresholds must be a list of numbers, got the string {thresholds!r}")
     thresholds = [float(c) for c in thresholds]
     if not thresholds:
         raise InvalidParameterError("density experiments need at least one threshold")

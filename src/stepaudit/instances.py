@@ -111,13 +111,8 @@ class VShapeInstance(_Instance):
 
 
 def _interval_instance(value, subgradient, x0: float) -> ConvexInstance:
-    """1-d instance on ``[-1, 1]`` whose array ``value`` wraps the float one."""
-    return ConvexInstance(
-        dim=1,
-        initial_point=np.array([x0]),
-        value=lambda x: value(float(x[0])),
-        scalar=(value, subgradient, -1.0, 1.0),
-    )
+    """1-d instance on ``[-1, 1]`` from ``x0`` whose array ``value`` wraps the float one."""
+    return ConvexInstance(value=lambda x: value(float(x[0])), scalar=(value, subgradient, -1.0, 1.0, x0))
 
 
 def _vshape_oracles(eps: float, c: float):
@@ -146,13 +141,16 @@ def _vshape_landing(eps: float, c: float, steps: np.ndarray) -> float:
     v = np.add.accumulate(np.concatenate(([eps], steps * -c)))
     if v[-2] > 0.0:
         return max(float(v[-1]), -1.0)
-    return scalar_descent((*_vshape_oracles(eps, c), -1.0, 1.0), eps, steps)[0]
+    return scalar_descent((*_vshape_oracles(eps, c), -1.0, 1.0, eps), steps)[0]
 
 
-def build_vshape(schedule: StepSchedule, T: int, shrink: float = 1e-6) -> VShapeInstance:
+_SHRINK = 1e-6  # eps as a fraction of min(1, the exit step, the ramp's step sum)
+
+
+def build_vshape(schedule: StepSchedule, T: int) -> VShapeInstance:
     """Build the valley instance targeted at step ``T``.
 
-    ``eps = shrink * min(1, eta_{t-1}, sum_{j<t-1} eta_j)`` and the ramp
+    ``eps = _SHRINK * min(1, eta_{t-1}, sum_{j<t-1} eta_j)`` and the ramp
     slope is ``eps`` divided by that prefix sum.  The slope is nudged up
     by at most a few ulps so that, in float64, the simulated iterate one
     step before the target lands at or below the minimum and the exit
@@ -161,15 +159,13 @@ def build_vshape(schedule: StepSchedule, T: int, shrink: float = 1e-6) -> VShape
     T = int(T)
     if T < 2:
         raise ConstructionError("vshape needs a target >= 2")
-    if not 0 < shrink <= 1e-3:
-        raise InvalidParameterError("shrink factor must lie in (0, 1e-3]")
     eta_exit = schedule.rate(T - 1)
     ramp_sum = schedule.prefix_sum(T - 1)
     if eta_exit <= 0:
         raise ConstructionError(f"vshape needs eta_{T - 1} > 0")
     if ramp_sum <= 0:
         raise ConstructionError("vshape needs a positive stepsize sum before the target")
-    eps = shrink * min(1.0, eta_exit, ramp_sum)
+    eps = _SHRINK * min(1.0, eta_exit, ramp_sum)
     c = eps / ramp_sum
     steps = schedule.rates(T - 1)
     landing = _vshape_landing(eps, c, steps)
@@ -358,9 +354,9 @@ def build_maxlinear(schedule: StepSchedule, T: int, phi: GuaranteeEnvelope) -> M
 
     The admissibility conditions are checked on the generated weights and
     a failure aborts construction; the certified floor rests on that
-    check, not on ``phi`` being a true guarantee envelope.  Descent runs on
-    the weights ``(a, b)`` through the kernel; ``value`` costs O(T) via a
-    running prefix sum over the coupled coordinates.
+    check, not on ``phi`` being a true guarantee envelope.  Descent runs
+    from the origin on the weights ``(a, b)`` through the kernel; ``value``
+    costs O(T) via a running prefix sum over the coupled coordinates.
     """
     T = int(T)
     if T < 1:
@@ -373,14 +369,13 @@ def build_maxlinear(schedule: StepSchedule, T: int, phi: GuaranteeEnvelope) -> M
             f"maxlinear weight conditions failed for {schedule.label} at T={T}: "
             f"{bad.name} has slack {bad.slack!r} at worst_index={bad.worst_index}"
         )
-    dim = T + 1
 
     def value(x: np.ndarray) -> float:
         ax = a * x
-        cum = np.empty(dim)
+        cum = np.empty(T + 1)
         cum[0] = 0.0
         np.cumsum(ax[:-1], out=cum[1:])
         return float(np.max(cum - b * x))
 
-    convex = ConvexInstance(dim=dim, initial_point=np.zeros(dim), value=value, kernel_data=(a, b))
+    convex = ConvexInstance(value=value, kernel_data=(a, b))
     return MaxLinearInstance(schedule=schedule, T=T, convex=convex, a=a, b=b)

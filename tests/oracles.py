@@ -39,7 +39,7 @@ def array_oracles(instance):
     index among those attaining the maximum and project onto the unit ball.
     """
     if instance.scalar is not None:
-        value, subgradient, lo, hi = instance.scalar
+        value, subgradient, lo, hi, _ = instance.scalar
         return (
             lambda x: value(float(x[0])),
             lambda x: np.array([subgradient(float(x[0]))]),
@@ -64,9 +64,16 @@ def array_oracles(instance):
 
 
 def array_descent(instance, schedule, T, snapshots=()) -> RunRecord:
-    """``engine.run`` as a numpy loop over ``array_oracles(instance)``."""
+    """``engine.run`` as a numpy loop over ``array_oracles(instance)``.
+
+    A 1-d instance starts at the last entry of its ``scalar`` tuple, a
+    max-of-linear one at the origin.
+    """
     value, subgradient, project = array_oracles(instance)
-    x = np.array(instance.initial_point, dtype=np.float64)
+    if instance.scalar is not None:
+        x = np.array([instance.scalar[4]], dtype=np.float64)
+    else:
+        x = np.zeros(instance.kernel_data[0].shape[0])
     eta = schedule.rates(T)
     errors = np.empty(T)
     stored: dict[int, np.ndarray] = {}
@@ -97,21 +104,21 @@ def array_descent(instance, schedule, T, snapshots=()) -> RunRecord:
 def reference_descent(a, b, eta, snap_times):
     """The plain kernel: every score recomputed over the full vector each step.
 
-    Returns what ``_kernels.maxlinear_descent`` does: ``(errors, trace,
-    max_norm, hits, snaps, fault)``.
+    Returns and raises what ``_kernels.maxlinear_descent`` does: ``(errors,
+    trace, max_norm, hits, {t: x})``, or ``NumericFaultError`` naming the
+    step of a non-finite objective value.
     """
     dim = a.shape[0]
     T = eta.shape[0]
     x = np.zeros(dim)
     errors = np.empty(T)
     trace = np.empty(T + 1, dtype=np.int64)
-    snaps = np.empty((snap_times.shape[0], dim))
+    snaps = {}
     scores = np.empty(dim)
     cum = np.empty(dim)
     max_norm = 0.0
     hits = 0
-    fault = -1
-    spos = 0
+    wanted = set(np.asarray(snap_times).tolist())
     for t in range(T + 1):
         np.multiply(a, x, out=scores)
         cum[0] = 0.0
@@ -124,8 +131,7 @@ def reference_descent(a, b, eta, snap_times):
         if t >= 1:
             errors[t - 1] = fv
         if not np.isfinite(fv):
-            fault = t
-            break
+            raise NumericFaultError(f"non-finite objective value at step {t}")
         if t == T:
             break
         step = eta[t]
@@ -138,7 +144,6 @@ def reference_descent(a, b, eta, snap_times):
         if nsq > 1.0:
             hits += 1
             x /= nrm
-        if spos < snap_times.shape[0] and snap_times[spos] == t + 1:
-            snaps[spos] = x
-            spos += 1
-    return errors, trace, max_norm, hits, snaps, fault
+        if t + 1 in wanted:
+            snaps[t + 1] = x.copy()
+    return errors, trace, max_norm, hits, snaps

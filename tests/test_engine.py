@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -13,12 +14,7 @@ from oracles import array_descent, array_oracles, project_ball, project_interval
 
 def _toy_instance(value=lambda v: v * v, subgradient=lambda v: 2.0 * v, lo=-1.0, hi=1.0, x0=1.0):
     """A 1-d toy on the scalar path whose array ``value`` wraps the float one, as the 1-d families do."""
-    return engine.ConvexInstance(
-        dim=1,
-        initial_point=np.array([x0]),
-        value=lambda x: value(float(x[0])),
-        scalar=(value, subgradient, lo, hi),
-    )
+    return engine.ConvexInstance(value=lambda x: value(float(x[0])), scalar=(value, subgradient, lo, hi, x0))
 
 
 class TestProjections:
@@ -55,7 +51,7 @@ class TestRun:
         assert rec.horizon == 5
         assert np.all(rec.errors == 1.0)
         for t in range(1, 6):
-            assert np.array_equal(rec.snapshots[t], inst.initial_point)
+            assert np.array_equal(rec.snapshots[t], [1.0])
 
     def test_quadratic_hand_iteration(self):
         q = build_quadratic(sched.constant(1), 2)
@@ -86,10 +82,10 @@ class TestRun:
         m = build_maxlinear(s, 24, log_envelope())
         times = np.arange(1, 25)
         fast = engine.run(m.convex, s, 24, snapshots=times)
-        errors, _, _, _, snaps, _ = reference_descent(m.a, m.b, s.rates(24), times)
+        errors, _, _, _, snaps = reference_descent(m.a, m.b, s.rates(24), times)
         assert fast.errors.tobytes() == errors.tobytes()
-        for k, t in enumerate(times):
-            assert fast.snapshots[t].tobytes() == snaps[k].tobytes()
+        for t in times:
+            assert fast.snapshots[t].tobytes() == snaps[t].tobytes()
 
     def test_errors_never_negative_on_families(self):
         s = sched.sqrt_decay(2, 1)
@@ -182,22 +178,27 @@ class TestScalarPath:
         assert engine.run(built.convex, s, 64).errors.shape == (64,)
         assert loops == [1]
 
-    def test_scalar_hook_needs_one_dimension(self):
-        with pytest.raises(InvalidParameterError, match="^scalar oracles need a 1-d instance$"):
-            engine.ConvexInstance(dim=2, initial_point=np.zeros(2), value=abs, scalar=(abs, abs, -1.0, 1.0))
+    def test_start_point_is_the_last_scalar_entry(self):
+        inst = _toy_instance(x0=0.3)
+        rec = engine.run(inst, sched.constant(0.0), 2, snapshots=[1, 2])
+        assert rec.snapshots[1].tolist() == rec.snapshots[2].tolist() == [0.3]
+        assert rec.errors.tolist() == [0.3 * 0.3] * 2
 
 
 class TestConvexInstance:
     def test_needs_a_fast_path(self):
         with pytest.raises(InvalidParameterError, match="^an instance needs exactly one of kernel_data and scalar$"):
-            engine.ConvexInstance(dim=1, initial_point=np.zeros(1), value=abs)
+            engine.ConvexInstance(value=abs)
 
     def test_takes_one_fast_path(self):
         a, b = np.zeros(2), np.full(2, 0.5)
         with pytest.raises(InvalidParameterError, match="^an instance needs exactly one of kernel_data and scalar$"):
-            engine.ConvexInstance(
-                dim=1, initial_point=np.zeros(1), value=abs, kernel_data=(a, b), scalar=(abs, abs, -1.0, 1.0)
-            )
+            engine.ConvexInstance(value=abs, kernel_data=(a, b), scalar=(abs, abs, -1.0, 1.0, 0.0))
+
+    def test_holds_its_objective_and_one_path(self):
+        # the kernel path starts at the origin and the scalar path at its tuple's
+        # x0, so no field can name a start point that a path ignores
+        assert [f.name for f in dataclasses.fields(engine.ConvexInstance)] == ["value", "kernel_data", "scalar"]
 
 
 class TestRunRecord:
@@ -240,9 +241,10 @@ def _validate_instance(instance, sample, rng, trials=1000, rel_tol=1e-12):
         "worst_subgradient_gap": 0.0,
     }
     value, subgradient, project = array_oracles(instance)
+    dim = 1 if instance.scalar is not None else instance.kernel_data[0].shape[0]
     for _ in range(trials):
-        x = sample(rng, instance.dim)
-        y = sample(rng, instance.dim)
+        x = sample(rng, dim)
+        y = sample(rng, dim)
         fx = value(x)
         fy = value(y)
         g = subgradient(x)

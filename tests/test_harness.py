@@ -86,6 +86,24 @@ class TestSpecValidation:
         with pytest.raises(InvalidParameterError, match="envelope must be a GuaranteeEnvelope, got 'empirical'"):
             make_spec(envelope="empirical")
 
+    def test_families_are_kept_as_a_tuple(self):
+        # the spec was checked when it was made: a later change to the caller's list must not reach it
+        fams = ["maxlinear", "vshape"]
+        spec = make_spec(families=fams)
+        fams.append("bogus")
+        assert spec.families == ("maxlinear", "vshape")
+        fams[:] = ["vshape", "vshape"]
+        assert [list(row.measured) for row in audit_schedule(spec).report.rows] == [["maxlinear", "vshape"]] * 2
+
+    def test_families_string_is_refused(self):
+        with pytest.raises(InvalidParameterError, match="^families must be a list of names, got the string 'maxlinear'$"):
+            make_spec(families="maxlinear")
+
+    @pytest.mark.parametrize("horizon", [8.5, "8"])
+    def test_horizon_must_be_an_integer(self, horizon):
+        with pytest.raises(InvalidParameterError, match=f"^horizon {horizon!r} is not an integer$"):
+            make_spec(horizons=[4, horizon])
+
 
 class TestVerify:
     def test_all_families_small(self):
@@ -259,6 +277,10 @@ class TestDensity:
         table = density_experiment(spec, [0.0], per_t=True)
         assert table.builds == 8
         assert [t for t, _ in table.skipped] == list(range(1, 9))
+
+    def test_thresholds_string_is_refused(self):
+        with pytest.raises(InvalidParameterError, match="^thresholds must be a list of numbers, got the string '0.5'$"):
+            density_experiment(make_spec(), "0.5")
 
     def test_requires_single_family(self):
         spec = make_spec(families=("maxlinear", "vshape"))

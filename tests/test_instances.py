@@ -21,29 +21,35 @@ SQRT21 = sched.sqrt_decay(2, 1)
 
 class TestVShape:
     def test_example_parameters(self):
-        v = inst.build_vshape(sched.constant(0.5), 2, shrink=1e-6)
+        v = inst.build_vshape(sched.constant(0.5), 2)
         assert v.epsilon == pytest.approx(5e-7, rel=1e-12)
         assert v.c_eps == pytest.approx(1e-6, rel=1e-9)
         assert 0 < v.c_eps < 1
 
     def test_example_run(self):
         s = sched.constant(0.5)
-        v = inst.build_vshape(s, 2, shrink=1e-6)
+        v = inst.build_vshape(s, 2)
         rec = engine.run(v.convex, s, 2, snapshots=range(1, 3))
         assert abs(rec.snapshots[1][0]) <= 1e-12 * v.epsilon
         assert rec.snapshots[2][0] == pytest.approx(0.5, rel=1e-9)
         expected = 0.5 - v.epsilon + v.c_eps * v.epsilon
         assert rec.error_at(2) == pytest.approx(expected, rel=1e-12)
 
-    def test_error_approaches_exit_step_as_shrink_vanishes(self):
+    def test_error_approaches_exit_step_as_shrink_vanishes(self, monkeypatch):
         s = sched.constant(0.5)
         gaps = []
         for shrink in (1e-4, 1e-6, 1e-8):
-            v = inst.build_vshape(s, 6, shrink=shrink)
+            monkeypatch.setattr(inst, "_SHRINK", shrink)
+            v = inst.build_vshape(s, 6)
             err = engine.run(v.convex, s, 6).error_at(6)
             gaps.append(abs(err - 0.5))
         assert gaps[0] > gaps[1] > gaps[2]
         assert gaps[2] < 1e-8
+
+    def test_shrink_is_fixed(self):
+        assert inst._SHRINK == 1e-6
+        with pytest.raises(TypeError, match="shrink"):
+            inst.build_vshape(sched.constant(0.5), 2, shrink=1e-6)
 
     def test_landing_is_clean(self):
         for t in (4, 8, 64, 512):
@@ -67,7 +73,7 @@ class TestVShape:
         kind, value = slope
         c = eps / max(float(steps.sum()), 1e-300) * (1.0 + value) if kind == "nudge" else value
         assume(0.0 < c < 1.0)
-        want = engine.scalar_descent((*inst._vshape_oracles(eps, c), -1.0, 1.0), eps, steps)[0]
+        want = engine.scalar_descent((*inst._vshape_oracles(eps, c), -1.0, 1.0, eps), steps)[0]
         assert np.float64(inst._vshape_landing(eps, c, steps)).tobytes() == np.float64(want).tobytes()
 
     def test_landing_takes_both_paths(self, monkeypatch):
@@ -79,7 +85,7 @@ class TestVShape:
         assert not loops
         steps = SQRT21.rates(8)
         assert inst._vshape_landing(1e-6, 0.5, steps) == engine.scalar_descent(
-            (*inst._vshape_oracles(1e-6, 0.5), -1.0, 1.0), 1e-6, steps
+            (*inst._vshape_oracles(1e-6, 0.5), -1.0, 1.0, 1e-6), steps
         )[0]
         assert loops == [1]
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from stepaudit import _kernels, coupling_weights, engine, log_envelope, sqrt_decay
 from stepaudit import schedules as sched
-from stepaudit.errors import ConstructionError, InvalidParameterError
+from stepaudit.errors import ConstructionError, InvalidParameterError, NumericFaultError
 from stepaudit.harness import ExperimentSpec, Tolerances, _snapshot_grid, density_experiment
 from stepaudit.instances import build_maxlinear, build_quadratic, build_vshape
 
@@ -23,6 +23,11 @@ def _bits(v):
     return np.asarray(v, dtype=np.float64).tobytes()
 
 
+def _same_snapshots(have, want):
+    """Both ``{t: x}`` maps hold the same times and the same iterate bits."""
+    return have.keys() == want.keys() and all(have[t].tobytes() == want[t].tobytes() for t in want)
+
+
 def _assert_matches_reference(a, b, eta, snap_times, pointwise=True):
     """Bitwise where the kernel promises it, within scalar_rel elsewhere.
 
@@ -30,12 +35,11 @@ def _assert_matches_reference(a, b, eta, snap_times, pointwise=True):
     run's largest error: an error near a zero crossing keeps the absolute
     rounding of its much larger terms, in either kernel.
     """
-    errors, trace, max_norm, hits, snaps, fault = _kernels.maxlinear_descent(a, b, eta, snap_times)
-    r_errors, r_trace, r_max_norm, r_hits, r_snaps, r_fault = reference_descent(a, b, eta, snap_times)
-    assert fault == r_fault == -1
+    errors, trace, max_norm, hits, snaps = _kernels.maxlinear_descent(a, b, eta, snap_times)
+    r_errors, r_trace, r_max_norm, r_hits, r_snaps = reference_descent(a, b, eta, snap_times)
     assert trace.tobytes() == r_trace.tobytes()
     assert hits == r_hits
-    assert snaps.tobytes() == r_snaps.tobytes()
+    assert _same_snapshots(snaps, r_snaps)
     assert _bits(errors[-1]) == _bits(r_errors[-1])
     for t in snap_times:
         assert _bits(errors[t - 1]) == _bits(r_errors[t - 1])
@@ -64,10 +68,8 @@ def test_fault_flag_on_nonfinite_weights(weights):
     a, b, eta = weights
     bad = b.copy()
     bad[0] = np.nan
-    errors, trace, mx, hits, snaps, fault = _kernels.maxlinear_descent(
-        a, bad, eta, np.empty(0, dtype=np.int64)
-    )
-    assert fault == 0
+    with pytest.raises(NumericFaultError, match="^non-finite objective value at step 0$"):
+        _kernels.maxlinear_descent(a, bad, eta, np.empty(0, dtype=np.int64))
 
 
 @pytest.mark.parametrize("which, index, value", [("a", 24, np.nan), ("b", -1, np.inf)])
@@ -75,8 +77,18 @@ def test_fault_at_step_zero(weights, which, index, value):
     a, b, eta = (w.copy() for w in weights)
     {"a": a, "b": b}[which][index] = value
     for kernel in (_kernels.maxlinear_descent, reference_descent):
-        with np.errstate(invalid="ignore"):
-            assert kernel(a, b, eta, NO_SNAPS)[5] == 0
+        with np.errstate(invalid="ignore"), pytest.raises(NumericFaultError, match="^non-finite objective value at step 0$"):
+            kernel(a, b, eta, NO_SNAPS)
+
+
+def test_fault_names_the_step_of_a_nan_iterate(weights):
+    # a NaN step 3 makes every touched entry NaN: the first score read after it, at step 4, faults
+    a, b, eta = weights
+    eta = eta.copy()
+    eta[3] = np.nan
+    for kernel in (_kernels.maxlinear_descent, reference_descent):
+        with np.errstate(invalid="ignore"), pytest.raises(NumericFaultError, match="^non-finite objective value at step 4$"):
+            kernel(a, b, eta, np.array([2, 3], dtype=np.int64))
 
 
 # positive stepsize tables with runs of zeros, magnitudes 1e-8 .. 1e3
@@ -147,9 +159,9 @@ def test_long_horizon_matches_generic_loop():
     built = build_maxlinear(s, T, log_envelope())
     times = np.array([1, 2, T // 2, T])
     fast = engine.run(built.convex, s, T, snapshots=times)
-    errors, _, _, _, snaps, _ = reference_descent(built.a, built.b, s.rates(T), times)
-    for k, t in enumerate(times):
-        assert fast.snapshots[t].tobytes() == snaps[k].tobytes()
+    errors, _, _, _, snaps = reference_descent(built.a, built.b, s.rates(T), times)
+    assert _same_snapshots(fast.snapshots, snaps)
+    for t in times:
         assert _bits(fast.error_at(t)) == _bits(errors[t - 1])
     assert np.all(np.abs(fast.errors - errors) <= REL * np.abs(errors))
     # per-t density at t = T is the run built for T; single-run reads its last error
@@ -250,15 +262,16 @@ def _assert_block_path_bitwise(a, b, eta, snap_times):
     A block reports tracked errors and ``||x||^2``, so the other errors and
     ``max_norm`` agree within ``scalar_rel`` of the blocks-off kernel.
     """
-    errors, trace, max_norm, hits, snaps, fault = _kernels.maxlinear_descent(a, b, eta, snap_times)
+    errors, trace, max_norm, hits, snaps = _kernels.maxlinear_descent(a, b, eta, snap_times)
     p_out = _per_step(a, b, eta, snap_times)
-    for got, want in zip(p_out, reference_descent(a, b, eta, snap_times)):
-        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
-    p_errors, p_trace, p_max_norm, p_hits, p_snaps, p_fault = p_out
+    want = reference_descent(a, b, eta, snap_times)
+    for got, expected in zip(p_out[:4], want[:4]):
+        assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
+    assert _same_snapshots(p_out[4], want[4])
+    p_errors, p_trace, p_max_norm, p_hits, p_snaps = p_out
     assert trace.tobytes() == p_trace.tobytes()
     assert hits == p_hits
-    assert snaps.tobytes() == p_snaps.tobytes()
-    assert fault == p_fault
+    assert _same_snapshots(snaps, p_snaps)
     assert _bits(errors[-1]) == _bits(p_errors[-1])
     for t in snap_times:
         assert _bits(errors[t - 1]) == _bits(p_errors[t - 1])
