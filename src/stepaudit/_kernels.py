@@ -38,14 +38,22 @@ exactly ``x - y`` and negation commutes with rounding; ``tol`` is formed
 elementwise from the step sum.
 
 Error bounds.  With ``R = sqrt(D)``, ``D`` the largest ``|u_k|`` or
-``d_k``, and ``coef = 8 (dim + 2 _BLOCK_ROWS) _EPS``, a tracked score
-differs from the one an exact step would compute by at most ``tol = coef (2
-R ||x|| + 3 D sum(eta))``, with ``||x||`` taken at the block's recompute and
-the sum over the block's steps so far: both carry a sequential-sum error of
-``dim`` roundings of terms below ``R ||x||``, and each tracked step adds a
-few roundings of terms below ``eta D``.  ``nerr`` bounds the tracked
-``||x||^2`` the same way, starting from ``coef ||x||^2``.  The constants
-are generous: they only make a block give up or fail sooner.
+``d_k``, and ``coef = 8 (dim + 2 m) _EPS`` for a block of at most ``m``
+rows, a tracked score differs from the one an exact step would compute by
+at most ``tol = coef (2 R ||x|| + 3 D sum(eta))``, with ``||x||`` taken at
+the block's recompute and the sum over the block's steps so far.  The
+``dim`` term covers the recomputed scores: each is a sequential sum of up
+to ``dim`` products whose magnitudes add up to at most ``R ||x||`` (``sum
+a_k^2 <= D``), so both the score a block starts from and the one an exact
+step would compute carry ``dim`` roundings of terms below that.  The ``2
+m`` term covers the rows: by row ``r < m`` the tracked score has taken
+``r`` rounded additions and every touched iterate entry ``r`` rounded
+updates, each off by ``u`` times a term below ``R ||x|| + D sum(eta)``,
+since a step ``eta`` moves a score by at most ``eta D``.  A block takes ``m
+= _BLOCK_ROWS``, its longest; the tail below, the one block that can be
+longer, takes its own row count.  ``nerr`` bounds the tracked ``||x||^2``
+the same way, starting from ``coef ||x||^2``.  The constants are generous:
+they only make a block give up or fail sooner.
 
 Certificate.  The block is certified when, at every row ``r``, the tracked
 scores pass ``sfx_r - max s(r) > 2 tol_r``.  Each tracked score lies within
@@ -63,32 +71,33 @@ float prefix sums), ``_certified`` bounds them:
   E_{o+1}) <= max(u_k, 0) (E_B - E_{o+1})``; the running maximum of these
   bounds over the opened coordinates bounds them all.
 
-Slack.  Let ``u = 2^-53`` (``_EPS = 2u``) and ``Z = max|s(0)| + max|sfx_r|
-+ max|v| + c_B D``, which bounds every score in the block and every
+Slack.  Let ``u = 2^-53`` (``_EPS = 2u``) and ``Z = max|s(0)| + max|sfx_r| +
+max|v| + c_B D``, which bounds every score in the block and every
 intermediate of the certificate (to a factor ``1 + 2 m _EPS``).  Over ``m``
-rows a tracked score takes at most ``m`` rounded updates ``fl(s +
-fl(u_k eta))``, each off by at most ``u (eta |u_k| + |s|)``: ``(m + 1) u Z``
-in all.  ``|c_r - E_r| <= m u E_r``, so the chord's slope ``c_r / c_B`` is
-off by ``(2m + 1) u``, its computed endpoint ``max(s + fl(c_B u))`` by ``(m
-+ 2) u Z``, and with its four roundings the chord by at most ``(5m + 9) u
-Z``; the opened coordinates' bound is off by less, ``(2m + 3) u Z``.  The
-final float test ``sfx_r - bound_r > (2 + 16 _EPS) tol_r + slack`` rounds by
-``2 u Z`` on the left, and passing it with ``(2 + 16 _EPS)`` instead of
-``2`` leaves the real difference ``sfx_r - max s(r)`` above ``2 tol_r``.
-The sum of the terms is ``(6m + 13) u Z (1 + 3%) <= (4m + 8) _EPS Z``; the
-slack is twice that, ``8 (m + 2) _EPS Z``, plus ``1e-300`` for underflow.
+rows (a tail's evaluation row included) a tracked score takes at most ``m``
+rounded updates ``fl(s + fl(u_k eta))``, each off by at most ``u (eta |u_k|
++ |s|)``: ``(m + 1) u Z`` in all.  ``|c_r - E_r| <= m u E_r``, so the chord's
+slope ``c_r / c_B`` is off by ``(2m + 1) u``, its computed endpoint ``max(s
++ fl(c_B u))`` by ``(m + 2) u Z``, and with its four roundings the chord by
+at most ``(5m + 9) u Z``; the opened coordinates' bound is off by less,
+``(2m + 3) u Z``.  The final float test ``sfx_r - bound_r > (2 + 16 _EPS)
+tol_r + slack`` rounds by ``2 u Z`` on the left, and passing it with ``(2 +
+16 _EPS)`` instead of ``2`` leaves the real difference ``sfx_r - max s(r)``
+above ``2 tol_r``.  The sum of the terms is ``(6m + 13) u Z (1 + 3%) <= (4m +
+8) _EPS Z``; the slack is twice that, ``8 (m + 2) _EPS Z``, plus ``1e-300``
+for underflow.
 
 A certified block writes its trace as a slice and then applies the
 deferred iterate updates (``_flush``), each coordinate's operations in
 their original order, so its trace, iterates and snapshots are bitwise
 those of exact steps.  Up to ``_FLUSH_COLS`` touched coordinates the rows
 go through one fixed flat buffer of ``(_BLOCK_STEPS + 1) min(_FLUSH_COLS,
-dim)`` cells in chunks of as many rows as fit (at least ``_BLOCK_STEPS``),
-each chunk a 2-d batch folded column by column, which saves the per-row
-call overhead.  A chunk zeroes the entries of coordinates its rows have
-not opened yet through a slice of one cached strict upper triangle
-(``_TRIANGLE``) and writes the fresh entries on the batch's strided
-diagonal.  Wider, each row runs the exact step's own update
+dim)`` cells, made at the first flush, in chunks of as many rows as fit
+(at least ``_BLOCK_STEPS``), each chunk a 2-d batch folded column by
+column, which saves the per-row call overhead.  A chunk zeroes the entries
+of coordinates its rows have not opened yet through a slice of one cached
+strict upper triangle (``_TRIANGLE``) and writes the fresh entries on the
+batch's strided diagonal.  Wider, each row runs the exact step's own update
 (``_step_update``) in the kernel's O(dim) buffer, which keeps the scratch
 fixed and, past a few thousand coordinates, costs less per cell than the
 batch's 2-d products and fold.  The batch forms its products with
@@ -111,6 +120,31 @@ no block is tried again before the next row that is a multiple of
 ``_BLOCK_STEPS`` rows.  With ``_BLOCK_STEPS = 0``, or when a weight or
 step sum is so large that a tracked value could overflow, every step is
 exact.
+
+Tail block.  A run without snapshots reads its iterate only for the final
+recompute of ``err(T)``, and flushing every block for it costs O(T^2).  So
+where the block path is on, no snapshot is pending and no step in ``[t,
+T)`` is not positive, the block tried at row ``t`` is first tried as the
+tail, at most once per run: rows ``t..T``, where row ``T`` only evaluates.
+It takes no step, so ``c_B`` is the sum of the real steps, the chord and
+the opened coordinates' bounds reach row ``T`` at ``E_B``, and its tracked
+error is the score after the last step, with ``tol`` from all the steps
+and ``coef`` from the tail's ``T + 1 - t`` rows.  ``_tail`` runs
+``_block`` on segments of ``_BLOCK_ROWS`` steps, each started from the
+last one's scalars; a sequential sum split that way adds the same terms in
+the same order, so the segments have the bits of one block and the
+derivation above holds as for one block.  It writes the tracked errors
+straight into ``errors`` and the score bounds into ``buf[p:]`` (``p <=
+t``, so the ``T + 1 - t`` of them fit), and ``_certified`` checks them in
+two segmented passes, ``c_B`` and ``Z`` first and then the rows, so the
+scratch stays ``O(_BLOCK_ROWS)`` for any ``T``.  A certified tail writes
+its trace and returns without a flush or a final recompute, with ``tol``
+at row ``T`` as the bound on the distance of its ``err(T)`` from the
+recomputed one; the iterate after row ``t`` is never formed.  A tail that
+gives up or fails leaves the state as it was, the entries it wrote are
+written again, and the run goes on with the bits it has without a tail.  A snapshot at
+``T`` (``verify`` asks for one) keeps the tail off, so that run's
+iterates, snapshots and ``err(T)`` are bitwise those of exact steps.
 """
 
 from __future__ import annotations
@@ -140,6 +174,11 @@ def _exact_scores(a, b, x, q, scores, cum):
     np.subtract(cum[:q], scores[:q], out=scores[:q])
 
 
+def _running(v0, terms):
+    """``v0`` and its sequential running sums with ``terms``: ``len(terms) + 1`` values."""
+    return np.add.accumulate(np.concatenate(([v0], terms)))
+
+
 def _block(t0, t1, p, sfx, nsq, nerr, eta_acc, tol, base, coef, D, eta_v, u_v, d_v):
     """Steps ``t0..t1-1`` as array recurrences, assuming the fresh coordinate wins.
 
@@ -147,65 +186,120 @@ def _block(t0, t1, p, sfx, nsq, nerr, eta_acc, tol, base, coef, D, eta_v, u_v, d
     ``eta_v``, ``u_v`` and ``d_v`` are arrays or memoryviews.  Updates only
     the scalars, each as one sequential ``np.add.accumulate`` over the
     terms a per-row loop adds (see the module docstring).  Returns
-    ``(fvs, tols, nsq_max)`` for the rows before the first one whose
+    ``(fvs, tols, nsq_max, carry)`` for the rows before the first one whose
     ``||x||^2`` needs the exact dot or a projection: per row the tracked
-    error and score bound, and the largest ``||x||^2``; or ``None`` when
-    that is row 0.
+    error and score bound, the largest ``||x||^2``, and the arguments
+    ``(sfx, nsq, nerr, eta_acc, tol)`` that continue the recurrences at
+    the first row left out; or ``None`` when that is row 0.
     """
     st = np.asarray(eta_v)[t0:t1]
     u, d = np.asarray(u_v), np.asarray(d_v)
     m = st.shape[0]
-    fvs = np.add.accumulate(np.concatenate(([sfx], st * u[p : p + m])))[:m]  # sfx at the start of each row
-    tols = coef * (base + (3.0 * D) * np.add.accumulate(np.concatenate(([eta_acc], st[:-1]))))
+    fvs = _running(sfx, st * u[p : p + m])  # sfx at the start of each row, then after the last
+    acc = _running(eta_acc, st)  # the steps before each row, then all of them
+    tols = coef * (base + (3.0 * D) * acc)
     tols[0] = tol
     ss = st * st
     w = np.empty(2 * m + 1)  # ||x||^2 = nsq - (2 step) fv + ss d_p at each row, as nsq + (-(2 step) fv)
     w[0] = nsq
-    np.multiply(-2.0 * st, fvs, out=w[1::2])
+    np.multiply(-2.0 * st, fvs[:m], out=w[1::2])
     np.multiply(ss, d[p : p + m], out=w[2::2])
     nsqs = np.add.accumulate(w)[::2]  # before each row, then after the last
     e = np.empty(m + 1)  # nerr, then its increment at each row
     e[0] = nerr
-    e[1:] = (4.0 * st) * tols + coef * ((np.abs(nsqs[:m]) + 2.0 * np.abs(st * fvs)) + ss * D)
+    e[1:] = (4.0 * st) * tols[:m] + coef * ((np.abs(nsqs[:m]) + 2.0 * np.abs(st * fvs[:m])) + ss * D)
+    nerrs = np.add.accumulate(e)
     after = nsqs[1:]
-    gave_up = 1.0 - after <= (1e-9 + np.add.accumulate(e)[1:]) + coef * np.abs(after)  # near 1 or past it
+    gave_up = 1.0 - after <= (1e-9 + nerrs[1:]) + coef * np.abs(after)  # near 1 or past it
     g = int(gave_up.argmax())  # the first row that gives up, or 0 when none does
     if not gave_up[g]:
         g = m
     if g == 0:
         return None
     nsq_max = float(np.fmax.reduce(after[:g], initial=-math.inf))  # NaN rows never raise the loop's max
-    return fvs[:g], tols[:g], nsq_max
+    carry = (float(fvs[g]), float(nsqs[g]), float(nerrs[g]), float(acc[g]), float(tols[g]))
+    return fvs[:g], tols[:g], nsq_max, carry
 
 
 def _certified(s, u, d, buf, p, D, st, fvs, tols):
     """Whether the test ``sfx - max s > 2 tol`` holds at every block row.
 
-    ``s[:p]`` holds the exact scores at the block's first row and ``st``
-    the block's steps; see the module docstring for the bound and its slack.
+    ``s[:p]`` holds the exact scores at the block's first row, ``st`` the
+    block's steps, and ``fvs`` and ``tols`` the rows' tracked errors and
+    score bounds: one row per step, and for a tail one more, the
+    evaluation row.  Both passes run in segments of ``_BLOCK_ROWS`` rows;
+    see the module docstring for the bound and its slack.
     """
-    m = st.shape[0]
+    n = fvs.shape[0]
     if not np.minimum.reduce(st) > 0.0:
         return False
-    c = np.zeros(m + 1)
-    np.add.accumulate(st, out=c[1:])  # c[r]: the steps before row r
-    cB = float(c[m])
+    segments = [(r0, min(r0 + _BLOCK_ROWS, n)) for r0 in range(0, n, _BLOCK_ROWS)]
+    # the first pass finds the sum of the steps and the largest |score| of each kind
+    cB = zf = zo = 0.0
+    for r0, r1 in segments:
+        sk = st[r0:r1]  # a tail's last segment holds one step fewer than rows
+        k = sk.shape[0]
+        cB = float(_running(cB, sk)[k])
+        zf = np.maximum(zf, np.maximum.reduce(np.abs(fvs[r0:r1])))
+        opened = fvs[r0 : r0 + k] - sk * d[p + r0 : p + r0 + k]  # the tracked score of p + r after row r
+        zo = np.maximum(zo, np.maximum.reduce(np.abs(opened), initial=0.0))
     old = s[:p]
     M0 = float(np.maximum.reduce(old))
     np.multiply(u[:p], cB, out=buf[:p])
     np.add(buf[:p], old, out=buf[:p])
-    bound = M0 + (c[:m] / cB) * (float(np.maximum.reduce(buf[:p])) - M0)  # the chord of a convex max
-    opened = fvs - st * d[p : p + m]  # the tracked score of p + r after row r
-    w = opened + np.maximum(u[p : p + m], 0.0) * (cB - c[1:])
-    np.maximum.accumulate(w, out=w)
-    np.maximum(bound[1:], w[:-1], out=bound[1:])
-    Z = max(M0, -float(np.minimum.reduce(old))) + float(np.maximum.reduce(np.abs(fvs))) + cB * D
-    Z += float(np.maximum.reduce(np.abs(opened)))
+    M1 = float(np.maximum.reduce(buf[:p]))
+    Z = max(M0, -float(np.minimum.reduce(old))) + float(zf) + cB * D
+    Z += float(zo)
     if not math.isfinite(Z):
         return False
-    slack = 8.0 * (m + 2) * _EPS * Z + 1e-300
-    np.subtract(fvs, bound, out=bound)
-    return bool((bound > (2.0 + 16.0 * _EPS) * tols + slack).all())
+    slack = 8.0 * (n + 2) * _EPS * Z + 1e-300
+    c0, wtop = 0.0, -math.inf  # the steps before the segment; the opened scores' bound at its first row
+    for r0, r1 in segments:
+        sk = st[r0:r1]
+        k = sk.shape[0]
+        c = _running(c0, sk)  # the steps before each row, then after the segment's last step
+        c0 = float(c[k])
+        bound = M0 + (c[: r1 - r0] / cB) * (M1 - M0)  # the chord of a convex max
+        w = fvs[r0 : r0 + k] - sk * d[p + r0 : p + r0 + k]
+        w += np.maximum(u[p + r0 : p + r0 + k], 0.0) * (cB - c[1:])
+        w = np.maximum.accumulate(np.concatenate(([wtop], w)))  # w[j] bounds the opened scores at row r0 + j
+        wtop = float(w[k])
+        np.maximum(bound, w[: r1 - r0], out=bound)
+        np.subtract(fvs[r0:r1], bound, out=bound)
+        if not (bound > (2.0 + 16.0 * _EPS) * tols[r0:r1] + slack).all():
+            return False
+    return True
+
+
+def _tail(t, T, p, sfx, nsq, base, D, s, u, d, buf, eta, errors):
+    """Rows ``t..T`` as one block whose row ``T`` only evaluates, or ``None``.
+
+    Runs ``_block`` on segments of ``_BLOCK_ROWS`` steps, each continuing
+    the last one's recurrences, writes the tracked errors into ``errors[t -
+    1 : T]`` and the score bounds into ``buf[p : p + T + 1 - t]`` (``p <=
+    t``, so they fit beside the chord's ``buf[:p]``), and certifies them.
+    Returns ``(nsq_max, tol)``, the largest ``||x||^2`` and the bound on
+    ``err(T)``, when every row is kept and certified; otherwise the caller
+    goes on from the same state, and rewrites every entry written here.
+    """
+    n = T + 1 - t  # rows
+    coef = 8.0 * (s.shape[0] + 2 * n) * _EPS  # see the module docstring
+    carry = (sfx, nsq, coef * nsq, 0.0, coef * base)
+    nsq_max = -math.inf
+    for r0 in range(t, T, _BLOCK_ROWS):
+        r1 = min(r0 + _BLOCK_ROWS, T)
+        rows = _block(r0, r1, p + r0 - t, *carry, base, coef, D, eta, u, d)
+        if rows is None or len(rows[0]) < r1 - r0:
+            return None
+        errors[r0 - 1 : r1 - 1] = rows[0]
+        buf[p + r0 - t : p + r1 - t] = rows[1]
+        nsq_max = max(nsq_max, rows[2])
+        carry = rows[3]
+    errors[T - 1] = carry[0]
+    buf[p + n - 1] = carry[4]
+    if not _certified(s, u, d, buf, p, D, eta[t:T], errors[t - 1 : T], buf[p : p + n]):
+        return None
+    return nsq_max, carry[4]
 
 
 def _step_update(x, a, b, buf, i, step):
@@ -258,7 +352,10 @@ def maxlinear_descent(a: np.ndarray, b: np.ndarray, eta: np.ndarray, snap_times:
     ``a`` and ``b`` are the construction weights (length ``dim``), ``eta``
     the stepsizes, and ``snap_times`` the sorted iterate indices (in
     ``1..T``) to copy out.  The run starts at the origin.
-    Returns ``(errors, argmax_trace, max_norm, projection_hits, {t: x})``.
+    Returns ``(errors, argmax_trace, max_norm, projection_hits, {t: x},
+    err_bound)``: ``err_bound`` bounds ``errors[-1]``'s distance from the
+    recomputed ``err(T)`` after a certified tail, and is ``0.0`` where
+    ``err(T)`` is that recompute.
     As on the scalar path, a non-finite objective value raises
     :class:`NumericFaultError` naming its step; non-finite weights fault at
     step 0.  ``max_norm`` is the largest ``sqrt(np.dot(x, x))`` after an
@@ -308,14 +405,16 @@ def maxlinear_descent(a: np.ndarray, b: np.ndarray, eta: np.ndarray, snap_times:
     hits = 0
     pending = iter(np.asarray(snap_times, dtype=np.int64).tolist())
     next_snap = next(pending, -1)
-    scratch = np.empty((_BLOCK_STEPS + 1) * min(_FLUSH_COLS, dim))  # the flush's fixed buffer
+    scratch = None  # the flush's fixed buffer, made at the first flush
     stops = np.flatnonzero(~(eta > 0.0)).tolist()  # the steps no block spans: zero, negative or NaN
     stops.append(T)
     t = 0
     retry = 0  # the first row at which a block may be tried
+    tail = longest > 0  # one tail per run, tried where nothing stops a block before T
     while True:
         _exact_scores(a, b, x, p + 1, s, buf)
-        end = min(t + longest, stops[bisect.bisect_left(stops, t)])
+        stop = stops[bisect.bisect_left(stops, t)]
+        end = min(t + longest, stop)
         if 0 < next_snap < end:
             end = next_snap
         certified = False
@@ -323,6 +422,13 @@ def maxlinear_descent(a: np.ndarray, b: np.ndarray, eta: np.ndarray, snap_times:
             sfx = float(s[p])
             nsq = float(np.dot(x, x))
             base = 2.0 * R * math.sqrt(nsq)
+            if tail and stop == T and next_snap < 0:
+                tail = False
+                done = _tail(t, T, p, sfx, nsq, base, D, s, u, d, buf, eta, errors)
+                if done is not None:
+                    trace[t:] = np.arange(p, p + T + 1 - t)
+                    max_norm = max(max_norm, math.sqrt(max(done[0], 0.0)))
+                    return errors, trace, max_norm, hits, snaps, done[1]
             rows = _block(t, end, p, sfx, nsq, coef * nsq, 0.0, coef * base, base, coef, D, eta, u, d)
             short = rows is None or len(rows[0]) < end - t  # ||x||^2 nears 1 at the first row left out
             if rows is not None:
@@ -333,6 +439,8 @@ def maxlinear_descent(a: np.ndarray, b: np.ndarray, eta: np.ndarray, snap_times:
                 stop = end if certified else t
                 retry = stop - stop % _BLOCK_STEPS + _BLOCK_STEPS
         if certified:
+            if scratch is None:
+                scratch = np.empty((_BLOCK_STEPS + 1) * min(_FLUSH_COLS, dim))
             _flush(x, a, b, buf, scratch, p, st)
             trace[t:end] = np.arange(p, p + end - t)
             p += end - t
@@ -363,4 +471,4 @@ def maxlinear_descent(a: np.ndarray, b: np.ndarray, eta: np.ndarray, snap_times:
         if t == next_snap:
             snaps[t] = x.copy()
             next_snap = next(pending, -1)
-    return errors, trace, max_norm, hits, snaps
+    return errors, trace, max_norm, hits, snaps, 0.0

@@ -15,15 +15,20 @@ functions of their inputs, so repeated runs are bit-identical; :func:`run`
 makes one :class:`RunRecord` of either.  The scalar path performs a numpy
 array loop's float64 operations in the same order, so its errors,
 snapshots, projection count and ``max_norm_seen`` equal that loop's bit
-for bit.  The kernel's iterates, snapshots, projection count and its
-errors at snapshot times and at ``t = T`` equal those of a full score
-recompute each step bit for bit; inside its certified blocks the other
-errors and ``max_norm_seen`` are tracked, and agree to rounding.
+for bit.  The kernel's snapshots, projection count and its errors at
+snapshot times equal those of a full score recompute each step bit for
+bit; inside its certified blocks the other errors and ``max_norm_seen``
+are tracked, and agree to rounding.  So does ``err(T)`` when a run
+without a snapshot at ``T`` ends in a certified tail block, which skips
+forming the iterates; ``RunRecord.final_error_bound`` then bounds its
+distance from the recomputed value, and is ``0.0`` where ``err(T)`` is
+that recompute, bit for bit (always with a snapshot at ``T``).
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 
@@ -74,12 +79,20 @@ class RunRecord:
     max_norm_seen: float = 0.0
     projection_activations: int = 0
     argmax_trace: np.ndarray | None = None
+    final_error_bound: float = 0.0  # |errors[-1] - err(T)| at most this; 0.0 where err(T) is recomputed exactly
 
     def error_at(self, t: int) -> float:
         """Return ``err(t)`` for ``1 <= t <= horizon``."""
         if not 1 <= t <= self.horizon:
             raise InvalidParameterError(f"t={t} outside 1..{self.horizon}")
         return float(self.errors[t - 1])
+
+
+def _horizon(T) -> int:
+    """``T`` as an ``int``; a value that is not an integer raises :class:`InvalidParameterError`."""
+    if not isinstance(T, numbers.Integral):
+        raise InvalidParameterError(f"horizon {T!r} is not an integer")
+    return int(T)
 
 
 def run(
@@ -92,9 +105,9 @@ def run(
 
     ``snapshots`` lists the step indices in ``1..T`` whose iterates are
     kept (``None`` keeps none).  With no snapshots the working memory stays
-    O(dim) regardless of ``T``.
+    O(dim) regardless of ``T``, which must be an integer.
     """
-    T = int(T)
+    T = _horizon(T)
     if T < 1:
         raise InvalidParameterError("horizon T must be >= 1")
     snap_times = sorted({int(s) for s in (() if snapshots is None else snapshots)})
@@ -102,11 +115,11 @@ def run(
         raise InvalidParameterError(f"snapshot times must lie in 1..{T}")
     eta = schedule.rates(T)
     if instance.kernel_data is not None:
-        errors, trace, max_norm, hits, snaps = _kernels.maxlinear_descent(*instance.kernel_data, eta, snap_times)
+        errors, trace, max_norm, hits, snaps, bound = _kernels.maxlinear_descent(*instance.kernel_data, eta, snap_times)
     else:
         _, errors, snaps, max_norm, hits = scalar_descent(instance.scalar, eta, snap_times)
-        trace = None
-    return RunRecord(schedule.label, T, errors, snaps, max_norm, hits, trace)
+        trace, bound = None, 0.0
+    return RunRecord(schedule.label, T, errors, snaps, max_norm, hits, trace, bound)
 
 
 def scalar_descent(scalar: tuple, eta: np.ndarray, snap_times: Iterable[int] = ()):

@@ -27,7 +27,7 @@ from typing import ClassVar
 import numpy as np
 
 from .bounds import GuaranteeEnvelope
-from .engine import ConvexInstance, scalar_descent
+from .engine import ConvexInstance, _horizon, scalar_descent
 from .errors import ConstructionError, InvalidParameterError
 from .schedules import StepSchedule
 
@@ -156,7 +156,7 @@ def build_vshape(schedule: StepSchedule, T: int) -> VShapeInstance:
     step before the target lands at or below the minimum and the exit
     step takes the ``-1`` branch exactly as in real arithmetic.
     """
-    T = int(T)
+    T = _horizon(T)
     if T < 2:
         raise ConstructionError("vshape needs a target >= 2")
     eta_exit = schedule.rate(T - 1)
@@ -213,7 +213,7 @@ def build_quadratic(schedule: StepSchedule, T: int) -> QuadraticInstance:
     Requires the step sum ``S`` over the first ``T`` steps to be at least
     1/2 so the objective is 1-Lipschitz on ``[-1, 1]``.
     """
-    T = int(T)
+    T = _horizon(T)
     if T < 1:
         raise InvalidParameterError("quadratic target must be >= 1")
     S = schedule.prefix_sum(T)
@@ -358,7 +358,7 @@ def build_maxlinear(schedule: StepSchedule, T: int, phi: GuaranteeEnvelope) -> M
     from the origin on the weights ``(a, b)`` through the kernel; ``value``
     costs O(T) via a running prefix sum over the coupled coordinates.
     """
-    T = int(T)
+    T = _horizon(T)
     if T < 1:
         raise InvalidParameterError("maxlinear horizon must be >= 1")
     a, b = coupling_weights(schedule, T, phi)

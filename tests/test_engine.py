@@ -53,6 +53,12 @@ class TestRun:
         for t in range(1, 6):
             assert np.array_equal(rec.snapshots[t], [1.0])
 
+    @pytest.mark.parametrize("T", [8.5, "8"])
+    def test_horizon_must_be_an_integer(self, T):
+        s = sched.sqrt_decay(2, 1)
+        with pytest.raises(InvalidParameterError, match=f"^horizon {T!r} is not an integer$"):
+            engine.run(build_maxlinear(s, 8, log_envelope()).convex, s, T)
+
     def test_quadratic_hand_iteration(self):
         q = build_quadratic(sched.constant(1), 2)
         rec = engine.run(q.convex, sched.constant(1), 2, snapshots=range(1, 3))

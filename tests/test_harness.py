@@ -136,6 +136,24 @@ class TestAudit:
         assert result.skipped == []
         assert all(row.measured for row in result.report.rows)
 
+    def test_measured_error_counts_its_bound(self, monkeypatch):
+        # a run that ends in a certified tail reports a bound on err(T), and
+        # the verdict takes the measured error less that bound
+        spec = make_spec(horizons=[64], families=("maxlinear",))
+        check = next(a for a in audit_schedule(spec).assertions if a["check"] == "measured_ge_certified")
+        rec = engine.run(harness.inst.build_maxlinear(spec.schedule, 64, spec.envelope).convex, spec.schedule, 64)
+        assert check["measured_error_bound"] == rec.final_error_bound > 0.0
+        assert check["passed"]
+        margin = check["measured"] - check["certified"]
+
+        def widened(*args, **kwargs):
+            record = engine.run(*args, **kwargs)
+            record.final_error_bound = margin + 1e-9
+            return record
+
+        monkeypatch.setattr(harness, "run", widened)
+        assert not audit_schedule(spec).passed
+
     def test_reference_audit_larger_horizons(self):
         spec = make_spec(horizons=[8, 64, 512], families=("maxlinear", "vshape", "quadratic"))
         result = audit_schedule(spec)
@@ -281,6 +299,11 @@ class TestDensity:
     def test_thresholds_string_is_refused(self):
         with pytest.raises(InvalidParameterError, match="^thresholds must be a list of numbers, got the string '0.5'$"):
             density_experiment(make_spec(), "0.5")
+
+    @pytest.mark.parametrize("thresholds", [["abc"], [0.5, None]])
+    def test_thresholds_must_be_numbers(self, thresholds):
+        with pytest.raises(InvalidParameterError, match="^thresholds must be numbers or inf, got "):
+            density_experiment(make_spec(), thresholds)
 
     def test_requires_single_family(self):
         spec = make_spec(families=("maxlinear", "vshape"))

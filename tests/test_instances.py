@@ -19,6 +19,12 @@ PHI = bnd.log_envelope()
 SQRT21 = sched.sqrt_decay(2, 1)
 
 
+@pytest.mark.parametrize("build", [inst.build_vshape, inst.build_quadratic, inst.build_maxlinear])
+def test_builders_refuse_a_horizon_that_is_not_an_integer(build):
+    with pytest.raises(InvalidParameterError, match="^horizon 8.7 is not an integer$"):
+        build(SQRT21, 8.7, *((PHI,) if build is inst.build_maxlinear else ()))
+
+
 class TestVShape:
     def test_example_parameters(self):
         v = inst.build_vshape(sched.constant(0.5), 2)

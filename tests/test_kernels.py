@@ -28,6 +28,17 @@ def _same_snapshots(have, want):
     return have.keys() == want.keys() and all(have[t].tobytes() == want[t].tobytes() for t in want)
 
 
+def _assert_final_error(errors, want, bound, snap_times):
+    """``err(T)`` bitwise where the run recomputes it, as a snapshot at ``T``
+    makes it do; after a certified tail within the bound the run returns."""
+    if len(errors) in snap_times:
+        assert bound == 0.0
+    if bound == 0.0:
+        assert _bits(errors[-1]) == _bits(want[-1])
+    else:
+        assert abs(errors[-1] - want[-1]) <= bound
+
+
 def _assert_matches_reference(a, b, eta, snap_times, pointwise=True):
     """Bitwise where the kernel promises it, within scalar_rel elsewhere.
 
@@ -35,12 +46,12 @@ def _assert_matches_reference(a, b, eta, snap_times, pointwise=True):
     run's largest error: an error near a zero crossing keeps the absolute
     rounding of its much larger terms, in either kernel.
     """
-    errors, trace, max_norm, hits, snaps = _kernels.maxlinear_descent(a, b, eta, snap_times)
+    errors, trace, max_norm, hits, snaps, bound = _kernels.maxlinear_descent(a, b, eta, snap_times)
     r_errors, r_trace, r_max_norm, r_hits, r_snaps = reference_descent(a, b, eta, snap_times)
     assert trace.tobytes() == r_trace.tobytes()
     assert hits == r_hits
     assert _same_snapshots(snaps, r_snaps)
-    assert _bits(errors[-1]) == _bits(r_errors[-1])
+    _assert_final_error(errors, r_errors, bound, snap_times)
     for t in snap_times:
         assert _bits(errors[t - 1]) == _bits(r_errors[t - 1])
     scale = np.abs(r_errors) if pointwise else np.abs(r_errors).max()
@@ -164,9 +175,13 @@ def test_long_horizon_matches_generic_loop():
     for t in times:
         assert _bits(fast.error_at(t)) == _bits(errors[t - 1])
     assert np.all(np.abs(fast.errors - errors) <= REL * np.abs(errors))
+    # without a snapshot the run ends in a tail: err(T) within its bound of the recomputed one
+    tail = engine.run(built.convex, s, T)
+    assert fast.final_error_bound == 0.0 < tail.final_error_bound
+    assert abs(tail.error_at(T) - fast.error_at(T)) <= tail.final_error_bound
     # per-t density at t = T is the run built for T; single-run reads its last error
     single = density_experiment(ExperimentSpec(s, [T], families=("maxlinear",)), [0.0])
-    assert _bits(single.profiles[T][T - 1]) == _bits(fast.errors[T - 1])
+    assert _bits(single.profiles[T][T - 1]) == _bits(tail.errors[T - 1])
     # both modes in full past two recompute intervals
     spec = ExperimentSpec(s, [130], families=("maxlinear",))
     per_t = density_experiment(spec, [0.0], per_t=True)
@@ -262,17 +277,18 @@ def _assert_block_path_bitwise(a, b, eta, snap_times):
     A block reports tracked errors and ``||x||^2``, so the other errors and
     ``max_norm`` agree within ``scalar_rel`` of the blocks-off kernel.
     """
-    errors, trace, max_norm, hits, snaps = _kernels.maxlinear_descent(a, b, eta, snap_times)
+    errors, trace, max_norm, hits, snaps, bound = _kernels.maxlinear_descent(a, b, eta, snap_times)
     p_out = _per_step(a, b, eta, snap_times)
     want = reference_descent(a, b, eta, snap_times)
     for got, expected in zip(p_out[:4], want[:4]):
         assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
     assert _same_snapshots(p_out[4], want[4])
-    p_errors, p_trace, p_max_norm, p_hits, p_snaps = p_out
+    p_errors, p_trace, p_max_norm, p_hits, p_snaps, p_bound = p_out
+    assert p_bound == 0.0
     assert trace.tobytes() == p_trace.tobytes()
     assert hits == p_hits
     assert _same_snapshots(snaps, p_snaps)
-    assert _bits(errors[-1]) == _bits(p_errors[-1])
+    _assert_final_error(errors, p_errors, bound, snap_times)
     for t in snap_times:
         assert _bits(errors[t - 1]) == _bits(p_errors[t - 1])
     assert np.all(np.abs(errors - p_errors) <= REL * np.abs(p_errors))
@@ -318,8 +334,8 @@ def test_every_block_certified_on_the_staircase(monkeypatch):
 
 
 def test_every_long_block_certified_on_the_staircase():
-    # at the default length a block runs to the next snapshot time or T:
-    # [1, 70), [70, 500), [500, 999) and [999, 1000)
+    # at the default length a block runs to the next snapshot time:
+    # [1, 70), [70, 500) and [500, 999); rows 999 and 1000 end the run as a tail
     s = sqrt_decay(2, 1)
     T = 1000
     a, b = coupling_weights(s, T, log_envelope())
@@ -328,9 +344,9 @@ def test_every_long_block_certified_on_the_staircase():
         trace = _assert_block_path_bitwise(a, b, s.rates(T), snaps)
     assert results == [True] * 4
     assert trace.tobytes() == np.arange(T + 1).tobytes()
-    assert [rows for _, rows, _ in log] == [69, 430, 499, 1]
-    # the first two stay within 768 touched coordinates, the last two run row by row
-    assert _wide_rows(log, None) == 500
+    assert [rows for _, rows, _ in log] == [69, 430, 499]
+    # the first two stay within 768 touched coordinates, the last runs row by row
+    assert _wide_rows(log, None) == 499
 
 
 def _old_rival(T=40, slope=0.1):
@@ -471,8 +487,9 @@ def test_block_gives_up_where_the_norm_needs_the_dot(nsq, gives_up):
 
 def test_block_gives_up_midway_and_backs_off():
     # at three times the headline steps ||x||^2 reaches 1 inside the first
-    # block: it keeps the rows before that, exact steps project from there,
-    # and each later block waits for the next multiple of _BLOCK_STEPS
+    # block: the tail tried there gives up, the block keeps the rows before
+    # that, exact steps project from there, and each later block waits for
+    # the next multiple of _BLOCK_STEPS
     s = sqrt_decay(2, 1)
     T = 300
     a, b = coupling_weights(s, T, log_envelope())
@@ -491,7 +508,7 @@ def test_block_gives_up_midway_and_backs_off():
     assert 0 < rows < T - 1  # the first block would run [1, T)
     stop = 1 + rows  # the exact step that projects
     steps = _kernels._BLOCK_STEPS
-    assert starts == [1] + list(range(stop - stop % steps + steps, T, steps))
+    assert starts == [1, 1] + list(range(stop - stop % steps + steps, T, steps))
 
 
 def test_block_gives_up_with_the_loops_rounding():
@@ -544,23 +561,24 @@ def test_all_open_chunks_match_per_step(T, sizes):
     # a scratch of 65 rows of dim = T + 1 cells splits the block [1, T) into
     # chunks of up to 64 rows; the one that ends at the block's end has 64,
     # 1 or 6 rows.  At T = 7 the diagonal's stride is 8 elements, where
-    # np.negative(v, out=v) miscomputes.
+    # np.negative(v, out=v) miscomputes.  The snapshot at T keeps the tail off.
     s = sqrt_decay(2, 1)
     a, b = coupling_weights(s, T, log_envelope())
     with _chunks() as log, _flushes(T + 1) as flushes:
-        trace = _assert_block_path_bitwise(a, b, s.rates(T), NO_SNAPS)
+        trace = _assert_block_path_bitwise(a, b, s.rates(T), np.array([T]))
     assert trace.tobytes() == np.arange(T + 1).tobytes()
     assert [rows for _, rows, _ in flushes] == [T - 1]
     assert log == sizes
 
 
 def test_construction_takes_the_all_open_path():
-    # at the default sizes both blocks of a dim 641 run batch their rows in chunks
+    # at the default sizes both blocks of a dim 641 run batch their rows in
+    # chunks; the snapshot at T keeps the tail off
     s = sqrt_decay(2, 1)
     T = 640
     a, b = coupling_weights(s, T, log_envelope())
     with _chunks() as log, _flushes() as flushes:
-        _assert_block_path_bitwise(a, b, s.rates(T), np.array([320], dtype=np.int64))
+        _assert_block_path_bitwise(a, b, s.rates(T), np.array([320, T], dtype=np.int64))
     assert [rows for _, rows, _ in flushes] == [319, 320]
     assert log == [129] * 2 + [61] + [64] * 5
 
@@ -568,7 +586,8 @@ def test_construction_takes_the_all_open_path():
 def test_chunks_with_zero_steps_match_per_step():
     # zero steps every third row and a run of 140: every block stops before
     # a zero step, and on the construction the zero steps and row 0 are the
-    # only rows that run exact
+    # only rows that run exact; rows 399 and 400 end the run as a tail,
+    # which is not flushed
     T = 400
     eta = 1.0 / np.sqrt(np.arange(1.0, T + 2.0))
     eta[2::3] = 0.0
@@ -583,7 +602,7 @@ def test_chunks_with_zero_steps_match_per_step():
             _assert_block_path_bitwise(a, b, s.rates(T), snaps)
         assert len(results) == len(spans) and all(results)
         assert set(range(T)).difference(*(range(*span) for span in spans)) == {0} | zeros
-        assert sum(rows for _, rows, _ in log) == T - 1 - len(zeros)
+        assert sum(rows for _, rows, _ in log) == T - 2 - len(zeros)
         _wide_rows(log, cols)
 
 
@@ -601,17 +620,116 @@ def test_blocks_span_positive_steps_only(table):
 def test_block_scratch_is_fixed_size():
     # a block batches at most _FLUSH_COLS columns in a fixed buffer and runs
     # wider prefixes row by row in the kernel's own O(dim) buffer, never
-    # one row of dim per step: the peak stays near those arrays at dim = 16385
+    # one row of dim per step: the peak stays near those arrays at dim =
+    # 16385.  The snapshot at T keeps the tail off, so every block flushes.
     s = sqrt_decay(2, 1)
     a, b = build_maxlinear(s, 16384, log_envelope(8, 4)).convex.kernel_data
     eta = s.rates(16384)
     tracemalloc.start()
     try:
-        _kernels.maxlinear_descent(a, b, eta, NO_SNAPS)
+        _kernels.maxlinear_descent(a, b, eta, np.array([16384]))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= 1.5e6
+
+
+# -- the tail: rows t..T as one block that ends the run -------------------------
+
+
+@contextlib.contextmanager
+def _tails():
+    """Record what every tail attempt returns."""
+    results = []
+    tail = _kernels._tail
+
+    def recorded(*args):
+        results.append(tail(*args))
+        return results[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernels, "_tail", recorded)
+        yield results
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 700), st.floats(-2.0, 1.0), st.integers(0, 2**32 - 1))
+def test_tail_final_error_lies_within_its_bound(T, log_c, seed):
+    # admissible tables eta_t = c / sqrt(t + 1) U[0.5, 1]: every run ends in a certified tail
+    rng = np.random.default_rng(seed)
+    s = sched.from_table(10.0**log_c / np.sqrt(np.arange(1.0, T + 2.0)) * rng.uniform(0.5, 1.0, T + 1))
+    built = build_maxlinear(s, T, log_envelope())
+    eta = s.rates(T)
+    errors, trace, max_norm, hits, snaps, bound = _kernels.maxlinear_descent(built.a, built.b, eta, NO_SNAPS)
+    p_errors, p_trace, p_max_norm, p_hits, _, _ = _per_step(built.a, built.b, eta, NO_SNAPS)
+    assert trace.tobytes() == p_trace.tobytes() == np.arange(T + 1).tobytes()
+    assert hits == p_hits == 0 and snaps == {}
+    assert 0.0 < bound and abs(errors[-1] - p_errors[-1]) <= bound
+    assert np.all(np.abs(errors - p_errors) <= REL * np.abs(p_errors))
+    assert max_norm == pytest.approx(p_max_norm, rel=REL)
+
+
+def test_certified_tail_never_flushes():
+    # four segments of 512 rows, certified as one block from t = 1
+    s = sqrt_decay(2, 1)
+    T = 2000
+    a, b = coupling_weights(s, T, log_envelope())
+    with _tails() as tails, _certificates() as results, _flushes() as log:
+        trace = _assert_block_path_bitwise(a, b, s.rates(T), NO_SNAPS)
+    assert len(tails) == 1 and tails[0] is not None
+    assert results == [True] and log == []
+    assert trace.tobytes() == np.arange(T + 1).tobytes()
+
+
+def test_snapshot_at_the_horizon_keeps_the_final_error_bitwise():
+    s = sqrt_decay(2, 1)
+    T = 1000
+    a, b = coupling_weights(s, T, log_envelope())
+    times = np.array([T])
+    with _tails() as tails, _flushes() as log:
+        errors, *_, bound = _kernels.maxlinear_descent(a, b, s.rates(T), times)
+    assert tails == [] and log and bound == 0.0
+    assert _bits(errors[-1]) == _bits(reference_descent(a, b, s.rates(T), times)[0][-1])
+
+
+@pytest.mark.parametrize("case", ["norm", "rival"])
+def test_tail_that_fails_falls_back_to_the_same_bits(case):
+    # at three times the headline steps ||x||^2 reaches 1 inside the tail;
+    # the old rival fails its certificate.  Either way the run gives the
+    # bits of the run whose snapshot at T keeps the tail off.
+    if case == "norm":
+        s = sqrt_decay(2, 1)
+        T = 300
+        a, b = coupling_weights(s, T, log_envelope())
+        eta = 3.0 * s.rates(T)
+    else:
+        a, b, eta, _ = _old_rival()
+        T = len(eta)
+    with _tails() as tails:
+        got = _kernels.maxlinear_descent(a, b, eta, NO_SNAPS)
+    want = _kernels.maxlinear_descent(a, b, eta, np.array([T]))
+    assert tails == [None]
+    for have, expected in zip(got[:4], want[:4]):
+        assert _bits(have) == _bits(expected)
+    assert got[5] == want[5] == 0.0
+
+
+def test_tail_run_allocates_less_than_the_flush():
+    # a run that ends in a tail holds seven arrays of dim floats (the
+    # errors, the trace, x, the scores, buf, u and d) and the trace's one
+    # temporary; its segments are a few KB, and the flush's scratch (2.5
+    # such arrays more at this dim) is never made
+    s = sqrt_decay(2, 1)
+    a, b = build_maxlinear(s, 16384, log_envelope(8, 4)).convex.kernel_data
+    eta = s.rates(16384)
+    tracemalloc.start()
+    try:
+        bound = _kernels.maxlinear_descent(a, b, eta, NO_SNAPS)[5]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert bound > 0.0
+    assert peak <= 8.5 * 8 * len(a)
 
 
 # -- the scalar path of the 1-d families against the array oracle ----------
