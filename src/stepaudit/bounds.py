@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, step_count
 from .schedules import StepSchedule
 
 __all__ = [
@@ -70,7 +70,7 @@ class GuaranteeEnvelope:
         self(1)
 
     def __call__(self, t: int) -> float:
-        t = int(t)
+        t = step_count(t, 1, "step")
         return float(self.values(range(t, t + 1))[0])
 
     def values(self, ts: range) -> np.ndarray:
@@ -138,9 +138,7 @@ def _gamma(k: int) -> float:
 
 def harmonic(n: int) -> float:
     """Harmonic number ``H_n``, summed from the smallest term up."""
-    n = int(n)
-    if n < 1:
-        raise InvalidParameterError("harmonic numbers need n >= 1")
+    n = step_count(n, 1, "harmonic index")
     # a sequential accumulate adds in loop order, so the bits match
     # ``total += 1.0 / i`` for i = n, ..., 1
     return float(np.add.accumulate(1.0 / np.arange(n, 0, -1, dtype=np.float64))[-1])
@@ -148,17 +146,13 @@ def harmonic(n: int) -> float:
 
 def harmonic_table(n: int) -> np.ndarray:
     """Array ``[H_1, ..., H_n]`` via a cumulative sum."""
-    n = int(n)
-    if n < 1:
-        raise InvalidParameterError("harmonic numbers need n >= 1")
+    n = step_count(n, 1, "harmonic index")
     return np.cumsum(1.0 / np.arange(1, n + 1, dtype=np.float64))
 
 
 def last_step_bound(schedule: StepSchedule, t: int) -> float:
     """Error floor ``eta_{t-1}``: the final step cannot be undone."""
-    t = int(t)
-    if t < 1:
-        raise InvalidParameterError("bounds need t >= 1")
+    t = step_count(t, 1, "horizon")
     return schedule.rate(t - 1)
 
 
@@ -168,9 +162,7 @@ def step_sum_bound(schedule: StepSchedule, t: int) -> float | None:
     Returns ``None`` when the step sum is below 1/2 (the floor does not
     apply there).
     """
-    t = int(t)
-    if t < 1:
-        raise InvalidParameterError("bounds need t >= 1")
+    t = step_count(t, 1, "horizon")
     S = schedule.prefix_sum(t)
     if S < 0.5:
         return None
@@ -184,9 +176,7 @@ def maxlinear_bound(schedule: StepSchedule, t: int, phi: GuaranteeEnvelope) -> f
     ``1 / (64 phi(t+1) sqrt(t+1))``; algebraically equal to half the
     weighted step sum certified by the built instance.
     """
-    t = int(t)
-    if t < 1:
-        raise InvalidParameterError("bounds need t >= 1")
+    t = step_count(t, 1, "horizon")
     eta = schedule.rates(t)
     root = math.sqrt(t + 1.0)
     j = np.arange(t, dtype=np.float64)
@@ -200,9 +190,7 @@ def quartic_floor(schedule: StepSchedule, t: int, shifted: bool = False) -> floa
     The weight is ``w_j = j`` by default; ``shifted=True`` uses the
     sharper ``w_j = j + 1`` variant.
     """
-    t = int(t)
-    if t < 1:
-        raise InvalidParameterError("bounds need t >= 1")
+    t = step_count(t, 1, "horizon")
     eta = schedule.rates(t)
     j = np.arange(t, dtype=np.float64)
     w = j + 1.0 if shifted else j
@@ -217,9 +205,7 @@ def averaged_quartic_floor(schedule: StepSchedule, T: int) -> float:
     ``k`` contributes, so this equals the brute-force double sum
     ``(1/T) sum_t sum_{j<t} j eta_j^2 / (t+1-j)`` exactly.
     """
-    T = int(T)
-    if T < 2:
-        raise InvalidParameterError("averaging needs T >= 2")
+    T = step_count(T, 2, "horizon")
     eta = schedule.rates(T)
     H = harmonic_table(T)
     k = np.arange(1, T)
@@ -240,9 +226,7 @@ def tail_cutoff(T: int, phi: GuaranteeEnvelope) -> int | None:
     is never empty.  Returns ``None`` when the cutoff falls below 1
     (horizon too small for the tail argument to engage).
     """
-    T = int(T)
-    if T < 2:
-        raise InvalidParameterError("cutoff selection needs T >= 2")
+    T = step_count(T, 2, "horizon")
     half = T // 2
     p = phi(half + 1)
     denom = 256.0 * math.exp(4.0) * p * p * p * p  # float * overflows to inf where ** raises
@@ -258,7 +242,8 @@ def tail_margin(T: int, phi: GuaranteeEnvelope, t1: int) -> tuple[float, float]:
     step asks ``target >= margin = sqrt(h+1) / (8 e^2 phi(h+1))``.  Neither
     depends on the schedule.
     """
-    half = int(T) // 2
+    half = step_count(T, 0, "horizon") // 2
+    t1 = step_count(t1, 1, "cutoff")
     p_half = phi(half + 1)
     target = math.sqrt(half + 1.0) / (4.0 * math.exp(2.0) * p_half) - 2.0 * phi(t1) * math.sqrt(t1 + 1.0)
     return target, math.sqrt(half + 1.0) / (8.0 * math.exp(2.0) * p_half)
@@ -297,9 +282,7 @@ def envelope_floor(T: int) -> tuple[float, float]:
     ``log_form = ln(T/2)^{1/8} / (2^{5/2} e)``.  The two curves cross at
     small horizons; callers compare, they do not assume an ordering.
     """
-    T = int(T)
-    if T < 2:
-        raise InvalidParameterError("floors need T >= 2")
+    T = step_count(T, 2, "horizon")
     half = T // 2
     base = 2.0 ** 2.5
     harm = harmonic(half) ** 0.125 / (base * math.exp(2.0))
@@ -488,6 +471,7 @@ class BoundRow:
 
 def bound_row(schedule: StepSchedule, t: int, phi: GuaranteeEnvelope) -> BoundRow:
     """Every analytic floor at horizon ``t``; measured errors start empty."""
+    t = step_count(t, 1, "horizon")
     floor_h, floor_l = envelope_floor(t) if t >= 2 else (None, None)
     return BoundRow(
         t=t,

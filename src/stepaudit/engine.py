@@ -28,14 +28,13 @@ that recompute, bit for bit (always with a snapshot at ``T``).
 from __future__ import annotations
 
 import math
-import numbers
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import _kernels
-from .errors import InvalidParameterError, NumericFaultError
+from .errors import InvalidParameterError, NumericFaultError, step_count
 from .schedules import StepSchedule
 
 __all__ = [
@@ -83,16 +82,10 @@ class RunRecord:
 
     def error_at(self, t: int) -> float:
         """Return ``err(t)`` for ``1 <= t <= horizon``."""
-        if not 1 <= t <= self.horizon:
-            raise InvalidParameterError(f"t={t} outside 1..{self.horizon}")
+        t = step_count(t, 1, "step")
+        if t > self.horizon:
+            raise InvalidParameterError(f"step {t} is above {self.horizon}")
         return float(self.errors[t - 1])
-
-
-def _horizon(T) -> int:
-    """``T`` as an ``int``; a value that is not an integer raises :class:`InvalidParameterError`."""
-    if not isinstance(T, numbers.Integral):
-        raise InvalidParameterError(f"horizon {T!r} is not an integer")
-    return int(T)
 
 
 def run(
@@ -105,14 +98,12 @@ def run(
 
     ``snapshots`` lists the step indices in ``1..T`` whose iterates are
     kept (``None`` keeps none).  With no snapshots the working memory stays
-    O(dim) regardless of ``T``, which must be an integer.
+    O(dim) regardless of ``T``.
     """
-    T = _horizon(T)
-    if T < 1:
-        raise InvalidParameterError("horizon T must be >= 1")
-    snap_times = sorted({int(s) for s in (() if snapshots is None else snapshots)})
-    if snap_times and (snap_times[0] < 1 or snap_times[-1] > T):
-        raise InvalidParameterError(f"snapshot times must lie in 1..{T}")
+    T = step_count(T, 1, "horizon")
+    snap_times = sorted({step_count(s, 1, "snapshot time") for s in (() if snapshots is None else snapshots)})
+    if snap_times and snap_times[-1] > T:
+        raise InvalidParameterError(f"snapshot time {snap_times[-1]} is above {T}")
     eta = schedule.rates(T)
     if instance.kernel_data is not None:
         errors, trace, max_norm, hits, snaps, bound = _kernels.maxlinear_descent(*instance.kernel_data, eta, snap_times)

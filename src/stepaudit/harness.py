@@ -22,8 +22,8 @@ import numpy as np
 from . import bounds as bnd
 from . import instances as inst
 from .bounds import _U, _gamma
-from .engine import ConvexInstance, _horizon, run
-from .errors import ConstructionError, InvalidParameterError
+from .engine import ConvexInstance, run
+from .errors import ConstructionError, InvalidParameterError, step_count
 from .schedules import StepSchedule
 
 __all__ = [
@@ -103,8 +103,8 @@ class ExperimentSpec:
     phis: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        hs = tuple(map(_horizon, self.horizons))
-        if not hs or min(hs) < 1:
+        hs = tuple(step_count(h, 1, "horizon") for h in self.horizons)
+        if not hs:
             raise InvalidParameterError("horizons must be a nonempty list of integers >= 1")
         if sorted(hs) != list(hs):
             raise InvalidParameterError("horizons must be sorted ascending")
@@ -602,9 +602,9 @@ def _quartic_steps(
 
 def chain_horizon(T: int) -> int:
     """``T`` as an int, if the chain replay can run at it (even, at least 4)."""
-    T = int(T)
-    if T < 4 or T % 2 != 0:
-        raise InvalidParameterError("chain check requires even T >= 4")
+    T = step_count(T, 4, "chain horizon")
+    if T % 2 != 0:
+        raise InvalidParameterError(f"chain horizon {T} is odd")
     return T
 
 

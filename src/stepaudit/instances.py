@@ -27,8 +27,8 @@ from typing import ClassVar
 import numpy as np
 
 from .bounds import GuaranteeEnvelope
-from .engine import ConvexInstance, _horizon, scalar_descent
-from .errors import ConstructionError, InvalidParameterError
+from .engine import ConvexInstance, scalar_descent
+from .errors import ConstructionError, InvalidParameterError, step_count
 from .schedules import StepSchedule
 
 __all__ = [
@@ -63,8 +63,9 @@ class _Instance:
     _dumped: ClassVar[tuple[str, ...]] = ()
 
     def closed_form_iterate(self, t: int) -> np.ndarray:
-        if not 1 <= t <= self.T:
-            raise InvalidParameterError(f"t={t} outside 1..{self.T}")
+        t = step_count(t, 1, "step")
+        if t > self.T:
+            raise InvalidParameterError(f"step {t} is above {self.T}")
         return self._iterate(t)
 
     def closed_form_error(self, t: int) -> float:
@@ -156,7 +157,7 @@ def build_vshape(schedule: StepSchedule, T: int) -> VShapeInstance:
     step before the target lands at or below the minimum and the exit
     step takes the ``-1`` branch exactly as in real arithmetic.
     """
-    T = _horizon(T)
+    T = step_count(T, -math.inf, "horizon")  # any integer below 2 is a ConstructionError
     if T < 2:
         raise ConstructionError("vshape needs a target >= 2")
     eta_exit = schedule.rate(T - 1)
@@ -213,9 +214,7 @@ def build_quadratic(schedule: StepSchedule, T: int) -> QuadraticInstance:
     Requires the step sum ``S`` over the first ``T`` steps to be at least
     1/2 so the objective is 1-Lipschitz on ``[-1, 1]``.
     """
-    T = _horizon(T)
-    if T < 1:
-        raise InvalidParameterError("quadratic target must be >= 1")
+    T = step_count(T, 1, "horizon")
     S = schedule.prefix_sum(T)
     if S < 0.5:
         raise ConstructionError(f"quadratic instance needs step sum S >= 1/2 at t={T}, got S={S}")
@@ -241,9 +240,7 @@ def coupling_weights(
     certified sum does not depend on the schedule:
     ``sum_{j<t} a_j b_j eta_j = (H_{t+1} - 1) / (32 phi(t+1) sqrt(t+1))``.
     """
-    t = int(t)
-    if t < 1:
-        raise InvalidParameterError("weights need t >= 1")
+    t = step_count(t, 1, "horizon")
     pt = phi(t + 1)
     eta = schedule.rates(t + 1)
     root = math.sqrt(t + 1.0)
@@ -285,7 +282,7 @@ def check_weight_conditions(
     reported as ``rhs - lhs``; a condition passes only with nonnegative
     slack.
     """
-    T = int(T)
+    T = step_count(T, 0, "horizon")
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != (T + 1,) or b.shape != (T + 1,):
@@ -358,9 +355,7 @@ def build_maxlinear(schedule: StepSchedule, T: int, phi: GuaranteeEnvelope) -> M
     from the origin on the weights ``(a, b)`` through the kernel; ``value``
     costs O(T) via a running prefix sum over the coupled coordinates.
     """
-    T = _horizon(T)
-    if T < 1:
-        raise InvalidParameterError("maxlinear horizon must be >= 1")
+    T = step_count(T, 1, "horizon")
     a, b = coupling_weights(schedule, T, phi)
     report = check_weight_conditions(a, b, schedule, T)
     if not report.ok:

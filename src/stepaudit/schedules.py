@@ -5,19 +5,19 @@ A :class:`StepSchedule` is a vectorised values function ``first(n) ->
 The first materialisation of each index validates it and appends it to one
 cached ``(values, prefix)`` pair, whose prefix sums come from a single
 sequential ``np.add.accumulate``, so repeated queries return bit-identical
-values and schedules can be shared by concurrent readers.
+values.  Concurrent readers need no lock: the pair is replaced whole and
+``first`` is deterministic, so each reader gets a consistent pair, same bits.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-import threading
 from collections.abc import Callable, Sequence
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, step_count
 
 __all__ = [
     "StepSchedule",
@@ -51,60 +51,50 @@ class StepSchedule:
         self.length = length
         self.label = label
         self._cache = (np.empty(0, dtype=np.float64), np.zeros(1, dtype=np.float64))
-        self._lock = threading.Lock()
 
     def _materialise(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         """Return a ``(values, prefix)`` snapshot covering at least ``n`` values."""
-        cache = self._cache
-        if cache[0].shape[0] >= n:
+        values, prefix = cache = self._cache
+        start = values.shape[0]
+        if start >= n:
             return cache
-        with self._lock:
-            values, prefix = self._cache
-            start = values.shape[0]
-            if start >= n:
-                return self._cache
-            if self.length is not None and n > self.length:
-                raise InvalidParameterError(
-                    f"schedule '{self.label}' has no value at index {self.length} "
-                    f"(table covers 0..{self.length - 1})"
-                )
-            # grow geometrically so ascending scans stay linear overall;
-            # tables extend exactly, their values already sit in memory
-            target = n if self.length is not None else max(n, 2 * start, 16)
-            fresh = np.asarray(self._first(target), dtype=np.float64)[start:]
-            bad = ~((fresh >= 0.0) & (fresh <= MAX_STEP))  # NaN fails both sides
-            if bad.any():
-                t = start + int(np.argmax(bad))
-                v = float(fresh[t - start])
-                what = "non-finite" if not math.isfinite(v) else "negative" if v < 0 else f"huge ({v:g} > 2^440)"
-                raise InvalidParameterError(f"schedule '{self.label}' produced a {what} stepsize at t={t}")
-            # one sequential pass seeded with the last cached sum adds in the
-            # same order as prefix[t + 1] = prefix[t] + eta_t, so bits match
-            tail = np.add.accumulate(np.concatenate((prefix[-1:], fresh)))
-            self._cache = (np.concatenate((values, fresh)), np.concatenate((prefix[:-1], tail)))
-            return self._cache
+        if self.length is not None and n > self.length:
+            raise InvalidParameterError(
+                f"schedule '{self.label}' has no value at index {self.length} "
+                f"(table covers 0..{self.length - 1})"
+            )
+        # grow geometrically so ascending scans stay linear overall;
+        # tables extend exactly, their values already sit in memory
+        target = n if self.length is not None else max(n, 2 * start, 16)
+        fresh = np.asarray(self._first(target), dtype=np.float64)[start:]
+        bad = ~((fresh >= 0.0) & (fresh <= MAX_STEP))  # NaN fails both sides
+        if bad.any():
+            t = start + int(np.argmax(bad))
+            v = float(fresh[t - start])
+            what = "non-finite" if not math.isfinite(v) else "negative" if v < 0 else f"huge ({v:g} > 2^440)"
+            raise InvalidParameterError(f"schedule '{self.label}' produced a {what} stepsize at t={t}")
+        # one sequential pass seeded with the last cached sum adds in the
+        # same order as prefix[t + 1] = prefix[t] + eta_t, so bits match
+        tail = np.add.accumulate(np.concatenate((prefix[-1:], fresh)))
+        # return the pair built here: another reader may since store a shorter one
+        cache = self._cache = (np.concatenate((values, fresh)), np.concatenate((prefix[:-1], tail)))
+        return cache
 
     def rate(self, t: int) -> float:
         """Return ``eta_t``."""
-        t = int(t)
-        if t < 0:
-            raise InvalidParameterError("step index must be nonnegative")
+        t = step_count(t, 0, "step index")
         values, _ = self._materialise(t + 1)
         return float(values[t])
 
     def rates(self, n: int) -> np.ndarray:
         """Return ``[eta_0, ..., eta_{n-1}]`` as a fresh array."""
-        n = int(n)
-        if n < 0:
-            raise InvalidParameterError("length must be nonnegative")
+        n = step_count(n, 0, "length")
         values, _ = self._materialise(n)
         return values[:n].copy()
 
     def prefix_sum(self, t: int) -> float:
         """Return ``sum_{j=0}^{t-1} eta_j`` (empty sum is 0)."""
-        t = int(t)
-        if t < 0:
-            raise InvalidParameterError("prefix length must be nonnegative")
+        t = step_count(t, 0, "prefix length")
         _, prefix = self._materialise(t)
         return float(prefix[t])
 
@@ -191,9 +181,7 @@ def doubling_block(t: int) -> tuple[int, int]:
     Block ``k`` has length ``2^k`` and covers global indices
     ``[2^k - 1, 2^(k+1) - 2]``, so the blocks partition the naturals.
     """
-    t = int(t)
-    if t < 0:
-        raise InvalidParameterError("step index must be nonnegative")
+    t = step_count(t, 0, "step index")
     k = (t + 1).bit_length() - 1
     return k, t - ((1 << k) - 1)
 

@@ -65,18 +65,19 @@ class TestExitCodes:
         assert "S >= 1/2" in capsys.readouterr().err
 
     def test_odd_horizon_bounds(self, tmp_path, capsys):
-        code = run_cli("bounds", "--schedule", "sqrt_decay:D=2,G=1", "--T", "3", "--out", str(tmp_path))
-        assert code == 2
-        assert "even T" in capsys.readouterr().err
+        for T, message in (("3", "chain horizon 3 is below 4"), ("5", "chain horizon 5 is odd")):
+            code = run_cli("bounds", "--schedule", "sqrt_decay:D=2,G=1", "--T", T, "--out", str(tmp_path))
+            assert code == 2
+            assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_bounds_horizon_refused_before_the_schedule(self, tmp_path, capsys, monkeypatch):
         def materialise(self, n):
             raise AssertionError(f"schedule materialised up to {n}")
 
         monkeypatch.setattr(stepaudit.schedules.StepSchedule, "_materialise", materialise)
-        for T in ("1048577", "2"):
+        for T, message in (("1048577", "chain horizon 1048577 is odd"), ("2", "chain horizon 2 is below 4")):
             assert run_cli("bounds", "--T", T, "--out", str(tmp_path / "out")) == 2
-            assert capsys.readouterr().err == "error: chain check requires even T >= 4\n"
+            assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "out").exists()
 
     def test_module_entry_point(self, tmp_path):
@@ -86,7 +87,7 @@ class TestExitCodes:
             capture_output=True, text=True, env=env,
         )
         assert proc.returncode == 2
-        assert "even T" in proc.stderr
+        assert proc.stderr == "error: chain horizon 3 is below 4\n"
 
     def test_unknown_schedule(self, tmp_path):
         assert run_cli("verify", "--schedule", "warp:9", "--T", "4", "--out", str(tmp_path)) == 2
@@ -473,7 +474,7 @@ class TestConfigResolution:
             ({"workers": "two"}, ("--T", "4"), "'workers' must be int"),
             ({"T": "abc"}, (), "'T' must be int"),
             ({}, ("--T", "4", "--thresholds", "a,b"), "bad thresholds list"),
-            ({}, ("--T", "0"), "horizons must be a nonempty list of integers >= 1"),
+            ({}, ("--T", "0"), "horizon 0 is below 1"),
             ({"T": 8.9}, (), "'T' must be int, got 8.9"),
             ({"T": 1e3}, (), "'T' must be int, got 1000.0"),
             ({"per_t": "true"}, ("--T", "4"), "'per_t' must be bool"),

@@ -39,7 +39,7 @@ class TestSpecValidation:
             make_spec(horizons=[16, 8])
 
     def test_horizons_must_be_positive(self):
-        with pytest.raises(InvalidParameterError, match="horizons must be a nonempty list of integers >= 1"):
+        with pytest.raises(InvalidParameterError, match="^horizon 0 is below 1$"):
             make_spec(horizons=[0, 4])
 
     def test_unknown_family(self):
