@@ -177,10 +177,12 @@ def maxlinear_bound(schedule: StepSchedule, t: int, phi: GuaranteeEnvelope) -> f
     weighted step sum certified by the built instance.
     """
     t = step_count(t, 1, "horizon")
-    eta = schedule.rates(t)
+    terms = schedule.rates(t)  # a fresh array, turned into the terms in place
     root = math.sqrt(t + 1.0)
-    j = np.arange(t, dtype=np.float64)
-    terms = np.minimum(1.0, eta * root) ** 2 / (t + 1.0 - j)
+    terms *= root
+    np.minimum(terms, 1.0, out=terms)
+    np.square(terms, out=terms)
+    terms /= np.arange(t + 1.0, 1.0, -1.0)  # t + 1 - j, exact integers
     return float(np.sum(terms)) / (64.0 * phi(t + 1) * root)
 
 
@@ -191,10 +193,13 @@ def quartic_floor(schedule: StepSchedule, t: int, shifted: bool = False) -> floa
     sharper ``w_j = j + 1`` variant.
     """
     t = step_count(t, 1, "horizon")
-    eta = schedule.rates(t)
-    j = np.arange(t, dtype=np.float64)
-    w = j + 1.0 if shifted else j
-    return float(np.sum(eta * eta * w / (t + 1.0 - j))) / 128.0
+    terms = schedule.rates(t)  # a fresh array, turned into the terms in place
+    terms *= terms
+    lo = int(shifted)
+    w = np.arange(lo, t + lo, dtype=np.float64)  # w_j = j, or j + 1 when shifted
+    terms *= w
+    terms /= np.subtract(t + 1.0 + lo, w, out=w)  # t + 1 - j, exact integers
+    return float(np.sum(terms)) / 128.0
 
 
 def averaged_quartic_floor(schedule: StepSchedule, T: int) -> float:
@@ -204,12 +209,20 @@ def averaged_quartic_floor(schedule: StepSchedule, T: int) -> float:
     shifted harmonic weight counts the horizons ``t > k`` at which step
     ``k`` contributes, so this equals the brute-force double sum
     ``(1/T) sum_t sum_{j<t} j eta_j^2 / (t+1-j)`` exactly.
+
+    The terms are built in place, with two arrays of about ``T`` floats
+    alive at once: the steps' fresh copy becomes the terms, and one array
+    holds ``k = 1..T`` and then, in place, ``harmonic_table(T)``'s values.
     """
     T = step_count(T, 2, "horizon")
-    eta = schedule.rates(T)
-    H = harmonic_table(T)
-    k = np.arange(1, T)
-    terms = k * eta[1:T] ** 2 * (H[T - k] - 1.0)  # H[T - k] is the (T+1-k)-th harmonic number
+    terms = schedule.rates(T)[1:]  # eta_k for k = 1..T-1, turned into the terms
+    np.square(terms, out=terms)
+    H = np.arange(1, T + 1, dtype=np.float64)
+    terms *= H[: T - 1]  # k eta_k^2
+    np.divide(1.0, H, out=H)
+    np.add.accumulate(H, out=H)  # H[i] is the (i+1)-th harmonic number
+    H -= 1.0
+    terms *= H[T - 1 : 0 : -1]  # H[T - k]: the (T+1-k)-th harmonic number, less 1
     return float(np.sum(terms)) / T
 
 
@@ -240,9 +253,10 @@ def tail_margin(T: int, phi: GuaranteeEnvelope, t1: int) -> tuple[float, float]:
     ``target = sqrt(h+1) / (4 e^2 phi(h+1)) - 2 phi(t1) sqrt(t1+1)`` is the
     floor the tail step sum ``S(h+1) - S(t1)`` must reach, and the cutoff
     step asks ``target >= margin = sqrt(h+1) / (8 e^2 phi(h+1))``.  Neither
-    depends on the schedule.
+    depends on the schedule.  ``T`` must be at least 2, as for
+    ``tail_cutoff``: below it the chain has no tail.
     """
-    half = step_count(T, 0, "horizon") // 2
+    half = step_count(T, 2, "horizon") // 2
     t1 = step_count(t1, 1, "cutoff")
     p_half = phi(half + 1)
     target = math.sqrt(half + 1.0) / (4.0 * math.exp(2.0) * p_half) - 2.0 * phi(t1) * math.sqrt(t1 + 1.0)
@@ -274,20 +288,36 @@ def tail_margin_error(target: float, margin: float) -> tuple[float, float]:
     return _gamma(9) * (4.0 * margin + 2.0 * abs(target)), _gamma(8) * margin
 
 
-def envelope_floor(T: int) -> tuple[float, float]:
-    """Asymptotic floor on ``phi(T+1)`` in two forms.
+def envelope_floor(T: int) -> tuple[float, float, float]:
+    """Asymptotic floor on ``phi(T+1)`` in two forms, and the first one's error bound.
 
-    Returns ``(harmonic_form, log_form)`` with
+    Returns ``(harmonic_form, log_form, harmonic_error)`` with
     ``harmonic_form = H_{T/2}^{1/8} / (2^{5/2} e^2)`` and
     ``log_form = ln(T/2)^{1/8} / (2^{5/2} e)``.  The two curves cross at
     small horizons; callers compare, they do not assume an ordering.
+
+    ``harmonic_error = gamma_{T+20} harmonic_form`` bounds the distance of
+    the computed ``harmonic_form`` from the exact value, with ``gamma_k = k
+    u / (1 - k u)`` and ``u = 2^-53``.  With ``n = T/2``: ``harmonic(n)``
+    rounds each ``1/i`` once and adds the ``n`` positive terms in sequence,
+    so it is ``H_n (1 + theta)`` with ``|theta| <= gamma_n`` (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, 2nd ed., Sec. 3.1),
+    and ``(1 + theta)^{1/8}`` is within ``|theta|`` of 1.  The library
+    ``** 0.125``, ``2.0 ** 2.5`` and ``math.exp(2.0)`` are taken as within
+    one ulp (``2 u``, two unit roundings each), and the product and the
+    division round once each: eight unit roundings, so ``harmonic_form =
+    f (1 + rho)`` with ``|rho| <= gamma_{n+8}`` for the exact ``f``.  Then
+    ``|harmonic_form - f| <= gamma_{n+8} / (1 - gamma_{n+8})
+    harmonic_form <= gamma_{2n+16} harmonic_form``.  The four further
+    indices cover the rounding of ``decide``'s subtraction and of
+    evaluating the bound.
     """
     T = step_count(T, 2, "horizon")
     half = T // 2
     base = 2.0 ** 2.5
     harm = harmonic(half) ** 0.125 / (base * math.exp(2.0))
     lg = 0.0 if half == 1 else math.log(half) ** 0.125 / (base * math.exp(1.0))
-    return harm, lg
+    return harm, lg, _gamma(T + 20) * harm
 
 
 def decide(lhs: float, rhs: float, err: float) -> str:
@@ -472,7 +502,7 @@ class BoundRow:
 def bound_row(schedule: StepSchedule, t: int, phi: GuaranteeEnvelope) -> BoundRow:
     """Every analytic floor at horizon ``t``; measured errors start empty."""
     t = step_count(t, 1, "horizon")
-    floor_h, floor_l = envelope_floor(t) if t >= 2 else (None, None)
+    floor_h, floor_l, _ = envelope_floor(t) if t >= 2 else (None, None, None)
     return BoundRow(
         t=t,
         last_step=last_step_bound(schedule, t),

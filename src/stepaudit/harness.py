@@ -10,7 +10,6 @@ is deterministic.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import math
 import sys
 from collections.abc import Callable, Sequence
@@ -479,6 +478,10 @@ def _quartic_profile(schedule: StepSchedule, T: int) -> tuple[np.ndarray, float]
     return profile, conv_err
 
 
+_NORM_CHUNK = 2**16  # entries per pass of _profile_error_bound's squared norm
+_DBL_MAX = sys.float_info.max
+
+
 def _profile_error_bound(w: np.ndarray, kernel: np.ndarray, size: int) -> float:
     """Bound ``E >= ||conv_computed - conv_exact||_2`` for ``_quartic_profile``.
 
@@ -523,23 +526,47 @@ def _profile_error_bound(w: np.ndarray, kernel: np.ndarray, size: int) -> float:
     ``E / sqrt(T) + 6 u |average|``.
 
     Every dropped term is ``O(u^2) ||w||_2 ||k||_1`` per row (a row is at
-    most ``||w||_2 ||k||_2`` by Cauchy-Schwarz), and so is the float64
-    rounding of evaluating this bound (its sums and the running ``hypot``
-    err by at most ``T u`` relative); rounding the constant up leaves at least
-    ``0.17 u ||w||_2 ||k||_1`` per row to cover them for any ``L`` and ``T``
-    that fit in memory.
+    most ``||w||_2 ||k||_2`` by Cauchy-Schwarz); rounding the constant up
+    leaves at least ``0.17 u ||w||_2 ||k||_1`` per row, about ``4e-5`` of
+    ``E`` for any ``L <= 64``, to cover them and the few roundings of the
+    final product.
+
+    The norms come from numpy's pairwise sums, so each carries its own
+    factor.  A float sum of ``m`` nonnegative terms in any order errs by at
+    most ``gamma_{m-1}`` relative (Higham, Sec. 4.2); a product that
+    underflows adds at most ``2^-1075`` absolute, and sums are exact there.
+    ``||w||_2^2`` is summed from ``fl(w_j^2)`` in chunks of ``2^16``
+    entries, one more order of the same terms, so no second array of
+    ``n = len(w)`` floats is made, and ``d^ >= (1 - gamma_n) ||w||_2^2 - n
+    2^-1074``.  Adding ``n 2^-1074`` (exact) rounds once more and the
+    square root once, and ``(1 - u)^2 (1 - gamma_{n+1}) >= 1 -
+    gamma_{n+3}``, so ``||w||_2 <= r^ / (1 - gamma_{n+3}) <= r^ (1 +
+    gamma_{2n+6})`` for ``r^ = fl(sqrt(fl(d^ + n 2^-1074)))``.  Likewise
+    ``||k||_1 <= fl(sum k) / (1 - gamma_m) <= fl(sum k) (1 + gamma_{2m})``
+    with ``m = len(k)``.  (A BLAS dot product would sum in an order that
+    depends on its thread count and CPU kernel.)
+
+    Steps up to ``MAX_STEP = 2^440`` give ``w_j <= 2^940``, whose square
+    overflows.  So where ``max w >= 2^480`` the norm is taken of ``s w``,
+    ``s`` the power of two that puts ``max w`` in ``[2^479, 2^480)``: the
+    squares stay below ``2^960`` and their sum finite.  Scaling is exact
+    but where a product falls below ``2^-1022``, which moves it by at most
+    ``2^-1075``: at most ``sqrt(n) 2^-1075`` on a norm of at least
+    ``2^479``, far inside the spare.  Dividing by ``s`` is exact.
     """
     levels = size.bit_length() - 1
-    norm = float(np.hypot.reduce(w))  # finite even where w_j^2 overflows
-    return (65 * levels + 3) * _U * norm * math.fsum(memoryview(kernel))
-
-
-def _fourth_power(p: float) -> float:
-    """``p ** 4``, or inf when it overflows (a float ``**`` raises there)."""
-    try:
-        return p**4
-    except OverflowError:
-        return math.inf
+    n = w.shape[0]
+    scale = 2.0 ** min(0, 480 - math.frexp(float(w.max()))[1])
+    chunk = np.empty(min(n, _NORM_CHUNK))
+    square = 0.0
+    for i in range(0, n, _NORM_CHUNK):
+        part = chunk[: min(n - i, _NORM_CHUNK)]
+        np.multiply(w[i : i + _NORM_CHUNK], scale, out=part)
+        np.square(part, out=part)
+        square += float(np.add.reduce(part))
+    norm = math.sqrt(square + n * 2.0**-1074) / scale * (1.0 + _gamma(2 * n + 6))
+    k1 = float(np.add.reduce(kernel)) * (1.0 + _gamma(2 * kernel.shape[0]))
+    return (65 * levels + 3) * _U * norm * k1
 
 
 def _quartic_steps(
@@ -547,23 +574,37 @@ def _quartic_steps(
 ) -> list[dict]:
     """Decide ``phi(t+1)^4 >= quartic_floor(t)`` at every ``t <= T``, as arrays.
 
-    ``phis[t-1]`` holds ``phi(t)`` for ``t <= T + 1`` and ``profile`` the FFT
-    rows with their error bound ``conv_err`` (see ``_quartic_profile``).  A
-    row whose slack lies within its error bound of zero, or is NaN, is
-    decided by the exact per-horizon sum instead.  Every value is the
-    elementwise IEEE result of the scalar loop, bit for bit.  Returns one
-    ``quartic_floor`` summary step, or with ``rows`` one step per row, then
-    ``quartic_floor_worst``: the tightest row re-evaluated exactly.
+    ``phis[t-1]`` holds ``phi(t)`` for ``t <= T + 1``, taken as exact, and
+    ``profile`` the FFT rows with their error bound ``conv_err`` (see
+    ``_quartic_profile``): row ``t`` is within ``conv_err / 128 + 4 u
+    profile[t-1]`` of the exact floor.  The left side ``lhs = fl(fl(p^2)^2)``,
+    ``p = phi(t+1) >= 1``, rounds twice: ``lhs = p^4 (1 + d1)^2 (1 + d2)``
+    with ``|d1|, |d2| <= u``, so ``|lhs - p^4| <= ((1 - u)^-3 - 1) lhs <=
+    gamma_3 lhs``.  A row is decided by the sign of ``slack = lhs -
+    profile`` when ``|slack| > margin = conv_err / 128 + 4 u profile +
+    gamma_4 lhs``.  The index one above 3 leaves ``u lhs``; with the
+    profile bound's own spare it covers the three roundings of ``margin``
+    and the one of ``slack``.
+
+    An ``lhs`` that overflows stands for ``p^4 > DBL_MAX (1 - gamma_3)``
+    and is decided as ``DBL_MAX``, so its row passes outright, with no
+    exact sum, unless its profile row is itself near ``DBL_MAX``; it never
+    fails by the array decision.  Any other row is decided by the exact
+    per-horizon sum instead.  Returns one ``quartic_floor`` summary step,
+    or with ``rows`` one step per row, then ``quartic_floor_worst``: the
+    row of least slack re-evaluated exactly.
     """
     T = profile.shape[0]
-    # the scalar pow (not numpy's, whose last bit can differ) raises on overflow
-    try:
-        lhs = np.fromiter(map(math.pow, memoryview(phis)[1:], itertools.repeat(4.0)), np.float64, T)
-    except OverflowError:
-        lhs = np.fromiter(map(_fourth_power, memoryview(phis)[1:]), np.float64, T)
-    with np.errstate(invalid="ignore"):  # inf - inf is NaN, as for Python floats
-        slack = lhs - profile
-        decided = np.abs(slack) > conv_err / 128.0 + 4.0 * _U * profile
+    with np.errstate(over="ignore"):
+        lhs = np.square(phis[1:])
+        np.square(lhs, out=lhs)
+    slack = np.minimum(lhs, _DBL_MAX)
+    margin = profile * (4.0 * _U)
+    margin += conv_err / 128.0
+    margin += _gamma(4) * slack
+    slack -= profile
+    decided = np.abs(slack) > margin
+    del margin
     passed = decided & (slack > 0)
     exact = {}  # row t -> its exact sum, where the FFT value is too close to call
     for t in (np.flatnonzero(~decided) + 1).tolist():
@@ -584,9 +625,7 @@ def _quartic_steps(
         if failed:
             summary["t"] = int(np.argmin(passed)) + 1
         steps = [summary]
-    # the first smallest slack, NaN never; when every slack is +inf (phi^4
-    # overflows), row 1
-    worst_t = int(np.argmin(np.where(np.isnan(slack), np.inf, slack))) + 1
+    worst_t = int(np.argmin(slack)) + 1  # the first smallest
     exact_rhs = bnd.quartic_floor(schedule, worst_t)
     steps.append(
         {
@@ -623,10 +662,11 @@ def chain_check(spec: ExperimentSpec, rows: bool = False) -> ChainReport:
     otherwise inconclusive); the l1/l2 step on the tail segment; the tail
     step-sum floor and the cutoff margin (reported as ``inconclusive at
     this T`` when the cutoff does not engage at this horizon); and the
-    final envelope floor.  The l1/l2 and tail steps, too, pass or fail
-    only where their derived float64 error bounds (``bounds.l1_l2_gap``,
-    ``bounds.tail_margin_error`` and the tail sum's below) settle it, and
-    are inconclusive otherwise.  Each entry reports its sides and a status.
+    final envelope floor.  The l1/l2, tail and envelope floor steps, too,
+    pass or fail only where their derived float64 error bounds
+    (``bounds.l1_l2_gap``, ``bounds.tail_margin_error``, the tail sum's
+    below and ``bounds.envelope_floor``) settle it, and are inconclusive
+    otherwise.  Each entry reports its sides and a status.
     """
     T = chain_horizon(spec.horizons[-1])
     schedule, phi, phis = spec.schedule, spec.envelope, spec.phis
@@ -715,7 +755,7 @@ def chain_check(spec: ExperimentSpec, rows: bool = False) -> ChainReport:
             }
         )
 
-    floor_h, floor_l = bnd.envelope_floor(T)
+    floor_h, floor_l, floor_err = bnd.envelope_floor(T)
     phi_end = phi(T + 1)
     steps.append(
         {
@@ -723,7 +763,7 @@ def chain_check(spec: ExperimentSpec, rows: bool = False) -> ChainReport:
             "lhs": phi_end,
             "rhs": floor_h,
             "floor_log": floor_l,
-            "status": "pass" if phi_end >= floor_h else "fail",
+            "status": bnd.decide(phi_end, floor_h, floor_err),
         }
     )
 

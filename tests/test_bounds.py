@@ -9,7 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from stepaudit import bounds as bnd
-from stepaudit import engine
+from stepaudit import engine, harness
 from stepaudit import schedules as sched
 from stepaudit.errors import InvalidParameterError
 from stepaudit.harness import _quartic_profile
@@ -174,6 +174,97 @@ def test_fft_profile_within_derived_bound(table):
     assert abs(oracle - brute) <= oracle_err + gamma(T * (T + 1) // 2 + 4) * brute
 
 
+def _profile_inputs(table):
+    """``_quartic_profile``'s two transform inputs and its length, for a table."""
+    T = len(table)
+    w = np.arange(T, dtype=np.float64) * np.asarray(table, dtype=np.float64)
+    w *= np.asarray(table, dtype=np.float64)
+    kernel = np.arange(T + 2, dtype=np.float64)
+    kernel[1:] = 1.0 / kernel[1:]
+    size = 1
+    while size < max(2 * T - 1, T + 2):
+        size *= 2
+    return w, kernel, size
+
+
+_huge = st.floats(430.0, 440.0).map(lambda e: 2.0**e)  # w_j^2 overflows from j = 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.one_of(_huge, _magnitudes, st.just(0.0)), min_size=4, max_size=300))
+@example([sched.MAX_STEP] * (2**16 + 5))  # two chunks of the scaled norm
+@example([2.0**440] + [1e-150] * 63)  # the small entries underflow once scaled
+@example([0.0] * 8)
+def test_profile_error_bound_covers_the_exact_norm_term(table):
+    w, kernel, size = _profile_inputs(table)
+    bound = harness._profile_error_bound(w, kernel, size)
+    assert 0.0 <= bound < math.inf
+    # (65 L + 3) u ||w||_2 ||k||_1 for the stored inputs, compared squared
+    c = (65 * (size.bit_length() - 1) + 3) * Fraction(U)
+    exact_sq = c**2 * sum(Fraction(x) ** 2 for x in w.tolist()) * sum(map(Fraction, kernel.tolist())) ** 2
+    assert Fraction(bound) ** 2 >= exact_sq
+    profile, conv_err = _quartic_profile(sched.from_table(table), len(table))
+    assert conv_err == bound and np.isfinite(profile).all()
+
+
+def _former_floors(schedule, T, phi):
+    """The floors' former array expressions, each with its own temporaries:
+    ``maxlinear_bound``, both ``quartic_floor`` variants and
+    ``averaged_quartic_floor``, all at ``T``."""
+    eta = schedule.rates(T)
+    j = np.arange(T, dtype=np.float64)
+    root = math.sqrt(T + 1.0)
+    maxlinear = float(np.sum(np.minimum(1.0, eta * root) ** 2 / (T + 1.0 - j))) / (64.0 * phi(T + 1) * root)
+    quartic = [float(np.sum(eta * eta * w / (T + 1.0 - j))) / 128.0 for w in (j, j + 1.0)]
+    H = bnd.harmonic_table(T)
+    k = np.arange(1, T)
+    averaged = float(np.sum(k * eta[1:T] ** 2 * (H[T - k] - 1.0))) / T
+    return [maxlinear, *quartic, averaged]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.one_of(_magnitudes, st.just(0.0), _huge), min_size=2, max_size=400))
+@example(list(np.random.default_rng(3).uniform(0.0, 2.0, 5000)))  # many pairwise-sum blocks
+@example([sched.MAX_STEP] * 64)
+def test_in_place_floors_keep_their_bits(table):
+    s, T, phi = sched.from_table(table), len(table), bnd.log_envelope()
+    built = [
+        bnd.maxlinear_bound(s, T, phi),
+        bnd.quartic_floor(s, T),
+        bnd.quartic_floor(s, T, shifted=True),
+        bnd.averaged_quartic_floor(s, T),
+    ]
+    assert [v.hex() for v in built] == [v.hex() for v in _former_floors(s, T, phi)]
+
+
+def test_averaged_floor_peak_allocation():
+    # the terms are built in place: the steps' fresh copy and one array for
+    # k and then the harmonic numbers, about 2 T floats (6 T with temporaries)
+    import tracemalloc
+
+    T = 2**20
+    s = sched.sqrt_decay(2, 1)
+    s.rates(T)  # the steps are materialised outside the traced call
+    tracemalloc.start()
+    try:
+        bnd.averaged_quartic_floor(s, T)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 8 * T
+
+
+@pytest.mark.parametrize("T", [2, 4, 6, 64, 1000, 2**16, 2**20])
+def test_envelope_floor_error_covers_the_exact_floor(T):
+    import mpmath
+
+    harm, _, err = bnd.envelope_floor(T)
+    with mpmath.workdps(60):
+        exact = mpmath.harmonic(T // 2) ** (mpmath.mpf(1) / 8) / (mpmath.mpf(2) ** 2.5 * mpmath.exp(2))
+        assert abs(mpmath.mpf(harm) - exact) <= mpmath.mpf(err)
+    assert err == gamma(T + 20) * harm
+
+
 class TestCutoffAndFloor:
     def test_cutoff_examples(self):
         one = bnd.constant_envelope(1)
@@ -192,10 +283,11 @@ class TestCutoffAndFloor:
 
     def test_envelope_floor_values(self):
         base = 2**2.5
-        h2, l2 = bnd.envelope_floor(2)
+        h2, l2, e2 = bnd.envelope_floor(2)
         assert h2 == pytest.approx(1 / (base * math.exp(2)), rel=1e-15)
         assert l2 == 0.0
-        h4, l4 = bnd.envelope_floor(4)
+        assert e2 == gamma(22) * h2
+        h4, l4, _ = bnd.envelope_floor(4)
         assert h4 == pytest.approx(1.5**0.125 / (base * math.exp(2)), rel=1e-15)
         assert l4 == pytest.approx(math.log(2) ** 0.125 / (base * math.exp(1)), rel=1e-15)
         # the log form overtakes the harmonic form beyond tiny horizons

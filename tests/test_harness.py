@@ -1,6 +1,8 @@
 import dataclasses
 import json
 import math
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -448,17 +450,19 @@ class TestChain:
 
 def _reference_rows(schedule, phi, T):
     """The per-row loop the array decisions replaced: rows, then ``quartic_floor_worst``."""
-    from stepaudit.harness import _U, _fourth_power, _quartic_profile
+    from stepaudit.harness import _U, _gamma, _quartic_profile
 
     steps = []
     worst, worst_t = math.inf, 1
     profile, conv_err = _quartic_profile(schedule, T)
     for t in range(1, T + 1):
-        lhs = _fourth_power(phi(t + 1))
+        p = phi(t + 1)
+        lhs = (p * p) * (p * p)
         rhs = float(profile[t - 1])
-        slack = lhs - rhs
+        top = min(lhs, sys.float_info.max)  # an overflowed lhs is decided as the largest float
+        slack = top - rhs
         row = {"step": "quartic_floor", "t": t, "lhs": lhs, "rhs": rhs}
-        if abs(slack) > conv_err / 128.0 + 4.0 * _U * rhs:
+        if abs(slack) > (rhs * (4.0 * _U) + conv_err / 128.0) + _gamma(4) * top:
             passed = slack > 0
         else:
             row["rhs_exact"] = bnd.quartic_floor(schedule, t)
@@ -468,10 +472,11 @@ def _reference_rows(schedule, phi, T):
         if slack < worst:
             worst, worst_t = slack, t
     exact_rhs = bnd.quartic_floor(schedule, worst_t)
+    p = phi(worst_t + 1)
     worst_step = {
         "step": "quartic_floor_worst",
         "t": worst_t,
-        "slack": _fourth_power(phi(worst_t + 1)) - exact_rhs,
+        "slack": (p * p) * (p * p) - exact_rhs,
         "rhs_exact": exact_rhs,
         "status": "info",
     }
@@ -516,6 +521,7 @@ _envelopes = st.one_of(
 @settings(max_examples=60, deadline=None)
 @given(_tables, _envelopes)
 @example(table=[1e3] * 8, env=("tight", 0.0, 0.0))  # rows above 1 from t = 2 on
+@example(table=[1e3] * 8, env=("const", 1e80, 0.0))  # phi^4 overflows on every row
 def test_array_rows_match_the_per_row_loop(table, env):
     T = max(4, len(table) - len(table) % 2)
     schedule = sched.from_table(table + [1.0] * (T + 2 - len(table)))
@@ -547,6 +553,43 @@ def test_array_rows_match_the_per_row_loop(table, env):
     assert [_bitwise(s) for s in summary_report.steps[1:]] == [_bitwise(s) for s in full.steps[T:]]
     assert summary_report.passed == full.passed
     assert summary_report.validation == full.validation
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(1.0, 2.0**255))
+@example(1.0 + 2.0**-52)
+@example(2.0**255)
+def test_fourth_power_rounding_is_inside_the_rows_lhs_term(p):
+    from stepaudit.harness import _gamma
+
+    lhs = (p * p) * (p * p)
+    assert lhs == float(np.square(np.square(np.float64(p))))  # the array path's bits
+    error = abs(Fraction(lhs) - Fraction(p) ** 4)
+    u3 = Fraction(3, 2**53)
+    assert error <= u3 / (1 - u3) * Fraction(lhs)  # the derived gamma_3 lhs
+    assert error <= Fraction(_gamma(4)) * Fraction(lhs)  # the row's term
+
+
+def test_an_overflowing_fourth_power_passes_every_row(recwarn):
+    # phi^4 = 1e320 is inf in float64: every row passes outright, no row is
+    # summed exactly, and no overflow warning is printed
+    spec = ExperimentSpec(SQRT21, [64], envelope=bnd.constant_envelope(1e80))
+    report = chain_check(spec)
+    assert report.steps[0] == {"step": "quartic_floor", "rows": 64, "failed": 0, "decided_exactly": 0, "status": "pass"}
+    assert report.passed
+    rows = [s for s in chain_check(spec, rows=True).steps if s["step"] == "quartic_floor"]
+    assert all(r["lhs"] == math.inf and r["status"] == "pass" and "rhs_exact" not in r for r in rows)
+    assert len(recwarn) == 0
+
+
+def test_the_headline_chain_sums_only_its_worst_row(monkeypatch):
+    # a margin that sent rows to the O(t) exact sum would show here
+    summed = []
+    exact_sum = bnd.quartic_floor
+    monkeypatch.setattr(bnd, "quartic_floor", lambda s, t, *a: summed.append(t) or exact_sum(s, t, *a))
+    report = chain_check(ExperimentSpec(SQRT21, [2**16]))
+    assert report.steps[0]["decided_exactly"] == 0
+    assert summed == [report.steps[1]["t"]]
 
 
 def test_rows_decided_exactly_are_counted():

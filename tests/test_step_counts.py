@@ -52,7 +52,7 @@ ENTRY_POINTS = {
     "quartic_floor": (lambda v: bnd.quartic_floor(S, v), 1),
     "averaged_quartic_floor": (lambda v: bnd.averaged_quartic_floor(S, v), 2),
     "tail_cutoff": (lambda v: bnd.tail_cutoff(v, PHI), 2),
-    "tail_margin": (lambda v: bnd.tail_margin(v, PHI, 1), 0),
+    "tail_margin": (lambda v: bnd.tail_margin(v, PHI, 1), 2),
     "tail_margin.t1": (lambda v: bnd.tail_margin(4096, PHI, v), 1),
     "envelope_floor": (bnd.envelope_floor, 2),
     "bound_row": (lambda v: bnd.bound_row(S, v, PHI), 1),
