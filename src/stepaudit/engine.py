@@ -6,16 +6,16 @@ one of two paths, and :func:`run` takes it:
 
 * ``kernel_data``: max-of-linear weights, run from the origin through the
   prefix-only numpy kernel with certified blocks in ``_kernels``;
-* ``scalar``: the float oracles and start point of a 1-d instance, run
-  through :func:`scalar_descent` on Python floats.
+* ``scalar``: the oracles and start point of a 1-d instance, run through
+  :func:`scalar_descent`: one sequential recurrence, then array passes.
 
 Both paths raise :class:`~stepaudit.errors.NumericFaultError` naming the
 step of a fault, return their snapshots as ``{t: x}``, and are pure
 functions of their inputs, so repeated runs are bit-identical; :func:`run`
 makes one :class:`RunRecord` of either.  The scalar path performs a numpy
-array loop's float64 operations in the same order, so its errors,
-snapshots, projection count and ``max_norm_seen`` equal that loop's bit
-for bit.  The kernel's snapshots, projection count and its errors at
+loop's float64 operations, so its errors, snapshots, projection count and
+``max_norm_seen`` equal that loop's bit for bit, and its
+``final_error_bound`` is ``0.0``.  The kernel's snapshots, projection count and its errors at
 snapshot times equal those of a full score recompute each step bit for
 bit; inside its certified blocks the other errors and ``max_norm_seen``
 are tracked, and agree to rounding.  So does ``err(T)`` when a run
@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -55,7 +56,11 @@ class ConvexInstance:
     the max-of-linear weights ``(a, b)`` of the kernel path, which starts
     at the origin, and ``scalar`` holds ``(value, subgradient, lo, hi,
     x0)``: the float-to-float oracles of a 1-d instance on the interval
-    ``[lo, hi]`` and its start point, for the scalar path.
+    ``[lo, hi]`` and its start point in it, for the scalar path.  A family
+    may append ``(fold, values)``: ``fold(x0, eta)`` returns ``(y, k)``, an
+    array of ``len(eta) + 1`` floats whose first ``k + 1`` are the run's
+    first pre-projection iterates, and ``values(x)`` the float ``value``
+    at each entry of ``x``, bit for bit.
     """
 
     value: Callable[[np.ndarray], float]
@@ -114,49 +119,53 @@ def run(
 
 
 def scalar_descent(scalar: tuple, eta: np.ndarray, snap_times: Iterable[int] = ()):
-    """Run projected subgradient steps of a 1-d instance on Python floats.
+    """Run projected subgradient steps of a 1-d instance: one recurrence, then array passes.
 
-    ``scalar = (value, subgradient, lo, hi, x0)`` as in
-    :class:`ConvexInstance` and ``eta`` the float64 stepsizes, streamed
-    through a memoryview rather than a Python list.  Returns ``(x, errors,
+    ``scalar`` is as in :class:`ConvexInstance`.  Returns ``(x, errors,
     snapshots, max_norm, hits)``: the last iterate, the per-step errors, the
-    iterates at the sorted step indices ``snap_times`` as ``{t: x}``, the
-    largest pre-projection norm and the projection count.  A non-finite
-    subgradient or objective value raises :class:`NumericFaultError`
-    naming its step.
+    iterates at the sorted steps ``snap_times`` as ``{t: x}``, the largest
+    pre-projection norm and the projection count.  A non-finite subgradient
+    or value raises :class:`NumericFaultError` naming its step.
 
-    Each step performs the float64 operations of a numpy loop over 1-element
-    arrays (``np.clip`` as the projection) in the same order, fault checks
-    included: ``math.sqrt(y * y)`` is what
-    ``np.linalg.norm`` computes for one element, and a NaN ``y`` counts as a
-    projection hit because ``np.array_equal`` finds NaN unequal to itself.
+    Only the pre-projection iterates ``y`` are sequential: a family's
+    ``fold``, then the plain step in one ``itertools.accumulate``.  Numpy
+    passes give the rest with a numpy loop's bits: ``max_norm`` is ``sqrt``
+    of the largest ``y * y`` (``np.linalg.norm`` of one element; ``sqrt`` is
+    monotone, and NaN is skipped as that loop's ``>`` skips it), and a NaN
+    ``y`` is a projection, as ``np.array_equal`` finds NaN unequal to
+    itself.  A non-finite subgradient makes ``y`` non-finite, so it is
+    evaluated again only at the iterate before a non-finite ``y``, and is
+    reported at step ``t`` before a non-finite value at step ``t + 1``.
     """
-    value, subgradient, lo, hi, x = scalar
-    errors = np.empty(len(eta))
-    out = memoryview(errors)
-    snapshots: dict[int, np.ndarray] = {}
-    pending = map(int, snap_times)
-    nxt = next(pending, 0)
-    max_norm = 0.0
-    hits = 0
-    for t, s in enumerate(memoryview(eta)):
-        g = subgradient(x)
-        if not math.isfinite(g):
-            raise NumericFaultError(f"non-finite subgradient at step {t}")
-        y = x - s * g
-        nrm = math.sqrt(y * y)
-        if nrm > max_norm:
-            max_norm = nrm
-        if lo <= y <= hi:
-            x = y
-        else:
-            hits += 1
+    value, subgradient, lo, hi, x0, *family = scalar
+    T = len(eta)
+    if family:
+        fold, values = family
+        y, k = fold(x0, eta)
+    else:  # every step through the oracles
+        y, k, values = np.full(T + 1, float(x0)), 0, None
+    if k < T:
+
+        def step(y, s):
             x = hi if y > hi else lo if y < lo else y  # np.clip keeps NaN
-        fv = value(x)
-        if not math.isfinite(fv):
-            raise NumericFaultError(f"non-finite objective value at step {t + 1}")
-        out[t] = fv
-        if t + 1 == nxt:
-            snapshots[nxt] = np.array([x])
-            nxt = next(pending, 0)
-    return x, errors, snapshots, max_norm, hits
+            return x - s * subgradient(x)
+
+        y[k:] = np.fromiter(accumulate(memoryview(eta[k:]), step, initial=float(y[k])), float, T + 1 - k)
+    post = y[1:]
+    with np.errstate(over="ignore"):
+        max_norm = math.sqrt(np.fmax.reduce(post * post, initial=0.0))
+    hits = T - int(np.count_nonzero((post >= lo) & (post <= hi)))
+    unsure = np.flatnonzero(~np.isfinite(post)).tolist()  # steps whose subgradient may be non-finite
+    np.clip(y, lo, hi, out=y)  # y[t] is now x_t
+    errors = values(post) if values else np.fromiter(map(value, memoryview(post)), float, T)
+    finite = np.isfinite(errors)
+    first = T if finite.all() else int(finite.argmin())  # errors[first] is the first non-finite value
+    for t in unsure:
+        if t > first:
+            break
+        if not math.isfinite(subgradient(float(y[t]))):
+            raise NumericFaultError(f"non-finite subgradient at step {t}")
+    if first < T:
+        raise NumericFaultError(f"non-finite objective value at step {first + 1}")
+    snapshots = {t: y[t : t + 1].copy() for t in map(int, snap_times)}
+    return float(y[-1]), errors, snapshots, max_norm, hits

@@ -590,9 +590,19 @@ def _quartic_steps(
     and is decided as ``DBL_MAX``, so its row passes outright, with no
     exact sum, unless its profile row is itself near ``DBL_MAX``; it never
     fails by the array decision.  Any other row is decided by the exact
-    per-horizon sum instead.  Returns one ``quartic_floor`` summary step,
-    or with ``rows`` one step per row, then ``quartic_floor_worst``: the
-    row of least slack re-evaluated exactly.
+    per-horizon sum ``rhs = quartic_floor(t)``, as ``decide(top, rhs,
+    gamma_4 top + gamma_{2t+4} rhs)``, ``top = min(lhs, DBL_MAX)``.  Its
+    ``t`` terms round three times each (square, product with ``j``, division
+    by ``t+1-j``; ``/ 128`` is exact) and ``np.sum`` adds them pairwise, so
+    ``|rhs - Q| <= gamma_{t+2} Q <= gamma_{t+2} / (1 - gamma_{t+2}) rhs =
+    gamma_{2t+4} rhs / 2`` for the exact sum ``Q`` (Higham, Sec. 4.2).  The
+    other half, with the ``u top`` left by ``gamma_4``, covers the roundings
+    of ``err`` and ``decide``, and the at most ``t^2 2^-1075`` of products
+    that underflow: near a tie ``rhs`` is near ``lhs >= 1``.  A row within
+    ``err`` is ``inconclusive``.  Returns one ``quartic_floor`` summary step
+    (with an ``inconclusive`` count where there are such rows), or with
+    ``rows`` one step per row, then ``quartic_floor_worst``: the row of
+    least slack re-evaluated exactly.
     """
     T = profile.shape[0]
     with np.errstate(over="ignore"):
@@ -606,24 +616,32 @@ def _quartic_steps(
     decided = np.abs(slack) > margin
     del margin
     passed = decided & (slack > 0)
+    failing = ~passed
     exact = {}  # row t -> its exact sum, where the FFT value is too close to call
+    unsure = set()  # rows that sum cannot settle either
     for t in (np.flatnonzero(~decided) + 1).tolist():
-        exact[t] = bnd.quartic_floor(schedule, t)
-        passed[t - 1] = lhs[t - 1] >= exact[t]
+        exact[t] = rhs = bnd.quartic_floor(schedule, t)
+        top = min(float(lhs[t - 1]), _DBL_MAX)
+        status = bnd.decide(top, rhs, _gamma(4) * top + _gamma(2 * t + 4) * rhs)
+        passed[t - 1], failing[t - 1] = status == "pass", status == "fail"
+        if status == "inconclusive":
+            unsure.add(t)
     if rows:
         steps = []
         for t, (l, r, ok) in enumerate(zip(lhs.tolist(), profile.tolist(), passed.tolist()), start=1):
             row = {"step": "quartic_floor", "t": t, "lhs": l, "rhs": r}
             if t in exact:
                 row["rhs_exact"] = exact[t]
-            row["status"] = "pass" if ok else "fail"
+            row["status"] = "inconclusive" if t in unsure else "pass" if ok else "fail"
             steps.append(row)
     else:
-        failed = T - int(np.count_nonzero(passed))
+        failed = int(np.count_nonzero(failing))
         summary = {"step": "quartic_floor", "rows": T, "failed": failed, "decided_exactly": len(exact)}
-        summary["status"] = "fail" if failed else "pass"
+        if unsure:
+            summary["inconclusive"] = len(unsure)
+        summary["status"] = "fail" if failed else "inconclusive" if unsure else "pass"
         if failed:
-            summary["t"] = int(np.argmin(passed)) + 1
+            summary["t"] = int(np.argmax(failing)) + 1
         steps = [summary]
     worst_t = int(np.argmin(slack)) + 1  # the first smallest
     exact_rhs = bnd.quartic_floor(schedule, worst_t)
@@ -653,8 +671,9 @@ def chain_check(spec: ExperimentSpec, rows: bool = False) -> ChainReport:
 
     Checks, step by step: the quartic floor at every ``t <= T`` (from the
     FFT profile; a row within the profile's error bound of its threshold
-    is decided by the exact per-horizon sum), reported as one summary step
-    with the count of failed rows, the count decided exactly and the first
+    is decided by the exact per-horizon sum, or is inconclusive within its
+    error bound), reported as one summary step with the count of failed
+    rows, the count decided exactly, any inconclusive count and the first
     failing ``t``, or with ``rows`` as one step per row (``rhs_exact`` on
     the rows decided exactly); the averaging identity, whose closed form
     is compared with the profile's time average under the derived

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import ClassVar
 
 import numpy as np
@@ -111,9 +112,9 @@ class VShapeInstance(_Instance):
         return np.array([float(np.clip(pre + self.schedule.rate(self.T - 1), -1.0, 1.0))])
 
 
-def _interval_instance(value, subgradient, x0: float) -> ConvexInstance:
-    """1-d instance on ``[-1, 1]`` from ``x0`` whose array ``value`` wraps the float one."""
-    return ConvexInstance(value=lambda x: value(float(x[0])), scalar=(value, subgradient, -1.0, 1.0, x0))
+def _interval_instance(scalar: tuple) -> ConvexInstance:
+    """1-d instance on ``[-1, 1]`` whose array ``value`` wraps the float one."""
+    return ConvexInstance(value=lambda x: scalar[0](float(x[0])), scalar=scalar)
 
 
 def _vshape_oracles(eps: float, c: float):
@@ -134,15 +135,37 @@ def _vshape_oracles(eps: float, c: float):
     return value, subgradient
 
 
+def _vshape_fold(eps: float, c: float, steps: np.ndarray) -> tuple[np.ndarray, int]:
+    # the pre-projection iterates v[0..k] from eps, k the first at or below
+    # the kink: on the ramp a step is fl(v - fl(s c)) = fl(v + fl(s * -c)),
+    # one sequential fold.  It never rises, so k < len(steps) only if v[-2] <= 0.
+    v = np.empty(len(steps) + 1)
+    v[0] = eps
+    np.multiply(steps, -c, out=v[1:])
+    np.add.accumulate(v, out=v)
+    return v, len(steps) if v[-2] > 0.0 else int(np.argmax(v <= 0.0))
+
+
+def _vshape_scalar(eps: float, c: float) -> tuple:
+    value, subgradient = _vshape_oracles(eps, c)
+
+    def values(x):  # value at each iterate, in one array
+        out = x - eps
+        out += c * eps
+        np.multiply(x, c, out=out, where=x <= eps)
+        return np.negative(x, out=out, where=x < 0)
+
+    return value, subgradient, -1.0, 1.0, eps, lambda x0, steps: _vshape_fold(x0, c, steps), values
+
+
 def _vshape_landing(eps: float, c: float, steps: np.ndarray) -> float:
-    # the iterate after ``steps``, bitwise that of the scalar loop engine.run
-    # uses.  On the ramp a step is fl(v - fl(s c)) = fl(v + fl(s * -c)), so one
-    # sequential fold gives every iterate while the one before the last step
-    # stays above the kink; the last is clamped at -1.  Otherwise the loop runs.
-    v = np.add.accumulate(np.concatenate(([eps], steps * -c)))
-    if v[-2] > 0.0:
+    # the iterate after ``steps``, bitwise that of engine.run: the fold while
+    # the iterate before the last step stays above the kink (the last is
+    # clamped at -1), otherwise the run
+    v, k = _vshape_fold(eps, c, steps)
+    if k == len(steps):
         return max(float(v[-1]), -1.0)
-    return scalar_descent((*_vshape_oracles(eps, c), -1.0, 1.0, eps), steps)[0]
+    return scalar_descent(_vshape_scalar(eps, c), steps)[0]
 
 
 _SHRINK = 1e-6  # eps as a fraction of min(1, the exit step, the ramp's step sum)
@@ -182,7 +205,7 @@ def build_vshape(schedule: StepSchedule, T: int) -> VShapeInstance:
     if not 0 < c < 1:
         raise ConstructionError(f"vshape ramp slope c={c} outside (0, 1)")
 
-    convex = _interval_instance(*_vshape_oracles(eps, c), eps)
+    convex = _interval_instance(_vshape_scalar(eps, c))
     return VShapeInstance(schedule=schedule, T=T, convex=convex, epsilon=eps, c_eps=c, landing=landing)
 
 
@@ -218,8 +241,21 @@ def build_quadratic(schedule: StepSchedule, T: int) -> QuadraticInstance:
     S = schedule.prefix_sum(T)
     if S < 0.5:
         raise ConstructionError(f"quadratic instance needs step sum S >= 1/2 at t={T}, got S={S}")
-    inv = 1.0 / (4.0 * S)
-    convex = _interval_instance(lambda v: v * v * inv, lambda v: v / (2.0 * S), 1.0)
+    inv, d = 1.0 / (4.0 * S), 2.0 * S
+
+    def fold(x0, eta):  # the whole run, with the subgradient x / d inline
+        def step(y, s):
+            x = 1.0 if y > 1.0 else -1.0 if y < -1.0 else y
+            return x - s * (x / d)
+
+        return np.fromiter(accumulate(memoryview(eta), step, initial=x0), float, len(eta) + 1), len(eta)
+
+    def values(x):
+        out = x * x
+        out *= inv
+        return out
+
+    convex = _interval_instance((lambda v: v * v * inv, lambda v: v / d, -1.0, 1.0, 1.0, fold, values))
     return QuadraticInstance(schedule=schedule, T=T, convex=convex, S=S)
 
 

@@ -39,7 +39,7 @@ def array_oracles(instance):
     index among those attaining the maximum and project onto the unit ball.
     """
     if instance.scalar is not None:
-        value, subgradient, lo, hi, _ = instance.scalar
+        value, subgradient, lo, hi = instance.scalar[:4]
         return (
             lambda x: value(float(x[0])),
             lambda x: np.array([subgradient(float(x[0]))]),

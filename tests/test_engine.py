@@ -137,6 +137,18 @@ class TestScalarPath:
         [
             (lambda v: v * v, lambda v: 2.0 * v if v > 0.3 else math.nan, "non-finite subgradient at step 6"),
             (lambda v: v * v if v > 0.3 else math.inf, lambda v: 2.0 * v, "non-finite objective value at step 6"),
+            # the subgradient at step 6 is checked before the value at step 7 (x_7 = 0.21) ...
+            (
+                lambda v: v * v if v > 0.25 else math.inf,
+                lambda v: 2.0 * v if v > 0.3 else math.nan,
+                "non-finite subgradient at step 6",
+            ),
+            # ... and the value at step 6 before the subgradient at step 6
+            (
+                lambda v: v * v if v > 0.3 else math.inf,
+                lambda v: 2.0 * v if v > 0.3 else math.nan,
+                "non-finite objective value at step 6",
+            ),
         ],
     )
     def test_fault_messages_match_array_path(self, value, subgradient, message):
@@ -159,6 +171,39 @@ class TestScalarPath:
         for t in range(1, 5):
             assert fast.snapshots[t].tobytes() == slow.snapshots[t].tobytes()
         assert math.isnan(fast.snapshots[4][0])
+
+    def test_an_overflowing_step_is_one_projection(self):
+        # a finite subgradient whose step overflows y to inf is no fault: the
+        # clamp takes it to 1, and the zero steps after it stay there
+        inst = _toy_instance(subgradient=lambda v: -1e300, x0=0.0)
+        s = sched.from_table([1e100, 0.0, 0.0])
+        with np.errstate(over="ignore"):
+            fast, slow = (descend(inst, s, 3, snapshots=range(1, 4)) for descend in (engine.run, array_descent))
+        assert fast.projection_activations == slow.projection_activations == 1
+        assert fast.max_norm_seen == slow.max_norm_seen == math.inf
+        assert fast.errors.tobytes() == slow.errors.tobytes() == np.ones(3).tobytes()
+        assert fast.snapshots[3].tolist() == [1.0]
+
+    @pytest.mark.parametrize("build", [build_vshape, build_quadratic])
+    def test_families_run_without_per_step_oracle_calls(self, build):
+        # the errors come from one array pass, and only vshape's exit step
+        # from the ramp calls its subgradient
+        s = sched.sqrt_decay(2, 1)
+        built = build(s, 4096)
+        calls = {"value": 0, "subgradient": 0}
+
+        def counted(name, oracle):
+            def wrapped(v):
+                calls[name] += 1
+                return oracle(v)
+
+            return wrapped
+
+        value, subgradient, *rest = built.convex.scalar
+        built.convex.scalar = (counted("value", value), counted("subgradient", subgradient), *rest)
+        assert engine.run(built.convex, s, 4096).errors.shape == (4096,)
+        assert calls["value"] == 0
+        assert calls["subgradient"] <= (1 if build is build_vshape else 0)
 
     # np.linalg.norm of one element is sqrt(y * y), not abs(y): y * y underflows
     # to 0 at 1e-200 and overflows to inf at 1e200

@@ -4,10 +4,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from stepaudit import _kernels, coupling_weights, engine, log_envelope, sqrt_decay
+from stepaudit import _kernels, coupling_weights, engine, instances, log_envelope, sqrt_decay
 from stepaudit import schedules as sched
 from stepaudit.errors import ConstructionError, InvalidParameterError, NumericFaultError
 from stepaudit.harness import ExperimentSpec, Tolerances, _snapshot_grid, density_experiment
@@ -735,42 +735,59 @@ def test_tail_run_allocates_less_than_the_flush():
 # -- the scalar path of the 1-d families against the array oracle ----------
 
 
-def _assert_scalar_matches_array(built, s, T, coord_tol):
-    """Bitwise against the array loop; within ``coord_tol`` of the closed form."""
-    fast = engine.run(built.convex, s, T, snapshots=range(1, T + 1))
-    slow = array_descent(built.convex, s, T, snapshots=range(1, T + 1))
+def _assert_scalar_matches_array(convex, s, T, built=None, coord_tol=0.0):
+    """Bitwise against the array loop; within ``coord_tol`` of ``built``'s
+    closed form at the grid times up to its target."""
+    fast = engine.run(convex, s, T, snapshots=range(1, T + 1))
+    slow = array_descent(convex, s, T, snapshots=range(1, T + 1))
     assert fast.errors.tobytes() == slow.errors.tobytes()
     assert fast.snapshots.keys() == slow.snapshots.keys()
     for t in fast.snapshots:
         assert fast.snapshots[t].tobytes() == slow.snapshots[t].tobytes()
     assert fast.projection_activations == slow.projection_activations
     assert _bits(fast.max_norm_seen) == _bits(slow.max_norm_seen)
-    for t in _snapshot_grid(T):
-        assert np.max(np.abs(fast.snapshots[t] - built.closed_form_iterate(t))) <= coord_tol
-        assert abs(fast.error_at(t) - built.closed_form_error(t)) <= coord_tol
+    for t in _snapshot_grid(T) if built is not None else ():
+        if t <= built.T:
+            assert np.max(np.abs(fast.snapshots[t] - built.closed_form_iterate(t))) <= coord_tol
+            assert abs(fast.error_at(t) - built.closed_form_error(t)) <= coord_tol
     return fast
 
 
+# blocks of zero, subnormal and tiny normal steps, put into a table
+_tiny_steps = st.lists(st.sampled_from([0.0, 5e-324, 1e-310, 2.0**-1022, 1e-300]), min_size=1, max_size=6)
+
+
 @settings(max_examples=60, deadline=None)
-@given(_long_tables)
-def test_scalar_path_matches_array_oracle(table):
+@given(_long_tables, _tiny_steps, st.integers(0, 512), st.floats(1e-9, 0.9))
+@example([1.0, 0.1, 1.0], [1e-310, 1e-310], 3, 0.5)  # a subnormal exit step: eps is subnormal, not certified
+def test_scalar_path_matches_array_oracle(table, tiny, at, slope):
+    table = table[:at] + tiny + table[at:]
     s = sched.from_table(table + [1.0])
+    n = len(table) + 1
     tol = Tolerances()
     for build, coord_tol in ((build_vshape, tol.kink_abs), (build_quadratic, tol.coord_abs)):
         # at T = len(table) + 1 the exit step is the appended 1.0
-        for T in (len(table), len(table) + 1):
+        for T in (len(table), n):
             try:
                 built = build(s, T)
             except (ConstructionError, InvalidParameterError):
                 continue  # vshape needs T >= 2 and positive steps, quadratic a step sum >= 1/2
-            _assert_scalar_matches_array(built, s, T, coord_tol)
+            # the closed form is the ramp's; a build it does not certify leaves the ramp
+            _assert_scalar_matches_array(built.convex, s, T, built if built.certified else None, coord_tol)
+    # a vshape run past its target leaves the ramp and oscillates about the kink
+    with contextlib.suppress(ConstructionError):
+        built = build_vshape(s, max(2, n // 3))
+        _assert_scalar_matches_array(built.convex, s, n, built if built.certified else None, tol.kink_abs)
+    # a free slope, not settled by a build, takes the fold off the ramp early
+    free = instances._interval_instance(instances._vshape_scalar(1e-6, slope))
+    _assert_scalar_matches_array(free, s, n)
 
 
 def test_scalar_path_clamped_exit_step():
     # the exit step 3 overshoots the domain [-1, 1], so the run clamps at 1
     s = sched.from_table([0.5, 0.5, 3.0, 1.0])
     built = build_vshape(s, 3)
-    rec = _assert_scalar_matches_array(built, s, 3, Tolerances().kink_abs)
+    rec = _assert_scalar_matches_array(built.convex, s, 3, built, Tolerances().kink_abs)
     assert rec.projection_activations > 0
     assert rec.snapshots[3][0] == 1.0
     assert rec.max_norm_seen > 1.0
