@@ -97,12 +97,16 @@ dim)`` cells, made at the first flush, in chunks of as many rows as fit
 column, which saves the per-row call overhead.  A chunk zeroes the entries
 of coordinates its rows have not opened yet through a slice of one cached
 strict upper triangle (``_TRIANGLE``) and writes the fresh entries on the
-batch's strided diagonal.  Wider, each row runs the exact step's own update
-(``_step_update``) in the kernel's O(dim) buffer, which keeps the scratch
-fixed and, past a few thousand coordinates, costs less per cell than the
-batch's 2-d products and fold.  The batch forms its products with
-``np.einsum``, which writes ``+0.0`` where a product is ``-0.0``.  That
-cannot change an iterate, because no entry of ``x`` is ever ``-0.0``:
+batch's strided diagonal.  Wider, a chunk of at most ``_BLOCK_STEPS`` rows
+splits its columns, which keeps the bits as a coordinate's updates read
+only that coordinate: the ones it opens go in one such batch on the view
+that starts at them, and the old ones, which each of its rows updates, in
+unmasked column tiles of the same buffer while they span at most four
+tiles (3,072 columns at the default sizes), and past that row by row
+through views made once per chunk, two ufunc calls that cost less per cell
+there.  The batches form their products with ``np.einsum``, which writes
+``+0.0`` where a product is ``-0.0``.  That cannot change an iterate,
+because no entry of ``x`` is ever ``-0.0``:
 ``x`` starts at ``+0.0``, ``fl(x - y)`` is ``-0.0`` only if ``x`` is,
 ``fl(+0.0 + y)`` is ``+0.0`` for ``y = +-0.0``, and dividing by the norm
 (above 1, and finite whenever blocks run) keeps the sign; so ``x -
@@ -309,41 +313,62 @@ def _step_update(x, a, b, buf, i, step):
     x[i] += step * b[i]
 
 
-def _flush(x, a, b, buf, scratch, p, st):
-    """Apply a block's deferred iterate updates, each coordinate's in step order.
+def _batch(x, a, b, scratch, sc, q, w):
+    """Chunk rows ``sc`` on ``x[:w]`` as one packed batch; row ``r`` opens column ``q + r``.
 
-    Row ``r`` of the block did ``x[:p + r] -= eta_r a[:p + r]; x[p + r] +=
-    eta_r b[p + r]``.  When fewer than ``_BLOCK_STEPS`` rows of the touched
-    prefix fit in the flat ``scratch``, the rows run as those updates, one
-    after another (``_step_update``).  Otherwise they go in chunks of as
-    many rows as fit, one batch each: row 0 of a packed ``(k + 1, w)`` view
-    of ``scratch`` holds ``x[:w]`` (``w`` the prefix touched by the chunk's
-    end), row ``r + 1`` the terms chunk row ``r`` subtracts, and
+    Row 0 of a packed ``(k + 1, w)`` view of ``scratch`` holds ``x[:w]``,
+    row ``r + 1`` the terms chunk row ``r`` subtracts, and
     ``np.subtract.reduce`` along axis 0 folds each column in row order
-    (subtract does not reorder), so every coordinate sees the float
-    operations of exact steps, up to the sign of zero terms (see the
-    module docstring).
+    (subtract does not reorder).  With ``q = w`` it is a tile of old columns.
     """
-    m = st.shape[0]
-    n = scratch.shape[0] // (p + m) - 1  # p + m bounds every chunk's width
-    if n < _BLOCK_STEPS:
-        for i, step in zip(range(p, p + m), memoryview(st)):
-            _step_update(x, a, b, buf, i, step)
-        return
-    for r0 in range(0, m, n):
-        r1 = min(r0 + n, m)
-        k = r1 - r0
-        q, w = p + r0, p + r1  # p before and after the chunk
-        blk = scratch[: (k + 1) * w].reshape(k + 1, w)
-        blk[0] = x[:w]
-        sc = st[r0:r1]
-        np.einsum("i,j->ij", sc, a[:w], out=blk[1:])
+    k = sc.shape[0]
+    blk = scratch[: (k + 1) * w].reshape(k + 1, w)
+    blk[0] = x[:w]
+    np.einsum("i,j->ij", sc, a[:w], out=blk[1:])
+    if q < w:
         np.copyto(blk[1:, q:], 0.0, where=_TRIANGLE[:k, :k])  # chunk row r leaves q + j alone for j > r
         # x[q + r] += eta b[q + r], as x[q + r] - (-(eta b[q + r])), on the diagonal
         fresh = scratch[w + q : (k + 1) * w : w + 1]
         np.multiply(sc, b[q:w], out=fresh)
         np.multiply(fresh, -1.0, out=fresh)  # np.negative miscomputes some strided outputs
-        np.subtract.reduce(blk, axis=0, out=x[:w])
+    np.subtract.reduce(blk, axis=0, out=x[:w])
+
+
+def _flush(x, a, b, buf, scratch, p, st):
+    """Apply a block's deferred iterate updates, each coordinate's in step order.
+
+    Row ``r`` of the block did ``x[:p + r] -= eta_r a[:p + r]; x[p + r] +=
+    eta_r b[p + r]``.  While ``_BLOCK_STEPS`` rows of the touched prefix fit
+    in ``scratch``, a chunk of as many as fit is one ``_batch``.  Wider,
+    chunks of ``k <= _BLOCK_STEPS`` rows (``(k + 1) k`` cells) batch the
+    columns they open on the view ``x[q:]`` and their old columns in tiles
+    or row by row (see the module docstring).  Per 64-row chunk a tile cell
+    cost about 1 ns and a row 1.1 us plus 0.55 ns a cell: rows won from
+    3,072 to 4,608 columns on.
+    """
+    m = st.shape[0]
+    cells = scratch.shape[0]
+    n = cells // (p + m) - 1  # p + m bounds every chunk's width
+    if n >= _BLOCK_STEPS:
+        for r0 in range(0, m, n):
+            r1 = min(r0 + n, m)
+            _batch(x, a, b, scratch, st[r0:r1], p + r0, p + r1)
+        return
+    n = min(_BLOCK_STEPS, math.isqrt(cells) - 1)  # (n + 1) n cells hold a chunk's triangle
+    tile = cells // (n + 1)
+    for r0 in range(0, m, n):
+        sc = st[r0 : r0 + n]
+        q = p + r0  # the old columns
+        if q <= 4 * tile:
+            for c0 in range(0, q, tile):
+                w = min(tile, q - c0)
+                _batch(x[c0:], a[c0:], None, scratch, sc, w, w)
+        else:
+            xo, ao, bo = x[:q], a[:q], buf[:q]
+            for step in sc.tolist():
+                np.multiply(ao, step, bo)
+                np.subtract(xo, bo, xo)  # x[:q] -= step * a[:q]
+        _batch(x[q:], a[q:], b[q:], scratch, sc, 0, sc.shape[0])
 
 
 def maxlinear_descent(a: np.ndarray, b: np.ndarray, eta: np.ndarray, snap_times: np.ndarray):

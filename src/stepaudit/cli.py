@@ -226,7 +226,7 @@ def cmd_verify(config: dict) -> int:
     report = verify_trajectories(spec)
     hard_skips = [e for e in report.entries if "skipped" in e]
     if hard_skips:
-        # verify is strict: a family that cannot be built is a config error
+        # verify is strict: a family that cannot be built or certified is a config error
         raise UsageError(f"cannot verify: {hard_skips[0]['family']} at T={hard_skips[0]['T']}: {hard_skips[0]['skipped']}")
     out = _out_dir(config)
     _write_json(out / "verify_report.json", dataclasses.asdict(report), config)

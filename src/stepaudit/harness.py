@@ -158,17 +158,21 @@ def verify_trajectories(spec: ExperimentSpec) -> TrajectoryReport:
     For every selected family and horizon, the run's snapshots at a small
     time grid are checked coordinate-wise against ``closed_form_iterate``
     and the measured errors against the closed-form errors.  Deviations
-    beyond tolerance are recorded as failures, not raised.
+    beyond tolerance are recorded as failures, not raised; a build that
+    fails or is not certified is a ``skipped`` entry, as in ``audit``.
     """
     def work(key):
         family, T = key
+        fam = _REGISTRY[family]
         try:
-            built = _REGISTRY[family].build(spec.schedule, T, spec.envelope)
+            built = fam.build(spec.schedule, T, spec.envelope)
         except ConstructionError as exc:
             return {"family": family, "T": T, "skipped": str(exc)}
+        if not built.certified:  # its closed form need not describe the run
+            return {"family": family, "T": T, "skipped": f"{family} floor not certified: {fam.uncertified}"}
         times = _snapshot_grid(T)
         record = run(built.convex, spec.schedule, T, snapshots=times)
-        coord_tol = _REGISTRY[family].coord_tol
+        coord_tol = fam.coord_tol
         dev = 0.0
         for t in times:
             dev = max(dev, float(np.max(np.abs(record.snapshots[t] - built.closed_form_iterate(t)))))

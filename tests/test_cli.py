@@ -56,6 +56,17 @@ class TestExitCodes:
         )
         assert code == 0
 
+    def test_uncertified_build_cannot_be_verified(self, tmp_path, capsys):
+        table = tmp_path / "steps.csv"
+        table.write_text("t,eta\n" + "\n".join(f"{t},{v}" for t, v in enumerate([1, 0, 1, 0.5, 0.5, 1, 1, 1, 1])))
+        code = run_cli(
+            "verify", "--schedule", f"table:{table}", "--families", "maxlinear",
+            "--T", "8", "--out", str(tmp_path / "out"),
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "cannot verify: maxlinear at T=8: maxlinear floor not certified: a zero stepsize allows argmax ties" in err
+
     def test_quadratic_precondition_surfaces(self, tmp_path, capsys):
         code = run_cli(
             "verify", "--schedule", "constant:c=0", "--families", "quadratic",

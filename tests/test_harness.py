@@ -119,6 +119,23 @@ class TestVerify:
         report = verify_trajectories(spec)
         assert report.entries[0]["skipped"].startswith("quadratic instance needs")
 
+    @pytest.mark.parametrize(
+        "table, T, family, reason",
+        [
+            # a subnormal exit step makes the ramp's eps subnormal: landing -0.9
+            ([1.0, 0.1, 1.0, 1e-310, 1e-310, 1.0], 5, "vshape", "its ramp overshoots the minimum"),
+            ([1, 0, 1, 0.5, 0.5, 1, 1, 1, 1], 8, "maxlinear", "a zero stepsize allows argmax ties"),
+        ],
+        ids=["vshape-subnormal-exit", "maxlinear-zero-step"],
+    )
+    def test_uncertified_builds_become_skips(self, table, T, family, reason):
+        # their closed forms need not describe the run (deviations 0.9 and
+        # 0.5 here), so verify skips them as audit does
+        spec = make_spec(schedule=sched.from_table(table), horizons=[T], families=(family,))
+        assert verify_trajectories(spec).entries == [
+            {"family": family, "T": T, "skipped": f"{family} floor not certified: {reason}"}
+        ]
+
     def test_zero_schedule_is_trivially_exact(self):
         spec = make_spec(
             schedule=sched.constant(0), horizons=[8], envelope=bnd.constant_envelope(1)

@@ -209,39 +209,66 @@ def _certificates():
 
 @contextlib.contextmanager
 def _flushes(cols=None):
-    """Record ``(p_end, rows, rows run by _step_update)`` for every block flush.
+    """Record ``(p_end, rows, batches)`` for every block flush.
 
+    ``batches`` lists ``(q, w, k)`` for each ``_batch`` the flush runs:
+    ``k`` rows on ``w`` columns, those from ``q`` on opened by the rows.
     With ``cols`` set, a block batches at most ``cols`` touched coordinates
     (``_FLUSH_COLS`` is read when the kernel allocates its scratch buffer).
     """
     log = []
-    calls = [0]
-    flush, update = _kernels._flush, _kernels._step_update
+    flush, batch = _kernels._flush, _kernels._batch
 
-    def counted_update(*args):
-        calls[0] += 1
-        return update(*args)
+    def counted_batch(x, a, b, scratch, sc, q, w):
+        log[-1][2].append((q, w, len(sc)))
+        return batch(x, a, b, scratch, sc, q, w)
 
     def counted_flush(*args):
-        before = calls[0]
-        flush(*args)
         p, st = args[5], args[6]
-        log.append((p + len(st), len(st), calls[0] - before))
+        log.append((p + len(st), len(st), []))
+        flush(*args)
 
     with pytest.MonkeyPatch.context() as mp:
         if cols is not None:
             mp.setattr(_kernels, "_FLUSH_COLS", cols)
-        mp.setattr(_kernels, "_step_update", counted_update)
+        mp.setattr(_kernels, "_batch", counted_batch)
         mp.setattr(_kernels, "_flush", counted_flush)
         yield log
 
 
 def _wide_rows(log, cols):
-    """Check each flush took the regime its width selects; count the per-row ones."""
+    """Check each flush took the regime its width selects; count its rows by regime.
+
+    Within the width a flush is packed batches of the touched prefix, each
+    but the last of at least ``_BLOCK_STEPS`` rows.  Wider, each chunk of
+    at most ``n`` rows (``(n + 1) n`` cells of scratch) runs its old
+    columns in tiles of the scratch while they span at most four tiles,
+    row by row past that (no batch), and then the columns it opens in one
+    batch on the view at ``q`` (``q = 0``).  Returns the rows of the
+    ``"batch"``, ``"tiles"`` and ``"rows"`` regimes.
+    """
     width = _kernels._FLUSH_COLS if cols is None else cols
-    for p_end, rows, by_row in log:
-        assert by_row == (rows if p_end > width else 0)
-    return sum(by_row for _, _, by_row in log)
+    cells = (_kernels._BLOCK_STEPS + 1) * width  # a wide flush's scratch: width < p_end < dim
+    n = min(_kernels._BLOCK_STEPS, math.isqrt(cells) - 1)
+    tile = cells // (n + 1)
+    regimes = {"batch": 0, "tiles": 0, "rows": 0}
+    for p_end, rows, batches in log:
+        p = p_end - rows
+        if p_end <= width:
+            for i, (q, w, k) in enumerate(batches):
+                assert (q, w) == (p, p + k) and (k >= _kernels._BLOCK_STEPS or i == len(batches) - 1)
+                p = w
+            assert p == p_end
+            regimes["batch"] += rows
+            continue
+        want = []
+        for q in range(p, p_end, n):
+            k = min(n, p_end - q)
+            tiles = [min(tile, q - c0) for c0 in range(0, q, tile)] if q <= 4 * tile else []
+            want += [(w, w, k) for w in tiles] + [(0, k, k)]
+            regimes["tiles" if tiles else "rows"] += k
+        assert batches == want
+    return regimes
 
 
 @contextlib.contextmanager
@@ -296,9 +323,11 @@ def _assert_block_path_bitwise(a, b, eta, snap_times):
     return trace
 
 
-# both flush regimes: at the default width only prefixes past 768 run row by
-# row, at width 3 nearly every flushed row runs the exact step's update
-_WIDTHS = (None, 3)
+# every flush regime: past the width a flush is wide, its old columns in
+# tiles up to four of them and row by row past that.  At the default width
+# wide prefixes take tiles at these sizes (rows from 3,072 columns), at 210
+# they take tiles up to 840 columns, at 3 nearly every flushed row is wide
+_WIDTHS = (None, 3, 210)
 
 
 @settings(max_examples=40, deadline=None)
@@ -328,9 +357,11 @@ def test_every_block_certified_on_the_staircase(monkeypatch):
             trace = _assert_block_path_bitwise(a, b, s.rates(T), snaps)
         assert len(results) > 10 and all(results)
         assert trace.tobytes() == np.arange(T + 1).tobytes()
-        wide, flushed = _wide_rows(log, cols), sum(rows for _, rows, _ in log)
-        # p passes the default width of 768 at t = 768, and width 3 at once
-        assert (0 < wide < flushed) if cols is None else (wide == flushed)
+        regimes = _wide_rows(log, cols)
+        # p passes the default width of 768 at t = 768, 210 at t = 210 and 3
+        # at once; the old columns go row by row past 3,072, 840 and 60 of them
+        want = {None: {"batch", "tiles"}, 3: {"tiles", "rows"}, 210: {"batch", "tiles", "rows"}}[cols]
+        assert {regime for regime, rows in regimes.items() if rows} == want
 
 
 def test_every_long_block_certified_on_the_staircase():
@@ -345,8 +376,8 @@ def test_every_long_block_certified_on_the_staircase():
     assert results == [True] * 4
     assert trace.tobytes() == np.arange(T + 1).tobytes()
     assert [rows for _, rows, _ in log] == [69, 430, 499]
-    # the first two stay within 768 touched coordinates, the last runs row by row
-    assert _wide_rows(log, None) == 499
+    # the first two stay within 768 touched coordinates, the last takes tiles
+    assert _wide_rows(log, None) == {"batch": 499, "tiles": 499, "rows": 0}
 
 
 def _old_rival(T=40, slope=0.1):
@@ -388,10 +419,12 @@ def test_block_falls_back_when_a_rival_wins(case):
         assert results[0] is False
         assert trace[: len(head)].tolist() == head  # every step is positive: a fresh trace counts up
         # only the fading rival leaves rows for a later block (the others
-        # back off past T); its blocks start at p = 52, past width 3
-        wide = _wide_rows(log, cols)
+        # back off past T): one from p = 52 to 288, wide at widths 3 and 210,
+        # and at width 3 row by row past 60 old columns
+        regimes = _wide_rows(log, cols)
         assert bool(log) == (case is _fading_rival)
-        assert (wide > 0) == (bool(log) and cols == 3)
+        assert (regimes["tiles"] > 0) == (bool(log) and cols is not None)
+        assert (regimes["rows"] > 0) == (bool(log) and cols == 3)
 
 
 def test_failed_certificate_backs_off_to_the_next_boundary():
@@ -617,11 +650,54 @@ def test_blocks_span_positive_steps_only(table):
         _assert_block_path_bitwise(a, b, s.rates(T), NO_SNAPS)
 
 
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 40), st.integers(520, 700), st.floats(-2.0, 1.0), st.integers(0, 2**32 - 1))
+def test_flush_regimes_match_per_step(cols, T, log_c, seed):
+    # at width cols the block [1, cols) is packed batches, and the wide
+    # blocks [cols, T // 2) and [T // 2, T) take tiles and then, past four
+    # tiles (at most 208 columns here), go row by row: snapshots and the
+    # errors at their times bitwise those of exact steps
+    rng = np.random.default_rng(seed)
+    s = sched.from_table(10.0**log_c / np.sqrt(np.arange(1.0, T + 2.0)) * rng.uniform(0.5, 1.0, T + 1))
+    a, b = coupling_weights(s, T, log_envelope())
+    with _certificates() as results, _flushes(cols) as log:
+        _assert_block_path_bitwise(a, b, s.rates(T), np.array([cols, T // 2, T]))
+    assert results == [True] * 3
+    assert all(_wide_rows(log, cols).values())
+
+
+def test_wide_flush_never_runs_the_exact_update():
+    # the snapshot at T keeps the tail off, as verify's does, so every block
+    # flushes; past 768 touched coordinates no flushed row runs _step_update
+    s = sqrt_decay(2, 1)
+    T = 4096
+    a, b = coupling_weights(s, T, log_envelope())
+    calls, inside = [0], []
+    flush, update = _kernels._flush, _kernels._step_update
+
+    def counted_update(*args):
+        calls[0] += 1
+        return update(*args)
+
+    def counted_flush(*args):
+        before = calls[0]
+        flush(*args)
+        inside.append(calls[0] - before)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernels, "_step_update", counted_update)
+        mp.setattr(_kernels, "_flush", counted_flush)
+        _kernels.maxlinear_descent(a, b, s.rates(T), np.array([T]))
+    assert len(inside) > 1 and calls[0] > 0
+    assert sum(inside) == 0
+
+
 def test_block_scratch_is_fixed_size():
-    # a block batches at most _FLUSH_COLS columns in a fixed buffer and runs
-    # wider prefixes row by row in the kernel's own O(dim) buffer, never
-    # one row of dim per step: the peak stays near those arrays at dim =
-    # 16385.  The snapshot at T keeps the tail off, so every block flushes.
+    # a block batches at most _FLUSH_COLS columns in a fixed buffer, runs
+    # wider prefixes in tiles of it or row by row in the kernel's own O(dim)
+    # buffer, never one row of dim per step: the peak stays near those
+    # arrays at dim = 16385.  The snapshot at T keeps the tail off, so every
+    # block flushes.
     s = sqrt_decay(2, 1)
     a, b = build_maxlinear(s, 16384, log_envelope(8, 4)).convex.kernel_data
     eta = s.rates(16384)
