@@ -90,23 +90,23 @@ for underflow.
 A certified block writes its trace as a slice and then applies the
 deferred iterate updates (``_flush``), each coordinate's operations in
 their original order, so its trace, iterates and snapshots are bitwise
-those of exact steps.  Up to ``_FLUSH_COLS`` touched coordinates the rows
-go through one fixed flat buffer of ``(_BLOCK_STEPS + 1) min(_FLUSH_COLS,
-dim)`` cells, made at the first flush, in chunks of as many rows as fit
-(at least ``_BLOCK_STEPS``), each chunk a 2-d batch folded column by
-column, which saves the per-row call overhead.  A chunk zeroes the entries
-of coordinates its rows have not opened yet through a slice of one cached
-strict upper triangle (``_TRIANGLE``) and writes the fresh entries on the
-batch's strided diagonal.  Wider, a chunk of at most ``_BLOCK_STEPS`` rows
-splits its columns, which keeps the bits as a coordinate's updates read
-only that coordinate: the ones it opens go in one such batch on the view
-that starts at them, and the old ones, which each of its rows updates, in
-unmasked column tiles of the same buffer while they span at most four
-tiles (3,072 columns at the default sizes), and past that row by row
-through views made once per chunk, two ufunc calls that cost less per cell
-there.  The batches form their products with ``np.einsum``, which writes
-``+0.0`` where a product is ``-0.0``.  That cannot change an iterate,
-because no entry of ``x`` is ever ``-0.0``:
+those of exact steps.  The flush runs the block in chunks of at most
+``_BLOCK_STEPS`` rows through one fixed flat buffer, made at the first
+flush, of ``_BLOCK_STEPS + 1`` rows of ``max(_FLUSH_COLS, _BLOCK_STEPS)``
+cells (``dim`` cells where that is fewer); each batch below is a 2-d view
+of it folded column by column, which saves the per-row call overhead.  A
+chunk splits its columns, which keeps the bits as a coordinate's updates
+read only that coordinate.  The ``k`` columns it opens go in one square
+batch on the view that starts at them: a slice of one cached strict upper
+triangle (``_TRIANGLE``, ``_BLOCK_STEPS`` square) zeroes the entries of
+coordinates its rows have not opened yet, and the fresh entries go on the
+batch's strided diagonal.  The old columns, which each of its rows
+updates, go in unmasked tiles of ``_FLUSH_COLS`` columns while they span
+at most four tiles (3,072 columns at the default sizes), and past that
+row by row through views made once per chunk, two ufunc calls that cost
+less per cell there.  The batches form their products with
+``np.einsum``, which writes ``+0.0`` where a product is ``-0.0``.  That
+cannot change an iterate, because no entry of ``x`` is ever ``-0.0``:
 ``x`` starts at ``+0.0``, ``fl(x - y)`` is ``-0.0`` only if ``x`` is,
 ``fl(+0.0 + y)`` is ``+0.0`` for ``y = +-0.0``, and dividing by the norm
 (above 1, and finite whenever blocks run) keeps the sign; so ``x -
@@ -164,9 +164,9 @@ __all__ = ["maxlinear_descent"]
 
 _BLOCK_ROWS = 512  # the longest block
 _BLOCK_STEPS = 64  # the back-off interval after a block fails or gives up; 0 turns the block path off
-_FLUSH_COLS = 768  # the widest touched prefix a block updates in batches; sizes its scratch
+_FLUSH_COLS = 768  # the flush's tile width; sizes its scratch
 _EPS = float(np.finfo(np.float64).eps)
-_TRIANGLE = np.less.outer(*2 * (np.arange(_BLOCK_ROWS, dtype=np.int16),))  # [r, j]: r < j, the flush's zeros
+_TRIANGLE = np.less.outer(*2 * (np.arange(_BLOCK_STEPS, dtype=np.int16),))  # [r, j]: r < j, the flush's zeros
 
 
 def _exact_scores(a, b, x, q, scores, cum):
@@ -313,23 +313,25 @@ def _step_update(x, a, b, buf, i, step):
     x[i] += step * b[i]
 
 
-def _batch(x, a, b, scratch, sc, q, w):
-    """Chunk rows ``sc`` on ``x[:w]`` as one packed batch; row ``r`` opens column ``q + r``.
+def _batch(x, a, b, scratch, sc, w):
+    """Chunk rows ``sc`` on ``x[:w]`` as one packed batch.
 
     Row 0 of a packed ``(k + 1, w)`` view of ``scratch`` holds ``x[:w]``,
     row ``r + 1`` the terms chunk row ``r`` subtracts, and
     ``np.subtract.reduce`` along axis 0 folds each column in row order
-    (subtract does not reorder).  With ``q = w`` it is a tile of old columns.
+    (subtract does not reorder).  With ``b`` the batch is square (``w =
+    k``) and chunk row ``r`` opens column ``r``; with ``b = None`` it is a
+    tile of old columns, which every row updates.
     """
     k = sc.shape[0]
     blk = scratch[: (k + 1) * w].reshape(k + 1, w)
     blk[0] = x[:w]
     np.einsum("i,j->ij", sc, a[:w], out=blk[1:])
-    if q < w:
-        np.copyto(blk[1:, q:], 0.0, where=_TRIANGLE[:k, :k])  # chunk row r leaves q + j alone for j > r
-        # x[q + r] += eta b[q + r], as x[q + r] - (-(eta b[q + r])), on the diagonal
-        fresh = scratch[w + q : (k + 1) * w : w + 1]
-        np.multiply(sc, b[q:w], out=fresh)
+    if b is not None:
+        np.copyto(blk[1:], 0.0, where=_TRIANGLE[:k, :k])  # chunk row r leaves column j alone for j > r
+        # x[r] += eta b[r], as x[r] - (-(eta b[r])), on the diagonal
+        fresh = scratch[k : (k + 1) * k : k + 1]
+        np.multiply(sc, b[:k], out=fresh)
         np.multiply(fresh, -1.0, out=fresh)  # np.negative miscomputes some strided outputs
     np.subtract.reduce(blk, axis=0, out=x[:w])
 
@@ -338,37 +340,25 @@ def _flush(x, a, b, buf, scratch, p, st):
     """Apply a block's deferred iterate updates, each coordinate's in step order.
 
     Row ``r`` of the block did ``x[:p + r] -= eta_r a[:p + r]; x[p + r] +=
-    eta_r b[p + r]``.  While ``_BLOCK_STEPS`` rows of the touched prefix fit
-    in ``scratch``, a chunk of as many as fit is one ``_batch``.  Wider,
-    chunks of ``k <= _BLOCK_STEPS`` rows (``(k + 1) k`` cells) batch the
-    columns they open on the view ``x[q:]`` and their old columns in tiles
-    or row by row (see the module docstring).  Per 64-row chunk a tile cell
-    cost about 1 ns and a row 1.1 us plus 0.55 ns a cell: rows won from
-    3,072 to 4,608 columns on.
+    eta_r b[p + r]``.  Each chunk of ``k <= _BLOCK_STEPS`` rows updates
+    its old columns ``[0, q)`` in ``_FLUSH_COLS`` tiles while they span at
+    most four, row by row past that, and then the ``k`` columns it opens
+    in one square ``_batch`` on the view ``x[q:]`` (see the module
+    docstring).  Per 64-row chunk a tile cell cost about 1 ns and a row 1.1
+    us plus 0.55 ns a cell: rows won from 3,072 to 4,608 columns on.
     """
-    m = st.shape[0]
-    cells = scratch.shape[0]
-    n = cells // (p + m) - 1  # p + m bounds every chunk's width
-    if n >= _BLOCK_STEPS:
-        for r0 in range(0, m, n):
-            r1 = min(r0 + n, m)
-            _batch(x, a, b, scratch, st[r0:r1], p + r0, p + r1)
-        return
-    n = min(_BLOCK_STEPS, math.isqrt(cells) - 1)  # (n + 1) n cells hold a chunk's triangle
-    tile = cells // (n + 1)
-    for r0 in range(0, m, n):
-        sc = st[r0 : r0 + n]
+    for r0 in range(0, st.shape[0], _BLOCK_STEPS):
+        sc = st[r0 : r0 + _BLOCK_STEPS]
         q = p + r0  # the old columns
-        if q <= 4 * tile:
-            for c0 in range(0, q, tile):
-                w = min(tile, q - c0)
-                _batch(x[c0:], a[c0:], None, scratch, sc, w, w)
+        if q <= 4 * _FLUSH_COLS:
+            for c0 in range(0, q, _FLUSH_COLS):
+                _batch(x[c0:], a[c0:], None, scratch, sc, min(_FLUSH_COLS, q - c0))
         else:
             xo, ao, bo = x[:q], a[:q], buf[:q]
             for step in sc.tolist():
                 np.multiply(ao, step, bo)
                 np.subtract(xo, bo, xo)  # x[:q] -= step * a[:q]
-        _batch(x[q:], a[q:], b[q:], scratch, sc, 0, sc.shape[0])
+        _batch(x[q:], a[q:], b[q:], scratch, sc, sc.shape[0])
 
 
 def maxlinear_descent(a: np.ndarray, b: np.ndarray, eta: np.ndarray, snap_times: np.ndarray):
@@ -465,7 +455,7 @@ def maxlinear_descent(a: np.ndarray, b: np.ndarray, eta: np.ndarray, snap_times:
                 retry = stop - stop % _BLOCK_STEPS + _BLOCK_STEPS
         if certified:
             if scratch is None:
-                scratch = np.empty((_BLOCK_STEPS + 1) * min(_FLUSH_COLS, dim))
+                scratch = np.empty((_BLOCK_STEPS + 1) * min(max(_FLUSH_COLS, _BLOCK_STEPS), dim))
             _flush(x, a, b, buf, scratch, p, st)
             trace[t:end] = np.arange(p, p + end - t)
             p += end - t

@@ -209,23 +209,25 @@ def _certificates():
 
 @contextlib.contextmanager
 def _flushes(cols=None):
-    """Record ``(p_end, rows, batches)`` for every block flush.
+    """Record ``(p_end, rows, batches, cells)`` for every block flush.
 
     ``batches`` lists ``(q, w, k)`` for each ``_batch`` the flush runs:
-    ``k`` rows on ``w`` columns, those from ``q`` on opened by the rows.
-    With ``cols`` set, a block batches at most ``cols`` touched coordinates
-    (``_FLUSH_COLS`` is read when the kernel allocates its scratch buffer).
+    ``k`` rows on ``w`` columns, those from ``q`` on opened by the rows
+    (``q = w`` for a tile of old columns, ``q = 0`` for the opened ones).
+    ``cells`` is the size of the flush's scratch.  With ``cols`` set, the
+    old columns go in tiles of ``cols`` (``_FLUSH_COLS``, also read when
+    the kernel allocates its scratch).
     """
     log = []
     flush, batch = _kernels._flush, _kernels._batch
 
-    def counted_batch(x, a, b, scratch, sc, q, w):
-        log[-1][2].append((q, w, len(sc)))
-        return batch(x, a, b, scratch, sc, q, w)
+    def counted_batch(x, a, b, scratch, sc, w):
+        log[-1][2].append((w if b is None else 0, w, len(sc)))
+        return batch(x, a, b, scratch, sc, w)
 
     def counted_flush(*args):
-        p, st = args[5], args[6]
-        log.append((p + len(st), len(st), []))
+        scratch, p, st = args[4:7]
+        log.append((p + len(st), len(st), [], scratch.shape[0]))
         flush(*args)
 
     with pytest.MonkeyPatch.context() as mp:
@@ -237,37 +239,27 @@ def _flushes(cols=None):
 
 
 def _wide_rows(log, cols):
-    """Check each flush took the regime its width selects; count its rows by regime.
+    """Check each flush followed the one chunk rule; count its rows by regime.
 
-    Within the width a flush is packed batches of the touched prefix, each
-    but the last of at least ``_BLOCK_STEPS`` rows.  Wider, each chunk of
-    at most ``n`` rows (``(n + 1) n`` cells of scratch) runs its old
-    columns in tiles of the scratch while they span at most four tiles,
-    row by row past that (no batch), and then the columns it opens in one
-    batch on the view at ``q`` (``q = 0``).  Returns the rows of the
-    ``"batch"``, ``"tiles"`` and ``"rows"`` regimes.
+    Each chunk of at most ``_BLOCK_STEPS`` rows runs its old columns in
+    tiles of ``cols`` while they span at most four tiles, row by row past
+    that (no batch), and then the ``k`` columns it opens in one square
+    batch on the view at ``q`` (``q = 0``).  The scratch holds one tile and
+    one chunk's ``(k + 1) k`` triangle, and no more.  Returns the rows of
+    the ``"tiles"`` and ``"rows"`` regimes.
     """
-    width = _kernels._FLUSH_COLS if cols is None else cols
-    cells = (_kernels._BLOCK_STEPS + 1) * width  # a wide flush's scratch: width < p_end < dim
-    n = min(_kernels._BLOCK_STEPS, math.isqrt(cells) - 1)
-    tile = cells // (n + 1)
-    regimes = {"batch": 0, "tiles": 0, "rows": 0}
-    for p_end, rows, batches in log:
-        p = p_end - rows
-        if p_end <= width:
-            for i, (q, w, k) in enumerate(batches):
-                assert (q, w) == (p, p + k) and (k >= _kernels._BLOCK_STEPS or i == len(batches) - 1)
-                p = w
-            assert p == p_end
-            regimes["batch"] += rows
-            continue
+    tile = _kernels._FLUSH_COLS if cols is None else cols
+    n = _kernels._BLOCK_STEPS
+    regimes = {"tiles": 0, "rows": 0}
+    for p_end, rows, batches, cells in log:
         want = []
-        for q in range(p, p_end, n):
+        for q in range(p_end - rows, p_end, n):
             k = min(n, p_end - q)
             tiles = [min(tile, q - c0) for c0 in range(0, q, tile)] if q <= 4 * tile else []
             want += [(w, w, k) for w in tiles] + [(0, k, k)]
             regimes["tiles" if tiles else "rows"] += k
         assert batches == want
+        assert max((k + 1) * w for _, w, k in batches) <= cells <= (n + 1) * max(tile, n)
     return regimes
 
 
@@ -323,10 +315,10 @@ def _assert_block_path_bitwise(a, b, eta, snap_times):
     return trace
 
 
-# every flush regime: past the width a flush is wide, its old columns in
-# tiles up to four of them and row by row past that.  At the default width
-# wide prefixes take tiles at these sizes (rows from 3,072 columns), at 210
-# they take tiles up to 840 columns, at 3 nearly every flushed row is wide
+# every flush regime: a chunk's old columns go in tiles up to four of them
+# and row by row past that.  At the default width they take tiles at these
+# sizes (rows from 3,072 columns), at 210 tiles up to 840 columns, at 3
+# tiles up to 12 columns, and the scratch is sized by the 64-row triangle
 _WIDTHS = (None, 3, 210)
 
 
@@ -358,9 +350,8 @@ def test_every_block_certified_on_the_staircase(monkeypatch):
         assert len(results) > 10 and all(results)
         assert trace.tobytes() == np.arange(T + 1).tobytes()
         regimes = _wide_rows(log, cols)
-        # p passes the default width of 768 at t = 768, 210 at t = 210 and 3
-        # at once; the old columns go row by row past 3,072, 840 and 60 of them
-        want = {None: {"batch", "tiles"}, 3: {"tiles", "rows"}, 210: {"batch", "tiles", "rows"}}[cols]
+        # the old columns go row by row past 3,072, 12 and 840 of them
+        want = {None: {"tiles"}, 3: {"tiles", "rows"}, 210: {"tiles", "rows"}}[cols]
         assert {regime for regime, rows in regimes.items() if rows} == want
 
 
@@ -375,9 +366,9 @@ def test_every_long_block_certified_on_the_staircase():
         trace = _assert_block_path_bitwise(a, b, s.rates(T), snaps)
     assert results == [True] * 4
     assert trace.tobytes() == np.arange(T + 1).tobytes()
-    assert [rows for _, rows, _ in log] == [69, 430, 499]
-    # the first two stay within 768 touched coordinates, the last takes tiles
-    assert _wide_rows(log, None) == {"batch": 499, "tiles": 499, "rows": 0}
+    assert [rows for _, rows, *_ in log] == [69, 430, 499]
+    # every chunk's old columns span at most two tiles
+    assert _wide_rows(log, None) == {"tiles": 998, "rows": 0}
 
 
 def _old_rival(T=40, slope=0.1):
@@ -419,11 +410,11 @@ def test_block_falls_back_when_a_rival_wins(case):
         assert results[0] is False
         assert trace[: len(head)].tolist() == head  # every step is positive: a fresh trace counts up
         # only the fading rival leaves rows for a later block (the others
-        # back off past T): one from p = 52 to 288, wide at widths 3 and 210,
-        # and at width 3 row by row past 60 old columns
+        # back off past T): one from p = 52 to 288, in tiles, but at width 3
+        # row by row, as its old columns pass 12 from the first chunk on
         regimes = _wide_rows(log, cols)
         assert bool(log) == (case is _fading_rival)
-        assert (regimes["tiles"] > 0) == (bool(log) and cols is not None)
+        assert (regimes["tiles"] > 0) == (bool(log) and cols != 3)
         assert (regimes["rows"] > 0) == (bool(log) and cols == 3)
 
 
@@ -589,31 +580,53 @@ def _chunks():
         yield log
 
 
-@pytest.mark.parametrize("T, sizes", [(7, [6]), (193, [64] * 3), (194, [64] * 3 + [1]), (199, [64] * 3 + [6])])
+@pytest.mark.parametrize(
+    "T, sizes",
+    [(7, [6]), (193, [64] * 3), (194, [64] * 3 + [1]), (199, [64] * 3 + [6]),
+     (8, [7]), (40, [39]), (63, [62]), (64, [63]), (65, [64])],
+)
 def test_all_open_chunks_match_per_step(T, sizes):
-    # a scratch of 65 rows of dim = T + 1 cells splits the block [1, T) into
-    # chunks of up to 64 rows; the one that ends at the block's end has 64,
-    # 1 or 6 rows.  At T = 7 the diagonal's stride is 8 elements, where
-    # np.negative(v, out=v) miscomputes.  The snapshot at T keeps the tail off.
+    # the flush splits the block [1, T) into chunks of up to 64 rows; the
+    # one that ends at the block's end has 1 to 64 rows, and dim = T + 1
+    # runs from below 64 to just past it.  At T = 8 the diagonal's stride is
+    # 8 elements, where np.negative(v, out=v) miscomputes.  The snapshot at
+    # T keeps the tail off.
     s = sqrt_decay(2, 1)
     a, b = coupling_weights(s, T, log_envelope())
-    with _chunks() as log, _flushes(T + 1) as flushes:
+    with _chunks() as log, _flushes() as flushes:
         trace = _assert_block_path_bitwise(a, b, s.rates(T), np.array([T]))
     assert trace.tobytes() == np.arange(T + 1).tobytes()
-    assert [rows for _, rows, _ in flushes] == [T - 1]
+    assert [rows for _, rows, *_ in flushes] == [T - 1]
     assert log == sizes
 
 
 def test_construction_takes_the_all_open_path():
-    # at the default sizes both blocks of a dim 641 run batch their rows in
-    # chunks; the snapshot at T keeps the tail off
+    # at the default sizes both blocks of a dim 641 run go in 64-row chunks,
+    # their old columns in one tile; the snapshot at T keeps the tail off
     s = sqrt_decay(2, 1)
     T = 640
     a, b = coupling_weights(s, T, log_envelope())
     with _chunks() as log, _flushes() as flushes:
         _assert_block_path_bitwise(a, b, s.rates(T), np.array([320, T], dtype=np.int64))
-    assert [rows for _, rows, _ in flushes] == [319, 320]
-    assert log == [129] * 2 + [61] + [64] * 5
+    assert [rows for _, rows, *_ in flushes] == [319, 320]
+    assert log == [64] * 4 + [63] + [64] * 5
+    assert _wide_rows(flushes, None) == {"tiles": 639, "rows": 0}
+
+
+@pytest.mark.parametrize("q", [767, 768, 769, 3072, 3073])
+def test_tile_boundaries_match_per_step(q):
+    # a chunk whose old columns end just before, at or just past one tile
+    # (768) or four tiles (3,072), past which they go row by row.  A
+    # snapshot 64 rows before q starts a block there, so a chunk starts at
+    # q; the one at T keeps the tail off.
+    s = sqrt_decay(2, 1)
+    T = q + 127
+    a, b = coupling_weights(s, T, log_envelope())
+    with _flushes() as log:
+        trace = _assert_block_path_bitwise(a, b, s.rates(T), np.array([q - 64, T]))
+    assert trace.tobytes() == np.arange(T + 1).tobytes()
+    assert q in {q0 for p_end, rows, *_ in log for q0 in range(p_end - rows, p_end, 64)}
+    assert (_wide_rows(log, None)["rows"] > 0) == (q >= 3072)  # the chunk after 3,072 goes row by row
 
 
 def test_chunks_with_zero_steps_match_per_step():
@@ -635,7 +648,7 @@ def test_chunks_with_zero_steps_match_per_step():
             _assert_block_path_bitwise(a, b, s.rates(T), snaps)
         assert len(results) == len(spans) and all(results)
         assert set(range(T)).difference(*(range(*span) for span in spans)) == {0} | zeros
-        assert sum(rows for _, rows, _ in log) == T - 2 - len(zeros)
+        assert sum(rows for _, rows, *_ in log) == T - 2 - len(zeros)
         _wide_rows(log, cols)
 
 
@@ -653,10 +666,10 @@ def test_blocks_span_positive_steps_only(table):
 @settings(max_examples=30, deadline=None)
 @given(st.integers(2, 40), st.integers(520, 700), st.floats(-2.0, 1.0), st.integers(0, 2**32 - 1))
 def test_flush_regimes_match_per_step(cols, T, log_c, seed):
-    # at width cols the block [1, cols) is packed batches, and the wide
-    # blocks [cols, T // 2) and [T // 2, T) take tiles and then, past four
-    # tiles (at most 208 columns here), go row by row: snapshots and the
-    # errors at their times bitwise those of exact steps
+    # at tile width cols the blocks [1, cols), [cols, T // 2) and [T // 2,
+    # T) take tiles and then, past four tiles (at most 160 columns here),
+    # go row by row: snapshots and the errors at their times bitwise those
+    # of exact steps
     rng = np.random.default_rng(seed)
     s = sched.from_table(10.0**log_c / np.sqrt(np.arange(1.0, T + 2.0)) * rng.uniform(0.5, 1.0, T + 1))
     a, b = coupling_weights(s, T, log_envelope())
@@ -693,12 +706,19 @@ def test_wide_flush_never_runs_the_exact_update():
 
 
 def test_block_scratch_is_fixed_size():
-    # a block batches at most _FLUSH_COLS columns in a fixed buffer, runs
-    # wider prefixes in tiles of it or row by row in the kernel's own O(dim)
-    # buffer, never one row of dim per step: the peak stays near those
-    # arrays at dim = 16385.  The snapshot at T keeps the tail off, so every
-    # block flushes.
+    # a chunk batches at most _FLUSH_COLS old columns or its 64 opened ones
+    # in a fixed buffer, runs wider prefixes row by row in the kernel's own
+    # O(dim) buffer, never one row of dim per step: the peak stays near
+    # those arrays at dim = 16385.  The snapshot at T keeps the tail off, so
+    # every block flushes.
+    assert _kernels._TRIANGLE.shape == (_kernels._BLOCK_STEPS, _kernels._BLOCK_STEPS)
+    # 65 rows of one tile, of one chunk's triangle where tiles are narrower, or of dim
     s = sqrt_decay(2, 1)
+    for cols, T, cells in ((None, 1000, 65 * 768), (3, 200, 65 * 64), (None, 40, 65 * 41)):
+        a, b = coupling_weights(s, T, log_envelope())
+        with _flushes(cols) as log:
+            _kernels.maxlinear_descent(a, b, s.rates(T), np.array([T]))
+        assert log and {c for *_, c in log} == {cells}
     a, b = build_maxlinear(s, 16384, log_envelope(8, 4)).convex.kernel_data
     eta = s.rates(16384)
     tracemalloc.start()
