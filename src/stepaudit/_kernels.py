@@ -12,9 +12,9 @@ recomputes every score over the whole vector, at O(p) cost plus the dot.
 
 Block path.  On the lower-bound construction the fresh coordinate ``p``
 wins every step.  After each exact recompute with ``p > 0``, the kernel
-tries the next rows as one block: up to ``_BLOCK_ROWS`` (512) of them, and
-never past ``T``, the next snapshot time or the next step that is not
-positive, which runs as one exact step.  So row ``r`` of a block opens
+tries the rows from ``t`` to the block's next stop as one block: the stop
+is the first of the next step that is not positive (it runs as one exact
+step), the next snapshot time and ``T``.  So row ``r`` of a block opens
 coordinate ``p + r``.  Scores are linear in ``x``, so a step with argmax
 ``i`` and stepsize ``eta`` moves them by known vectors: score ``k < i`` by
 ``eta u_k`` with ``u = a*b - A2`` (``A2`` the exclusive prefix sum of
@@ -38,30 +38,30 @@ exactly ``x - y`` and negation commutes with rounding; ``tol`` is formed
 elementwise from the step sum.
 
 Error bounds.  With ``R = sqrt(D)``, ``D`` the largest ``|u_k|`` or
-``d_k``, and ``coef = 8 (dim + 2 m) _EPS`` for a block of at most ``m``
-rows, a tracked score differs from the one an exact step would compute by
-at most ``tol = coef (2 R ||x|| + 3 D sum(eta))``, with ``||x||`` taken at
-the block's recompute and the sum over the block's steps so far.  The
-``dim`` term covers the recomputed scores: each is a sequential sum of up
+``d_k``, and ``coef = 8 (dim + 2 m) _EPS`` for the ``m`` rows up to a
+block's stop, a tracked score differs from the one an exact step would
+compute by at most ``tol = coef (2 R ||x|| + 3 D sum(eta))``, with
+``||x||`` taken at the block's recompute and the sum over the block's
+steps so far.  The ``dim`` term covers the recomputed scores: each is a sequential sum of up
 to ``dim`` products whose magnitudes add up to at most ``R ||x||`` (``sum
 a_k^2 <= D``), so both the score a block starts from and the one an exact
 step would compute carry ``dim`` roundings of terms below that.  The ``2
 m`` term covers the rows: by row ``r < m`` the tracked score has taken
 ``r`` rounded additions and every touched iterate entry ``r`` rounded
 updates, each off by ``u`` times a term below ``R ||x|| + D sum(eta)``,
-since a step ``eta`` moves a score by at most ``eta D``.  A block takes ``m
-= _BLOCK_ROWS``, its longest; the tail below, the one block that can be
-longer, takes its own row count.  ``nerr`` bounds the tracked ``||x||^2``
-the same way, starting from ``coef ||x||^2``.  The constants are generous:
-they only make a block give up or fail sooner.
+since a step ``eta`` moves a score by at most ``eta D``.  A block cut
+before its stop keeps that ``m``, which only loosens its bounds.
+``nerr`` bounds the tracked ``||x||^2`` the same way, starting from ``coef
+||x||^2``.  The constants are generous: they only make a block give up or
+fail sooner.
 
-Certificate.  The block is certified when, at every row ``r``, the tracked
-scores pass ``sfx_r - max s(r) > 2 tol_r``.  Each tracked score lies within
-``tol_r`` of the exact one, so a passing certificate makes the fresh
-coordinate the exact minimal-index argmax at every block row.  The tracked
-scores of the old coordinates are never formed; with all steps ``> 0`` and
-``E_r`` the exact sum of the block's steps before row ``r`` (``c_r`` their
-float prefix sums), ``_certified`` bounds them:
+Certificate.  A row ``r`` passes when the tracked scores pass ``sfx_r -
+max s(r) > 2 tol_r``.  Each tracked score lies within ``tol_r`` of the
+exact one, so a passing row makes the fresh coordinate the exact
+minimal-index argmax there.  The tracked scores of the old coordinates
+are never formed; with all steps ``> 0`` and ``E_r`` the exact sum of the
+block's steps before row ``r`` (``c_r`` their float prefix sums, ``B``
+the block's last row), ``_certified`` bounds them:
 
 - a coordinate ``k < p0`` (the old ones) has tracked score ``s_k(0) + E_r
   u_k`` plus rounding, and ``max_k (s_k(0) + E u_k)`` is convex in ``E``, so
@@ -71,10 +71,17 @@ float prefix sums), ``_certified`` bounds them:
   E_{o+1}) <= max(u_k, 0) (E_B - E_{o+1})``; the running maximum of these
   bounds over the opened coordinates bounds them all.
 
+``_certified`` returns how many leading rows pass, and the block keeps
+them.  A prefix is sound: the chord over ``[0, E_B]`` and the opened
+coordinates' bounds up to ``E_B`` bound the scores at every row ``r <= B``,
+whatever the later rows do, and each row's test is one induction step (if
+the fresh coordinate was the exact argmax at every row before ``r``, the
+tracked scores at ``r`` are the ones bounded above).
+
 Slack.  Let ``u = 2^-53`` (``_EPS = 2u``) and ``Z = max|s(0)| + max|sfx_r| +
 max|v| + c_B D``, which bounds every score in the block and every
 intermediate of the certificate (to a factor ``1 + 2 m _EPS``).  Over ``m``
-rows (a tail's evaluation row included) a tracked score takes at most ``m``
+rows (an evaluation row included) a tracked score takes at most ``m``
 rounded updates ``fl(s + fl(u_k eta))``, each off by at most ``u (eta |u_k|
 + |s|)``: ``(m + 1) u Z`` in all.  ``|c_r - E_r| <= m u E_r``, so the chord's
 slope ``c_r / c_B`` is off by ``(2m + 1) u``, its computed endpoint ``max(s
@@ -113,42 +120,34 @@ cannot change an iterate, because no entry of ``x`` is ever ``-0.0``:
 (+0.0)`` and ``x - (-0.0)`` agree.
 
 A block's errors are the tracked ``sfx_r``, within ``tol_r`` of the exact
-ones; the first is the exact recomputed score.  If row 0 gives up, a score
-or ``Z`` is not finite, or the certificate fails, nothing is written and
-one exact step runs; a block cut at a later row is certified and written
-up to the cut, and the exact step runs there.  A block costs about the
-same for any length, so after a failed certificate (a rival coordinate may
-keep winning) or a cut (``||x||^2`` stays near 1 while the run projects),
-no block is tried again before the next row that is a multiple of
-``_BLOCK_STEPS`` (64): a run tries at most one such block per
-``_BLOCK_STEPS`` rows.  With ``_BLOCK_STEPS = 0``, or when a weight or
+ones; the first is the exact recomputed score.  The block keeps the rows
+before the first one that gives up or fails its certificate, and the exact
+step runs there; if that is row 0, or a score or ``Z`` is not finite,
+nothing is kept.  A block costs about as much as its rows up to the stop,
+whatever it keeps, so after a cut (a rival coordinate may keep winning, or ``||x||^2`` stays near
+1 while the run projects) no block is tried again before the next row that
+is a multiple of ``_BLOCK_STEPS`` (64): a run tries at most one such block
+per ``_BLOCK_STEPS`` rows.  With ``_BLOCK_STEPS = 0``, or when a weight or
 step sum is so large that a tracked value could overflow, every step is
 exact.
 
-Tail block.  A run without snapshots reads its iterate only for the final
-recompute of ``err(T)``, and flushing every block for it costs O(T^2).  So
-where the block path is on, no snapshot is pending and no step in ``[t,
-T)`` is not positive, the block tried at row ``t`` is first tried as the
-tail, at most once per run: rows ``t..T``, where row ``T`` only evaluates.
-It takes no step, so ``c_B`` is the sum of the real steps, the chord and
-the opened coordinates' bounds reach row ``T`` at ``E_B``, and its tracked
-error is the score after the last step, with ``tol`` from all the steps
-and ``coef`` from the tail's ``T + 1 - t`` rows.  ``_tail`` runs
-``_block`` on segments of ``_BLOCK_ROWS`` steps, each started from the
-last one's scalars; a sequential sum split that way adds the same terms in
-the same order, so the segments have the bits of one block and the
-derivation above holds as for one block.  It writes the tracked errors
-straight into ``errors`` and the score bounds into ``buf[p:]`` (``p <=
-t``, so the ``T + 1 - t`` of them fit), and ``_certified`` checks them in
-two segmented passes, ``c_B`` and ``Z`` first and then the rows, so the
-scratch stays ``O(_BLOCK_ROWS)`` for any ``T``.  A certified tail writes
-its trace and returns without a flush or a final recompute, with ``tol``
-at row ``T`` as the bound on the distance of its ``err(T)`` from the
-recomputed one; the iterate after row ``t`` is never formed.  A tail that
-gives up or fails leaves the state as it was, the entries it wrote are
-written again, and the run goes on with the bits it has without a tail.  A snapshot at
-``T`` (``verify`` asks for one) keeps the tail off, so that run's
-iterates, snapshots and ``err(T)`` are bitwise those of exact steps.
+A block has no length cap.  ``_block`` and ``_certified`` run in segments
+of ``_BLOCK_ROWS`` (512) rows, each continuing the last one's sequential
+sums, which adds the same terms in the same order, so the derivation above
+holds for the whole block and the scratch stays ``O(_BLOCK_ROWS)``.  The
+rows go straight into arrays the run already holds: the tracked errors
+into ``errors``, the score bounds into ``buf[p:]`` and each row's
+``||x||^2`` into ``s[p + 1:]`` (``p <= t``, so they fit), so the largest
+norm covers exactly the rows kept.  A block that reaches ``T`` with no
+snapshot pending gets row ``T``, which only evaluates: it takes no step,
+so the chord and the opened coordinates' bounds reach it at ``E_B``, and
+its tracked error is the score after the last step.  If every row is kept,
+the run returns without a flush or a final recompute, with ``tol`` at row
+``T`` as the bound on the distance of its ``err(T)`` from the recomputed
+one.  Otherwise the run flushes what it keeps and recomputes ``err(T)``
+exactly, as it always does with a snapshot at ``T`` (``verify`` asks for
+one), so then its iterates, snapshots and ``err(T)`` are bitwise those of
+exact steps.
 """
 
 from __future__ import annotations
@@ -162,8 +161,8 @@ from .errors import InvalidParameterError, NumericFaultError
 
 __all__ = ["maxlinear_descent"]
 
-_BLOCK_ROWS = 512  # the longest block
-_BLOCK_STEPS = 64  # the back-off interval after a block fails or gives up; 0 turns the block path off
+_BLOCK_ROWS = 512  # the segment length of a block's tracking and certificate
+_BLOCK_STEPS = 64  # the back-off interval after a block is cut; 0 turns the block path off
 _FLUSH_COLS = 768  # the flush's tile width; sizes its scratch
 _EPS = float(np.finfo(np.float64).eps)
 _TRIANGLE = np.less.outer(*2 * (np.arange(_BLOCK_STEPS, dtype=np.int16),))  # [r, j]: r < j, the flush's zeros
@@ -190,9 +189,9 @@ def _block(t0, t1, p, sfx, nsq, nerr, eta_acc, tol, base, coef, D, eta_v, u_v, d
     ``eta_v``, ``u_v`` and ``d_v`` are arrays or memoryviews.  Updates only
     the scalars, each as one sequential ``np.add.accumulate`` over the
     terms a per-row loop adds (see the module docstring).  Returns
-    ``(fvs, tols, nsq_max, carry)`` for the rows before the first one whose
+    ``(fvs, tols, nsqs, carry)`` for the rows before the first one whose
     ``||x||^2`` needs the exact dot or a projection: per row the tracked
-    error and score bound, the largest ``||x||^2``, and the arguments
+    error, score bound and ``||x||^2`` after its step, and the arguments
     ``(sfx, nsq, nerr, eta_acc, tol)`` that continue the recurrences at
     the first row left out; or ``None`` when that is row 0.
     """
@@ -220,30 +219,69 @@ def _block(t0, t1, p, sfx, nsq, nerr, eta_acc, tol, base, coef, D, eta_v, u_v, d
         g = m
     if g == 0:
         return None
-    nsq_max = float(np.fmax.reduce(after[:g], initial=-math.inf))  # NaN rows never raise the loop's max
     carry = (float(fvs[g]), float(nsqs[g]), float(nerrs[g]), float(acc[g]), float(tols[g]))
-    return fvs[:g], tols[:g], nsq_max, carry
+    return fvs[:g], tols[:g], after[:g], carry
 
 
-def _certified(s, u, d, buf, p, D, st, fvs, tols):
-    """Whether the test ``sfx - max s > 2 tol`` holds at every block row.
+def _try_block(t, n, p, nsq, R, D, s, u, d, buf, eta, errors):
+    """Track and certify the ``n`` rows of the block at row ``t``.
 
-    ``s[:p]`` holds the exact scores at the block's first row, ``st`` the
-    block's steps, and ``fvs`` and ``tols`` the rows' tracked errors and
-    score bounds: one row per step, and for a tail one more, the
-    evaluation row.  Both passes run in segments of ``_BLOCK_ROWS`` rows;
-    see the module docstring for the bound and its slack.
+    Runs ``_block`` on segments of ``_BLOCK_ROWS`` steps, each continuing
+    the last one's recurrences, and writes each row's tracked error into
+    ``errors[t - 1:]``, its score bound into ``buf[p:]`` and its
+    ``||x||^2`` into ``s[p + 1:]``.  The rows before the first one that
+    gives up are certified, a last row ``T``, which only evaluates, with
+    them when every step is tracked.  Returns ``(kept, tol, nsq_max)``:
+    the leading rows that pass, the score bound after the last step
+    tracked, and the largest ``||x||^2`` of the kept rows.
+    """
+    coef = 8.0 * (s.shape[0] + 2 * n) * _EPS  # see the module docstring
+    base = 2.0 * R * math.sqrt(nsq)
+    steps = min(n, eta.shape[0] - t)
+    carry = (float(s[p]), nsq, coef * nsq, 0.0, coef * base)
+    rows = 0
+    while rows < steps:
+        r1 = min(rows + _BLOCK_ROWS, steps)
+        seg = _block(t + rows, t + r1, p + rows, *carry, base, coef, D, eta, u, d)
+        if seg is None:
+            break
+        fvs, tols, nsqs, carry = seg
+        g = fvs.shape[0]
+        errors[t - 1 + rows : t - 1 + rows + g] = fvs
+        buf[p + rows : p + rows + g] = tols
+        s[p + 1 + rows : p + 1 + rows + g] = nsqs
+        rows += g
+        if rows < r1:
+            break
+    if rows == steps < n:  # the evaluation row
+        errors[t - 1 + rows] = carry[0]
+        buf[p + rows] = carry[4]
+        rows += 1
+    fvs, tols = errors[t - 1 : t - 1 + rows], buf[p : p + rows]
+    kept = _certified(s, u, d, buf, p, D, carry[3], eta[t : t + rows], fvs, tols) if rows else 0
+    nsq_max = float(np.fmax.reduce(s[p + 1 : p + 1 + min(kept, steps)], initial=-math.inf))  # NaN rows never raise it
+    return kept, carry[4], nsq_max
+
+
+def _certified(s, u, d, buf, p, D, cB, st, fvs, tols):
+    """How many leading block rows pass the test ``sfx - max s > 2 tol``.
+
+    ``s[:p]`` holds the exact scores at the block's first row, ``cB`` the
+    sum of its steps ``st`` as ``_block`` carries it, and ``fvs`` and
+    ``tols`` the rows' tracked errors and score bounds: one row per step,
+    and one more where the last row only evaluates.  Both passes run in
+    segments of ``_BLOCK_ROWS`` rows; see the module docstring for the
+    bound, its slack and why a prefix of passing rows is certified.
     """
     n = fvs.shape[0]
     if not np.minimum.reduce(st) > 0.0:
-        return False
+        return 0
     segments = [(r0, min(r0 + _BLOCK_ROWS, n)) for r0 in range(0, n, _BLOCK_ROWS)]
-    # the first pass finds the sum of the steps and the largest |score| of each kind
-    cB = zf = zo = 0.0
+    # the first pass finds the largest |score| of each kind
+    zf = zo = 0.0
     for r0, r1 in segments:
-        sk = st[r0:r1]  # a tail's last segment holds one step fewer than rows
+        sk = st[r0:r1]  # the last segment holds one step fewer than rows where the last row evaluates
         k = sk.shape[0]
-        cB = float(_running(cB, sk)[k])
         zf = np.maximum(zf, np.maximum.reduce(np.abs(fvs[r0:r1])))
         opened = fvs[r0 : r0 + k] - sk * d[p + r0 : p + r0 + k]  # the tracked score of p + r after row r
         zo = np.maximum(zo, np.maximum.reduce(np.abs(opened), initial=0.0))
@@ -255,7 +293,7 @@ def _certified(s, u, d, buf, p, D, st, fvs, tols):
     Z = max(M0, -float(np.minimum.reduce(old))) + float(zf) + cB * D
     Z += float(zo)
     if not math.isfinite(Z):
-        return False
+        return 0
     slack = 8.0 * (n + 2) * _EPS * Z + 1e-300
     c0, wtop = 0.0, -math.inf  # the steps before the segment; the opened scores' bound at its first row
     for r0, r1 in segments:
@@ -270,40 +308,10 @@ def _certified(s, u, d, buf, p, D, st, fvs, tols):
         wtop = float(w[k])
         np.maximum(bound, w[: r1 - r0], out=bound)
         np.subtract(fvs[r0:r1], bound, out=bound)
-        if not (bound > (2.0 + 16.0 * _EPS) * tols[r0:r1] + slack).all():
-            return False
-    return True
-
-
-def _tail(t, T, p, sfx, nsq, base, D, s, u, d, buf, eta, errors):
-    """Rows ``t..T`` as one block whose row ``T`` only evaluates, or ``None``.
-
-    Runs ``_block`` on segments of ``_BLOCK_ROWS`` steps, each continuing
-    the last one's recurrences, writes the tracked errors into ``errors[t -
-    1 : T]`` and the score bounds into ``buf[p : p + T + 1 - t]`` (``p <=
-    t``, so they fit beside the chord's ``buf[:p]``), and certifies them.
-    Returns ``(nsq_max, tol)``, the largest ``||x||^2`` and the bound on
-    ``err(T)``, when every row is kept and certified; otherwise the caller
-    goes on from the same state, and rewrites every entry written here.
-    """
-    n = T + 1 - t  # rows
-    coef = 8.0 * (s.shape[0] + 2 * n) * _EPS  # see the module docstring
-    carry = (sfx, nsq, coef * nsq, 0.0, coef * base)
-    nsq_max = -math.inf
-    for r0 in range(t, T, _BLOCK_ROWS):
-        r1 = min(r0 + _BLOCK_ROWS, T)
-        rows = _block(r0, r1, p + r0 - t, *carry, base, coef, D, eta, u, d)
-        if rows is None or len(rows[0]) < r1 - r0:
-            return None
-        errors[r0 - 1 : r1 - 1] = rows[0]
-        buf[p + r0 - t : p + r1 - t] = rows[1]
-        nsq_max = max(nsq_max, rows[2])
-        carry = rows[3]
-    errors[T - 1] = carry[0]
-    buf[p + n - 1] = carry[4]
-    if not _certified(s, u, d, buf, p, D, eta[t:T], errors[t - 1 : T], buf[p : p + n]):
-        return None
-    return nsq_max, carry[4]
+        passed = bound > (2.0 + 16.0 * _EPS) * tols[r0:r1] + slack
+        if not passed.all():
+            return r0 + int(passed.argmin())
+    return n
 
 
 def _step_update(x, a, b, buf, i, step):
@@ -369,8 +377,8 @@ def maxlinear_descent(a: np.ndarray, b: np.ndarray, eta: np.ndarray, snap_times:
     ``1..T``) to copy out.  The run starts at the origin.
     Returns ``(errors, argmax_trace, max_norm, projection_hits, {t: x},
     err_bound)``: ``err_bound`` bounds ``errors[-1]``'s distance from the
-    recomputed ``err(T)`` after a certified tail, and is ``0.0`` where
-    ``err(T)`` is that recompute.
+    recomputed ``err(T)`` after a certified block that reaches ``T``, and
+    is ``0.0`` where ``err(T)`` is that recompute.
     As on the scalar path, a non-finite objective value raises
     :class:`NumericFaultError` naming its step; non-finite weights fault at
     step 0.  ``max_norm`` is the largest ``sqrt(np.dot(x, x))`` after an
@@ -396,7 +404,7 @@ def maxlinear_descent(a: np.ndarray, b: np.ndarray, eta: np.ndarray, snap_times:
         raise NumericFaultError("non-finite objective value at step 0")
 
     x = np.zeros(dim)
-    s = np.empty(dim)  # exact scores of the touched prefix
+    s = np.empty(dim)  # exact scores of the touched prefix; past it, a block's ||x||^2 rows
     buf = np.empty(dim)  # products and prefix sums
     with np.errstate(all="ignore"):  # huge weights overflow here, but then blocks are off
         np.multiply(a, a, out=buf)
@@ -410,8 +418,7 @@ def maxlinear_descent(a: np.ndarray, b: np.ndarray, eta: np.ndarray, snap_times:
     # With G below 2^200 no score, iterate entry, ||x||^2 or tracked
     # increment can overflow (each is at most G^4); otherwise no block runs.
     G = (dim + 1.0) * (1.0 + max(wa, wb)) * (1.0 + float(np.add.reduce(np.abs(eta))))
-    longest = _BLOCK_ROWS if _BLOCK_STEPS and G <= 2.0**200 else 0
-    coef = 8.0 * (dim + 2 * _BLOCK_ROWS) * _EPS  # see the module docstring
+    blocks = _BLOCK_STEPS > 0 and G <= 2.0**200
     R = math.sqrt(D)
 
     # p <= T < dim: a step touches at most one fresh coordinate
@@ -425,43 +432,27 @@ def maxlinear_descent(a: np.ndarray, b: np.ndarray, eta: np.ndarray, snap_times:
     stops.append(T)
     t = 0
     retry = 0  # the first row at which a block may be tried
-    tail = longest > 0  # one tail per run, tried where nothing stops a block before T
     while True:
         _exact_scores(a, b, x, p + 1, s, buf)
         stop = stops[bisect.bisect_left(stops, t)]
-        end = min(t + longest, stop)
-        if 0 < next_snap < end:
-            end = next_snap
-        certified = False
-        if p > 0 and end > t and t >= retry:
-            sfx = float(s[p])
-            nsq = float(np.dot(x, x))
-            base = 2.0 * R * math.sqrt(nsq)
-            if tail and stop == T and next_snap < 0:
-                tail = False
-                done = _tail(t, T, p, sfx, nsq, base, D, s, u, d, buf, eta, errors)
-                if done is not None:
-                    trace[t:] = np.arange(p, p + T + 1 - t)
-                    max_norm = max(max_norm, math.sqrt(max(done[0], 0.0)))
-                    return errors, trace, max_norm, hits, snaps, done[1]
-            rows = _block(t, end, p, sfx, nsq, coef * nsq, 0.0, coef * base, base, coef, D, eta, u, d)
-            short = rows is None or len(rows[0]) < end - t  # ||x||^2 nears 1 at the first row left out
-            if rows is not None:
-                end = t + len(rows[0])
-                st = eta[t:end]
-                certified = _certified(s, u, d, buf, p, D, st, *rows[:2])
-            if short or not certified:  # exact steps up to the next multiple of _BLOCK_STEPS
-                stop = end if certified else t
-                retry = stop - stop % _BLOCK_STEPS + _BLOCK_STEPS
-        if certified:
+        if 0 < next_snap < stop:
+            stop = next_snap
+        kept = 0
+        if blocks and p > 0 and stop > t and t >= retry:
+            n = stop - t + (stop == T and next_snap < 0)  # a last row T only evaluates
+            kept, tol, nsq_max = _try_block(t, n, p, float(np.dot(x, x)), R, D, s, u, d, buf, eta, errors)
+            if kept < n:  # exact steps from the cut up to the next multiple of _BLOCK_STEPS
+                retry = t + kept - (t + kept) % _BLOCK_STEPS + _BLOCK_STEPS
+        if kept:
+            max_norm = max(max_norm, math.sqrt(max(nsq_max, 0.0)))  # sqrt is monotone
+            trace[t : t + kept] = np.arange(p, p + kept)
+            if t + kept > T:  # every row up to the evaluation row T
+                return errors, trace, max_norm, hits, snaps, tol
             if scratch is None:
                 scratch = np.empty((_BLOCK_STEPS + 1) * min(max(_FLUSH_COLS, _BLOCK_STEPS), dim))
-            _flush(x, a, b, buf, scratch, p, st)
-            trace[t:end] = np.arange(p, p + end - t)
-            p += end - t
-            errors[t - 1 : end - 1] = rows[0]
-            max_norm = max(max_norm, math.sqrt(max(rows[2], 0.0)))  # sqrt is monotone
-            t = end
+            _flush(x, a, b, buf, scratch, p, eta[t : t + kept])
+            p += kept
+            t += kept
         else:  # an exact step
             i = int(s[: p + 1].argmax())
             fv = float(s[i])

@@ -313,7 +313,7 @@ _OPTIONS = {
     "thresholds": (str, "0,0.5,1", ("density",), "comma list of thresholds; 'inf' allowed"),
     "out": (str, None, _ALL, f"output directory (default ${OUT_ENV_VAR} or ./out)"),
     "workers": (int, 1, _ALL, "accepted (an int >= 1) but ignored: work runs on one thread"),
-    "per_t": (bool, False, ("density",), "build a fresh instance per stopping time (O(T^2) while tails certify)"),
+    "per_t": (bool, False, ("density",), "build a fresh instance per stopping time (O(T^2) while each run certifies as one block)"),
     "dump_instances": (bool, False, ("audit",), "also write every built instance to instances.json"),
     "rows": (bool, False, ("bounds",), "write every quartic_floor row to chain_report.json, not one summary step"),
 }

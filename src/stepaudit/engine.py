@@ -19,8 +19,8 @@ loop's float64 operations, so its errors, snapshots, projection count and
 snapshot times equal those of a full score recompute each step bit for
 bit; inside its certified blocks the other errors and ``max_norm_seen``
 are tracked, and agree to rounding.  So does ``err(T)`` when a run
-without a snapshot at ``T`` ends in a certified tail block, which skips
-forming the iterates; ``RunRecord.final_error_bound`` then bounds its
+without a snapshot at ``T`` ends in a certified block that reaches ``T``,
+which skips forming its iterates; ``RunRecord.final_error_bound`` then bounds its
 distance from the recomputed value, and is ``0.0`` where ``err(T)`` is
 that recompute, bit for bit (always with a snapshot at ``T``).
 """

@@ -373,10 +373,10 @@ def density_experiment(
     With ``per_t=True`` a fresh instance targeted at each ``t`` is built
     and only its final error used, matching the worst-case quantifier order;
     each ``t`` up to the largest horizon runs once, and every horizon reads
-    its prefix of these errors.  A max-of-linear run ends in an O(t)
-    certified tail, so the mode costs O(T^2) while tails certify (up to
-    about 3e5 on ``sqrt_decay(2, 1)``); a run whose tail fails falls back
-    to the O(t^2) flush.  Both modes share the ``t = T`` value exactly.
+    its prefix of these errors.  A max-of-linear run costs O(t) while its
+    block from row 1 certifies to ``t`` (at least to 262144 on
+    ``sqrt_decay(2, 1)``), so the mode costs O(T^2); past that it flushes
+    its blocks' certified prefixes.  Both modes share ``t = T`` exactly.
     """
     if len(spec.families) != 1:
         raise InvalidParameterError(f"density experiments run on exactly one family, got {list(spec.families)}")

@@ -175,7 +175,7 @@ def test_long_horizon_matches_generic_loop():
     for t in times:
         assert _bits(fast.error_at(t)) == _bits(errors[t - 1])
     assert np.all(np.abs(fast.errors - errors) <= REL * np.abs(errors))
-    # without a snapshot the run ends in a tail: err(T) within its bound of the recomputed one
+    # without a snapshot the run ends in a block that reaches T: err(T) within its bound of the recomputed one
     tail = engine.run(built.convex, s, T)
     assert fast.final_error_bound == 0.0 < tail.final_error_bound
     assert abs(tail.error_at(T) - fast.error_at(T)) <= tail.final_error_bound
@@ -194,13 +194,14 @@ def test_long_horizon_matches_generic_loop():
 
 @contextlib.contextmanager
 def _certificates():
-    """Record the result of every block certificate the kernel computes."""
+    """Record ``(kept, rows)`` for every block certificate the kernel computes:
+    the leading rows that pass, of the rows tracked."""
     results = []
     certified = _kernels._certified
 
     def counted(*args):
-        results.append(certified(*args))
-        return results[-1]
+        results.append((certified(*args), len(args[-2])))
+        return results[-1][0]
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_kernels, "_certified", counted)
@@ -338,16 +339,24 @@ def test_block_path_matches_per_step_on_construction(table, seed):
 
 
 def test_every_block_certified_on_the_staircase(monkeypatch):
-    # the construction's fresh coordinate wins every step: no block falls back
-    monkeypatch.setattr(_kernels, "_BLOCK_ROWS", 64)
+    # the construction's fresh coordinate wins every step: no block falls
+    # back.  Segments only split a block's sums: at 64-row segments each
+    # block still runs to its stop, [1, 70), [70, 500), [500, 999) and
+    # rows 999..1000, and the run has the bits of the default segments
     s = sqrt_decay(2, 1)
     T = 1000
     a, b = coupling_weights(s, T, log_envelope())
     snaps = np.array([1, 70, 500, 999], dtype=np.int64)
+    default = _kernels.maxlinear_descent(a, b, s.rates(T), snaps)
+    monkeypatch.setattr(_kernels, "_BLOCK_ROWS", 64)
     for cols in _WIDTHS:
         with _certificates() as results, _flushes(cols) as log:
             trace = _assert_block_path_bitwise(a, b, s.rates(T), snaps)
-        assert len(results) > 10 and all(results)
+            got = _kernels.maxlinear_descent(a, b, s.rates(T), snaps)
+        assert results == [(69, 69), (430, 430), (499, 499), (2, 2)] * 2  # two runs
+        for have, expected in zip(got[:4] + got[5:], default[:4] + default[5:]):
+            assert _bits(have) == _bits(expected)
+        assert _same_snapshots(got[4], default[4])
         assert trace.tobytes() == np.arange(T + 1).tobytes()
         regimes = _wide_rows(log, cols)
         # the old columns go row by row past 3,072, 12 and 840 of them
@@ -356,15 +365,15 @@ def test_every_block_certified_on_the_staircase(monkeypatch):
 
 
 def test_every_long_block_certified_on_the_staircase():
-    # at the default length a block runs to the next snapshot time:
-    # [1, 70), [70, 500) and [500, 999); rows 999 and 1000 end the run as a tail
+    # a block runs to the next snapshot time: [1, 70), [70, 500) and [500,
+    # 999); rows 999 and 1000 end the run as a block that reaches T unflushed
     s = sqrt_decay(2, 1)
     T = 1000
     a, b = coupling_weights(s, T, log_envelope())
     snaps = np.array([1, 70, 500, 999], dtype=np.int64)
     with _certificates() as results, _flushes() as log:
         trace = _assert_block_path_bitwise(a, b, s.rates(T), snaps)
-    assert results == [True] * 4
+    assert results == [(69, 69), (430, 430), (499, 499), (2, 2)]
     assert trace.tobytes() == np.arange(T + 1).tobytes()
     assert [rows for _, rows, *_ in log] == [69, 430, 499]
     # every chunk's old columns span at most two tiles
@@ -402,32 +411,34 @@ def _opened_rival():
 
 @pytest.mark.parametrize("case", [_old_rival, _opened_rival, _fading_rival])
 def test_block_falls_back_when_a_rival_wins(case):
-    # the certificate of the first block fails and the per-step loop runs it
+    # the first block runs from row 1 to T and its certificate cuts where
+    # the rival wins, or before it (the opened rival's bound is loose): the
+    # rows before the cut are flushed and the per-step loop runs from there.
+    # Only the fading rival leaves rows for a later block (the others back
+    # off past T), from row 64, and it reaches T and ends the run unflushed
     a, b, eta, head = case()
+    first = {_old_rival: 3, _opened_rival: 1, _fading_rival: 3}[case]
     for cols in _WIDTHS:
-        with _certificates() as results, _flushes(cols) as log:
+        with _certificates() as results, _tails() as tails, _flushes(cols) as log:
             trace = _assert_block_path_bitwise(a, b, eta, NO_SNAPS)
-        assert results[0] is False
+        assert results[0] == (first, len(eta))
+        assert [rows for _, rows, *_ in log] == [first]
         assert trace[: len(head)].tolist() == head  # every step is positive: a fresh trace counts up
-        # only the fading rival leaves rows for a later block (the others
-        # back off past T): one from p = 52 to 288, in tiles, but at width 3
-        # row by row, as its old columns pass 12 from the first chunk on
-        regimes = _wide_rows(log, cols)
-        assert bool(log) == (case is _fading_rival)
-        assert (regimes["tiles"] > 0) == (bool(log) and cols != 3)
-        assert (regimes["rows"] > 0) == (bool(log) and cols == 3)
+        assert tails == [False] + [True] * (case is _fading_rival)
+        _wide_rows(log, cols)
 
 
 def test_failed_certificate_backs_off_to_the_next_boundary():
-    # stretched, the old rival wins hundreds of rows; after each failed
-    # certificate the kernel steps exactly to the next multiple of
-    # _BLOCK_STEPS, so it tries at most one block per interval (839 without)
+    # stretched, the old rival wins hundreds of rows; after each cut the
+    # kernel flushes the rows before it and steps exactly to the next
+    # multiple of _BLOCK_STEPS, so it tries at most one block per interval
     T = 2000
     a, b, eta, _ = _old_rival(T)
-    with _certificates() as results:
+    with _certificates() as results, _flushes() as log:
         trace = _assert_block_path_bitwise(a, b, eta, NO_SNAPS)
     assert np.count_nonzero(trace == 0) > 600
-    assert results and not any(results)
+    assert results and all(kept < rows for kept, rows in results)
+    assert [rows for _, rows, *_ in log] == [kept for kept, _ in results if kept]
     assert len(results) <= T // _kernels._BLOCK_STEPS + 1
 
 
@@ -441,15 +452,14 @@ def test_block_refuses_negative_steps(weights):
     # the certificate refuses them too; the same rows pass with both steps positive
     s, u, d, buf = np.array([-1.0]), np.zeros(3), np.full(3, 5e3), np.empty(3)
     rows = (np.zeros(2), np.zeros(2))  # errors, score bounds; the opened scores are -5
-    assert _kernels._certified(s, u, d, buf, 1, 1.0, np.array([1e-3, 1e-3]), *rows)
+    assert _kernels._certified(s, u, d, buf, 1, 1.0, 2e-3, np.array([1e-3, 1e-3]), *rows) == 2
     for steps in ([1e-3, -1e-3], [1e-3, 0.0]):
-        assert not _kernels._certified(s, u, d, buf, 1, 1.0, np.array(steps), *rows)
+        assert _kernels._certified(s, u, d, buf, 1, 1.0, sum(steps), np.array(steps), *rows) == 0
 
 
 def _block_reference(t0, t1, p, sfx, nsq, nerr, eta_acc, tol, base, coef, D, eta_v, u_v, d_v):
     """``_kernels._block`` as a loop over Python floats, giving up on the whole block."""
-    fvs, tols = [], []
-    nsq_max = -math.inf
+    fvs, tols, nsqs = [], [], []
     D3 = 3.0 * D
     for step in eta_v[t0:t1]:
         fv = sfx
@@ -465,9 +475,8 @@ def _block_reference(t0, t1, p, sfx, nsq, nerr, eta_acc, tol, base, coef, D, eta
         tol = coef * (base + D3 * eta_acc)
         if 1.0 - nsq <= 1e-9 + nerr + coef * abs(nsq):  # near 1 or past it
             return None
-        if nsq > nsq_max:
-            nsq_max = nsq
-    return fvs, tols, nsq_max
+        nsqs.append(nsq)
+    return fvs, tols, nsqs
 
 
 @settings(max_examples=80, deadline=None)
@@ -511,9 +520,8 @@ def test_block_gives_up_where_the_norm_needs_the_dot(nsq, gives_up):
 
 def test_block_gives_up_midway_and_backs_off():
     # at three times the headline steps ||x||^2 reaches 1 inside the first
-    # block: the tail tried there gives up, the block keeps the rows before
-    # that, exact steps project from there, and each later block waits for
-    # the next multiple of _BLOCK_STEPS
+    # block: it keeps the rows before that, exact steps project from there,
+    # and each later block waits for the next multiple of _BLOCK_STEPS
     s = sqrt_decay(2, 1)
     T = 300
     a, b = coupling_weights(s, T, log_envelope())
@@ -527,12 +535,12 @@ def test_block_gives_up_midway_and_backs_off():
     with pytest.MonkeyPatch.context() as mp, _certificates() as results, _flushes() as log:
         mp.setattr(_kernels, "_block", recorded)
         _assert_block_path_bitwise(a, b, 3.0 * s.rates(T), NO_SNAPS)
-    assert results == [True] and len(log) == 1
     rows = log[0][1]
-    assert 0 < rows < T - 1  # the first block would run [1, T)
+    assert results == [(rows, rows)] and len(log) == 1
+    assert 0 < rows < T - 1  # the first block would run [1, T]
     stop = 1 + rows  # the exact step that projects
     steps = _kernels._BLOCK_STEPS
-    assert starts == [1, 1] + list(range(stop - stop % steps + steps, T, steps))
+    assert starts == [1] + list(range(stop - stop % steps + steps, T, steps))
 
 
 def test_block_gives_up_with_the_loops_rounding():
@@ -556,9 +564,11 @@ def test_block_skips_a_nan_norm_as_the_loop_does():
     steps, ones = np.full(3, 1e-3), np.ones(3)
     args = (0, 2, 1, 0.0, math.nan, 0.0, 0.0, 0.0, 0.0, 1e-16, 1.0)
     want = _block_reference(*args, memoryview(steps), memoryview(ones), memoryview(ones))
-    assert want[2] == -math.inf
-    for have, expected in zip(_kernels._block(*args, steps, ones, ones), want):
+    got = _kernels._block(*args, steps, ones, ones)
+    for have, expected in zip(got[:2], want[:2]):
         assert _bits(have) == _bits(expected)
+    assert np.isnan(want[2]).all() and np.isnan(got[2]).all() and len(got[2]) == len(want[2]) == 2
+    assert np.fmax.reduce(got[2], initial=-math.inf) == -math.inf  # the kernel's largest-norm reduction
 
 
 @contextlib.contextmanager
@@ -675,13 +685,15 @@ def test_flush_regimes_match_per_step(cols, T, log_c, seed):
     a, b = coupling_weights(s, T, log_envelope())
     with _certificates() as results, _flushes(cols) as log:
         _assert_block_path_bitwise(a, b, s.rates(T), np.array([cols, T // 2, T]))
-    assert results == [True] * 3
+    assert [rows for _, rows, *_ in log] == [cols - 1, T // 2 - cols, T - T // 2]
+    assert all(kept == rows for kept, rows in results)
     assert all(_wide_rows(log, cols).values())
 
 
 def test_wide_flush_never_runs_the_exact_update():
-    # the snapshot at T keeps the tail off, as verify's does, so every block
-    # flushes; past 768 touched coordinates no flushed row runs _step_update
+    # the snapshots at T / 2 and T stop the two blocks, [1, T / 2) and [T / 2,
+    # T), before T, as verify's does, so both flush; past 768 touched
+    # coordinates no flushed row runs _step_update
     s = sqrt_decay(2, 1)
     T = 4096
     a, b = coupling_weights(s, T, log_envelope())
@@ -700,8 +712,8 @@ def test_wide_flush_never_runs_the_exact_update():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_kernels, "_step_update", counted_update)
         mp.setattr(_kernels, "_flush", counted_flush)
-        _kernels.maxlinear_descent(a, b, s.rates(T), np.array([T]))
-    assert len(inside) > 1 and calls[0] > 0
+        _kernels.maxlinear_descent(a, b, s.rates(T), np.array([T // 2, T]))
+    assert len(inside) == 2 and calls[0] > 0
     assert sum(inside) == 0
 
 
@@ -730,21 +742,24 @@ def test_block_scratch_is_fixed_size():
     assert peak <= 1.5e6
 
 
-# -- the tail: rows t..T as one block that ends the run -------------------------
+# -- the tail: a block that reaches T with its evaluation row and ends the run unflushed
 
 
 @contextlib.contextmanager
 def _tails():
-    """Record what every tail attempt returns."""
+    """Record, for every block that reaches ``T`` with its evaluation row,
+    whether it ends the run unflushed: whether every row is kept."""
     results = []
-    tail = _kernels._tail
+    attempt = _kernels._try_block
 
-    def recorded(*args):
-        results.append(tail(*args))
-        return results[-1]
+    def recorded(t, n, *args):
+        out = attempt(t, n, *args)
+        if t + n > len(args[-2]):  # args[-2] is eta
+            results.append(out[0] == n)
+        return out
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_kernels, "_tail", recorded)
+        mp.setattr(_kernels, "_try_block", recorded)
         yield results
 
 
@@ -772,9 +787,57 @@ def test_certified_tail_never_flushes():
     a, b = coupling_weights(s, T, log_envelope())
     with _tails() as tails, _certificates() as results, _flushes() as log:
         trace = _assert_block_path_bitwise(a, b, s.rates(T), NO_SNAPS)
-    assert len(tails) == 1 and tails[0] is not None
-    assert results == [True] and log == []
+    assert tails == [True]
+    assert results == [(T, T)] and log == []
     assert trace.tobytes() == np.arange(T + 1).tobytes()
+
+
+def _late_rival(T=600):
+    # coordinate 0 starts 0.45 below the fresh score and rises by eta a[0]
+    # b[0] = 1.5e-3 a step, while the fresh score falls by 5e-10 a step (a b
+    # - A2 = -1e-6 from k = 1) and each opened one sits eta d_k >= 1e-5
+    # below it: the fresh coordinate wins rows 1..301 and coordinate 0 row 302
+    a = np.full(T + 1, 0.1)
+    b = np.arange(T + 1) / 10.0 - 1e-5
+    b[0] = 30.0
+    return a, b, np.full(T, 5e-4)
+
+
+def test_certificate_that_fails_late_keeps_the_rows_before_it():
+    # the first block runs from row 1 to its stop (T, or the snapshot at
+    # 400) and its certificate fails at row 302: exactly rows 1..301 are
+    # flushed, and the run matches the reference where it promises bits.
+    # The scores cancel terms near 0.2 down to 0.003, so the tracked errors
+    # agree only to that rounding, not to scalar_rel of their size
+    a, b, eta = _late_rival()
+    T = len(eta)
+    for snaps, rows in ((NO_SNAPS, T), (np.array([400, T]), 399)):
+        with _certificates() as results, _flushes() as log:
+            errors, trace, _, hits, got, bound = _kernels.maxlinear_descent(a, b, eta, snaps)
+        r_errors, r_trace, _, r_hits, want = reference_descent(a, b, eta, snaps)
+        assert results[0] == (301, rows)
+        assert log[0][:2] == (302, 301)  # p reaches 302 after the 301 rows
+        assert trace.tobytes() == r_trace.tobytes() and hits == r_hits
+        assert trace[:303].tolist() == list(range(302)) + [0]
+        assert _same_snapshots(got, want)
+        _assert_final_error(errors, r_errors, bound, snaps)
+        for t in snaps:
+            assert _bits(errors[t - 1]) == _bits(r_errors[t - 1])
+        assert np.all(np.abs(errors - r_errors) <= 1e-12)
+
+
+def test_long_snapshot_free_run_keeps_certified_prefixes():
+    # at T = 300000 on the headline the block from row 1 does not certify
+    # to T: its certified prefix is kept, later blocks certify theirs, and
+    # the run flushes a fraction of its rows and still meets the floor
+    s = sqrt_decay(2, 1)
+    T = 300000
+    built = build_maxlinear(s, T, log_envelope())
+    with _tails() as tails, _flushes() as log:
+        errors, trace, *_, bound = _kernels.maxlinear_descent(built.a, built.b, s.rates(T), NO_SNAPS)
+    assert tails[0] is False and 0 < sum(rows for _, rows, *_ in log) < T // 4
+    assert trace.tobytes() == np.arange(T + 1).tobytes()
+    assert errors[-1] - bound >= built.certified_bound()
 
 
 def test_snapshot_at_the_horizon_keeps_the_final_error_bitwise():
@@ -790,9 +853,10 @@ def test_snapshot_at_the_horizon_keeps_the_final_error_bitwise():
 
 @pytest.mark.parametrize("case", ["norm", "rival"])
 def test_tail_that_fails_falls_back_to_the_same_bits(case):
-    # at three times the headline steps ||x||^2 reaches 1 inside the tail;
-    # the old rival fails its certificate.  Either way the run gives the
-    # bits of the run whose snapshot at T keeps the tail off.
+    # at three times the headline steps ||x||^2 reaches 1 inside the block
+    # that reaches T; the old rival fails its certificate at row 4.  Either
+    # way the blocks keep their prefixes and the run gives the bits of the
+    # run whose snapshot at T keeps the evaluation row off.
     if case == "norm":
         s = sqrt_decay(2, 1)
         T = 300
@@ -804,7 +868,7 @@ def test_tail_that_fails_falls_back_to_the_same_bits(case):
     with _tails() as tails:
         got = _kernels.maxlinear_descent(a, b, eta, NO_SNAPS)
     want = _kernels.maxlinear_descent(a, b, eta, np.array([T]))
-    assert tails == [None]
+    assert tails and not any(tails)
     for have, expected in zip(got[:4], want[:4]):
         assert _bits(have) == _bits(expected)
     assert got[5] == want[5] == 0.0
