@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Iterable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -30,7 +30,6 @@ __all__ = [
     "log_envelope",
     "constant_envelope",
     "harmonic",
-    "harmonic_table",
     "last_step_bound",
     "step_sum_bound",
     "maxlinear_bound",
@@ -44,7 +43,6 @@ __all__ = [
     "decide",
     "empirical_envelope",
     "validate_envelope",
-    "EnvelopeReport",
     "BoundRow",
     "bound_row",
     "BoundReport",
@@ -144,12 +142,6 @@ def harmonic(n: int) -> float:
     return float(np.add.accumulate(1.0 / np.arange(n, 0, -1, dtype=np.float64))[-1])
 
 
-def harmonic_table(n: int) -> np.ndarray:
-    """Array ``[H_1, ..., H_n]`` via a cumulative sum."""
-    n = step_count(n, 1, "harmonic index")
-    return np.cumsum(1.0 / np.arange(1, n + 1, dtype=np.float64))
-
-
 def last_step_bound(schedule: StepSchedule, t: int) -> float:
     """Error floor ``eta_{t-1}``: the final step cannot be undone."""
     t = step_count(t, 1, "horizon")
@@ -212,7 +204,8 @@ def averaged_quartic_floor(schedule: StepSchedule, T: int) -> float:
 
     The terms are built in place, with two arrays of about ``T`` floats
     alive at once: the steps' fresh copy becomes the terms, and one array
-    holds ``k = 1..T`` and then, in place, ``harmonic_table(T)``'s values.
+    holds ``k = 1..T`` and then, in place, the harmonic numbers ``H_1..H_T``
+    as a running sum of ``1 / k``.
     """
     T = step_count(T, 2, "horizon")
     terms = schedule.rates(T)[1:]  # eta_k for k = 1..T-1, turned into the terms
@@ -335,20 +328,12 @@ def decide(lhs: float, rhs: float, err: float) -> str:
     return "inconclusive"
 
 
-@dataclass
-class StepSumCheck:
-    lhs: float
-    rhs: float
-    error_bound: float  # on both sides' rounding together
-    status: str  # "pass", "fail" or "inconclusive", from ``decide``
-
-    @property
-    def passed(self) -> bool:
-        return self.status == "pass"
-
-
-def l1_l2_gap(values: Sequence[float] | np.ndarray) -> StepSumCheck:
+def l1_l2_gap(values: Sequence[float] | np.ndarray) -> dict:
     """Decide ``sum v^2 >= (sum v)^2 / n`` on a vector, under a derived error bound.
+
+    Returns ``{lhs, rhs, error_bound, status}``: the computed sides, a bound
+    on both sides' rounding together, and ``"pass"``, ``"fail"`` or
+    ``"inconclusive"``.
 
     The sides are ``lhs = fl(sum fl(v_i^2))`` and ``rhs = fl(fl(s^2) / n)``
     with ``s = fl(sum v_i)``.  A float sum of ``m`` terms, in any order,
@@ -386,7 +371,7 @@ def l1_l2_gap(values: Sequence[float] | np.ndarray) -> StepSumCheck:
     norm1 = float(np.sum(np.abs(v)))
     err = _gamma(2 * n + 1) * lhs + _gamma(4) * rhs + 3.0 * _gamma(n) * (norm1 * norm1 / n) + (n + 1) * 2.0**-1073
     status = "pass" if v.min() == v.max() else decide(lhs, rhs, err)
-    return StepSumCheck(lhs=lhs, rhs=rhs, error_bound=err, status=status)
+    return {"lhs": lhs, "rhs": rhs, "error_bound": err, "status": status}
 
 
 # -- envelopes from measurements --------------------------------------------
@@ -416,36 +401,17 @@ def empirical_envelope(records: Iterable) -> GuaranteeEnvelope:
     return GuaranteeEnvelope(lambda ts: table[np.minimum(ts, max_t).astype(np.intp, copy=False) - 1], label)
 
 
-@dataclass
-class EnvelopeReport:
-    """Outcome of the necessary-condition checks on an envelope."""
-
-    monotone_ok: bool
-    step_ok: bool
-    failures: list[str] = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return self.monotone_ok and self.step_ok
-
-    def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "monotone_ok": self.monotone_ok,
-            "step_ok": self.step_ok,
-            "failures": self.failures,
-        }
-
-
-def validate_envelope(schedule: StepSchedule, phi_values: np.ndarray) -> EnvelopeReport:
+def validate_envelope(schedule: StepSchedule, phi_values: np.ndarray) -> dict:
     """Check the conditions any true envelope must satisfy.
 
     ``phi_values`` holds ``phi(1), ..., phi(t_max + 1)``, as
     ``phi.values(range(1, t_max + 2))`` returns them.  On ``t = 1..t_max``:
     ``phi`` is non-decreasing through ``phi(t_max + 1)``, and meets the step
     condition ``phi(t+1) >= eta_t sqrt(t+1)`` forced by the single-step
-    floor.  Failures are report entries, never exceptions; a value below 1
-    or not finite raises where ``phi`` is evaluated, as everywhere.
+    floor.  Returns ``{passed, monotone_ok, step_ok, failures}``, the
+    record the reports embed.  Failures are report entries, never
+    exceptions; a value below 1 or not finite raises where ``phi`` is
+    evaluated, as everywhere.
     """
     vals = np.asarray(phi_values, dtype=np.float64)
     t_max = vals.shape[0] - 1
@@ -465,35 +431,26 @@ def validate_envelope(schedule: StepSchedule, phi_values: np.ndarray) -> Envelop
             f"step condition fails at t={t_bad}: eta_t sqrt(t+1) = {need[t_bad]} "
             f"> phi({t_bad + 1}) = {vals[t_bad]}"
         )
-    return EnvelopeReport(monotone_ok=mono, step_ok=step_ok, failures=failures)
+    return {"passed": mono and step_ok, "monotone_ok": mono, "step_ok": step_ok, "failures": failures}
 
 
 # -- tabular report ----------------------------------------------------------
 
 
-# the floor columns; BoundReport adds one err_<family> column per family
-_CSV_COLUMNS = (
-    "t",
-    "last_step",
-    "step_sum",
-    "maxlinear",
-    "quartic_floor",
-    "quartic_floor_shifted",
-    "floor_harmonic",
-    "floor_log",
-)
-
-
 @dataclass
 class BoundRow:
-    """Analytic floors and measured errors at one horizon."""
+    """Analytic floors and measured errors at one horizon.
+
+    The fields up to ``measured`` are ``bound_report.csv``'s columns, in
+    order; ``BoundReport`` adds one ``err_<family>`` column per family.
+    """
 
     t: int
     last_step: float
     step_sum: float | None
     maxlinear: float
-    quartic: float
-    quartic_shifted: float
+    quartic_floor: float
+    quartic_floor_shifted: float
     floor_harmonic: float | None
     floor_log: float | None
     measured: dict[str, float] = field(default_factory=dict)
@@ -508,8 +465,8 @@ def bound_row(schedule: StepSchedule, t: int, phi: GuaranteeEnvelope) -> BoundRo
         last_step=last_step_bound(schedule, t),
         step_sum=step_sum_bound(schedule, t),
         maxlinear=maxlinear_bound(schedule, t, phi),
-        quartic=quartic_floor(schedule, t),
-        quartic_shifted=quartic_floor(schedule, t, shifted=True),
+        quartic_floor=quartic_floor(schedule, t),
+        quartic_floor_shifted=quartic_floor(schedule, t, shifted=True),
         floor_harmonic=floor_h,
         floor_log=floor_l,
     )
@@ -529,12 +486,12 @@ class BoundReport:
         def fmt(v) -> str:
             return "" if v is None else repr(float(v))
 
+        columns = [f.name for f in fields(BoundRow)][:-1]  # ``measured`` is the err_ columns
         with open(path, "w") as fh:
             if header:
                 fh.write(f"# {header}\n")
-            fh.write(",".join([*_CSV_COLUMNS, *(f"err_{f}" for f in self.families)]) + "\n")
+            fh.write(",".join([*columns, *(f"err_{f}" for f in self.families)]) + "\n")
             for row in self.rows:
-                floors = (row.last_step, row.step_sum, row.maxlinear, row.quartic, row.quartic_shifted,
-                          row.floor_harmonic, row.floor_log)
-                cells = [str(row.t), *map(fmt, floors), *(fmt(row.measured.get(f)) for f in self.families)]
+                cells = [str(row.t), *(fmt(getattr(row, c)) for c in columns[1:])]
+                cells += [fmt(row.measured.get(f)) for f in self.families]
                 fh.write(",".join(cells) + "\n")

@@ -281,7 +281,7 @@ def audit_schedule(spec: ExperimentSpec) -> AuditResult:
     (``RunRecord.final_error_bound``), is asserted to dominate each
     certified floor.
     """
-    env_report = bnd.validate_envelope(spec.schedule, spec.phis)
+    validation = bnd.validate_envelope(spec.schedule, spec.phis)
     results = _map_tasks(lambda t: _audit_one(spec, t), spec.horizons, 1)
     report = bnd.BoundReport(spec.schedule.label, spec.envelope.label, FAMILIES)
     assertions: list[dict] = []
@@ -292,9 +292,8 @@ def audit_schedule(spec: ExperimentSpec) -> AuditResult:
         assertions.extend(asserts)
         skipped.extend(skips)
         dumps.extend(dmp)
-    validation = env_report.to_dict()
     validation["gating"] = True
-    passed = all(a["passed"] for a in assertions) and env_report.passed
+    passed = all(a["passed"] for a in assertions) and validation["passed"]
     return AuditResult(
         report=report,
         assertions=assertions,
@@ -415,7 +414,6 @@ def density_experiment(
         for c in sorted(thresholds):
             count = int(np.sum(scaled >= c))  # NaN compares false, so gaps never count
             rows.append({"c": c, "T": T, "count": count, "density": count / T})
-    rows.sort(key=lambda r: (r["T"], r["c"]))
     return DensityTable(
         mode="per-t" if per_t else "single-run",
         rows=rows,
@@ -696,7 +694,7 @@ def chain_check(spec: ExperimentSpec, rows: bool = False) -> ChainReport:
     """
     T = chain_horizon(spec.horizons[-1])
     schedule, phi, phis = spec.schedule, spec.envelope, spec.phis
-    validation = bnd.validate_envelope(schedule, phis).to_dict()
+    validation = bnd.validate_envelope(schedule, phis)
     profile, conv_err = _quartic_profile(schedule, T)
     steps = _quartic_steps(schedule, phis, profile, conv_err, rows)
 
@@ -732,9 +730,9 @@ def chain_check(spec: ExperimentSpec, rows: bool = False) -> ChainReport:
         {
             "step": "l1_l2",
             "range": [lo, half],
-            "lhs": gap.lhs,
-            "rhs": gap.rhs,
-            "status": gap.status,
+            "lhs": gap["lhs"],
+            "rhs": gap["rhs"],
+            "status": gap["status"],
         }
     )
 

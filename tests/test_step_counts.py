@@ -45,7 +45,6 @@ ENTRY_POINTS = {
     "doubling_block": (sched.doubling_block, 0),
     "GuaranteeEnvelope.__call__": (PHI, 1),
     "harmonic": (bnd.harmonic, 1),
-    "harmonic_table": (bnd.harmonic_table, 1),
     "last_step_bound": (lambda v: bnd.last_step_bound(S, v), 1),
     "step_sum_bound": (lambda v: bnd.step_sum_bound(S, v), 1),
     "maxlinear_bound": (lambda v: bnd.maxlinear_bound(S, v, PHI), 1),
