@@ -132,9 +132,14 @@ step sum is so large that a tracked value could overflow, every step is
 exact.
 
 A block has no length cap.  ``_block`` and ``_certified`` run in segments
-of ``_BLOCK_ROWS`` (512) rows, each continuing the last one's sequential
+of ``_BLOCK_ROWS`` (1024) rows, each continuing the last one's sequential
 sums, which adds the same terms in the same order, so the derivation above
-holds for the whole block and the scratch stays ``O(_BLOCK_ROWS)``.  The
+holds for the whole block and the scratch stays ``O(_BLOCK_ROWS)``: about
+fifteen arrays of a segment's length.  A run up to ``T = 1024`` tracks and
+certifies its block from row 1 in one call each.  The scratch caps the
+length: at dim 16385 a run that ends in a certified block peaks at 1.07 MB
+of traced allocations, under the 8.5 arrays of ``dim`` floats (1.11 MB)
+its test allows, and 2048-row segments would reach 1.22 MB.  The
 rows go straight into arrays the run already holds: the tracked errors
 into ``errors``, the score bounds into ``buf[p:]`` and each row's
 ``||x||^2`` into ``s[p + 1:]`` (``p <= t``, so they fit), so the largest
@@ -161,7 +166,7 @@ from .errors import InvalidParameterError, NumericFaultError
 
 __all__ = ["maxlinear_descent"]
 
-_BLOCK_ROWS = 512  # the segment length of a block's tracking and certificate
+_BLOCK_ROWS = 1024  # the segment length of a block's tracking and certificate
 _BLOCK_STEPS = 64  # the back-off interval after a block is cut; 0 turns the block path off
 _FLUSH_COLS = 768  # the flush's tile width; sizes its scratch
 _EPS = float(np.finfo(np.float64).eps)
@@ -172,14 +177,18 @@ def _exact_scores(a, b, x, q, scores, cum):
     """Write ``score_k`` for ``k < q`` into ``scores[:q]``, summed sequentially."""
     np.multiply(a[:q], x[:q], out=scores[:q])
     cum[0] = 0.0
-    np.add.accumulate(scores[: q - 1], out=cum[1:q])
+    if q > 1:
+        np.add.accumulate(scores[: q - 1], out=cum[1:q])
     np.multiply(b[:q], x[:q], out=scores[:q])
     np.subtract(cum[:q], scores[:q], out=scores[:q])
 
 
-def _running(v0, terms):
-    """``v0`` and its sequential running sums with ``terms``: ``len(terms) + 1`` values."""
-    return np.add.accumulate(np.concatenate(([v0], terms)))
+def _running(v0, terms, op=np.add):
+    """``v0`` and its sequential running sums (or ``op``'s) with ``terms``: ``len(terms) + 1`` values."""
+    out = np.empty(terms.shape[0] + 1)
+    out[0] = v0
+    out[1:] = terms
+    return op.accumulate(out, out=out)
 
 
 def _block(t0, t1, p, sfx, nsq, nerr, eta_acc, tol, base, coef, D, eta_v, u_v, d_v):
@@ -274,50 +283,55 @@ def _certified(s, u, d, buf, p, D, cB, st, fvs, tols):
     bound, its slack and why a prefix of passing rows is certified.
     """
     n = fvs.shape[0]
-    if not np.minimum.reduce(st) > 0.0:
+    # extremes are read at argmax and argmin, which pick a NaN as a reduction does
+    # at a fraction of its call cost; a zero extreme's sign never reaches a test
+    if not st[st.argmin()] > 0.0:
         return 0
-    segments = [(r0, min(r0 + _BLOCK_ROWS, n)) for r0 in range(0, n, _BLOCK_ROWS)]
+    segments = range(0, n, _BLOCK_ROWS)
     # the first pass finds the largest |score| of each kind
-    zf = zo = 0.0
-    for r0, r1 in segments:
-        sk = st[r0:r1]  # the last segment holds one step fewer than rows where the last row evaluates
+    zf = max(float(fvs[fvs.argmax()]), -float(fvs[fvs.argmin()]))  # NaN stays NaN
+    zo = 0.0
+    for r0 in segments:
+        sk = st[r0 : r0 + _BLOCK_ROWS]  # one step fewer than rows in the last segment where the last row evaluates
         k = sk.shape[0]
-        zf = np.maximum(zf, np.maximum.reduce(np.abs(fvs[r0:r1])))
         opened = fvs[r0 : r0 + k] - sk * d[p + r0 : p + r0 + k]  # the tracked score of p + r after row r
-        zo = np.maximum(zo, np.maximum.reduce(np.abs(opened), initial=0.0))
+        zo = np.maximum.reduce(np.abs(opened), initial=zo)
     old = s[:p]
-    M0 = float(np.maximum.reduce(old))
+    M0 = float(old[old.argmax()])
     np.multiply(u[:p], cB, out=buf[:p])
     np.add(buf[:p], old, out=buf[:p])
-    M1 = float(np.maximum.reduce(buf[:p]))
-    Z = max(M0, -float(np.minimum.reduce(old))) + float(zf) + cB * D
+    M1 = float(buf[buf[:p].argmax()])
+    Z = max(M0, -float(old[old.argmin()])) + zf + cB * D
     Z += float(zo)
     if not math.isfinite(Z):
         return 0
     slack = 8.0 * (n + 2) * _EPS * Z + 1e-300
     c0, wtop = 0.0, -math.inf  # the steps before the segment; the opened scores' bound at its first row
-    for r0, r1 in segments:
+    for r0 in segments:
+        r1 = min(r0 + _BLOCK_ROWS, n)
         sk = st[r0:r1]
         k = sk.shape[0]
         c = _running(c0, sk)  # the steps before each row, then after the segment's last step
         c0 = float(c[k])
         bound = M0 + (c[: r1 - r0] / cB) * (M1 - M0)  # the chord of a convex max
-        w = fvs[r0 : r0 + k] - sk * d[p + r0 : p + r0 + k]
+        w = opened if len(segments) == 1 else fvs[r0 : r0 + k] - sk * d[p + r0 : p + r0 + k]
         w += np.maximum(u[p + r0 : p + r0 + k], 0.0) * (cB - c[1:])
-        w = np.maximum.accumulate(np.concatenate(([wtop], w)))  # w[j] bounds the opened scores at row r0 + j
+        w = _running(wtop, w, np.maximum)  # w[j] bounds the opened scores at row r0 + j
         wtop = float(w[k])
         np.maximum(bound, w[: r1 - r0], out=bound)
         np.subtract(fvs[r0:r1], bound, out=bound)
         passed = bound > (2.0 + 16.0 * _EPS) * tols[r0:r1] + slack
-        if not passed.all():
-            return r0 + int(passed.argmin())
+        i = int(passed.argmin())  # the first row that fails, or 0 when none does
+        if not passed[i]:
+            return r0 + i
     return n
 
 
 def _step_update(x, a, b, buf, i, step):
     """The iterate update of a step with argmax ``i``, without a temporary."""
-    np.multiply(a[:i], step, out=buf[:i])
-    np.subtract(x[:i], buf[:i], out=x[:i])  # x[:i] -= step * a[:i]
+    if i:
+        np.multiply(a[:i], step, out=buf[:i])
+        np.subtract(x[:i], buf[:i], out=x[:i])  # x[:i] -= step * a[:i]
     x[i] += step * b[i]
 
 
@@ -414,7 +428,8 @@ def maxlinear_descent(a: np.ndarray, b: np.ndarray, eta: np.ndarray, snap_times:
         u -= s
         d = b * b
         d += s
-        D = max(float(np.maximum.reduce(d)), float(np.maximum.reduce(np.abs(u))))
+        np.abs(u, out=buf)
+        D = max(float(d[d.argmax()]), float(buf[buf.argmax()]))
     # With G below 2^200 no score, iterate entry, ||x||^2 or tracked
     # increment can overflow (each is at most G^4); otherwise no block runs.
     G = (dim + 1.0) * (1.0 + max(wa, wb)) * (1.0 + float(np.add.reduce(np.abs(eta))))
@@ -425,10 +440,11 @@ def maxlinear_descent(a: np.ndarray, b: np.ndarray, eta: np.ndarray, snap_times:
     p = 0  # x[k] == 0 for every k >= p
     max_norm = 0.0
     hits = 0
-    pending = iter(np.asarray(snap_times, dtype=np.int64).tolist())
+    pending = iter(np.asarray(snap_times, dtype=np.int64).tolist() if len(snap_times) else ())
     next_snap = next(pending, -1)
     scratch = None  # the flush's fixed buffer, made at the first flush
-    stops = np.flatnonzero(~(eta > 0.0)).tolist()  # the steps no block spans: zero, negative or NaN
+    # the steps no block spans: zero, negative or NaN
+    stops = [] if (eta > 0.0).all() else np.flatnonzero(~(eta > 0.0)).tolist()
     stops.append(T)
     t = 0
     retry = 0  # the first row at which a block may be tried

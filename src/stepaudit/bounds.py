@@ -59,16 +59,20 @@ class GuaranteeEnvelope:
     ``InvalidParameterError`` naming the envelope and the first bad ``t``.
     The constructor evaluates ``phi(1)``, the minimum of a non-decreasing
     envelope, so an envelope below 1 throughout is refused as soon as it is
-    built.
+    built.  The longest checked ``values(range(1, n + 1))`` is kept,
+    read-only, and ``phi(t)`` for ``t <= n`` reads it.
     """
 
     def __init__(self, evaluator: Callable[[np.ndarray], np.ndarray], label: str = "phi"):
         self._evaluator = evaluator
         self.label = label
+        self._memo = np.empty(0)  # phi(1), ..., phi(n)
         self(1)
 
     def __call__(self, t: int) -> float:
         t = step_count(t, 1, "step")
+        if t <= self._memo.shape[0]:
+            return float(self._memo[t - 1])
         return float(self.values(range(t, t + 1))[0])
 
     def values(self, ts: range) -> np.ndarray:
@@ -96,6 +100,10 @@ class GuaranteeEnvelope:
             raise InvalidParameterError(
                 f"envelope {self.label} is {float(vals[i])!r} at t={ts[i]}: values must be finite and >= 1"
             )
+        if first == 1 and ts.step == 1 and len(ts) > self._memo.shape[0]:
+            vals = vals.copy()  # the evaluator may keep what it returned
+            vals.flags.writeable = False
+            self._memo = vals
         return vals
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -143,9 +151,10 @@ def harmonic(n: int) -> float:
 
 
 def last_step_bound(schedule: StepSchedule, t: int) -> float:
-    """Error floor ``eta_{t-1}``: the final step cannot be undone."""
+    """Error floor ``min(eta_{t-1}, 1)``: the final step cannot be undone,
+    and no error on the domain ``[-1, 1]`` exceeds 1."""
     t = step_count(t, 1, "horizon")
-    return schedule.rate(t - 1)
+    return min(schedule.rate(t - 1), 1.0)
 
 
 def step_sum_bound(schedule: StepSchedule, t: int) -> float | None:

@@ -277,8 +277,11 @@ def coupling_weights(
     ``sum_{j<t} a_j b_j eta_j = (H_{t+1} - 1) / (32 phi(t+1) sqrt(t+1))``.
     """
     t = step_count(t, 1, "horizon")
-    pt = phi(t + 1)
-    eta = schedule.rates(t + 1)
+    return _coupling(schedule.rates(t + 1), t, phi(t + 1))
+
+
+def _coupling(eta: np.ndarray, t: int, pt: float) -> tuple[np.ndarray, np.ndarray]:
+    """``coupling_weights`` from the rates ``eta_0 .. eta_t`` and ``pt = phi(t + 1)``."""
     root = math.sqrt(t + 1.0)
     a = np.minimum(1.0, eta * root) / (16.0 * pt * np.arange(t + 1.0, 0.0, -1.0))  # t + 1 - j
     with np.errstate(divide="ignore", over="ignore"):  # a zero step's 1/0 and a subnormal one's 1/eta are inf
@@ -308,7 +311,7 @@ class ConditionReport:
 
 
 def check_weight_conditions(
-    a: np.ndarray, b: np.ndarray, schedule: StepSchedule, T: int
+    a: np.ndarray, b: np.ndarray, schedule: StepSchedule, T: int, *, eta: np.ndarray | None = None
 ) -> ConditionReport:
     """Check the admissibility conditions that make the error floor sound.
 
@@ -316,7 +319,7 @@ def check_weight_conditions(
     ``min(1/2, 1/(2 eta_j sqrt(T+1)))``; (3) each coupling tail
     ``a_j * sum_{k>j}^{T} eta_k`` at most ``eta_j b_j / 2``.  Slacks are
     reported as ``rhs - lhs``; a condition passes only with nonnegative
-    slack.
+    slack.  ``eta``, if given, is ``schedule.rates(T + 1)``, read only.
     """
     T = step_count(T, 0, "horizon")
     a = np.asarray(a, dtype=np.float64)
@@ -324,9 +327,10 @@ def check_weight_conditions(
     if a.shape != (T + 1,) or b.shape != (T + 1,):
         raise InvalidParameterError(f"weight arrays must have length T+1 = {T + 1}")
     ab = np.concatenate((a, b))
-    if not (np.minimum.reduce(ab) >= 0.0 and np.maximum.reduce(ab) < math.inf):  # NaN fails both
+    if not (ab[ab.argmin()] >= 0.0 and ab[ab.argmax()] < math.inf):  # both pick a NaN, which fails both
         raise InvalidParameterError("weights must be finite and nonnegative")
-    eta = schedule.rates(T + 1)
+    if eta is None:
+        eta = schedule.rates(T + 1)
     root = math.sqrt(T + 1.0)
 
     slack1 = 0.5 - float(np.add.reduce(a * a))
@@ -392,8 +396,9 @@ def build_maxlinear(schedule: StepSchedule, T: int, phi: GuaranteeEnvelope) -> M
     costs O(T) via a running prefix sum over the coupled coordinates.
     """
     T = step_count(T, 1, "horizon")
-    a, b = coupling_weights(schedule, T, phi)
-    report = check_weight_conditions(a, b, schedule, T)
+    eta = schedule.rates(T + 1)  # the weights and their check share it
+    a, b = _coupling(eta, T, phi(T + 1))
+    report = check_weight_conditions(a, b, schedule, T, eta=eta)
     if not report.ok:
         bad = next(c for c in vars(report).values() if not c.passed)
         raise ConstructionError(

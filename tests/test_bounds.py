@@ -49,7 +49,9 @@ class TestElementaryFloors:
     def test_last_step(self):
         table = sched.from_table([0.3, 0.2, 0.1])
         assert bnd.last_step_bound(table, 3) == 0.1
-        assert bnd.last_step_bound(sched.sqrt_decay(2, 1), 1) == 2.0
+        assert bnd.last_step_bound(sched.sqrt_decay(2, 1), 1) == 1.0  # eta_0 = 2, capped at 1
+        assert bnd.last_step_bound(sched.sqrt_decay(2, 1), 4) == 1.0  # eta_3 = 1 exactly
+        assert bnd.last_step_bound(sched.sqrt_decay(2, 1), 5) == 2.0 / math.sqrt(5.0)
         assert bnd.last_step_bound(sched.constant(0), 17) == 0.0
 
     def test_step_sum(self):
@@ -428,6 +430,52 @@ def test_empirical_envelope_is_at_least_one_and_non_decreasing(runs):
     for errors in runs:
         scaled = np.sqrt(np.arange(1, len(errors) + 1)) * np.asarray(errors)
         assert np.all(vals[: len(errors)] >= scaled)
+
+
+_RECORDS = [engine.RunRecord("s", 40, np.random.default_rng(3).uniform(0.0, 0.5, 40))]
+_envelope_makers = st.one_of(
+    st.tuples(st.floats(1.0, 1e3), st.floats(0.0, 1e3)).map(lambda oc: lambda: bnd.log_envelope(*oc)),
+    st.floats(1.0, 1e3).map(lambda c: lambda: bnd.constant_envelope(c)),
+    st.just(lambda: bnd.empirical_envelope(_RECORDS)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_envelope_makers, st.integers(1, 2**17), st.lists(st.integers(1, 2**17), max_size=6))
+def test_memo_keeps_the_bits_of_a_fresh_call(make, n, ts):
+    # once values(range(1, n + 1)) fills the memo, phi(t) reads it for t <= n
+    # and evaluates past it, bit for bit as an envelope that never saw a range
+    phi = make()
+    phi.values(range(1, n + 1))
+    for t in ts + [1, n, n + 1]:
+        assert phi(t).hex() == make()(t).hex()
+
+
+def test_memo_is_read_only():
+    phi = bnd.log_envelope()
+    spec = harness.ExperimentSpec(sched.sqrt_decay(2, 1), [64], families=["maxlinear"], envelope=phi)
+    # the spec holds the memo, phi(1) .. phi(65), which no caller can change
+    assert not spec.phis.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        spec.phis[0] = 0.5
+    assert phi(1) == spec.phis[0] == 8.0
+
+
+def test_per_t_density_evaluates_the_envelope_only_for_the_spec():
+    calls = []
+
+    def counted(ts):
+        calls.append(len(ts))
+        return 8.0 + 4.0 * np.log(ts)  # log_envelope()'s expression
+
+    spec = harness.ExperimentSpec(
+        sched.sqrt_decay(2, 1), [64], families=["maxlinear"], envelope=bnd.GuaranteeEnvelope(counted, "counted")
+    )
+    assert calls == [1, 65]  # phi(1) when built, then phi(1) .. phi(65)
+    table = harness.density_experiment(spec, [1.0], per_t=True)
+    assert calls == [1, 65] and not table.skipped
+    plain = harness.density_experiment(harness.ExperimentSpec(spec.schedule, [64], spec.families), [1.0], per_t=True)
+    assert table.profiles[64].tobytes() == plain.profiles[64].tobytes()
 
 
 class TestValidateEnvelope:

@@ -173,6 +173,15 @@ class TestExitCodes:
         assert (tmp_path / "bound_report.csv").exists()
         assert (tmp_path / "audit_summary.json").exists()
 
+    def test_last_step_floor_is_capped_at_one(self, tmp_path):
+        # no error on [-1, 1] exceeds 1, so a step of 5 floors the error at 1,
+        # which the certified vshape run nearly attains at t = 2 and 4
+        assert run_cli("audit", "--schedule", "constant:c=5", "--horizons", "1,2,4", "--out", str(tmp_path)) == 0
+        header, *rows = (line.split(",") for line in (tmp_path / "bound_report.csv").read_text().splitlines()[1:])
+        col = {name: i for i, name in enumerate(header)}
+        assert [(row[col["t"]], row[col["last_step"]]) for row in rows] == [("1", "1.0"), ("2", "1.0"), ("4", "1.0")]
+        assert all(0.999 < float(row[col["err_vshape"]]) <= 1.0 for row in rows[1:])
+
     def test_missing_horizons(self, tmp_path):
         assert run_cli("audit", "--schedule", "constant:c=1", "--out", str(tmp_path)) == 2
 

@@ -380,6 +380,37 @@ def test_every_long_block_certified_on_the_staircase():
     assert _wide_rows(log, None) == {"tiles": 998, "rows": 0}
 
 
+def test_short_block_runs_in_one_segment():
+    # a block from row 1 that certifies to T <= _BLOCK_ROWS, as on every
+    # `density --per-t` run up to T = 1024, is tracked in one _block call
+    # and certified in one _certified call, and ends the run unflushed
+    s = sqrt_decay(2, 1)
+    for T in (2, 640, _kernels._BLOCK_ROWS):
+        a, b = coupling_weights(s, T, log_envelope())
+        with _blocks() as spans, _certificates() as results, _tails() as tails, _flushes() as log:
+            _kernels.maxlinear_descent(a, b, s.rates(T), NO_SNAPS)
+        assert spans == [(1, T)] and results == [(T, T)]
+        assert tails == [True] and log == []
+
+
+def test_segment_length_keeps_the_bits(monkeypatch):
+    # the blocks [1, 1250) and [1250, 2500) cross a 1024-row segment
+    # boundary; in 64-row segments the run has the same bits
+    s = sqrt_decay(2, 1)
+    T = 2500
+    a, b = coupling_weights(s, T, log_envelope())
+    snaps = np.array([1, 1250, T], dtype=np.int64)
+    with _certificates() as results:
+        default = _kernels.maxlinear_descent(a, b, s.rates(T), snaps)
+    monkeypatch.setattr(_kernels, "_BLOCK_ROWS", 64)
+    with _certificates() as short:
+        got = _kernels.maxlinear_descent(a, b, s.rates(T), snaps)
+    assert results == short == [(1249, 1249), (1250, 1250)]
+    for have, expected in zip(got[:4] + got[5:], default[:4] + default[5:]):
+        assert _bits(have) == _bits(expected)
+    assert _same_snapshots(got[4], default[4])
+
+
 def _old_rival(T=40, slope=0.1):
     # coordinate 0 rises by eta a[0] b[0] per step while the fresh score
     # barely moves (a b - A2 is 0.01 for k >= 1) and stays above coordinate
@@ -781,7 +812,7 @@ def test_tail_final_error_lies_within_its_bound(T, log_c, seed):
 
 
 def test_certified_tail_never_flushes():
-    # four segments of 512 rows, certified as one block from t = 1
+    # two segments of 1024 rows, certified as one block from t = 1
     s = sqrt_decay(2, 1)
     T = 2000
     a, b = coupling_weights(s, T, log_envelope())

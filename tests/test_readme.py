@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from stepaudit import cli, harness
+from stepaudit import _kernels, cli, harness
 
 README = (Path(__file__).parent.parent / "README.md").read_text()
 
@@ -49,3 +49,12 @@ def test_family_bullets_list_every_family():
     # the bolded bullets after the families' lead line, in order
     bullets = README.split("instance families drive the floors:\n", 1)[1].split("\n\n", 1)[0]
     assert re.findall(r"^- \*\*(\w+)\*\* - ", bullets, re.M) == list(harness.FAMILIES)
+
+
+def test_segment_length_is_the_kernels():
+    # the README's kernel paragraph and the kernel's docstring state the
+    # length of a block's segments, which is _kernels._BLOCK_ROWS
+    readme = re.findall(r"segments\s+of\s+([\d,]+)\s+rows", README)
+    doc = re.findall(r"segments\s+of\s+``_BLOCK_ROWS``\s+\(([\d,]+)\)\s+rows", _kernels.__doc__)
+    assert readme and doc
+    assert {int(n.replace(",", "")) for n in readme + doc} == {_kernels._BLOCK_ROWS}
