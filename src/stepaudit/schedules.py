@@ -12,6 +12,7 @@ values.  Concurrent readers need no lock: the pair is replaced whole and
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from collections.abc import Callable, Sequence
 
@@ -73,11 +74,17 @@ class StepSchedule:
             v = float(fresh[t - start])
             what = "non-finite" if not math.isfinite(v) else "negative" if v < 0 else f"huge ({v:g} > 2^440)"
             raise InvalidParameterError(f"schedule '{self.label}' produced a {what} stepsize at t={t}")
-        # one sequential pass seeded with the last cached sum adds in the
-        # same order as prefix[t + 1] = prefix[t] + eta_t, so bits match
-        tail = np.add.accumulate(np.concatenate((prefix[-1:], fresh)))
+        # the first fill keeps the array ``first`` returned (a table's own
+        # array), later ones append; one sequential pass, in place and seeded
+        # with the last cached sum, adds in the same order as prefix[t + 1] =
+        # prefix[t] + eta_t, so the bits do not depend on how the cache grew
+        values = fresh if start == 0 else np.concatenate((values, fresh))
+        sums = np.empty(values.shape[0] + 1)
+        sums[: start + 1] = prefix
+        sums[start + 1 :] = fresh
+        np.add.accumulate(sums[start:], out=sums[start:])
         # return the pair built here: another reader may since store a shorter one
-        cache = self._cache = (np.concatenate((values, fresh)), np.concatenate((prefix[:-1], tail)))
+        cache = self._cache = (values, sums)
         return cache
 
     def rate(self, t: int) -> float:
@@ -146,30 +153,59 @@ def from_table(values: Sequence[float] | np.ndarray, label: str = "table") -> St
     return schedule
 
 
+def _cells(line: str) -> list[str]:
+    """The CSV cells of one line; none if it does not parse as CSV."""
+    try:
+        return next(csv.reader([line]), [])
+    except csv.Error:
+        return []
+
+
 def from_csv(path: str) -> StepSchedule:
     """Load a table schedule from a CSV file with header ``t,eta``.
 
-    Indices must be 0-based and contiguous.  Lines starting with ``#`` are
-    ignored.
+    Lines starting with ``#`` are skipped.  After the header each non-empty
+    line holds an int64 ``t`` and a float64 ``eta`` (read as ``float()``
+    reads it), in cells that may be quoted or padded; further columns are
+    ignored.  Rows may come in any order, with indices ``0..n-1`` each once.
+    One numpy text pass reads them all, with no Python object per row.
+    Every failure raises :class:`InvalidParameterError` naming the file,
+    and for a bad row its 1-based line.
     """
-    rows: list[tuple[int, float]] = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(line for line in fh if not line.startswith("#"))
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header[:2]] != ["t", "eta"]:
+    line_no, line = 0, ""
+    # undecodable bytes become lone surrogates, so a bad byte fails the
+    # parse of its own line instead of the read of a chunk ahead of it
+    with open(path, errors="surrogateescape") as fh:
+
+        def content():
+            nonlocal line_no, line
+            for line_no, line in enumerate(fh, 1):
+                if line[0] != "#":  # a line read from a file is never empty
+                    yield line
+
+        lines = content()
+        if [h.strip() for h in _cells(next(lines, ""))[:2]] != ["t", "eta"]:
             raise InvalidParameterError(f"schedule file {path!r} must start with header 't,eta'")
-        for row in reader:
-            if not row:
-                continue
-            if len(row) < 2:
-                raise InvalidParameterError(f"schedule file {path!r} has a row without an eta value: {row}")
-            rows.append((int(row[0]), float(row[1])))
-    if not rows:
-        raise InvalidParameterError(f"schedule file {path!r} contains no rows")
-    rows.sort()
-    if [t for t, _ in rows] != list(range(len(rows))):
-        raise InvalidParameterError(f"schedule file {path!r} must have contiguous 0-based indices")
-    return from_table([v for _, v in rows], label=f"table({path})")
+        first = next((row for row in lines if row != "\n"), None)
+        if first is None:
+            raise InvalidParameterError(f"schedule file {path!r} contains no rows")
+        try:
+            data = np.loadtxt(
+                itertools.chain((first,), lines), dtype=[("t", np.int64), ("eta", np.float64)],
+                delimiter=",", quotechar='"', comments=None, usecols=(0, 1), ndmin=1,
+            )
+        except ValueError as exc:
+            # numpy stops at the bad row, so ``line`` is still that row
+            row = line.rstrip("\n")
+            reason = "row without an eta value" if len(_cells(row)) < 2 else str(exc).partition(" at row ")[0]
+            raise InvalidParameterError(f"schedule file {path!r} line {line_no} {row!r}: {reason}") from exc
+    t = data["t"]
+    if not np.array_equal(t, np.arange(t.shape[0])):
+        order = np.argsort(t, kind="stable")
+        if not np.array_equal(t[order], np.arange(t.shape[0])):
+            raise InvalidParameterError(f"schedule file {path!r} must have contiguous 0-based indices")
+        data = data[order]
+    return from_table(data["eta"], label=f"table({path})")
 
 
 # -- doubling-trick concatenation ----------------------------------------

@@ -5,13 +5,17 @@ against the engine's two paths bit for bit.
 a 1-d instance they wrap its ``scalar`` tuple, and the scalar path performs
 the same float64 operations in the same order.  ``reference_descent`` is
 the max-of-linear kernel with every score recomputed over the full vector
-each step.
+each step.  ``row_csv_schedule`` reads a table CSV one row at a time, the
+oracle of ``schedules.from_csv``'s values.
 """
+
+import csv
 
 import numpy as np
 
 from stepaudit.engine import RunRecord
 from stepaudit.errors import InvalidParameterError, NumericFaultError
+from stepaudit.schedules import from_table
 
 
 def project_ball(x: np.ndarray, radius: float) -> np.ndarray:
@@ -147,3 +151,26 @@ def reference_descent(a, b, eta, snap_times):
         if t + 1 in wanted:
             snaps[t + 1] = x.copy()
     return errors, trace, max_norm, hits, snaps
+
+
+def row_csv_schedule(path: str):
+    """``schedules.from_csv`` with one Python tuple per row, read through
+    ``csv``, ``int()`` and ``float()``; a bad cell raises ``ValueError``."""
+    rows: list[tuple[int, float]] = []
+    with open(path, newline="") as fh:
+        reader = csv.reader(line for line in fh if not line.startswith("#"))
+        header = next(reader, None)
+        if header is None or [h.strip() for h in header[:2]] != ["t", "eta"]:
+            raise InvalidParameterError(f"schedule file {path!r} must start with header 't,eta'")
+        for row in reader:
+            if not row:
+                continue
+            if len(row) < 2:
+                raise InvalidParameterError(f"schedule file {path!r} has a row without an eta value: {row}")
+            rows.append((int(row[0]), float(row[1])))
+    if not rows:
+        raise InvalidParameterError(f"schedule file {path!r} contains no rows")
+    rows.sort()
+    if [t for t, _ in rows] != list(range(len(rows))):
+        raise InvalidParameterError(f"schedule file {path!r} must have contiguous 0-based indices")
+    return from_table([v for _, v in rows], label=f"table({path})")

@@ -139,18 +139,25 @@ class TestExitCodes:
             (("audit", "--schedule", "table:{one_column}"), "row without an eta value"),
             (("audit", "--schedule", "table:{directory}"), "bad schedule spec"),
             (("audit", "--schedule", "table:{huge_row}"), "produced a huge (1e+200 > 2^440) stepsize at t=1"),
+            (("audit", "--schedule", "table:{bad_eta}"), "line 3 '1,abc': could not convert string 'abc' to float64"),
+            (("verify", "--schedule", "table:{float_index}"), "line 3 '1.0,0.25': could not convert string '1.0' to int64"),
         ],
         ids=[
             "c-1e308", "audit-c-1e200", "bounds-c-1e200", "density-c-1e200", "bounds-phi-const-inf",
             "bounds-phi-offset-inf", "audit-phi-const-inf", "audit-phi-coef-inf", "phi-overflows",
             "bounds-phi-overflows", "verify-phi-overflows", "density-vshape-phi-overflows",
-            "thresholds-nan", "table-one-column", "table-directory", "table-huge-row",
+            "thresholds-nan", "table-one-column", "table-directory", "table-huge-row", "table-bad-eta",
+            "table-float-index",
         ],
     )
     def test_bad_input_exit_2(self, tmp_path, capsys, args, message):
         files = {"one_column": tmp_path / "one.csv", "directory": tmp_path, "huge_row": tmp_path / "huge.csv"}
         files["one_column"].write_text("t,eta\n0\n")
         files["huge_row"].write_text("t,eta\n0,0.5\n1,1e200\n2,0.1\n")
+        files["bad_eta"] = tmp_path / "bad_eta.csv"
+        files["bad_eta"].write_text("t,eta\n0,0.5\n1,abc")
+        files["float_index"] = tmp_path / "float_index.csv"
+        files["float_index"].write_text("t,eta\n0,0.5\n1.0,0.25\n")
         args = [a.format(**files) for a in args]
         with warnings.catch_warnings():
             warnings.simplefilter("error")

@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -233,6 +234,36 @@ def test_query_order_does_not_change_bits(table, rng):
     got = {t: (shuffled.rate(t), shuffled.prefix_sum(t)) for t in order}
     assert [got[t] for t in range(n)] == want
     assert [p for _, p in want] == _loop_prefix(ascending.rates(n))[:n]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_tables, st.randoms(use_true_random=False))
+def test_first_fill_matches_growth_bits(table, rng):
+    # a table fills its cache in one pass; the cyclic extension grows it
+    # 16, 32, 64, ... values at a time.  Signed zeros show a prefix not
+    # seeded with +0.0 (0.0 + -0.0 is +0.0, a cumsum of -0.0 alone is not)
+    table = [-0.0 if v == 0.0 and rng.random() < 0.5 else v for v in table]
+    whole = sched.from_table(table)
+    grown = sched.StepSchedule(lambda m: np.resize(np.array(table, dtype=np.float64), m))
+    steps = range(len(table) + 1)
+    got = np.array([grown.prefix_sum(t) for t in steps])
+    assert got.tobytes() == np.array([whole.prefix_sum(t) for t in steps]).tobytes()
+    assert got.tobytes() == np.array(_loop_prefix(table)).tobytes()
+
+
+def test_table_cache_holds_one_values_array():
+    # the table's own array and n + 1 prefix sums (plus a bool mask), with
+    # no concatenated copy of either
+    n = 1 << 16
+    x = np.random.default_rng(0).uniform(0.0, 1.0, n)
+    tracemalloc.start()
+    try:
+        total = sched.from_table(x).prefix_sum(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert total == _loop_prefix(x.tolist())[-1]
+    assert peak < 18 * n, peak / n
 
 
 @pytest.mark.parametrize("D, G", [(2.0, 1.0), (1.0, 1.0), (3.0, 7.0), (0.1, 3.3)])
