@@ -14,6 +14,8 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from . import bounds as bnd
 from . import schedules as sched
@@ -183,7 +185,7 @@ def _header(config: dict) -> str:
 def _write_json(path: Path, payload: dict, config: dict) -> None:
     payload = {"meta": {"tool": f"stepaudit {__version__}", "config": config}, **payload}
     with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1, default=str)
+        json.dump(payload, fh, sort_keys=True, indent=1, default=lambda o: o.tolist() if isinstance(o, np.ndarray) else str(o))
         fh.write("\n")
 
 

@@ -55,7 +55,7 @@ class _Instance:
 
     Subclasses give ``_iterate(t)``, the closed-form iterate after ``t``
     steps, and ``_dumped``, the fields ``to_dict`` writes besides ``T`` and
-    the schedule's label (arrays as lists).
+    the schedule's label.
     """
 
     schedule: StepSchedule
@@ -73,9 +73,7 @@ class _Instance:
         return float(self.convex.value(self.closed_form_iterate(t)))
 
     def to_dict(self) -> dict:
-        dumped = {name: getattr(self, name) for name in self._dumped}
-        dumped = {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in dumped.items()}
-        return {"T": self.T, "schedule_label": self.schedule.label, **dumped}
+        return {"T": self.T, "schedule_label": self.schedule.label, **{k: getattr(self, k) for k in self._dumped}}
 
 
 # -- valley (piecewise-linear) family -------------------------------------
@@ -117,7 +115,9 @@ def _interval_instance(scalar: tuple) -> ConvexInstance:
     return ConvexInstance(value=lambda x: scalar[0](float(x[0])), scalar=scalar)
 
 
-def _vshape_oracles(eps: float, c: float):
+def _vshape_scalar(eps: float, c: float) -> tuple:
+    """The valley's ``scalar`` tuple: its float oracles, ramp fold and array objective."""
+
     def value(v: float) -> float:
         if v < 0:
             return -v
@@ -132,22 +132,15 @@ def _vshape_oracles(eps: float, c: float):
             return c
         return 1.0
 
-    return value, subgradient
-
-
-def _vshape_fold(eps: float, c: float, steps: np.ndarray) -> tuple[np.ndarray, int]:
-    # the pre-projection iterates v[0..k] from eps, k the first at or below
-    # the kink: on the ramp a step is fl(v - fl(s c)) = fl(v + fl(s * -c)),
-    # one sequential fold.  It never rises, so k < len(steps) only if v[-2] <= 0.
-    v = np.empty(len(steps) + 1)
-    v[0] = eps
-    np.multiply(steps, -c, out=v[1:])
-    np.add.accumulate(v, out=v)
-    return v, len(steps) if v[-2] > 0.0 else int(np.argmax(v <= 0.0))
-
-
-def _vshape_scalar(eps: float, c: float) -> tuple:
-    value, subgradient = _vshape_oracles(eps, c)
+    def fold(x0, steps):
+        # the pre-projection iterates v[0..k] from x0, k the first at or below
+        # the kink: on the ramp a step is fl(v - fl(s c)) = fl(v + fl(s * -c)),
+        # one sequential fold.  It never rises, so k < len(steps) only if v[-2] <= 0.
+        v = np.empty(len(steps) + 1)
+        v[0] = x0
+        np.multiply(steps, -c, out=v[1:])
+        np.add.accumulate(v, out=v)
+        return v, len(steps) if v[-2] > 0.0 else int(np.argmax(v <= 0.0))
 
     def values(x):  # value at each iterate, in one array
         out = x - eps
@@ -155,17 +148,7 @@ def _vshape_scalar(eps: float, c: float) -> tuple:
         np.multiply(x, c, out=out, where=x <= eps)
         return np.negative(x, out=out, where=x < 0)
 
-    return value, subgradient, -1.0, 1.0, eps, lambda x0, steps: _vshape_fold(x0, c, steps), values
-
-
-def _vshape_landing(eps: float, c: float, steps: np.ndarray) -> float:
-    # the iterate after ``steps``, bitwise that of engine.run: the fold while
-    # the iterate before the last step stays above the kink (the last is
-    # clamped at -1), otherwise the run
-    v, k = _vshape_fold(eps, c, steps)
-    if k == len(steps):
-        return max(float(v[-1]), -1.0)
-    return scalar_descent(_vshape_scalar(eps, c), steps)[0]
+    return value, subgradient, -1.0, 1.0, eps, fold, values
 
 
 _SHRINK = 1e-6  # eps as a fraction of min(1, the exit step, the ramp's step sum)
@@ -192,20 +175,20 @@ def build_vshape(schedule: StepSchedule, T: int) -> VShapeInstance:
     eps = _SHRINK * min(1.0, eta_exit, ramp_sum)
     c = eps / ramp_sum
     steps = schedule.rates(T - 1)
-    landing = _vshape_landing(eps, c, steps)
     bump = 2.0**-50
-    for _ in range(64):
+    for _ in range(65):  # the slope as computed, then up to 64 nudges
+        scalar = _vshape_scalar(eps, c)
+        landing = scalar_descent(scalar, steps)[0]
         if landing <= 0:
             break
         c = c * (1.0 + bump)
         bump *= 2.0
-        landing = _vshape_landing(eps, c, steps)
-    if landing > 0:
+    else:
         raise ConstructionError("vshape ramp slope could not be settled onto the minimum")
     if not 0 < c < 1:
         raise ConstructionError(f"vshape ramp slope c={c} outside (0, 1)")
 
-    convex = _interval_instance(_vshape_scalar(eps, c))
+    convex = _interval_instance(scalar)
     return VShapeInstance(schedule=schedule, T=T, convex=convex, epsilon=eps, c_eps=c, landing=landing)
 
 

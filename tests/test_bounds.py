@@ -359,6 +359,11 @@ def test_l1_l2_error_bound_covers_both_sides(values):
     assert check["status"] != "fail"  # the exact sides always meet the inequality
 
 
+def test_l1_l2_refuses_an_empty_vector():
+    with pytest.raises(InvalidParameterError, match="^need a nonempty vector$"):
+        bnd.l1_l2_gap([])
+
+
 def test_l1_l2_near_tie_is_inconclusive():
     # the exact gap is 2^-105, far inside the rounding bound
     check = bnd.l1_l2_gap([1.0, 1.0 + 2.0**-52])
@@ -392,6 +397,10 @@ class TestEmpiricalEnvelope:
         vals = [phi(t) for t in (1, 2, 3)]
         assert vals == sorted(vals)
         assert vals[0] == 2.0
+
+    def test_no_records_rejected(self):
+        with pytest.raises(InvalidParameterError, match="^empirical envelope needs at least one record$"):
+            bnd.empirical_envelope([])
 
     def test_mixed_schedules_rejected(self):
         with pytest.raises(InvalidParameterError):

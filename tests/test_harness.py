@@ -436,6 +436,18 @@ class TestChain:
         assert step["status"] == "inconclusive"
         assert "average_identity" in report.inconclusive
 
+    def test_average_identity_off_by_a_billionth_fails(self, monkeypatch, tmp_path, capsys):
+        # a closed form 1e-9 relative off the oracle is settled outside the
+        # 1e-12 tolerance, so the step fails and so does the chain
+        closed_form = bnd.averaged_quartic_floor
+        monkeypatch.setattr(bnd, "averaged_quartic_floor", lambda s, T: closed_form(s, T) * (1 + 1e-9))
+        report = chain_check(ExperimentSpec(SQRT21, [256]))
+        step = next(s for s in report.steps if s["step"] == "average_identity")
+        assert step["status"] == "fail"
+        assert not report.passed
+        assert cli.main(["bounds", "--T", "256", "--out", str(tmp_path)]) == 1
+        assert "first failing step average_identity" in capsys.readouterr().out.splitlines()[-1]
+
     def test_huge_stepsizes_keep_a_finite_bound(self, recwarn):
         # w_j^2 overflows here, so the bound must scale ||w||_2, silently
         report = chain_check(ExperimentSpec(sched.constant(1e100), [8], envelope=bnd.constant_envelope(1)))

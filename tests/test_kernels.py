@@ -951,6 +951,7 @@ _tiny_steps = st.lists(st.sampled_from([0.0, 5e-324, 1e-310, 2.0**-1022, 1e-300]
 @settings(max_examples=60, deadline=None)
 @given(_long_tables, _tiny_steps, st.integers(0, 512), st.floats(1e-9, 0.9))
 @example([1.0, 0.1, 1.0], [1e-310, 1e-310], 3, 0.5)  # a subnormal exit step: eps is subnormal, not certified
+@example([2.0], [0.0], 0, 0.9)  # a free run on steps 0.0, 2.0: one ramp step past -1
 def test_scalar_path_matches_array_oracle(table, tiny, at, slope):
     table = table[:at] + tiny + table[at:]
     s = sched.from_table(table + [1.0])
