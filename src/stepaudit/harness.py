@@ -43,38 +43,32 @@ __all__ = [
 
 
 class Tolerances:
-    """The pipeline's fixed tolerances, read as class attributes."""
+    """The pipeline's fixed tolerances, read as class attributes: ``coord_abs``
+    gates ``verify``, ``scalar_rel`` the ``certificate_matches_analytic`` and
+    ``average_identity`` checks, and ``bound_slack`` ``measured_ge_certified``;
+    ``stepbench`` reads ``scalar_rel`` and ``bound_slack`` as its CSV tolerances."""
 
     coord_abs = 1e-9
     scalar_rel = 1e-12
-    kink_abs = 1e-6
     bound_slack = 1e-12
 
 
 class Family(NamedTuple):
-    """Everything the pipeline knows about one instance family."""
+    """A family's builder and the analytic floor its certificate must match."""
 
     # (schedule, t, phi) -> instance; raises ConstructionError when
     # the family does not apply at ``t``, while a bad stepsize raises
     # InvalidParameterError and stops the run.  Rows look the builder up on
     # ``inst`` when called, so a wrapper installed on the module is seen.
     build: Callable
-    uncertified: str | None  # why a build that ran can be uncertified
-    coord_tol: float  # verify's tolerance on iterates and errors
     floor: str | None = None  # the BoundRow floor the certificate must match
 
 
 # the dumped and reported name of each family is its key here
 _REGISTRY = {
-    "maxlinear": Family(
-        lambda schedule, t, phi: inst.build_maxlinear(schedule, t, phi),
-        "a zero stepsize allows argmax ties", Tolerances.coord_abs, floor="maxlinear",
-    ),
-    "vshape": Family(
-        lambda schedule, t, phi: inst.build_vshape(schedule, t),
-        "its ramp overshoots the minimum", Tolerances.kink_abs,
-    ),
-    "quadratic": Family(lambda schedule, t, phi: inst.build_quadratic(schedule, t), None, Tolerances.coord_abs),
+    "maxlinear": Family(lambda schedule, t, phi: inst.build_maxlinear(schedule, t, phi), floor="maxlinear"),
+    "vshape": Family(lambda schedule, t, phi: inst.build_vshape(schedule, t)),
+    "quadratic": Family(lambda schedule, t, phi: inst.build_quadratic(schedule, t)),
 }
 FAMILIES = tuple(_REGISTRY)
 
@@ -164,16 +158,15 @@ def verify_trajectories(spec: ExperimentSpec) -> TrajectoryReport:
     """
     def work(key):
         family, T = key
-        fam = _REGISTRY[family]
         try:
-            built = fam.build(spec.schedule, T, spec.envelope)
+            built = _REGISTRY[family].build(spec.schedule, T, spec.envelope)
         except ConstructionError as exc:
             return {"family": family, "T": T, "skipped": str(exc)}
         if not built.certified:  # its closed form need not describe the run
-            return {"family": family, "T": T, "skipped": f"{family} floor not certified: {fam.uncertified}"}
+            return {"family": family, "T": T, "skipped": f"{family} floor not certified: {built.uncertified}"}
         times = _snapshot_grid(T)
         record = run(built.convex, spec.schedule, T, snapshots=times)
-        coord_tol = fam.coord_tol
+        tol = Tolerances.coord_abs
         dev = 0.0
         for t in times:
             dev = max(dev, float(np.max(np.abs(record.snapshots[t] - built.closed_form_iterate(t)))))
@@ -186,8 +179,8 @@ def verify_trajectories(spec: ExperimentSpec) -> TrajectoryReport:
             "snapshot_times": times,
             "max_coord_deviation": dev,
             "max_error_deviation": err_dev,
-            "tolerance": coord_tol,
-            "passed": dev <= coord_tol and err_dev <= coord_tol,
+            "tolerance": tol,
+            "passed": dev <= tol and err_dev <= tol,
         }
 
     keys = [(family, T) for family in spec.families for T in spec.horizons]
@@ -240,7 +233,7 @@ def _audit_one(spec: ExperimentSpec, t: int):
         dumps.append({"family": family, **built.to_dict()})
         row.measured[family] = measured
         if not built.certified:
-            skipped.append({"t": t, "family": family, "reason": f"{family} floor not certified: {fam.uncertified}"})
+            skipped.append({"t": t, "family": family, "reason": f"{family} floor not certified: {built.uncertified}"})
             continue
         cert = built.certified_bound()
         assertions.append(

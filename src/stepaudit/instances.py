@@ -27,7 +27,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .bounds import GuaranteeEnvelope
+from .bounds import GuaranteeEnvelope, last_step_bound
 from .engine import ConvexInstance, scalar_descent
 from .errors import ConstructionError, InvalidParameterError, step_count
 from .schedules import StepSchedule
@@ -55,13 +55,19 @@ class _Instance:
 
     Subclasses give ``_iterate(t)``, the closed-form iterate after ``t``
     steps, and ``_dumped``, the fields ``to_dict`` writes besides ``T`` and
-    the schedule's label.
+    the schedule's label; a class whose floor can be uncertified overrides
+    ``certified`` and states why in ``uncertified``.
     """
 
     schedule: StepSchedule
     T: int
     convex: ConvexInstance
     _dumped: ClassVar[tuple[str, ...]] = ()
+    uncertified: ClassVar[str | None] = None  # why a build that ran can be uncertified
+
+    @property
+    def certified(self) -> bool:
+        return True
 
     def closed_form_iterate(self, t: int) -> np.ndarray:
         t = step_count(t, 1, "step")
@@ -93,11 +99,11 @@ class VShapeInstance(_Instance):
     c_eps: float
     landing: float  # simulated iterate value one step before the target
     _dumped = ("epsilon", "c_eps")
+    uncertified = "its ramp overshoots the minimum"
 
     def certified_bound(self) -> float:
         """Predicted error at the target step (domain-capped exit)."""
-        exit_step = min(self.schedule.rate(self.T - 1), 1.0)
-        return exit_step - self.epsilon + self.c_eps * self.epsilon
+        return last_step_bound(self.schedule, self.T) - self.epsilon + self.c_eps * self.epsilon
 
     @property
     def certified(self) -> bool:
@@ -204,10 +210,6 @@ class QuadraticInstance(_Instance):
 
     def certified_bound(self) -> float:
         return math.exp(-2.0) / (4.0 * self.S)
-
-    @property
-    def certified(self) -> bool:
-        return True
 
     def _iterate(self, t: int) -> np.ndarray:
         factors = 1.0 - self.schedule.rates(t) / (2.0 * self.S)
@@ -347,6 +349,7 @@ class MaxLinearInstance(_Instance):
     a: np.ndarray
     b: np.ndarray
     _dumped = ("a", "b")
+    uncertified = "a zero stepsize allows argmax ties"
 
     def certified_bound(self) -> float:
         eta = self.schedule.rates(self.T)

@@ -153,12 +153,13 @@ def from_table(values: Sequence[float] | np.ndarray, label: str = "table") -> St
     return schedule
 
 
-def _cells(line: str) -> list[str]:
-    """The CSV cells of one line; none if it does not parse as CSV."""
+def _cells(line: str) -> list[str] | None:
+    """The CSV cells of one line; ``None`` if it does not parse as CSV
+    (for one, a cell beyond the csv module's field size limit)."""
     try:
         return next(csv.reader([line]), [])
     except csv.Error:
-        return []
+        return None
 
 
 def from_csv(path: str) -> StepSchedule:
@@ -184,7 +185,7 @@ def from_csv(path: str) -> StepSchedule:
                     yield line
 
         lines = content()
-        if [h.strip() for h in _cells(next(lines, ""))[:2]] != ["t", "eta"]:
+        if [h.strip() for h in (_cells(next(lines, "")) or [])[:2]] != ["t", "eta"]:
             raise InvalidParameterError(f"schedule file {path!r} must start with header 't,eta'")
         first = next((row for row in lines if row != "\n"), None)
         if first is None:
@@ -197,8 +198,10 @@ def from_csv(path: str) -> StepSchedule:
         except ValueError as exc:
             # numpy stops at the bad row, so ``line`` is still that row
             row = line.rstrip("\n")
-            reason = "row without an eta value" if len(_cells(row)) < 2 else str(exc).partition(" at row ")[0]
-            raise InvalidParameterError(f"schedule file {path!r} line {line_no} {row!r}: {reason}") from exc
+            cells = _cells(row)
+            reason = "row without an eta value" if cells is not None and len(cells) < 2 else str(exc).partition(" at row ")[0]
+            shown = repr(row) if len(row) <= 80 else f"{row[:80]!r}..."
+            raise InvalidParameterError(f"schedule file {path!r} line {line_no} {shown}: {reason}") from exc
     t = data["t"]
     if not np.array_equal(t, np.arange(t.shape[0])):
         order = np.argsort(t, kind="stable")

@@ -141,13 +141,15 @@ class TestExitCodes:
             (("audit", "--schedule", "table:{huge_row}"), "produced a huge (1e+200 > 2^440) stepsize at t=1"),
             (("audit", "--schedule", "table:{bad_eta}"), "line 3 '1,abc': could not convert string 'abc' to float64"),
             (("verify", "--schedule", "table:{float_index}"), "line 3 '1.0,0.25': could not convert string '1.0' to int64"),
+            (("audit", "--schedule", "table:"), "schedule 'table' needs a file path: table:PATH"),
+            (("audit", "--schedule", "doubling_sqrt:D=0"), "doubling_sqrt requires D > 0 and G > 0"),
         ],
         ids=[
             "c-1e308", "audit-c-1e200", "bounds-c-1e200", "density-c-1e200", "bounds-phi-const-inf",
             "bounds-phi-offset-inf", "audit-phi-const-inf", "audit-phi-coef-inf", "phi-overflows",
             "bounds-phi-overflows", "verify-phi-overflows", "density-vshape-phi-overflows",
             "thresholds-nan", "table-one-column", "table-directory", "table-huge-row", "table-bad-eta",
-            "table-float-index",
+            "table-float-index", "table-no-path", "doubling-zero-D",
         ],
     )
     def test_bad_input_exit_2(self, tmp_path, capsys, args, message):
@@ -164,6 +166,7 @@ class TestExitCodes:
             assert run_cli(*args, "--T", "8", "--out", str(tmp_path / "out")) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and message in err[0], err
+        assert not (tmp_path / "out").exists()
 
     def test_huge_finite_envelope_passes(self, tmp_path):
         # phi^4 overflows to inf, which clears every quartic floor
@@ -506,15 +509,21 @@ class TestConfigResolution:
             ({"T": 1e3}, (), "'T' must be int, got 1000.0"),
             ({"per_t": "true"}, ("--T", "4"), "'per_t' must be bool"),
             ([], ("--T", "4"), "must hold a JSON object, not list"),
+            ({}, ("--horizons", "pow2:a-b"), "bad horizons range 'pow2:a-b'; expected pow2:LO-HI"),
+            ({}, ("--horizons", "pow2:3-3"), "range 'pow2:3-3' contains no powers of two"),
+            ({}, ("--horizons", "8,x"), "bad horizons list '8,x'"),
         ],
-        ids=["workers-two", "T-abc", "thresholds-ab", "T-zero", "T-float", "T-exponent", "switch-text", "not-object"],
+        ids=["workers-two", "T-abc", "thresholds-ab", "T-zero", "T-float", "T-exponent", "switch-text", "not-object",
+             "pow2-not-numbers", "pow2-empty", "horizons-x"],
     )
     def test_bad_values_exit_2(self, tmp_path, capsys, config, flags, message):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
-        assert run_cli("density", "--config", str(cfg), *flags, "--out", str(tmp_path)) == 2
+        out = tmp_path / "out"
+        assert run_cli("density", "--config", str(cfg), *flags, "--out", str(out)) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and message in err[0]
+        assert not out.exists()
 
     def test_out_dir_from_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("STEPAUDIT_OUT", str(tmp_path / "envout"))

@@ -15,6 +15,7 @@ from stepaudit import schedules as sched
 from stepaudit.errors import InvalidParameterError
 from stepaudit.harness import (
     ExperimentSpec,
+    Tolerances,
     audit_schedule,
     chain_check,
     density_experiment,
@@ -222,9 +223,9 @@ class TestAudit:
 
 
 def test_a_registered_family_reaches_every_output(tmp_path, monkeypatch):
-    # a family is one registry row plus its name in FAMILIES: here a copy of
-    # the max-of-linear row with its own reason and tolerance
-    row = harness._REGISTRY["maxlinear"]._replace(uncertified="a test reason", coord_tol=2e-9)
+    # a family is one registry row, its builder and its floor, plus its name
+    # in FAMILIES: here the max-of-linear builder and floor under a new name
+    row = harness.Family(harness._REGISTRY["maxlinear"].build, floor="maxlinear")
     monkeypatch.setitem(harness._REGISTRY, "coupled", row)
     monkeypatch.setattr(harness, "FAMILIES", (*harness.FAMILIES, "coupled"))
     table = tmp_path / "steps.csv"  # eta_1 = 0 lets the argmax tie: neither floor is certified
@@ -236,9 +237,11 @@ def test_a_registered_family_reaches_every_output(tmp_path, monkeypatch):
     assert header[-4:] == ["err_maxlinear", "err_vshape", "err_quadratic", "err_coupled"]
     assert float(cells[-1]) > 0 and cells[-1] == cells[-4]
     skipped = json.loads((tmp_path / "audit_summary.json").read_text())["skipped"]
-    assert skipped[-1] == {"t": 8, "family": "coupled", "reason": "coupled floor not certified: a test reason"}
+    # the reason is the instance class's, and verify has one tolerance for every family
+    reason = "coupled floor not certified: a zero stepsize allows argmax ties"
+    assert skipped[-1] == {"t": 8, "family": "coupled", "reason": reason}
     entries = json.loads((tmp_path / "verify_report.json").read_text())["entries"]
-    assert [(e["family"], e["tolerance"]) for e in entries] == [("maxlinear", 1e-9), ("coupled", 2e-9)]
+    assert [(e["family"], e["tolerance"]) for e in entries] == [(f, Tolerances.coord_abs) for f in ("maxlinear", "coupled")]
     dumps = json.loads((tmp_path / "instances.json").read_text())["instances"]
     assert [d["family"] for d in dumps] == ["maxlinear", "coupled"]
 
@@ -318,6 +321,10 @@ class TestDensity:
     def test_thresholds_string_is_refused(self):
         with pytest.raises(InvalidParameterError, match="^thresholds must be a list of numbers, got the string '0.5'$"):
             density_experiment(make_spec(), "0.5")
+
+    def test_thresholds_must_not_be_empty(self):
+        with pytest.raises(InvalidParameterError, match="^density experiments need at least one threshold$"):
+            density_experiment(make_spec(), [])
 
     @pytest.mark.parametrize("thresholds", [["abc"], [0.5, None]])
     def test_thresholds_must_be_numbers(self, thresholds):

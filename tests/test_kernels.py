@@ -488,6 +488,17 @@ def test_block_refuses_negative_steps(weights):
         assert _kernels._certified(s, u, d, buf, 1, 1.0, sum(steps), np.array(steps), *rows) == 0
 
 
+@pytest.mark.parametrize("score", [-math.inf, math.inf])
+def test_certificate_keeps_no_row_when_the_score_scale_is_not_finite(score):
+    # an infinite old score in s[:p] makes the scale Z, and so the slack,
+    # infinite: no row is kept, where a finite score keeps both
+    u, d, buf = np.zeros(3), np.full(3, 5e3), np.empty(3)
+    rows = (np.zeros(2), np.zeros(2))
+    steps = np.array([1e-3, 1e-3])
+    assert _kernels._certified(np.array([-1.0]), u, d, buf, 1, 1.0, 2e-3, steps, *rows) == 2
+    assert _kernels._certified(np.array([score]), u, d, buf, 1, 1.0, 2e-3, steps, *rows) == 0
+
+
 def _block_reference(t0, t1, p, sfx, nsq, nerr, eta_acc, tol, base, coef, D, eta_v, u_v, d_v):
     """``_kernels._block`` as a loop over Python floats, giving up on the whole block."""
     fvs, tols, nsqs = [], [], []
@@ -926,9 +937,9 @@ def test_tail_run_allocates_less_than_the_flush():
 # -- the scalar path of the 1-d families against the array oracle ----------
 
 
-def _assert_scalar_matches_array(convex, s, T, built=None, coord_tol=0.0):
-    """Bitwise against the array loop; within ``coord_tol`` of ``built``'s
-    closed form at the grid times up to its target."""
+def _assert_scalar_matches_array(convex, s, T, built=None):
+    """Bitwise against the array loop; within ``Tolerances.coord_abs`` of
+    ``built``'s closed form at the grid times up to its target."""
     fast = engine.run(convex, s, T, snapshots=range(1, T + 1))
     slow = array_descent(convex, s, T, snapshots=range(1, T + 1))
     assert fast.errors.tobytes() == slow.errors.tobytes()
@@ -939,8 +950,8 @@ def _assert_scalar_matches_array(convex, s, T, built=None, coord_tol=0.0):
     assert _bits(fast.max_norm_seen) == _bits(slow.max_norm_seen)
     for t in _snapshot_grid(T) if built is not None else ():
         if t <= built.T:
-            assert np.max(np.abs(fast.snapshots[t] - built.closed_form_iterate(t))) <= coord_tol
-            assert abs(fast.error_at(t) - built.closed_form_error(t)) <= coord_tol
+            assert np.max(np.abs(fast.snapshots[t] - built.closed_form_iterate(t))) <= Tolerances.coord_abs
+            assert abs(fast.error_at(t) - built.closed_form_error(t)) <= Tolerances.coord_abs
     return fast
 
 
@@ -956,8 +967,7 @@ def test_scalar_path_matches_array_oracle(table, tiny, at, slope):
     table = table[:at] + tiny + table[at:]
     s = sched.from_table(table + [1.0])
     n = len(table) + 1
-    tol = Tolerances()
-    for build, coord_tol in ((build_vshape, tol.kink_abs), (build_quadratic, tol.coord_abs)):
+    for build in (build_vshape, build_quadratic):
         # at T = len(table) + 1 the exit step is the appended 1.0
         for T in (len(table), n):
             try:
@@ -965,11 +975,11 @@ def test_scalar_path_matches_array_oracle(table, tiny, at, slope):
             except (ConstructionError, InvalidParameterError):
                 continue  # vshape needs T >= 2 and positive steps, quadratic a step sum >= 1/2
             # the closed form is the ramp's; a build it does not certify leaves the ramp
-            _assert_scalar_matches_array(built.convex, s, T, built if built.certified else None, coord_tol)
+            _assert_scalar_matches_array(built.convex, s, T, built if built.certified else None)
     # a vshape run past its target leaves the ramp and oscillates about the kink
     with contextlib.suppress(ConstructionError):
         built = build_vshape(s, max(2, n // 3))
-        _assert_scalar_matches_array(built.convex, s, n, built if built.certified else None, tol.kink_abs)
+        _assert_scalar_matches_array(built.convex, s, n, built if built.certified else None)
     # a free slope, not settled by a build, takes the fold off the ramp early
     free = instances._interval_instance(instances._vshape_scalar(1e-6, slope))
     _assert_scalar_matches_array(free, s, n)
@@ -979,7 +989,7 @@ def test_scalar_path_clamped_exit_step():
     # the exit step 3 overshoots the domain [-1, 1], so the run clamps at 1
     s = sched.from_table([0.5, 0.5, 3.0, 1.0])
     built = build_vshape(s, 3)
-    rec = _assert_scalar_matches_array(built.convex, s, 3, built, Tolerances().kink_abs)
+    rec = _assert_scalar_matches_array(built.convex, s, 3, built)
     assert rec.projection_activations > 0
     assert rec.snapshots[3][0] == 1.0
     assert rec.max_norm_seen > 1.0

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from stepaudit import _kernels, cli, harness
+from stepaudit.harness import Tolerances
 
 README = (Path(__file__).parent.parent / "README.md").read_text()
 
@@ -49,6 +50,17 @@ def test_family_bullets_list_every_family():
     # the bolded bullets after the families' lead line, in order
     bullets = README.split("instance families drive the floors:\n", 1)[1].split("\n\n", 1)[0]
     assert re.findall(r"^- \*\*(\w+)\*\* - ", bullets, re.M) == list(harness.FAMILIES)
+
+
+def test_registry_paragraph_names_the_row_fields_and_the_tolerance():
+    # the paragraph after the family bullets states a row's fields and
+    # verify's one tolerance
+    para = README.split("A family is one row of the registry", 1)[1].split("\n\n", 1)[0]
+    fields = re.search(r"A row holds \w+\s+fields, (.+?):", para, re.S)
+    tolerance = re.search(r"one tolerance, ([-+.\de]+),", para)
+    assert fields and tolerance
+    assert tuple(re.findall(r"`(\w+)`", fields.group(1))) == harness.Family._fields
+    assert float(tolerance.group(1)) == Tolerances.coord_abs
 
 
 def test_segment_length_is_the_kernels():

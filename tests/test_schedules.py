@@ -108,6 +108,8 @@ def test_table_validation():
         sched.from_table([0.1, float("nan")])
     with pytest.raises(InvalidParameterError, match="huge .* at t=2"):
         sched.from_table([0.1, 0.2, 1e200])
+    with pytest.raises(InvalidParameterError, match="^schedule table must be one-dimensional$"):
+        sched.from_table([[1.0, 2.0]])
 
 
 def test_csv_roundtrip(tmp_path):

@@ -127,8 +127,12 @@ def test_malformed_tables_are_refused_in_one_line(tmp_path, text):
         (b"# c\nt,eta\n\n0\n", 4, "'0': row without an eta value"),
         (b"t,eta\n0,0.5\n# c\n\n   \n", 5, "'   ': row without an eta value"),
         (b"t,eta\n0,0.5\n1,0.\xff5\n", 3, "'1,0.\\udcff5': could not convert string"),
+        # a cell beyond the csv module's field size limit gets numpy's reason,
+        # and a long row is quoted up to its 80th character
+        (b"t,eta\n0,0.5\n1,abc" + b"x" * 140_000, 3, f"'1,abc{'x' * 75}'...: could not convert string 'abcx"),
+        (b"t,eta\n0,0.5\n" + b" " * 200, 3, f"'{' ' * 80}'...: row without an eta value"),
     ],
-    ids=["bad-eta", "float-index", "one-column", "blank-cell", "undecodable-byte"],
+    ids=["bad-eta", "float-index", "one-column", "blank-cell", "undecodable-byte", "huge-cell", "long-row"],
 )
 def test_parse_failures_name_the_file_and_line(tmp_path, raw, line, reason):
     path = tmp_path / "steps.csv"
@@ -136,6 +140,7 @@ def test_parse_failures_name_the_file_and_line(tmp_path, raw, line, reason):
     with pytest.raises(InvalidParameterError) as err:
         sched.from_csv(str(path))
     assert str(err.value).startswith(f"schedule file {str(path)!r} line {line} {reason}")
+    assert len(str(err.value)) < len(str(path)) + 300
 
 
 @pytest.mark.parametrize("cell", ["1_000", "٠.٥", "０.５"], ids=["underscore", "arabic-indic", "fullwidth"])
