@@ -98,26 +98,22 @@ A certified block writes its trace as a slice and then applies the
 deferred iterate updates (``_flush``), each coordinate's operations in
 their original order, so its trace, iterates and snapshots are bitwise
 those of exact steps.  The flush runs the block in chunks of at most
-``_BLOCK_STEPS`` rows through one fixed flat buffer, made at the first
-flush, of ``_BLOCK_STEPS + 1`` rows of ``max(_FLUSH_COLS, _BLOCK_STEPS)``
-cells (``dim`` cells where that is fewer); each batch below is a 2-d view
-of it folded column by column, which saves the per-row call overhead.  A
-chunk splits its columns, which keeps the bits as a coordinate's updates
-read only that coordinate.  The ``k`` columns it opens go in one square
-batch on the view that starts at them: a slice of one cached strict upper
-triangle (``_TRIANGLE``, ``_BLOCK_STEPS`` square) zeroes the entries of
-coordinates its rows have not opened yet, and the fresh entries go on the
-batch's strided diagonal.  The old columns, which each of its rows
-updates, go in unmasked tiles of ``_FLUSH_COLS`` columns while they span
-at most four tiles (3,072 columns at the default sizes), and past that
-row by row through views made once per chunk, two ufunc calls that cost
-less per cell there.  The batches form their products with
-``np.einsum``, which writes ``+0.0`` where a product is ``-0.0``.  That
-cannot change an iterate, because no entry of ``x`` is ever ``-0.0``:
-``x`` starts at ``+0.0``, ``fl(x - y)`` is ``-0.0`` only if ``x`` is,
-``fl(+0.0 + y)`` is ``+0.0`` for ``y = +-0.0``, and dividing by the norm
-(above 1, and finite whenever blocks run) keeps the sign; so ``x -
-(+0.0)`` and ``x - (-0.0)`` agree.
+``_BLOCK_STEPS`` (64) rows and splits each chunk's columns, which keeps
+the bits as a coordinate's updates read only that coordinate.  The old
+columns ``[0, q)``, which each of its rows updates, go row by row through
+views made once per chunk, two ufunc calls a row, at every ``q``.  The
+``k`` columns it opens go in one square batch on the view that starts at
+them: a ``(k + 1, k)`` view of a flat buffer of at most ``65 * 64``
+cells, made once per flush and folded column by column, where a slice of
+one cached strict upper triangle (``_TRIANGLE``, ``_BLOCK_STEPS`` square)
+zeroes the entries of coordinates its rows have not opened yet and the
+fresh entries go on the batch's strided diagonal.  The batch forms its
+products with ``np.einsum``, which writes ``+0.0`` where a product is
+``-0.0``.  That cannot change an iterate, because no entry of ``x`` is
+ever ``-0.0``: ``x`` starts at ``+0.0``, ``fl(x - y)`` is ``-0.0`` only
+if ``x`` is, ``fl(+0.0 + y)`` is ``+0.0`` for ``y = +-0.0``, and dividing
+by the norm (above 1, and finite whenever blocks run) keeps the sign; so
+``x - (+0.0)`` and ``x - (-0.0)`` agree.
 
 A block's errors are the tracked ``sfx_r``, within ``tol_r`` of the exact
 ones; the first is the exact recomputed score.  The block keeps the rows
@@ -168,7 +164,6 @@ __all__ = ["maxlinear_descent"]
 
 _BLOCK_ROWS = 1024  # the segment length of a block's tracking and certificate
 _BLOCK_STEPS = 64  # the back-off interval after a block is cut; 0 turns the block path off
-_FLUSH_COLS = 768  # the flush's tile width; sizes its scratch
 _EPS = float(np.finfo(np.float64).eps)
 _TRIANGLE = np.less.outer(*2 * (np.arange(_BLOCK_STEPS, dtype=np.int16),))  # [r, j]: r < j, the flush's zeros
 
@@ -335,52 +330,45 @@ def _step_update(x, a, b, buf, i, step):
     x[i] += step * b[i]
 
 
-def _batch(x, a, b, scratch, sc, w):
-    """Chunk rows ``sc`` on ``x[:w]`` as one packed batch.
+def _batch(x, a, b, scratch, sc):
+    """Chunk rows ``sc`` on the ``k`` columns they open, ``x[:k]``, as one square batch.
 
-    Row 0 of a packed ``(k + 1, w)`` view of ``scratch`` holds ``x[:w]``,
-    row ``r + 1`` the terms chunk row ``r`` subtracts, and
-    ``np.subtract.reduce`` along axis 0 folds each column in row order
-    (subtract does not reorder).  With ``b`` the batch is square (``w =
-    k``) and chunk row ``r`` opens column ``r``; with ``b = None`` it is a
-    tile of old columns, which every row updates.
+    Row 0 of a packed ``(k + 1, k)`` view of ``scratch`` holds ``x[:k]``,
+    row ``r + 1`` the terms chunk row ``r`` subtracts, with column ``r``
+    opened by row ``r``, and ``np.subtract.reduce`` along axis 0 folds
+    each column in row order (subtract does not reorder).
     """
     k = sc.shape[0]
-    blk = scratch[: (k + 1) * w].reshape(k + 1, w)
-    blk[0] = x[:w]
-    np.einsum("i,j->ij", sc, a[:w], out=blk[1:])
-    if b is not None:
-        np.copyto(blk[1:], 0.0, where=_TRIANGLE[:k, :k])  # chunk row r leaves column j alone for j > r
-        # x[r] += eta b[r], as x[r] - (-(eta b[r])), on the diagonal
-        fresh = scratch[k : (k + 1) * k : k + 1]
-        np.multiply(sc, b[:k], out=fresh)
-        np.multiply(fresh, -1.0, out=fresh)  # np.negative miscomputes some strided outputs
-    np.subtract.reduce(blk, axis=0, out=x[:w])
+    blk = scratch[: (k + 1) * k].reshape(k + 1, k)
+    blk[0] = x[:k]
+    np.einsum("i,j->ij", sc, a[:k], out=blk[1:])
+    np.copyto(blk[1:], 0.0, where=_TRIANGLE[:k, :k])  # chunk row r leaves column j alone for j > r
+    # x[r] += eta b[r], as x[r] - (-(eta b[r])), on the diagonal
+    fresh = scratch[k : (k + 1) * k : k + 1]
+    np.multiply(sc, b[:k], out=fresh)
+    np.multiply(fresh, -1.0, out=fresh)  # np.negative miscomputes some strided outputs
+    np.subtract.reduce(blk, axis=0, out=x[:k])
 
 
-def _flush(x, a, b, buf, scratch, p, st):
+def _flush(x, a, b, buf, p, st):
     """Apply a block's deferred iterate updates, each coordinate's in step order.
 
     Row ``r`` of the block did ``x[:p + r] -= eta_r a[:p + r]; x[p + r] +=
     eta_r b[p + r]``.  Each chunk of ``k <= _BLOCK_STEPS`` rows updates
-    its old columns ``[0, q)`` in ``_FLUSH_COLS`` tiles while they span at
-    most four, row by row past that, and then the ``k`` columns it opens
-    in one square ``_batch`` on the view ``x[q:]`` (see the module
-    docstring).  Per 64-row chunk a tile cell cost about 1 ns and a row 1.1
-    us plus 0.55 ns a cell: rows won from 3,072 to 4,608 columns on.
+    its old columns ``[0, q)`` row by row, and then the ``k`` columns it
+    opens in one square ``_batch`` on the view ``x[q:]`` (see the module
+    docstring).
     """
+    n = min(_BLOCK_STEPS, st.shape[0])
+    scratch = np.empty((n + 1) * n)
     for r0 in range(0, st.shape[0], _BLOCK_STEPS):
         sc = st[r0 : r0 + _BLOCK_STEPS]
         q = p + r0  # the old columns
-        if q <= 4 * _FLUSH_COLS:
-            for c0 in range(0, q, _FLUSH_COLS):
-                _batch(x[c0:], a[c0:], None, scratch, sc, min(_FLUSH_COLS, q - c0))
-        else:
-            xo, ao, bo = x[:q], a[:q], buf[:q]
-            for step in sc.tolist():
-                np.multiply(ao, step, bo)
-                np.subtract(xo, bo, xo)  # x[:q] -= step * a[:q]
-        _batch(x[q:], a[q:], b[q:], scratch, sc, sc.shape[0])
+        xo, ao, bo = x[:q], a[:q], buf[:q]
+        for step in sc.tolist():
+            np.multiply(ao, step, bo)
+            np.subtract(xo, bo, xo)  # x[:q] -= step * a[:q]
+        _batch(x[q:], a[q:], b[q:], scratch, sc)
 
 
 def maxlinear_descent(a: np.ndarray, b: np.ndarray, eta: np.ndarray, snap_times: np.ndarray):
@@ -442,7 +430,6 @@ def maxlinear_descent(a: np.ndarray, b: np.ndarray, eta: np.ndarray, snap_times:
     hits = 0
     pending = iter(np.asarray(snap_times, dtype=np.int64).tolist() if len(snap_times) else ())
     next_snap = next(pending, -1)
-    scratch = None  # the flush's fixed buffer, made at the first flush
     # the steps no block spans: zero, negative or NaN
     stops = [] if (eta > 0.0).all() else np.flatnonzero(~(eta > 0.0)).tolist()
     stops.append(T)
@@ -464,9 +451,7 @@ def maxlinear_descent(a: np.ndarray, b: np.ndarray, eta: np.ndarray, snap_times:
             trace[t : t + kept] = np.arange(p, p + kept)
             if t + kept > T:  # every row up to the evaluation row T
                 return errors, trace, max_norm, hits, snaps, tol
-            if scratch is None:
-                scratch = np.empty((_BLOCK_STEPS + 1) * min(max(_FLUSH_COLS, _BLOCK_STEPS), dim))
-            _flush(x, a, b, buf, scratch, p, eta[t : t + kept])
+            _flush(x, a, b, buf, p, eta[t : t + kept])
             p += kept
             t += kept
         else:  # an exact step

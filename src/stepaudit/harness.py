@@ -82,11 +82,13 @@ _MAX_HORIZON = sys.maxsize // 8 - 2
 class ExperimentSpec:
     """What to run: schedule, horizons, families and envelope.
 
-    Making a spec, also by ``dataclasses.replace``, checks them all and keeps
-    ``phis = phi(1), ..., phi(T + 1)`` for the largest horizon ``T``, so a bad
-    stepsize or envelope value stops the run before any work, and every later
-    step reads these values.  ``horizons`` and ``families`` are kept as
-    tuples, which later changes to the caller's lists do not reach.
+    Making a spec, also by ``dataclasses.replace``, checks them all,
+    materialises ``eta_0, ..., eta_T`` (``eta_{T-1}`` for a table of ``T``
+    rows) and keeps ``phis = phi(1), ..., phi(T + 1)`` for the largest
+    horizon ``T``, so a bad stepsize or envelope value stops the run before
+    any work, and every later step reads these values.  ``horizons`` and
+    ``families`` are kept as tuples, which later changes to the caller's
+    lists do not reach.
     ``envelope`` must be a :class:`GuaranteeEnvelope`.
     """
 
@@ -118,7 +120,8 @@ class ExperimentSpec:
             raise InvalidParameterError(f"envelope must be a GuaranteeEnvelope, got {self.envelope!r}")
         object.__setattr__(self, "horizons", hs)
         object.__setattr__(self, "families", fams)
-        self.schedule.prefix_sum(hs[-1])
+        # eta_T too, which a max-of-linear build reads, so no build regrows the cache
+        self.schedule.prefix_sum(hs[-1] + (self.schedule.length != hs[-1]))
         object.__setattr__(self, "phis", self.envelope.values(range(1, hs[-1] + 2)))
 
 

@@ -27,7 +27,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .bounds import GuaranteeEnvelope, last_step_bound
+from .bounds import GuaranteeEnvelope, last_step_bound, step_sum_bound
 from .engine import ConvexInstance, scalar_descent
 from .errors import ConstructionError, InvalidParameterError, step_count
 from .schedules import StepSchedule
@@ -209,7 +209,7 @@ class QuadraticInstance(_Instance):
     _dumped = ("S",)
 
     def certified_bound(self) -> float:
-        return math.exp(-2.0) / (4.0 * self.S)
+        return step_sum_bound(self.schedule, self.T)
 
     def _iterate(self, t: int) -> np.ndarray:
         factors = 1.0 - self.schedule.rates(t) / (2.0 * self.S)

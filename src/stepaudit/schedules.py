@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
+import re
 from collections.abc import Callable, Sequence
 
 import numpy as np
@@ -198,7 +199,8 @@ def from_csv(path: str) -> StepSchedule:
         except ValueError as exc:
             # numpy stops at the bad row, so ``line`` is still that row
             row = line.rstrip("\n")
-            cells = _cells(row)
+            # a run of plain characters parses as one would: the same cells, none past the field size limit
+            cells = _cells(re.sub(r'[^,"]+', "x", row))
             reason = "row without an eta value" if cells is not None and len(cells) < 2 else str(exc).partition(" at row ")[0]
             shown = repr(row) if len(row) <= 80 else f"{row[:80]!r}..."
             raise InvalidParameterError(f"schedule file {path!r} line {line_no} {shown}: {reason}") from exc

@@ -98,6 +98,21 @@ class TestSpecValidation:
         fams[:] = ["vshape", "vshape"]
         assert [list(row.measured) for row in audit_schedule(spec).report.rows] == [["maxlinear", "vshape"]] * 2
 
+    def test_audit_materialises_the_schedule_once(self):
+        # the spec reads eta_0..eta_T, the most any build at T reads, so an
+        # all-family audit asks for no more values; a table of T rows has no eta_T
+        asked = []
+
+        def first(n):
+            asked.append(n)
+            return 2.0 / np.sqrt(np.arange(n) + 1.0)
+
+        audit_schedule(ExperimentSpec(sched.StepSchedule(first), [8, 4096]))
+        assert max(asked) == 4097
+        asked.clear()
+        ExperimentSpec(sched.StepSchedule(first, length=4096), [8, 4096])
+        assert asked == [4096]
+
     def test_families_string_is_refused(self):
         with pytest.raises(InvalidParameterError, match="^families must be a list of names, got the string 'maxlinear'$"):
             make_spec(families="maxlinear")

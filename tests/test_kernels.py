@@ -209,59 +209,48 @@ def _certificates():
 
 
 @contextlib.contextmanager
-def _flushes(cols=None):
+def _flushes():
     """Record ``(p_end, rows, batches, cells)`` for every block flush.
 
-    ``batches`` lists ``(q, w, k)`` for each ``_batch`` the flush runs:
-    ``k`` rows on ``w`` columns, those from ``q`` on opened by the rows
-    (``q = w`` for a tile of old columns, ``q = 0`` for the opened ones).
-    ``cells`` is the size of the flush's scratch.  With ``cols`` set, the
-    old columns go in tiles of ``cols`` (``_FLUSH_COLS``, also read when
-    the kernel allocates its scratch).
+    ``batches`` lists ``(q, k)`` for each ``_batch`` the flush runs: ``k``
+    rows on the view of ``x`` that starts at column ``q``.  ``cells`` is
+    the size of the flush's scratch.
     """
-    log = []
+    log, x0 = [], [0]  # x0: the address of the flushed iterate
     flush, batch = _kernels._flush, _kernels._batch
 
-    def counted_batch(x, a, b, scratch, sc, w):
-        log[-1][2].append((w if b is None else 0, w, len(sc)))
-        return batch(x, a, b, scratch, sc, w)
+    def counted_batch(x, a, b, scratch, sc):
+        log[-1][2].append(((x.ctypes.data - x0[0]) // x.itemsize, len(sc)))
+        log[-1][3] = scratch.shape[0]
+        return batch(x, a, b, scratch, sc)
 
-    def counted_flush(*args):
-        scratch, p, st = args[4:7]
-        log.append((p + len(st), len(st), [], scratch.shape[0]))
-        flush(*args)
+    def counted_flush(x, a, b, buf, p, st):
+        x0[0] = x.ctypes.data
+        log.append([p + len(st), len(st), [], None])
+        flush(x, a, b, buf, p, st)
+        log[-1] = tuple(log[-1])
 
     with pytest.MonkeyPatch.context() as mp:
-        if cols is not None:
-            mp.setattr(_kernels, "_FLUSH_COLS", cols)
         mp.setattr(_kernels, "_batch", counted_batch)
         mp.setattr(_kernels, "_flush", counted_flush)
         yield log
 
 
-def _wide_rows(log, cols):
-    """Check each flush followed the one chunk rule; count its rows by regime.
+def _wide_rows(log):
+    """Check each flush followed the one chunk rule; return the rows flushed.
 
-    Each chunk of at most ``_BLOCK_STEPS`` rows runs its old columns in
-    tiles of ``cols`` while they span at most four tiles, row by row past
-    that (no batch), and then the ``k`` columns it opens in one square
-    batch on the view at ``q`` (``q = 0``).  The scratch holds one tile and
-    one chunk's ``(k + 1) k`` triangle, and no more.  Returns the rows of
-    the ``"tiles"`` and ``"rows"`` regimes.
+    Each chunk of at most ``_BLOCK_STEPS`` rows runs its old columns ``[0,
+    q)`` row by row (no batch) and then the ``k`` columns it opens in one
+    square batch on the view at ``q``.  The scratch holds one chunk's
+    ``(k + 1) k`` square, the largest chunk's, and no more.
     """
-    tile = _kernels._FLUSH_COLS if cols is None else cols
     n = _kernels._BLOCK_STEPS
-    regimes = {"tiles": 0, "rows": 0}
     for p_end, rows, batches, cells in log:
-        want = []
-        for q in range(p_end - rows, p_end, n):
-            k = min(n, p_end - q)
-            tiles = [min(tile, q - c0) for c0 in range(0, q, tile)] if q <= 4 * tile else []
-            want += [(w, w, k) for w in tiles] + [(0, k, k)]
-            regimes["tiles" if tiles else "rows"] += k
-        assert batches == want
-        assert max((k + 1) * w for _, w, k in batches) <= cells <= (n + 1) * max(tile, n)
-    return regimes
+        starts = range(p_end - rows, p_end, n)
+        assert batches == [(q, min(n, p_end - q)) for q in starts]
+        k = min(n, rows)
+        assert cells == (k + 1) * k
+    return sum(rows for _, rows, *_ in log)
 
 
 @contextlib.contextmanager
@@ -316,13 +305,6 @@ def _assert_block_path_bitwise(a, b, eta, snap_times):
     return trace
 
 
-# every flush regime: a chunk's old columns go in tiles up to four of them
-# and row by row past that.  At the default width they take tiles at these
-# sizes (rows from 3,072 columns), at 210 tiles up to 840 columns, at 3
-# tiles up to 12 columns, and the scratch is sized by the 64-row triangle
-_WIDTHS = (None, 3, 210)
-
-
 @settings(max_examples=40, deadline=None)
 @given(_long_tables, st.integers(0, 2**32 - 1))
 def test_block_path_matches_per_step_on_construction(table, seed):
@@ -332,10 +314,9 @@ def test_block_path_matches_per_step_on_construction(table, seed):
     rng = np.random.default_rng(seed)
     # up to three times, most of them inside a recompute interval
     snaps = np.unique(rng.integers(1, T + 1, int(rng.integers(0, 4))))
-    for cols in _WIDTHS:
-        with _flushes(cols) as log:
-            _assert_block_path_bitwise(a, b, s.rates(T), snaps)
-        _wide_rows(log, cols)
+    with _flushes() as log:
+        _assert_block_path_bitwise(a, b, s.rates(T), snaps)
+    _wide_rows(log)
 
 
 def test_every_block_certified_on_the_staircase(monkeypatch):
@@ -349,19 +330,15 @@ def test_every_block_certified_on_the_staircase(monkeypatch):
     snaps = np.array([1, 70, 500, 999], dtype=np.int64)
     default = _kernels.maxlinear_descent(a, b, s.rates(T), snaps)
     monkeypatch.setattr(_kernels, "_BLOCK_ROWS", 64)
-    for cols in _WIDTHS:
-        with _certificates() as results, _flushes(cols) as log:
-            trace = _assert_block_path_bitwise(a, b, s.rates(T), snaps)
-            got = _kernels.maxlinear_descent(a, b, s.rates(T), snaps)
-        assert results == [(69, 69), (430, 430), (499, 499), (2, 2)] * 2  # two runs
-        for have, expected in zip(got[:4] + got[5:], default[:4] + default[5:]):
-            assert _bits(have) == _bits(expected)
-        assert _same_snapshots(got[4], default[4])
-        assert trace.tobytes() == np.arange(T + 1).tobytes()
-        regimes = _wide_rows(log, cols)
-        # the old columns go row by row past 3,072, 12 and 840 of them
-        want = {None: {"tiles"}, 3: {"tiles", "rows"}, 210: {"tiles", "rows"}}[cols]
-        assert {regime for regime, rows in regimes.items() if rows} == want
+    with _certificates() as results, _flushes() as log:
+        trace = _assert_block_path_bitwise(a, b, s.rates(T), snaps)
+        got = _kernels.maxlinear_descent(a, b, s.rates(T), snaps)
+    assert results == [(69, 69), (430, 430), (499, 499), (2, 2)] * 2  # two runs
+    for have, expected in zip(got[:4] + got[5:], default[:4] + default[5:]):
+        assert _bits(have) == _bits(expected)
+    assert _same_snapshots(got[4], default[4])
+    assert trace.tobytes() == np.arange(T + 1).tobytes()
+    assert _wide_rows(log) == 2 * 998
 
 
 def test_every_long_block_certified_on_the_staircase():
@@ -376,8 +353,7 @@ def test_every_long_block_certified_on_the_staircase():
     assert results == [(69, 69), (430, 430), (499, 499), (2, 2)]
     assert trace.tobytes() == np.arange(T + 1).tobytes()
     assert [rows for _, rows, *_ in log] == [69, 430, 499]
-    # every chunk's old columns span at most two tiles
-    assert _wide_rows(log, None) == {"tiles": 998, "rows": 0}
+    assert _wide_rows(log) == 998
 
 
 def test_short_block_runs_in_one_segment():
@@ -449,14 +425,13 @@ def test_block_falls_back_when_a_rival_wins(case):
     # off past T), from row 64, and it reaches T and ends the run unflushed
     a, b, eta, head = case()
     first = {_old_rival: 3, _opened_rival: 1, _fading_rival: 3}[case]
-    for cols in _WIDTHS:
-        with _certificates() as results, _tails() as tails, _flushes(cols) as log:
-            trace = _assert_block_path_bitwise(a, b, eta, NO_SNAPS)
-        assert results[0] == (first, len(eta))
-        assert [rows for _, rows, *_ in log] == [first]
-        assert trace[: len(head)].tolist() == head  # every step is positive: a fresh trace counts up
-        assert tails == [False] + [True] * (case is _fading_rival)
-        _wide_rows(log, cols)
+    with _certificates() as results, _tails() as tails, _flushes() as log:
+        trace = _assert_block_path_bitwise(a, b, eta, NO_SNAPS)
+    assert results[0] == (first, len(eta))
+    assert [rows for _, rows, *_ in log] == [first]
+    assert trace[: len(head)].tolist() == head  # every step is positive: a fresh trace counts up
+    assert tails == [False] + [True] * (case is _fading_rival)
+    _wide_rows(log)
 
 
 def test_failed_certificate_backs_off_to_the_next_boundary():
@@ -618,7 +593,7 @@ def _chunks():
     """Record the rows of every batched chunk.
 
     The flush zeroes the entries before each opening through a slice of
-    the cached triangle.  ``_flushes(cols)`` sets the width.
+    the cached triangle.
     """
     log = []
 
@@ -653,8 +628,8 @@ def test_all_open_chunks_match_per_step(T, sizes):
 
 
 def test_construction_takes_the_all_open_path():
-    # at the default sizes both blocks of a dim 641 run go in 64-row chunks,
-    # their old columns in one tile; the snapshot at T keeps the tail off
+    # both blocks of a dim 641 run go in 64-row chunks, their old columns
+    # row by row; the snapshot at T keeps the tail off
     s = sqrt_decay(2, 1)
     T = 640
     a, b = coupling_weights(s, T, log_envelope())
@@ -662,15 +637,14 @@ def test_construction_takes_the_all_open_path():
         _assert_block_path_bitwise(a, b, s.rates(T), np.array([320, T], dtype=np.int64))
     assert [rows for _, rows, *_ in flushes] == [319, 320]
     assert log == [64] * 4 + [63] + [64] * 5
-    assert _wide_rows(flushes, None) == {"tiles": 639, "rows": 0}
+    assert _wide_rows(flushes) == 639
 
 
 @pytest.mark.parametrize("q", [767, 768, 769, 3072, 3073])
 def test_tile_boundaries_match_per_step(q):
-    # a chunk whose old columns end just before, at or just past one tile
-    # (768) or four tiles (3,072), past which they go row by row.  A
-    # snapshot 64 rows before q starts a block there, so a chunk starts at
-    # q; the one at T keeps the tail off.
+    # a chunk whose old columns end at q, from 767 to 3,073 columns, goes
+    # row by row.  A snapshot 64 rows before q starts a block there, so a
+    # chunk starts at q; the one at T keeps the tail off.
     s = sqrt_decay(2, 1)
     T = q + 127
     a, b = coupling_weights(s, T, log_envelope())
@@ -678,7 +652,7 @@ def test_tile_boundaries_match_per_step(q):
         trace = _assert_block_path_bitwise(a, b, s.rates(T), np.array([q - 64, T]))
     assert trace.tobytes() == np.arange(T + 1).tobytes()
     assert q in {q0 for p_end, rows, *_ in log for q0 in range(p_end - rows, p_end, 64)}
-    assert (_wide_rows(log, None)["rows"] > 0) == (q >= 3072)  # the chunk after 3,072 goes row by row
+    _wide_rows(log)
 
 
 def test_chunks_with_zero_steps_match_per_step():
@@ -695,13 +669,11 @@ def test_chunks_with_zero_steps_match_per_step():
     a, b = coupling_weights(s, T, log_envelope())
     snaps = np.array([100, 399], dtype=np.int64)
     zeros = set(np.flatnonzero(eta[:T] == 0.0).tolist())
-    for cols in _WIDTHS:
-        with _blocks() as spans, _certificates() as results, _flushes(cols) as log:
-            _assert_block_path_bitwise(a, b, s.rates(T), snaps)
-        assert len(results) == len(spans) and all(results)
-        assert set(range(T)).difference(*(range(*span) for span in spans)) == {0} | zeros
-        assert sum(rows for _, rows, *_ in log) == T - 2 - len(zeros)
-        _wide_rows(log, cols)
+    with _blocks() as spans, _certificates() as results, _flushes() as log:
+        _assert_block_path_bitwise(a, b, s.rates(T), snaps)
+    assert len(results) == len(spans) and all(results)
+    assert set(range(T)).difference(*(range(*span) for span in spans)) == {0} | zeros
+    assert _wide_rows(log) == T - 2 - len(zeros)
 
 
 @settings(max_examples=25, deadline=None)
@@ -718,24 +690,23 @@ def test_blocks_span_positive_steps_only(table):
 @settings(max_examples=30, deadline=None)
 @given(st.integers(2, 40), st.integers(520, 700), st.floats(-2.0, 1.0), st.integers(0, 2**32 - 1))
 def test_flush_regimes_match_per_step(cols, T, log_c, seed):
-    # at tile width cols the blocks [1, cols), [cols, T // 2) and [T // 2,
-    # T) take tiles and then, past four tiles (at most 160 columns here),
-    # go row by row: snapshots and the errors at their times bitwise those
-    # of exact steps
+    # the blocks [1, cols), [cols, T // 2) and [T // 2, T), on random
+    # steps, flush with snapshots and the errors at their times bitwise
+    # those of exact steps
     rng = np.random.default_rng(seed)
     s = sched.from_table(10.0**log_c / np.sqrt(np.arange(1.0, T + 2.0)) * rng.uniform(0.5, 1.0, T + 1))
     a, b = coupling_weights(s, T, log_envelope())
-    with _certificates() as results, _flushes(cols) as log:
+    with _certificates() as results, _flushes() as log:
         _assert_block_path_bitwise(a, b, s.rates(T), np.array([cols, T // 2, T]))
     assert [rows for _, rows, *_ in log] == [cols - 1, T // 2 - cols, T - T // 2]
     assert all(kept == rows for kept, rows in results)
-    assert all(_wide_rows(log, cols).values())
+    _wide_rows(log)
 
 
 def test_wide_flush_never_runs_the_exact_update():
     # the snapshots at T / 2 and T stop the two blocks, [1, T / 2) and [T / 2,
-    # T), before T, as verify's does, so both flush; past 768 touched
-    # coordinates no flushed row runs _step_update
+    # T), before T, as verify's does, so both flush; no flushed row runs
+    # _step_update
     s = sqrt_decay(2, 1)
     T = 4096
     a, b = coupling_weights(s, T, log_envelope())
@@ -760,17 +731,17 @@ def test_wide_flush_never_runs_the_exact_update():
 
 
 def test_block_scratch_is_fixed_size():
-    # a chunk batches at most _FLUSH_COLS old columns or its 64 opened ones
-    # in a fixed buffer, runs wider prefixes row by row in the kernel's own
+    # a chunk batches its at most 64 opened columns in a buffer of one
+    # chunk's square and runs its old ones row by row in the kernel's own
     # O(dim) buffer, never one row of dim per step: the peak stays near
     # those arrays at dim = 16385.  The snapshot at T keeps the tail off, so
     # every block flushes.
     assert _kernels._TRIANGLE.shape == (_kernels._BLOCK_STEPS, _kernels._BLOCK_STEPS)
-    # 65 rows of one tile, of one chunk's triangle where tiles are narrower, or of dim
+    # 65 rows of 64 cells, or 40 of 39 for the one 39-row block at T = 40
     s = sqrt_decay(2, 1)
-    for cols, T, cells in ((None, 1000, 65 * 768), (3, 200, 65 * 64), (None, 40, 65 * 41)):
+    for T, cells in ((1000, 65 * 64), (40, 40 * 39)):
         a, b = coupling_weights(s, T, log_envelope())
-        with _flushes(cols) as log:
+        with _flushes() as log:
             _kernels.maxlinear_descent(a, b, s.rates(T), np.array([T]))
         assert log and {c for *_, c in log} == {cells}
     a, b = build_maxlinear(s, 16384, log_envelope(8, 4)).convex.kernel_data

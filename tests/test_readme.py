@@ -70,3 +70,16 @@ def test_segment_length_is_the_kernels():
     doc = re.findall(r"segments\s+of\s+``_BLOCK_ROWS``\s+\(([\d,]+)\)\s+rows", _kernels.__doc__)
     assert readme and doc
     assert {int(n.replace(",", "")) for n in readme + doc} == {_kernels._BLOCK_ROWS}
+
+
+def test_flush_chunk_is_the_kernels():
+    # the README's kernel paragraph and the kernel's docstring state the
+    # flush's chunk length, which is _kernels._BLOCK_STEPS, and name no
+    # tile width: a chunk's old columns go row by row at every width
+    para = README.split("\nDescent kernel:", 1)[1].split("\n\n", 1)[0]
+    readme = re.findall(r"chunks\s+of\s+([\d,]+)\s+rows", para)
+    doc = re.findall(r"chunks\s+of\s+at\s+most\s+``_BLOCK_STEPS``\s+\(([\d,]+)\)\s+rows", _kernels.__doc__)
+    assert readme and doc
+    assert {int(n.replace(",", "")) for n in readme + doc} == {_kernels._BLOCK_STEPS}
+    for text in (para, _kernels.__doc__):
+        assert not re.search(r"\btiles?\b|\d-column", text)

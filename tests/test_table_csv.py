@@ -127,12 +127,15 @@ def test_malformed_tables_are_refused_in_one_line(tmp_path, text):
         (b"# c\nt,eta\n\n0\n", 4, "'0': row without an eta value"),
         (b"t,eta\n0,0.5\n# c\n\n   \n", 5, "'   ': row without an eta value"),
         (b"t,eta\n0,0.5\n1,0.\xff5\n", 3, "'1,0.\\udcff5': could not convert string"),
-        # a cell beyond the csv module's field size limit gets numpy's reason,
-        # and a long row is quoted up to its 80th character
+        # a cell beyond the csv module's field size limit gets numpy's reason
+        # in a two-cell row and is counted in a one-cell row, and a long row
+        # is quoted up to its 80th character
         (b"t,eta\n0,0.5\n1,abc" + b"x" * 140_000, 3, f"'1,abc{'x' * 75}'...: could not convert string 'abcx"),
+        (b"t,eta\n0,1\n1" + b" " * 140_000, 3, f"'1{' ' * 79}'...: row without an eta value"),
         (b"t,eta\n0,0.5\n" + b" " * 200, 3, f"'{' ' * 80}'...: row without an eta value"),
     ],
-    ids=["bad-eta", "float-index", "one-column", "blank-cell", "undecodable-byte", "huge-cell", "long-row"],
+    ids=["bad-eta", "float-index", "one-column", "blank-cell", "undecodable-byte", "huge-cell", "huge-one-cell",
+         "long-row"],
 )
 def test_parse_failures_name_the_file_and_line(tmp_path, raw, line, reason):
     path = tmp_path / "steps.csv"
